@@ -51,9 +51,11 @@ def heavy_edge_matching(
     Returns ``match`` with ``match[v]`` the partner (or ``v`` itself).
     """
     n = graph.n
-    match = np.full(n, -1, dtype=np.int64)
-    indptr, indices, ew = graph.indptr, graph.indices, graph.eweights
-    for v in rng.permutation(n):
+    match = [-1] * n
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    ew = graph.eweights.tolist()
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
         best = -1
@@ -68,7 +70,7 @@ def heavy_edge_matching(
             match[best] = v
         else:
             match[v] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def contract(graph: LevelGraph, match: np.ndarray) -> tuple[LevelGraph, np.ndarray]:

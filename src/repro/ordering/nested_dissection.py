@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
+from repro.obs import get_tracer
 from repro.ordering.base import Ordering
 from repro.ordering.partition import bisect_graph
 from repro.ordering.separator import vertex_separator_from_bisection
@@ -124,9 +125,14 @@ def nested_dissection(
     bisector:
         Optional custom ``(subgraph, ids) -> side`` bisector (used by
         :func:`~repro.ordering.geometric.geometric_nested_dissection`).
+
+    With a tracer installed, every separator extraction records an
+    ``ordering.separator`` span carrying the subgraph size ``n`` and the
+    separator ``size``.
     """
     if bisector is None:
         bisector = _default_bisector(balance_tol, seed)
+    tracer = get_tracer()
     order: list[int] = []
 
     def dissect(sub: Graph, ids: np.ndarray, offset: int) -> SeparatorNode:
@@ -147,7 +153,9 @@ def nested_dissection(
                 lo=offset, hi=offset + n, sep_size=0, children=children
             )
         side = np.asarray(bisector(sub, ids))
-        sep_local = vertex_separator_from_bisection(sub, side)
+        with tracer.span("ordering.separator", n=n) as span:
+            sep_local = vertex_separator_from_bisection(sub, side)
+            span.set(size=int(sep_local.shape[0]))
         in_sep = np.zeros(n, dtype=bool)
         in_sep[sep_local] = True
         c1_local = np.flatnonzero((side == 0) & ~in_sep)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.obs import get_tracer
 from repro.ordering.coarsen import (
     LevelGraph,
     contract,
@@ -26,32 +27,29 @@ from repro.ordering.refine import cut_weight, fm_refine
 def _bfs_grow(graph: LevelGraph, start: int) -> np.ndarray:
     """Grow side 0 by BFS from ``start`` until half the vertex weight."""
     n = graph.n
-    side = np.ones(n, dtype=np.int8)
-    target = int(graph.vweights.sum()) // 2
-    seen = np.zeros(n, dtype=bool)
-    queue = [start]
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    seen = [False] * n
     seen[start] = True
-    acc = 0
+    order = [start]
     head = 0
-    order: list[int] = []
-    while head < len(queue):
-        v = queue[head]
+    while head < len(order):
+        v = order[head]
         head += 1
-        order.append(v)
-        for t in range(graph.indptr[v], graph.indptr[v + 1]):
-            u = graph.indices[t]
+        for u in indices[indptr[v] : indptr[v + 1]]:
             if not seen[u]:
                 seen[u] = True
-                queue.append(u)
+                order.append(u)
     # If the graph is disconnected the BFS order misses vertices; append
     # them so the split still covers everything.
     if len(order) < n:
-        order.extend(np.flatnonzero(~seen).tolist())
-    for v in order:
-        if acc >= target:
-            break
-        side[v] = 0
-        acc += int(graph.vweights[v])
+        order.extend(v for v in range(n) if not seen[v])
+    # Side 0 takes every vertex whose BFS predecessors weigh under half.
+    order_arr = np.asarray(order, dtype=np.int64)
+    vw = graph.vweights[order_arr]
+    before = np.cumsum(vw) - vw
+    side = np.ones(n, dtype=np.int8)
+    side[order_arr[before < int(graph.vweights.sum()) // 2]] = 0
     return side
 
 
@@ -117,22 +115,28 @@ def bisect_graph(
 
     Multilevel V-cycle with FM refinement at every level.  The result is
     balanced to within ``balance_tol`` of an even vertex split whenever the
-    refinement can maintain it.
+    refinement can maintain it.  With a tracer installed the phases record
+    ``ordering.coarsen`` and ``ordering.initial`` spans, and every FM call
+    an ``ordering.refine`` span.
     """
+    tracer = get_tracer()
     rng = np.random.default_rng(seed)
     finest = level_graph_from_csr(graph.indptr, graph.indices)
     levels: list[LevelGraph] = [finest]
     maps: list[np.ndarray] = []
-    while levels[-1].n > coarsen_to:
-        match = heavy_edge_matching(levels[-1], rng)
-        coarse, cmap = contract(levels[-1], match)
-        if coarse.n >= levels[-1].n * 0.95:
-            break  # matching stalled (e.g. star graphs): stop coarsening
-        levels.append(coarse)
-        maps.append(cmap)
-    side = _initial_partition(
-        levels[-1], rng, tries=init_tries, balance_tol=balance_tol
-    )
+    with tracer.span("ordering.coarsen", n=finest.n) as span:
+        while levels[-1].n > coarsen_to:
+            match = heavy_edge_matching(levels[-1], rng)
+            coarse, cmap = contract(levels[-1], match)
+            if coarse.n >= levels[-1].n * 0.95:
+                break  # matching stalled (e.g. star graphs): stop coarsening
+            levels.append(coarse)
+            maps.append(cmap)
+        span.set(levels=len(levels), coarsest=levels[-1].n)
+    with tracer.span("ordering.initial", n=levels[-1].n):
+        side = _initial_partition(
+            levels[-1], rng, tries=init_tries, balance_tol=balance_tol
+        )
     for level in range(len(maps) - 1, -1, -1):
         side = side[maps[level]]
         side = fm_refine(levels[level], side, balance_tol=balance_tol)

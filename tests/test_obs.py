@@ -233,6 +233,31 @@ def test_apsp_trace_true_attaches_obs_and_tracer():
     assert traced.meta["tracer"].event_count == obs["events"]
 
 
+def test_apsp_trace_has_ordering_sub_spans():
+    g = gen.delaunay_mesh(200, seed=2)
+    plain = apsp(g)
+    traced = apsp(g, trace=True)
+    assert plain.dist.tobytes() == traced.dist.tobytes()
+    events = traced.meta["tracer"].events()
+    (ordering,) = [e for e in events if e.name == "ordering"]
+    names = {
+        "ordering.coarsen",
+        "ordering.initial",
+        "ordering.refine",
+        "ordering.separator",
+    }
+    subs = [e for e in events if e.name in names]
+    assert {e.name for e in subs} == names
+    for e in subs:
+        assert ordering.ts <= e.ts
+        assert e.ts + e.dur <= ordering.ts + ordering.dur
+    refines = [e for e in subs if e.name == "ordering.refine"]
+    for e in refines:
+        assert set(e.args) == {"n", "passes", "moves", "early_stop"}
+        assert 1 <= e.args["passes"] <= 4
+    assert any(e.args["early_stop"] for e in refines)
+
+
 def test_apsp_trace_path_writes_chrome_json(tmp_path):
     g = gen.grid2d(5, 5, seed=0)
     path = str(tmp_path / "out.json")
