@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+
+from repro.plan import analyze
 from repro.experiments.common import format_table, save_table
 from repro.graphs.suite import get_entry
 
@@ -33,7 +35,7 @@ def test_relaxation_table(benchmark, mesh, bench_seed):
     def run():
         rows = []
         for name, opts in SETTINGS:
-            plan = plan_superfw(mesh, seed=bench_seed, **opts)
+            plan = analyze(mesh, seed=bench_seed, **opts)
             result = superfw(mesh, plan=plan)
             rows.append(
                 {
@@ -58,5 +60,5 @@ def test_relaxation_table(benchmark, mesh, bench_seed):
 @pytest.mark.parametrize("setting", [s for s, _ in SETTINGS])
 def test_superfw_per_relaxation(benchmark, mesh, setting, bench_seed):
     opts = dict(SETTINGS)[setting]
-    plan = plan_superfw(mesh, seed=bench_seed, **opts)
+    plan = analyze(mesh, seed=bench_seed, **opts)
     benchmark.pedantic(lambda: superfw(mesh, plan=plan), rounds=2, iterations=1)

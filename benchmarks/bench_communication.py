@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, save_table
 from repro.graphs.suite import get_entry
 from repro.parallel.communication import (
@@ -27,7 +27,7 @@ def test_communication_table(benchmark, bench_size_factor, bench_seed):
         rows = []
         for name in GRAPHS:
             graph = get_entry(name).build(size_factor=bench_size_factor, seed=bench_seed)
-            plan = plan_superfw(graph, seed=bench_seed)
+            plan = analyze(graph, seed=bench_seed)
             for row in communication_table(plan.structure, graph.n, [16, 64, 256]):
                 rows.append({"graph": name, "n": graph.n, **row})
         return rows
@@ -54,7 +54,7 @@ def test_distributed_time_model(benchmark, bench_size_factor, bench_seed):
     from repro.parallel.scheduler import DEFAULT_COST_MODEL
 
     graph = get_entry("delaunay_n14").build(size_factor=bench_size_factor, seed=bench_seed)
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
     c = DEFAULT_COST_MODEL.seconds_per_op
 
     def run():
@@ -77,7 +77,7 @@ def test_distributed_time_model(benchmark, bench_size_factor, bench_seed):
 def test_comm_volume_scaling(benchmark, bench_size_factor, bench_seed):
     """Per-processor volume decreases with p for both algorithms."""
     graph = get_entry("delaunay_n14").build(size_factor=bench_size_factor, seed=bench_seed)
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
 
     def run():
         return [

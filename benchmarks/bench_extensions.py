@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.incremental import IncrementalAPSP
 from repro.core.path_doubling import path_doubling
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, save_table
 from repro.graphs.generators import grid2d
 from repro.graphs.suite import get_entry
@@ -58,7 +59,7 @@ def digraph(bench_size_factor, bench_seed):
 
 
 def test_directed_superfw(benchmark, digraph, bench_seed):
-    plan = plan_superfw(digraph, seed=bench_seed)
+    plan = analyze(digraph, seed=bench_seed)
     benchmark.pedantic(lambda: superfw(digraph, plan=plan), rounds=2, iterations=1)
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.dijkstra import apsp_dijkstra
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.experiments.fig6 import run_fig6a
 from repro.graphs.suite import get_entry
 
@@ -46,12 +47,12 @@ def test_blockedfw_small(benchmark, graph):
 
 
 def test_superfw_small(benchmark, graph, bench_seed):
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
     benchmark.pedantic(lambda: superfw(graph, plan=plan), rounds=3, iterations=1)
 
 
 def test_superbfs_small(benchmark, graph):
-    plan = plan_superfw(graph, ordering="bfs")
+    plan = analyze(graph, ordering="bfs")
     benchmark.pedantic(lambda: superfw(graph, plan=plan), rounds=3, iterations=1)
 
 

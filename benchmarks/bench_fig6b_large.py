@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.delta_stepping import apsp_delta_stepping
 from repro.core.dijkstra import apsp_dijkstra, apsp_dijkstra_adjlist
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.experiments.fig6 import run_fig6b
 from repro.graphs.suite import get_entry
 
@@ -43,7 +44,7 @@ def test_fig6b_table(benchmark, bench_size_factor, bench_seed):
 
 
 def test_superfw_large(benchmark, graph, bench_seed):
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
     benchmark.pedantic(lambda: superfw(graph, plan=plan), rounds=3, iterations=1)
 
 

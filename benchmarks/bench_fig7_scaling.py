@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.parallel_superfw import parallel_superfw
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.experiments.fig7 import run_fig7
 from repro.graphs.suite import get_entry
 from repro.parallel.scheduler import DEFAULT_COST_MODEL, simulate_levels
@@ -42,7 +42,7 @@ def test_fig7_curves(benchmark, bench_size_factor, bench_seed):
 @pytest.fixture(scope="module")
 def levels(bench_size_factor, bench_seed):
     graph = get_entry("finan512").build(size_factor=bench_size_factor, seed=bench_seed)
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
     return superfw_levels(plan.structure)
 
 
@@ -56,9 +56,9 @@ def test_threaded_executor(benchmark, bench_size_factor, bench_seed):
     graph = get_entry("email-Enron").build(
         size_factor=bench_size_factor * 0.5, seed=bench_seed
     )
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
     benchmark.pedantic(
-        lambda: parallel_superfw(graph, plan=plan, num_threads=4),
+        lambda: parallel_superfw(graph, plan=plan, num_workers=4),
         rounds=2,
         iterations=1,
     )

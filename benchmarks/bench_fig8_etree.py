@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.parallel_superfw import parallel_superfw
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.experiments.fig8 import run_fig8
 from repro.graphs.suite import get_entry
 
@@ -32,13 +32,13 @@ def test_fig8_table(benchmark, bench_size_factor, bench_seed):
 @pytest.fixture(scope="module")
 def planned(bench_size_factor, bench_seed):
     graph = get_entry("USpowerGrid").build(size_factor=bench_size_factor, seed=bench_seed)
-    return graph, plan_superfw(graph, seed=bench_seed)
+    return graph, analyze(graph, seed=bench_seed)
 
 
 def test_executor_with_etree(benchmark, planned):
     graph, plan = planned
     benchmark.pedantic(
-        lambda: parallel_superfw(graph, plan=plan, num_threads=4, etree_parallel=True),
+        lambda: parallel_superfw(graph, plan=plan, num_workers=4, etree_parallel=True),
         rounds=3,
         iterations=1,
     )
@@ -47,7 +47,7 @@ def test_executor_with_etree(benchmark, planned):
 def test_executor_without_etree(benchmark, planned):
     graph, plan = planned
     benchmark.pedantic(
-        lambda: parallel_superfw(graph, plan=plan, num_threads=4, etree_parallel=False),
+        lambda: parallel_superfw(graph, plan=plan, num_workers=4, etree_parallel=False),
         rounds=3,
         iterations=1,
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.multifrontal import multifrontal_dpc
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.core.treewidth import dpc_left_looking, dpc_right_looking
 from repro.experiments.common import format_table, save_table
 from repro.graphs.suite import get_entry
@@ -24,7 +24,7 @@ from repro.symbolic.fill import symbolic_cholesky
 @pytest.fixture(scope="module")
 def workload(bench_size_factor, bench_seed):
     graph = get_entry("delaunay_n14").build(size_factor=bench_size_factor, seed=bench_seed)
-    plan = plan_superfw(graph, seed=bench_seed)
+    plan = analyze(graph, seed=bench_seed)
     sym = symbolic_cholesky(plan.pattern or graph, plan.ordering.perm)
     perm = plan.ordering.perm
     w0 = graph.to_dense_dist()[np.ix_(perm, perm)]

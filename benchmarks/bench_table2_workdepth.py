@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+
+from repro.plan import analyze
 from repro.experiments.table2 import run_table2
 from repro.graphs.generators import grid2d
 
@@ -30,10 +32,10 @@ def grid(bench_seed):
 
 
 def test_superfw_grid(benchmark, grid, bench_seed):
-    plan = plan_superfw(grid, seed=bench_seed)
+    plan = analyze(grid, seed=bench_seed)
     benchmark.pedantic(lambda: superfw(grid, plan=plan), rounds=3, iterations=1)
 
 
 def test_symbolic_analysis_grid(benchmark, grid, bench_seed):
     """The pre-processing half of the pipeline, timed on its own."""
-    benchmark.pedantic(lambda: plan_superfw(grid, seed=bench_seed), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: analyze(grid, seed=bench_seed), rounds=2, iterations=1)

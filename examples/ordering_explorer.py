@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import generators, nested_dissection
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.ordering.amd import minimum_degree_ordering
 from repro.ordering.base import Ordering
 from repro.ordering.bfs import bfs_ordering, rcm_ordering
@@ -39,7 +40,7 @@ def main() -> None:
     dense_ops = 2 * g.n**3
     for name, ordering in orderings.items():
         sym = symbolic_cholesky(g, ordering.perm)
-        plan = plan_superfw(g, ordering=ordering)
+        plan = analyze(g, ordering=ordering)
         ops = superfw(g, plan=plan).ops.total
         print(f"{name:24s} {sym.nnz_factor:10d} {sym.fill_in:8d} "
               f"{ops:12.3g} {dense_ops / ops:8.1f}x")

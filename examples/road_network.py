@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro import PathOracle, apsp, generators, plan_superfw, superfw
+from repro import PathOracle, analyze, apsp, generators, superfw
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
           f"(avg degree {g.density:.2f} — mostly chains, few junctions)")
 
     t0 = time.perf_counter()
-    plan = plan_superfw(g, seed=0)
+    plan = analyze(g, seed=0)
     t_plan = time.perf_counter() - t0
     nd = plan.nd
     print(f"top separator: {nd.top_separator_size} vertices "
@@ -55,7 +55,7 @@ def main() -> None:
     congested = g.with_weights(g.weights * rng.uniform(1.0, 3.0))
     # Note: scaling factors must stay symmetric; with_weights checks this.
     t0 = time.perf_counter()
-    plan2 = plan_superfw(congested, ordering=plan.ordering)  # reuse the ND order
+    plan2 = analyze(congested, ordering=plan.ordering)  # reuse the ND order
     rush_hour = superfw(congested, plan=plan2)
     t_update = time.perf_counter() - t0
     slower = (rush_hour.dist[np.isfinite(rush_hour.dist)]

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro import DistanceServer, generators, plan_superfw, superfw
+from repro import DistanceServer, analyze, generators, superfw
 from repro.core.treewidth import TreewidthAPSP
 
 
@@ -29,7 +29,7 @@ def main() -> None:
 
     # Route A: factorize everything (SuperFW), then reads are free.
     t0 = time.perf_counter()
-    plan = plan_superfw(g, seed=0)
+    plan = analyze(g, seed=0)
     full = superfw(g, plan=plan)
     t_full = time.perf_counter() - t0
     print(f"\nSuperFW (full matrix): {t_full:.2f}s for all "

@@ -11,7 +11,7 @@ problems.
 
 from __future__ import annotations
 
-from repro import generators, plan_superfw
+from repro import analyze, generators
 from repro.parallel.scheduler import calibrate_cost_model, simulate_levels, simulate_sequence
 from repro.parallel.tasks import superfw_levels
 
@@ -23,7 +23,7 @@ def main() -> None:
 
     for n, label in ((300, "small"), (1200, "large")):
         g = generators.delaunay_mesh(n, seed=0)
-        plan = plan_superfw(g, seed=0)
+        plan = analyze(g, seed=0)
         levels = superfw_levels(plan.structure)
         flat = [t for lv in levels for t in lv]
         print(f"--- {label} mesh (n={g.n}, {plan.structure.ns} supernodes) ---")

@@ -34,7 +34,7 @@ from repro.core.api import apsp, available_methods
 from repro.core.incremental import IncrementalAPSP
 from repro.core.paths import PathOracle
 from repro.core.result import APSPResult
-from repro.core.superfw import SuperFWPlan, plan_superfw, superfw
+from repro.core.superfw import superfw
 from repro.core.treewidth import TreewidthAPSP
 from repro.graphs import generators
 from repro.graphs.digraph import DiGraph
@@ -110,7 +110,6 @@ __all__ = [
     "SolveTimeoutError",
     "StaleEpochError",
     "StaleEpochWarning",
-    "SuperFWPlan",
     "SupervisorPolicy",
     "TaskFailedError",
     "Tracer",
@@ -126,7 +125,6 @@ __all__ = [
     "generators",
     "inject_faults",
     "nested_dissection",
-    "plan_superfw",
     "structure_hash",
     "superfw",
     "use_tracer",

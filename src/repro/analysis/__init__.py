@@ -1,6 +1,6 @@
 """Instrumentation: operation counters, structural stats, profiling."""
 
-from repro.analysis.counters import OpCounter
+from repro.obs.metrics import OpCounter
 from repro.analysis.metrics import (
     betweenness_centrality,
     center_vertices,

@@ -46,9 +46,10 @@ def profile_superfw(
     graph: Graph, *, name: str = "graph", seed: int = 0, **plan_options
 ) -> PreprocessingReport:
     """Measure ordering/symbolic/solve seconds of one SuperFW run."""
-    from repro.core.superfw import plan_superfw, superfw  # avoid import cycle
+    from repro.core.superfw import superfw  # avoid import cycle
+    from repro.plan import analyze
 
-    plan = plan_superfw(graph, seed=seed, **plan_options)
+    plan = analyze(graph, seed=seed, **plan_options)
     result = superfw(graph, plan=plan)
     return PreprocessingReport(
         name=name,

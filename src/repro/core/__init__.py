@@ -29,7 +29,7 @@ from repro.core.multifrontal import multifrontal_dpc
 from repro.core.path_doubling import path_doubling
 from repro.core.paths import PathOracle
 from repro.core.result import APSPResult
-from repro.core.superfw import SuperFWPlan, plan_superfw, superfw
+from repro.core.superfw import superfw
 from repro.core.parallel_superfw import SharedPlanPool, parallel_superfw
 from repro.core.treewidth import TreewidthAPSP
 
@@ -38,7 +38,6 @@ __all__ = [
     "IncrementalAPSP",
     "PathOracle",
     "SharedPlanPool",
-    "SuperFWPlan",
     "TreewidthAPSP",
     "apply_edge_improvement",
     "path_doubling",
@@ -52,7 +51,6 @@ __all__ = [
     "johnson_apsp",
     "multifrontal_dpc",
     "parallel_superfw",
-    "plan_superfw",
     "sssp_bellman_ford",
     "sssp_delta_stepping",
     "sssp_dijkstra",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.counters import OpCounter
+from repro.obs.metrics import OpCounter
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
 from repro.plan.plan import Plan, TilingPlan, make_tiling

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.counters import OpCounter
+from repro.obs.metrics import OpCounter
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker

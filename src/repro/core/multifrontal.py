@@ -26,21 +26,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.counters import OpCounter
-from repro.core.superfw import SuperFWPlan
+from repro.obs.metrics import OpCounter
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-from repro.plan.plan import ensure_plan
+from repro.plan.plan import Plan, ensure_plan
 from repro.semiring.engine import get_engine
 
 
 def multifrontal_dpc(
     graph: Graph | DiGraph,
     *,
-    plan: SuperFWPlan | None = None,
+    plan: Plan | None = None,
     counter: OpCounter | None = None,
     **plan_options,
-) -> tuple[np.ndarray, SuperFWPlan]:
+) -> tuple[np.ndarray, Plan]:
     """Factor-only elimination via the multifrontal schedule.
 
     Returns ``(w, plan)`` where ``w`` is the permuted dense matrix whose
@@ -119,7 +118,7 @@ def multifrontal_dpc(
     return w, plan
 
 
-def plan_struct_rows(plan: SuperFWPlan) -> list[np.ndarray]:
+def plan_struct_rows(plan: Plan) -> list[np.ndarray]:
     """Vertex-level fill rows per supernode (strictly above it, sorted).
 
     Plans built by :func:`repro.plan.analyze` already carry these as

@@ -12,43 +12,47 @@ backend.  Any application order is legal because min-plus ``⊕`` is
 associative and commutative — which also makes all three execution
 modes (sequential, thread, process) produce *bit-identical* matrices.
 
-Two backends share the schedule:
+The sweep itself is :func:`repro.core.superfw._sweep`, shared with the
+sequential :func:`~repro.core.superfw.superfw`; this module supplies the
+two parallel executors, each of which only implements ``run_group``:
 
 ``backend="thread"``
     A :class:`~concurrent.futures.ThreadPoolExecutor` over the in-process
     distance matrix.  NumPy releases the GIL inside its ufunc loops, so
     the blocked kernels do overlap.
 ``backend="process"``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    attach the permuted distance matrix through
-    :mod:`multiprocessing.shared_memory` — true OS processes, no GIL.
-    Workers write their private D×D/D×A/A×D regions and panels directly
-    into the shared segment and *return* the ``A×A`` contribution for the
-    coordinator to apply.  Fault injection and the GEMM engine
-    configuration are replicated into each worker by the pool
-    initializer, so injected failures, retries, and engine counters
+    A :class:`SharedPlanPool` whose workers attach the permuted distance
+    matrix through :mod:`multiprocessing.shared_memory` — true OS
+    processes, no GIL.  Workers write their private D×D/D×A/A×D regions
+    and panels directly into the shared segment and *return* the ``A×A``
+    contribution for the coordinator to apply.  Fault injection and the
+    GEMM engine configuration are replicated into each worker by the
+    pool initializer, so injected failures, retries, and engine counters
     behave identically to the other backends.
 
-The process backend is **supervised** by default
-(:mod:`repro.resilience.supervisor`): workers heartbeat a shared-memory
-board, the coordinator watches for broken pools / missed beats / stalled
-groups, and recovery rebuilds the pool against the same shared segment
-and re-dispatches only the unfinished supernodes of the current level.
-Idempotence alone makes a re-run mathematically safe but not bit-exact
-(a re-run over its own partially relaxed strips composes already-rounded
-sums in a different order, which can land one ULP low), so the
-supervisor keeps a :class:`_BarrierSnapshot` — a copy of the matrix at
-each level barrier — and restores a task's subtree strips before any
-re-dispatch.  That makes every recovery — and the
-process→thread→sequential escalation after ``max_pool_rebuilds`` —
-*bit-identical* to an undisturbed run.  ``checkpoint=`` snapshots the
-matrix at level barriers (:mod:`repro.resilience.checkpoint`) and
+Recovery rests on **transactional tasks, and a barrier rewind only for
+killed workers**.  A supernode task computes on private copies and
+writes ``dist`` only after its last kernel, so a failed attempt leaves
+the matrix untouched and every retry — in a worker, on a pool thread,
+or the coordinator's final re-run — is bit-exact on every executor.
+The one thing a transaction cannot cover is a worker SIGKILLed *during*
+its write-back; the process backend is therefore **supervised** by
+default (:mod:`repro.resilience.supervisor`): workers heartbeat a
+shared-memory board, the coordinator watches for broken pools / missed
+beats / stalled groups, and recovery rebuilds the pool against the same
+shared segment, rewinds each unfinished task's strips to a
+:class:`_BarrierSnapshot` taken at the level barrier, and re-dispatches
+it.  Once ``max_pool_rebuilds`` is spent, the remaining groups continue
+in-process on the first executor of the policy's ``escalate`` (the
+thread executor by default) over the same matrix.  ``checkpoint=`` snapshots the matrix
+at level barriers (:mod:`repro.resilience.checkpoint`) and
 ``resume=True`` restarts a killed solve from the last finished level.
+Workers exit by themselves when their coordinator dies.
 
-On this sandbox's single core both backends demonstrate correctness of
-the schedule rather than speedup; the wall-clock scaling figures are
-produced by the work-depth simulator in :mod:`repro.parallel.scheduler`,
-replaying the same task DAG.
+On a single core both backends demonstrate correctness of the schedule
+rather than speedup; the wall-clock scaling figures are produced by the
+work-depth simulator in :mod:`repro.parallel.scheduler`, replaying the
+same task DAG.
 """
 
 from __future__ import annotations
@@ -57,47 +61,38 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
+from functools import partial
 from multiprocessing import get_context, shared_memory
 from typing import Any
 
 import numpy as np
 
-from repro.analysis.counters import OpCounter
 from repro.core.result import APSPResult
-from repro.core.superfw import SuperFWPlan, eliminate_supernode
-from repro.obs import Tracer, get_tracer, use_tracer
+from repro.core.superfw import _collect, _Sequential, _sweep, run_task
 from repro.graphs.graph import Graph
-from repro.plan.plan import Plan, ensure_plan
+from repro.obs import Tracer, get_tracer, use_tracer
+from repro.plan.plan import Plan
 from repro.resilience import shm as shm_registry
-from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
-from repro.resilience.checkpoint import CheckpointManager, solve_key, weights_sha
-from repro.resilience.errors import (
-    BudgetExceededError,
-    NegativeCycleError,
-    ReproError,
-    TaskFailedError,
-    WorkerCrashError,
-)
-from repro.resilience.faults import (
-    export_fault_state,
-    install_worker_faults,
-    task_kernel_epoch,
-    task_site,
-)
-from repro.resilience.retry import DEFAULT_TASK_RETRY, RetryPolicy, call_with_retry
+from repro.resilience.budget import BudgetTracker, SolveBudget
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.errors import BudgetExceededError, WorkerCrashError
+from repro.resilience.faults import export_fault_state, install_worker_faults
+from repro.resilience.retry import DEFAULT_TASK_RETRY, RetryPolicy
 from repro.resilience.supervisor import (
     HeartbeatBoard,
     Supervisor,
     SupervisorPolicy,
     coerce_policy,
-    start_heartbeat_thread,
+    start_worker_watchdog,
 )
 from repro.semiring.base import MIN_PLUS, Semiring
 from repro.semiring.engine import SemiringGemmEngine, set_engine, use_engine
-from repro.util.perm import invert_permutation
-from repro.util.timing import TimingBreakdown
 
 #: Per-process state of a pool worker, populated by :func:`_process_init`.
 _WORKER: dict[str, Any] = {}
@@ -111,15 +106,18 @@ def _process_init(
     exact_panels: bool,
     engine_config: dict,
     fault_state: tuple,
+    interval: float,
     heartbeat: tuple | None = None,
 ) -> None:
     """Pool initializer: attach shared memory, replicate engine + faults.
 
-    ``heartbeat`` (when supervision is on) is ``(board_name, slots,
-    interval, claim_lock)``: the worker claims a row of the shared
-    liveness board and starts its daemon beat thread.  The lock travels
-    through ``initargs`` by fork inheritance — the executor pins the
-    ``fork`` start method, so nothing here is pickled.
+    Every worker starts a watchdog thread that exits the process once
+    its coordinator is gone.  ``heartbeat`` (when supervision is on) is
+    ``(board_name, slots, claim_lock)``: the worker claims a row of the
+    shared liveness board, which the watchdog beats every ``interval``
+    seconds.  The lock travels through ``initargs`` by fork inheritance
+    — the executor pins the ``fork`` start method, so nothing here is
+    pickled.
     """
     # Workers only *attach* to the coordinator-owned segment.  Under the
     # ``fork`` start method (which the executor pins) every process talks
@@ -134,12 +132,12 @@ def _process_init(
     _WORKER["structure"] = structure
     _WORKER["exact_panels"] = bool(exact_panels)
     _WORKER["engine"] = engine
+    board = slot = None
     if heartbeat is not None:
-        board_name, slots, interval, claim_lock = heartbeat
+        board_name, slots, claim_lock = heartbeat
         board = HeartbeatBoard.attach(board_name, slots)
         slot = board.claim(claim_lock)
-        start_heartbeat_thread(board, slot, interval)
-        _WORKER["heartbeat"] = (board, slot)
+    start_worker_watchdog(interval, board, slot)
 
 
 def _deadline_check(s: int, deadline: float | None) -> None:
@@ -160,55 +158,32 @@ def _process_eliminate(
     attempt_base: int = 0,
     deadline: float | None = None,
 ):
-    """Worker task: eliminate supernode ``s`` against the shared matrix.
+    """Worker task: :func:`~repro.core.superfw.run_task` on the shared matrix.
 
     Returns ``(used_attempts, counter, aa_payload, engine_stats, events,
-    metrics)`` where ``aa_payload`` is the deferred ``(anc, update)`` A×A
-    contribution (or ``None``), ``counter`` is the successful attempt's
-    :class:`OpCounter` (merged at the coordinator via
-    :meth:`OpCounter.merge`, the same path the other backends use), and
-    ``engine_stats`` is the per-task engine delta (strategies *and*
-    workspace hits/misses).  When ``traced``, the worker records spans
-    into a per-process :class:`~repro.obs.Tracer` and ships the drained
-    ``events`` plus a ``metrics`` snapshot back for the coordinator to
-    merge — the same round trip the fault-seed plumbing makes in the
-    other direction.  ``traced`` travels per task (not via the pool
-    initializer) so a warm :class:`SharedPlanPool` can serve traced and
-    untraced solves alike.  ``attempt_base`` offsets the attempt numbers
-    fed to the fault injector: the supervisor bumps it per redispatch
-    epoch so a deterministic chaos draw cannot kill the same task
-    forever.  ``deadline`` (absolute ``time.monotonic()``, comparable
-    across processes on Linux) enforces the solve's wall budget
-    *cooperatively inside the worker*, checked between panel/outer ops —
-    a blown budget aborts mid-level instead of after the task finishes.
-    Failures exhaust ``retry`` *inside* the worker and surface to the
-    coordinator as the underlying exception.
+    metrics)``: the first three are ``run_task``'s result (the A×A
+    contribution is deferred to the coordinator), ``engine_stats`` is
+    the per-task engine delta (strategies *and* workspace hits/misses).
+    When ``traced``, the worker records spans into a per-process
+    :class:`~repro.obs.Tracer` and ships the drained ``events`` plus a
+    ``metrics`` snapshot back for the coordinator to merge; ``traced``
+    travels per task so a warm :class:`SharedPlanPool` can serve traced
+    and untraced solves alike.  ``attempt_base`` offsets the attempt
+    numbers fed to the fault injector: the supervisor bumps it per
+    redispatch epoch so a deterministic chaos draw cannot kill the same
+    task forever.  ``deadline`` (absolute ``time.monotonic()``,
+    comparable across processes on Linux) enforces the solve's wall
+    budget cooperatively inside the worker, between kernel ops.
     """
-    dist = _WORKER["dist"]
-    structure = _WORKER["structure"]
     engine = _WORKER["engine"]
     before = engine.stats_snapshot()
-
-    def check() -> None:
-        _deadline_check(s, deadline)
-
-    def attempt(attempt_no: int):
-        local = OpCounter()
-        check()
-        task_kernel_epoch(s, attempt_base + attempt_no)
-        task_site(s, attempt_base + attempt_no)
-        payload = eliminate_supernode(
-            dist,
-            structure,
-            s,
-            exact_panels=_WORKER["exact_panels"],
-            semiring=MIN_PLUS,
-            counter=local,
-            defer_aa=True,
-            check=check,
-        )
-        return payload, local
-
+    run = partial(
+        run_task, _WORKER["dist"], s,
+        structure=_WORKER["structure"], retry=retry,
+        exact_panels=_WORKER["exact_panels"], semiring=MIN_PLUS,
+        attempt_base=attempt_base, defer_aa=True,
+        check=partial(_deadline_check, s, deadline),
+    )
     events: list = []
     metrics = None
     if traced:
@@ -216,12 +191,12 @@ def _process_eliminate(
         if tracer is None:
             _WORKER["tracer"] = tracer = Tracer()
         with use_tracer(tracer):
-            (payload, local), used = call_with_retry(attempt, retry)
+            used, local, payload = run()
         events = [tuple(e) for e in tracer.drain()]
         metrics = tracer.metrics.snapshot()
         tracer.metrics.reset()
     else:
-        (payload, local), used = call_with_retry(attempt, retry)
+        used, local, payload = run()
     stats = engine.stats_dict(since=before)
     return used, local, payload, stats, events, metrics
 
@@ -286,10 +261,7 @@ class SharedPlanPool:
         heartbeat = None
         if self.heartbeats is not None:
             heartbeat = (
-                self.heartbeats.name,
-                self.heartbeats.slots,
-                self._hb_interval,
-                self._claim_lock,
+                self.heartbeats.name, self.heartbeats.slots, self._claim_lock
             )
         n = self.plan.n_reduced
         return ProcessPoolExecutor(
@@ -304,6 +276,7 @@ class SharedPlanPool:
                 self.exact_panels,
                 self._engine_config,
                 export_fault_state(),
+                self._hb_interval,
                 heartbeat,
             ),
         )
@@ -407,9 +380,8 @@ class SharedPlanPool:
 def parallel_superfw(
     graph: Graph,
     *,
-    plan: SuperFWPlan | None = None,
-    num_threads: int = 4,
-    num_workers: int | None = None,
+    plan: Plan | None = None,
+    num_workers: int = 4,
     backend: str = "thread",
     etree_parallel: bool = True,
     exact_panels: bool = True,
@@ -427,10 +399,8 @@ def parallel_superfw(
 
     Parameters
     ----------
-    num_threads / num_workers:
-        Worker count for within-level elimination.  ``num_workers`` (when
-        given) applies to either backend and wins over the legacy
-        ``num_threads``.
+    num_workers:
+        Worker count for within-level elimination (threads or processes).
     backend:
         ``"thread"`` (in-process pool) or ``"process"`` (OS processes
         over a :mod:`multiprocessing.shared_memory` distance matrix; see
@@ -445,10 +415,9 @@ def parallel_superfw(
         Under ``backend="process"`` the wall-clock limit is *also*
         enforced cooperatively inside workers, between kernel ops.
     retry:
-        Per-task retry policy.  A task that exhausts its in-pool retries
-        is re-run *sequentially* on the coordinating thread before the
-        level gives up (min-plus updates are idempotent, so re-running a
-        partially eliminated supernode is always safe).
+        Per-task retry policy.  A task that exhausts its pooled retries
+        is re-run once on the coordinating thread before the solve gives
+        up; tasks are transactional, so every re-run is bit-exact.
     engine:
         Min-plus GEMM engine: a strategy name, an engine instance, or
         ``None`` for the ambient engine.  Process workers rebuild an
@@ -464,11 +433,11 @@ def parallel_superfw(
         ``True`` (default) runs under the default
         :class:`~repro.resilience.supervisor.SupervisorPolicy`: crashed
         or heartbeat-dead workers trigger a pool rebuild plus redispatch
-        of the unfinished level, escalating process→thread→sequential
-        once ``max_pool_rebuilds`` is spent.  Pass a policy / dict of
-        policy fields / a number (``task_timeout`` seconds, arming hang
-        detection), or ``False`` to run unsupervised — where a worker
-        death still surfaces as a typed
+        of the unfinished level, continuing in-process (thread executor
+        by default) once ``max_pool_rebuilds`` is spent.  Pass a policy /
+        dict of policy fields / a number (``task_timeout`` seconds,
+        arming hang detection), or ``False`` to run unsupervised — where
+        a worker death still surfaces as a typed
         :class:`~repro.resilience.errors.WorkerCrashError` but nothing
         is recovered.
     checkpoint:
@@ -488,11 +457,6 @@ def parallel_superfw(
         raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
     if backend == "process" and semiring is not MIN_PLUS:
         raise ValueError("backend='process' supports only the min-plus semiring")
-    if not (np.isposinf(semiring.zero) and semiring.one == 0.0):
-        raise ValueError(
-            "parallel_superfw requires the min-plus semiring over graph "
-            "input; use floyd_warshall on a dense matrix for other semirings"
-        )
     if pool is not None:
         if backend != "process":
             raise ValueError("pool= requires backend='process'")
@@ -504,317 +468,83 @@ def parallel_superfw(
     ckpt = CheckpointManager.coerce(checkpoint)
     if resume and ckpt is None:
         raise ValueError("resume=True requires checkpoint=")
-    plan, plan_reused = ensure_plan(plan, graph, **plan_options)
-    workers = max(1, num_workers if num_workers is not None else num_threads)
-    timings = TimingBreakdown()
-    if not plan_reused:
-        # Fold analyze timings only for a cold inline plan; warm solves
-        # report zero preprocessing (the analyze/solve split contract).
-        for name, secs in plan.timings.phases.items():
-            timings.add(name, secs)
-    perm = plan.ordering.perm
-    structure = plan.structure
-    tracker = as_tracker(budget, units_total=structure.ns)
-    if tracker is not None:
-        tracker.check_allocation(
-            float(graph.n) ** 2 * np.float64().itemsize,
-            where="parallel-superfw:dist",
+    workers = max(1, num_workers)
+    if backend == "process":
+        make_executor = partial(
+            _Process, workers=workers, pool=pool, policy=policy,
+            exact_panels=exact_panels,
         )
-    applied = None
-    solve_graph = graph
-    if plan.trail is not None:
-        # Replay the weight-independent trail on this solve's weights:
-        # the level schedule then runs over the reduced graph, and the
-        # eliminated vertices are reconstituted exactly afterwards.
-        with timings.time("reduce"):
-            applied = plan.trail.apply(graph)
-            solve_graph = applied.graph
-    with timings.time("permute"):
-        dist = solve_graph.to_dense_dist()[np.ix_(perm, perm)]
-    ops = OpCounter()
-    recovery = {"task_retries": 0, "sequential_reruns": []}
-    levels = structure.level_order()
-    if etree_parallel:
-        groups = [[int(s) for s in g.tolist()] for g in levels]
     else:
-        groups = [[s] for s in range(structure.ns)]
-    tracer = get_tracer()
-
-    # ------------------------------------------------------------------
-    # Checkpoint/resume: the permuted matrix at a level barrier is the
-    # entire solver state, so a snapshot + group cursor resumes exactly.
-    # ------------------------------------------------------------------
-    start_group = 0
-    ckpt_key = ckpt_meta = None
-    if ckpt is not None:
-        # Keyed by the weight digest of the epoch being computed: the
-        # permuted input matrix is a pure function of (plan, arc
-        # weights), so a session commit's re-solve resumes exactly the
-        # epoch it was interrupted in and never a neighboring one.
-        digest = weights_sha(dist)
-        flavor = "levels" if etree_parallel else "snodes"
-        ckpt_key = solve_key(plan.plan_id, digest, flavor)
-        ckpt_meta = {
-            "plan_id": plan.plan_id,
-            "weights_sha": digest,
-            "epoch_weights": weights_sha(graph.weights),
-            "flavor": flavor,
-            "groups_total": len(groups),
-            "n": int(dist.shape[0]),
-        }
-        if resume:
-            snapshot = ckpt.load(ckpt_key, expect=ckpt_meta)
-            if snapshot is not None:
-                matrix, start_group = snapshot
-                start_group = min(int(start_group), len(groups))
-                dist[:] = matrix
-                recovery["resumed_from_group"] = start_group
-
-    def on_group_done(groups_done: int, matrix: np.ndarray) -> None:
-        if ckpt is None or not ckpt.due(groups_done):
-            return
-        if groups_done >= len(groups) and not ckpt.keep:
-            return  # the solve is about to finish and clear anyway
-        with tracer.span("checkpoint.write", groups_done=groups_done):
-            ckpt.write(ckpt_key, matrix, groups_done=groups_done, meta=ckpt_meta)
-
-    with use_engine(engine) as eng:
-        engine_before = eng.stats_snapshot()
-        with timings.time("solve"), tracer.span(
-            "solve", method="parallel-superfw", backend=backend, ns=structure.ns
-        ):
-            if backend == "process":
-                _run_process(
-                    dist,
-                    plan,
-                    structure,
-                    groups[start_group:],
-                    workers=workers,
-                    spans=etree_parallel,
-                    exact_panels=exact_panels,
-                    retry=retry,
-                    tracker=tracker,
-                    ops=ops,
-                    recovery=recovery,
-                    eng=eng,
-                    pool=pool,
-                    policy=policy,
-                    group_offset=start_group,
-                    on_group_done=on_group_done if ckpt is not None else None,
-                )
-            else:
-                _run_threaded(
-                    dist,
-                    structure,
-                    groups[start_group:],
-                    workers=workers,
-                    spans=etree_parallel,
-                    exact_panels=exact_panels,
-                    semiring=semiring,
-                    retry=retry,
-                    tracker=tracker,
-                    ops=ops,
-                    recovery=recovery,
-                    group_offset=start_group,
-                    on_group_done=on_group_done if ckpt is not None else None,
-                )
-        engine_stats = eng.stats_dict(since=engine_before)
-    if semiring is MIN_PLUS and np.any(np.diag(dist) < 0):
-        kept = int(perm[int(np.argmin(np.diag(dist)))])
-        if applied is not None:
-            kept = int(applied.trail.kept[kept])
-        raise NegativeCycleError(witness=kept)
-    if ckpt is not None and not ckpt.keep:
-        ckpt.clear(ckpt_key)
-    iperm = invert_permutation(perm)
-    out = dist[np.ix_(iperm, iperm)]
-    if applied is not None:
-        with timings.time("unreduce"):
-            out = applied.unreduce(out)
-    if tracer.enabled:
-        tracer.metrics.merge_ops(ops)
-        tracer.metrics.inc("retries.task", recovery["task_retries"])
-        tracer.metrics.inc("workspace.hits", engine_stats["workspace"]["hits"])
-        tracer.metrics.inc("workspace.misses", engine_stats["workspace"]["misses"])
-    return APSPResult(
-        dist=out,
-        method="parallel-superfw",
-        timings=timings,
-        ops=ops,
+        make_executor = lambda dist, task, **_: _Threaded(dist, task, workers)
+    return _sweep(
+        graph, plan, plan_options, make_executor,
+        name="parallel-superfw",
+        backend=backend,
+        by_level=etree_parallel,
+        exact_panels=exact_panels,
+        semiring=semiring,
+        dtype=np.float64,
+        budget=budget,
+        retry=retry,
+        engine=engine,
+        checkpoint=ckpt,
+        resume=resume,
         meta={
-            "plan": plan,
-            "plan_id": plan.plan_id,
-            "plan_reused": plan_reused,
-            "weights_digest": weights_sha(graph.weights),
             "pooled": pool is not None,
             "backend": backend,
-            "num_threads": workers,
             "num_workers": workers,
             "etree_parallel": etree_parallel,
-            "levels": [g.shape[0] for g in levels],
             "supervised": policy is not None,
             "checkpointed": ckpt is not None,
-            "recovery": recovery,
-            "engine": engine_stats,
-            **(
-                {"reduce": plan.trail.stats()}
-                if plan.trail is not None
-                else {}
-            ),
-            **({"obs": tracer.meta_snapshot()} if tracer.enabled else {}),
         },
     )
 
 
-def _run_threaded(
-    dist: np.ndarray,
-    structure,
-    groups,
-    *,
-    workers: int,
-    spans: bool,
-    exact_panels: bool,
-    semiring: Semiring,
-    retry: RetryPolicy,
-    tracker: BudgetTracker | None,
-    ops: OpCounter,
-    recovery: dict,
-    group_offset: int = 0,
-    on_group_done=None,
-) -> None:
-    """The in-process (GIL-sharing) executor over the barrier groups."""
-    aa_lock = threading.Lock()
-    counter_lock = threading.Lock()
+def _collect_futures(futures, apply):
+    """:func:`~repro.core.superfw._collect` over ``(s, future)`` pairs.
 
-    def eliminate_once(s: int, attempt: int) -> None:
-        local = OpCounter()
-        task_site(s, attempt)
-        eliminate_supernode(
-            dist,
-            structure,
-            s,
-            exact_panels=exact_panels,
-            semiring=semiring,
-            counter=local,
-            aa_lock=aa_lock,
-        )
-        with counter_lock:
-            ops.merge(local)
-        if tracker is not None:
-            tracker.charge(
-                local.total, units=1, where=f"parallel-superfw:supernode {s}"
-            )
-
-    def run(s: int) -> None:
-        _, used = call_with_retry(lambda attempt: eliminate_once(s, attempt), retry)
-        if used > 1:
-            with counter_lock:
-                recovery["task_retries"] += used - 1
-
-    def recover_sequentially(s: int, cause: BaseException) -> None:
-        # Level-level recovery: one last attempt on the coordinating
-        # thread, outside the pool, before the solve gives up.
-        recovery["sequential_reruns"].append(int(s))
-        try:
-            eliminate_once(s, retry.max_attempts + 1)
-        except BudgetExceededError:
-            raise
-        except ReproError as exc:
-            raise TaskFailedError(
-                f"supernode {s} failed {retry.max_attempts} pooled attempts "
-                f"and the sequential re-run: {exc}",
-                supernode=s,
-                attempts=retry.max_attempts + 1,
-            ) from cause
-
-    def drain(pending: dict) -> None:
-        failures: list[tuple[int, BaseException]] = []
-        budget_error: BudgetExceededError | None = None
-        for s, future in pending.items():
-            try:
-                future.result()
-            except BudgetExceededError as exc:
-                budget_error = exc
-            except ReproError as exc:
-                failures.append((s, exc))
-        if budget_error is not None:
-            raise budget_error
-        for s, exc in failures:
-            recover_sequentially(s, exc)
-
-    tracer = get_tracer()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for index, group in enumerate(groups):
-            # Barrier per group: drain every future, then retry any
-            # casualties sequentially before the next group (cousins
-            # only share the locked A×A region, so a straggler cannot
-            # invalidate its siblings' work).
-            span = (
-                tracer.span(
-                    "level", index=group_offset + index, size=len(group)
-                )
-                if spans
-                else nullcontext()
-            )
-            with span:
-                drain({s: pool.submit(run, s) for s in group})
-            if on_group_done is not None:
-                on_group_done(group_offset + index + 1, dist)
-
-
-def _run_sequential(
-    dist: np.ndarray,
-    structure,
-    groups,
-    *,
-    exact_panels: bool,
-    tracker: BudgetTracker | None,
-    ops: OpCounter,
-    group_offset: int = 0,
-    on_group_done=None,
-) -> None:
-    """Last-resort escalation: eliminate the remaining groups inline.
-
-    Deliberately bypasses the fault-injection task site — this is the
-    guaranteed-progress path the escalation chain bottoms out on, and
-    min-plus idempotence keeps its re-runs bit-identical.
+    Waits for every future before returning or raising, so no task of
+    an aborted group still writes the matrix afterwards.
     """
-    for index, group in enumerate(groups):
-        for s in group:
-            local = OpCounter()
-            eliminate_supernode(
-                dist,
-                structure,
-                s,
-                exact_panels=exact_panels,
-                semiring=MIN_PLUS,
-                counter=local,
-            )
-            ops.merge(local)
-            if tracker is not None:
-                tracker.charge(
-                    local.total, units=1, where=f"parallel-superfw:supernode {s}"
-                )
-        if on_group_done is not None:
-            on_group_done(group_offset + index + 1, dist)
+    try:
+        return _collect(((s, f.result) for s, f in futures), apply)
+    finally:
+        wait([f for _, f in futures])
+
+
+class _Threaded(_Sequential):
+    """Pool-thread executor: a group's cousins run concurrently.
+
+    Results are applied on the coordinating thread as the futures
+    drain; the A×A accumulation, the one region cousins share, is
+    serialized by a lock inside each task.
+    """
+
+    def __init__(self, dist: np.ndarray, task, workers: int) -> None:
+        super().__init__(dist, partial(task, aa_lock=threading.Lock()))
+        self.pool = ThreadPoolExecutor(max_workers=workers)
+
+    def run_group(self, group, apply):
+        futures = [(s, self.pool.submit(self.task, self.dist, s)) for s in group]
+        return _collect_futures(futures, apply)
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True)
 
 
 class _BarrierSnapshot:
-    """Level-start copy of the shared matrix for bit-exact re-dispatch.
+    """Level-start copy of the shared matrix, for killed workers only.
 
-    Min-plus idempotence makes re-running an interrupted supernode
-    mathematically safe but **not** bit-exact: the relaxation kernels
-    fold already-rounded sums, so a re-run over its own partially
-    relaxed strips composes those sums in a different order and can
-    round one ULP below the sequential answer.  The supervised driver
-    therefore copies the matrix at each level barrier and, before any
-    re-dispatch (or sequential re-run, or escalation), restores the
-    strips a task may have touched — its subtree rows and columns plus
-    the matching column strips.  Cousin subtrees are disjoint and the
+    Tasks are transactional, so a task that *fails* writes nothing and
+    needs no undo.  A worker SIGKILLed during its write-back is the one
+    exception: it can leave some of its blocks written and others not,
+    and re-running over its own half-relaxed strips can round one ULP
+    below the undisturbed answer.  The supervised executor therefore
+    copies the matrix at each level barrier and, before any re-dispatch
+    or escalation, restores the strips a task may have touched — its
+    subtree rows and columns.  Cousin subtrees are disjoint and the
     deferred ``A×A`` region lies outside every cousin strip, so a
-    restore never disturbs finished or still-running siblings; min
-    itself is exact in any order, so with bit-identical inputs the
-    re-run reproduces the undisturbed result bit for bit.
+    restore never disturbs finished or still-running siblings.
 
     Costs one extra ``n²`` buffer plus an ``n²`` copy per level —
     supervised process solves only.
@@ -857,336 +587,116 @@ class _BarrierSnapshot:
         self.shared[:, strip] = self.snap[:, strip]
 
 
-def _run_process(
-    dist: np.ndarray,
-    plan: Plan,
-    structure,
-    groups,
-    *,
-    workers: int,
-    spans: bool,
-    exact_panels: bool,
-    retry: RetryPolicy,
-    tracker: BudgetTracker | None,
-    ops: OpCounter,
-    recovery: dict,
-    eng: SemiringGemmEngine,
-    pool: SharedPlanPool | None,
-    policy: SupervisorPolicy | None,
-    group_offset: int = 0,
-    on_group_done=None,
-) -> None:
-    """The shared-memory process-pool executor over the barrier groups.
+class _Process(_Sequential):
+    """Shared-memory process-pool executor.
 
-    The permuted matrix moves into a shared segment for the duration of
-    the solve (workers mutate it through :func:`_process_eliminate`) and
-    is copied back into ``dist`` at the end.  With a persistent ``pool``,
-    its warm workers and segment are reused; otherwise a transient
-    :class:`SharedPlanPool` is built and torn down here — one code path
-    either way, which is what lets the supervisor rebuild both kinds.
-    When the supervisor exhausts ``max_pool_rebuilds``, the remaining
-    groups escalate down ``policy.escalate`` (thread, then sequential)
-    on the same shared matrix; the barrier rewind in :func:`_escalate`
-    keeps the result bit-identical.
+    The working matrix is the pool's shared segment, written by workers
+    through :func:`_process_eliminate`; completed tasks' deferred A×A
+    payloads, counters, engine stats and trace events come back to the
+    coordinator.  With a persistent ``pool`` its warm workers and
+    segment are reused; otherwise a transient :class:`SharedPlanPool`
+    is built here and closed by :meth:`close`.  Under a policy, each
+    group runs through the :class:`Supervisor`, with a
+    :class:`_BarrierSnapshot` to rewind killed tasks before they are
+    re-dispatched or escalated.
     """
-    transient = pool is None
-    if transient:
-        pool = SharedPlanPool(
-            plan,
-            num_workers=workers,
-            exact_panels=exact_panels,
-            dtype=dist.dtype,
-            engine=eng,
-            heartbeat_interval=(
-                policy.heartbeat_interval if policy is not None else 0.2
-            ),
+
+    def __init__(
+        self, dist, task, *, plan, eng, tracker, recovery, retry,
+        workers, pool, policy, exact_panels,
+    ) -> None:
+        self.transient = pool is None
+        if pool is None:
+            pool = SharedPlanPool(
+                plan,
+                num_workers=workers,
+                exact_panels=exact_panels,
+                dtype=dist.dtype,
+                engine=eng,
+                heartbeat_interval=(
+                    policy.heartbeat_interval if policy is not None else 0.2
+                ),
+            )
+        else:
+            pool.ensure_alive()
+            pool.solves += 1
+        pool.shared[:] = dist
+        super().__init__(pool.shared, task)
+        self.pool = pool
+        self.workers = workers
+        self.eng = eng
+        self.retry = retry
+        self.recovery = recovery
+        self.policy = policy
+        self.supervisor = self.barrier = None
+        if policy is not None:
+            self.supervisor = Supervisor(policy, pool, recovery=recovery)
+            self.barrier = _BarrierSnapshot(pool.shared, plan.structure)
+        self.tracker = tracker
+        self.wall = tracker.budget.wall_seconds if tracker is not None else None
+
+    def _submit(self, s: int, attempt_base: int = 0):
+        if attempt_base and self.barrier is not None:
+            # Re-dispatch after a recovery: the first attempt may have
+            # died mid write-back, so rewind this task's strips to the
+            # level barrier before the new attempt reads them.
+            self.barrier.restore(s)
+        deadline = None
+        if self.wall is not None:
+            deadline = time.monotonic() + max(0.0, self.wall - self.tracker.elapsed())
+        return self.pool.submit(
+            s, self.retry, get_tracer().enabled,
+            attempt_base=attempt_base, deadline=deadline,
         )
-    try:
-        pool.ensure_alive()
-        shared = pool.shared
-        shared[:] = dist
-        progress = {"groups_done": group_offset}
+
+    def _on_result(self, apply, s: int, value) -> None:
+        used, local, payload, stats, events, metrics = value
+        self.eng.merge_stats(stats["strategies"], workspace=stats["workspace"])
+        tracer = get_tracer()
+        if events:
+            tracer.merge(events)
+        if metrics:
+            tracer.metrics.merge_snapshot(metrics)
+        apply(s, (used, local, payload))
+
+    def run_group(self, group, apply):
+        on_result = partial(self._on_result, apply)
+        if self.supervisor is not None:
+            self.barrier.capture()
+            return self.supervisor.run_group(
+                group, submit=self._submit, on_result=on_result
+            )
         try:
-            _drive_process(
-                pool,
-                shared,
-                structure,
-                groups,
-                spans=spans,
-                exact_panels=exact_panels,
-                retry=retry,
-                tracker=tracker,
-                ops=ops,
-                recovery=recovery,
-                eng=eng,
-                policy=policy,
-                group_offset=group_offset,
-                on_group_done=on_group_done,
-                progress=progress,
-            )
-        except WorkerCrashError as exc:
-            _escalate(
-                exc,
-                shared=shared,
-                structure=structure,
-                groups=groups,
-                workers=workers,
-                exact_panels=exact_panels,
-                retry=retry,
-                tracker=tracker,
-                ops=ops,
-                recovery=recovery,
-                policy=policy,
-                group_offset=group_offset,
-                on_group_done=on_group_done,
-                progress=progress,
-            )
+            return _collect_futures([(s, self._submit(s)) for s in group], on_result)
         except BrokenExecutor as exc:
-            # Unsupervised path: never leak the raw executor error.
-            pool.terminate()
+            self.pool.terminate()
             raise WorkerCrashError(
                 "a process-pool worker died with supervision disabled "
                 "(supervise=False); re-run supervised for automatic recovery",
                 cause="crash",
             ) from exc
-        dist[:] = shared
-        if not transient:
-            pool.solves += 1
-    finally:
-        if transient:
-            pool.close()
 
+    def escalate(self, exc: WorkerCrashError) -> _Sequential:
+        """Continue the solve in-process once supervision gave up.
 
-def _escalate(
-    exc: WorkerCrashError,
-    *,
-    shared: np.ndarray,
-    structure,
-    groups,
-    workers: int,
-    exact_panels: bool,
-    retry: RetryPolicy,
-    tracker: BudgetTracker | None,
-    ops: OpCounter,
-    recovery: dict,
-    policy: SupervisorPolicy | None,
-    group_offset: int,
-    on_group_done,
-    progress: dict,
-) -> None:
-    """Finish the solve in-process after supervision gave up.
-
-    The unfinished supernodes of the interrupted group plus every later
-    group re-run on ``shared`` through the escalation chain.  Before the
-    chain starts, each pending task's strips are rewound to the level
-    barrier (:class:`_BarrierSnapshot`, carried in ``progress``) so the
-    re-runs are bit-identical, not merely idempotent-safe.  A chain
-    backend that itself fails with a typed error hands the (possibly
-    partially advanced) remainder to the next one; the chain's
-    exhaustion re-raises the original error.
-    """
-    chain = list(policy.escalate) if policy is not None else []
-    if not chain:
-        raise exc
-    barrier = progress.get("barrier")
-    if barrier is not None and exc.pending:
-        # The supervisor terminated the pool before raising, so nothing
-        # is writing shared memory and the rewind cannot race.
-        for s in exc.pending:
-            barrier.restore(int(s))
-    done = progress["groups_done"]  # global count of completed groups
-    local = done - group_offset  # index of the interrupted group
-    remaining = [sorted(int(s) for s in exc.pending)] + [
-        list(g) for g in groups[local + 1 :]
-    ]
-    if not remaining[0]:
-        remaining = remaining[1:]
-        done += 1
-    if not remaining:
-        return
-    tracer = get_tracer()
-    for backend_name in chain:
-        recovery.setdefault("escalations", []).append(backend_name)
-        with tracer.span(
-            "resilience.recover.escalate", to=backend_name, cause=exc.cause
+        The supervisor terminated the pool before raising, so nothing
+        writes the shared matrix while the unfinished tasks' strips
+        rewind to the level barrier; the successor then re-runs them and
+        every later group on the same matrix.
+        """
+        chain = self.policy.escalate if self.policy is not None else ()
+        if not chain:
+            raise exc
+        with get_tracer().span(
+            "resilience.recover.escalate", to=chain[0], cause=exc.cause
         ):
-            try:
-                if backend_name == "thread":
-                    _run_threaded(
-                        shared,
-                        structure,
-                        remaining,
-                        workers=workers,
-                        spans=False,
-                        exact_panels=exact_panels,
-                        semiring=MIN_PLUS,
-                        retry=retry,
-                        tracker=tracker,
-                        ops=ops,
-                        recovery=recovery,
-                        group_offset=done,
-                        on_group_done=on_group_done,
-                    )
-                else:
-                    _run_sequential(
-                        shared,
-                        structure,
-                        remaining,
-                        exact_panels=exact_panels,
-                        tracker=tracker,
-                        ops=ops,
-                        group_offset=done,
-                        on_group_done=on_group_done,
-                    )
-                return
-            except BudgetExceededError:
-                raise
-            except ReproError as chain_exc:
-                recovery.setdefault("escalation_errors", []).append(
-                    f"{backend_name}: {chain_exc}"
-                )
-    raise exc
+            for s in exc.pending:
+                self.barrier.restore(int(s))
+        self.recovery.setdefault("escalations", []).append(chain[0])
+        if chain[0] == "thread":
+            return _Threaded(self.dist, self.task, self.workers)
+        return _Sequential(self.dist, self.task)
 
-
-def _drive_process(
-    pool: SharedPlanPool,
-    shared: np.ndarray,
-    structure,
-    groups,
-    *,
-    spans: bool,
-    exact_panels: bool,
-    retry: RetryPolicy,
-    tracker: BudgetTracker | None,
-    ops: OpCounter,
-    recovery: dict,
-    eng: SemiringGemmEngine,
-    policy: SupervisorPolicy | None,
-    group_offset: int = 0,
-    on_group_done=None,
-    progress: dict | None = None,
-) -> None:
-    """Run the barrier groups against an already-attached worker pool."""
-    tracer = get_tracer()
-    traced = tracer.enabled
-    progress = progress if progress is not None else {"groups_done": group_offset}
-    supervisor = (
-        Supervisor(policy, pool, recovery=recovery) if policy is not None else None
-    )
-    # Bit-exact recovery needs the level-barrier state to rewind a
-    # redispatched task's strips to (see _BarrierSnapshot); shared via
-    # ``progress`` so _escalate can rewind the pending tasks too.
-    barrier = _BarrierSnapshot(shared, structure) if supervisor is not None else None
-    progress["barrier"] = barrier
-    wall = (
-        tracker.budget.wall_seconds
-        if tracker is not None and tracker.budget.wall_seconds is not None
-        else None
-    )
-
-    def submit(s: int, attempt_base: int = 0):
-        if attempt_base and barrier is not None:
-            # Re-dispatch after a recovery: the first attempt may have
-            # died mid-write, so rewind this task's strips to the level
-            # barrier before the new attempt reads them.
-            barrier.restore(s)
-        deadline = None
-        if wall is not None:
-            deadline = time.monotonic() + max(0.0, wall - tracker.elapsed())
-        return pool.submit(
-            s, retry, traced, attempt_base=attempt_base, deadline=deadline
-        )
-
-    def on_result(s: int, value) -> None:
-        used, local, payload, stats, events, metrics = value
-        if used > 1:
-            recovery["task_retries"] += used - 1
-        # Worker op counts fold through OpCounter.merge — the same
-        # accumulation path as the sequential and threaded modes —
-        # and the engine delta carries the worker's workspace
-        # hits/misses, not just its strategy counters.
-        ops.merge(local)
-        eng.merge_stats(stats["strategies"], workspace=stats["workspace"])
-        if events:
-            tracer.merge(events)
-        if metrics:
-            tracer.metrics.merge_snapshot(metrics)
-        if payload is not None:
-            anc, update = payload
-            with tracer.span("aa-apply", snode=s):
-                aa = shared[np.ix_(anc, anc)]
-                np.minimum(aa, update, out=aa)
-                shared[np.ix_(anc, anc)] = aa
-        if tracker is not None:
-            tracker.charge(
-                local.total,
-                units=1,
-                where=f"parallel-superfw:supernode {s}",
-            )
-
-    def recover_sequentially(s: int, cause: BaseException) -> None:
-        recovery["sequential_reruns"].append(int(s))
-        if barrier is not None:
-            barrier.restore(s)
-        local = OpCounter()
-        try:
-            task_site(s, retry.max_attempts + 1)
-            eliminate_supernode(
-                shared,
-                structure,
-                s,
-                exact_panels=exact_panels,
-                semiring=MIN_PLUS,
-                counter=local,
-            )
-        except BudgetExceededError:
-            raise
-        except ReproError as exc:
-            raise TaskFailedError(
-                f"supernode {s} failed {retry.max_attempts} pooled "
-                f"attempts and the sequential re-run: {exc}",
-                supernode=s,
-                attempts=retry.max_attempts + 1,
-            ) from cause
-        ops.merge(local)
-        if tracker is not None:
-            tracker.charge(
-                local.total, units=1, where=f"parallel-superfw:supernode {s}"
-            )
-
-    def drain_unsupervised(group) -> list[tuple[int, ReproError]]:
-        pending = {s: submit(s) for s in group}
-        failures: list[tuple[int, ReproError]] = []
-        budget_error: BudgetExceededError | None = None
-        for s, future in pending.items():
-            try:
-                value = future.result()
-            except BudgetExceededError as exc:
-                budget_error = exc
-            except ReproError as exc:
-                failures.append((s, exc))
-            else:
-                on_result(s, value)
-        if budget_error is not None:
-            raise budget_error
-        return failures
-
-    for index, group in enumerate(groups):
-        span = (
-            tracer.span("level", index=group_offset + index, size=len(group))
-            if spans
-            else nullcontext()
-        )
-        with span:
-            if supervisor is not None:
-                barrier.capture()
-                failures = supervisor.run_group(
-                    group, submit=submit, on_result=on_result
-                )
-            else:
-                failures = drain_unsupervised(group)
-            for s, exc in failures:
-                recover_sequentially(s, exc)
-        progress["groups_done"] = group_offset + index + 1
-        if on_group_done is not None:
-            on_group_done(progress["groups_done"], shared)
+    def close(self) -> None:
+        if self.transient:
+            self.pool.close()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.counters import OpCounter
+from repro.obs.metrics import OpCounter
 from repro.core.result import APSPResult
 from repro.semiring.base import MIN_PLUS, Semiring
 from repro.semiring.minplus import minplus_gemm, semiring_gemm

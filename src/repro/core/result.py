@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.counters import OpCounter
+from repro.obs.metrics import OpCounter
 from repro.util.timing import TimingBreakdown
 
 

@@ -2,10 +2,9 @@
 
 The pipeline mirrors a supernodal sparse Cholesky solver:
 
-1. **Analyze** (:func:`repro.plan.analyze`, re-exported here as
-   :func:`plan_superfw`): fill-reducing ordering + symbolic analysis →
-   a weight-independent :class:`~repro.plan.plan.Plan` holding the
-   supernodal structure and elimination tree.  This is the
+1. **Analyze** (:func:`repro.plan.analyze`): fill-reducing ordering +
+   symbolic analysis → a weight-independent :class:`~repro.plan.plan.Plan`
+   holding the supernodal structure and elimination tree.  This is the
    pre-processing whose cost §5.1.4 reports — and the phase repeated
    solves amortize away entirely (see :mod:`repro.plan`).
 2. **Sweep** (:func:`superfw`): eliminate supernodes in ascending order.
@@ -17,27 +16,39 @@ The pipeline mirrors a supernodal sparse Cholesky solver:
 The distance matrix is held dense in the permuted order (the APSP output
 *is* dense); sparsity is exploited through the restriction of every kernel
 to ``A(k) ∪ D(k)``, which is what turns ``O(n^3)`` into ``O(n^2 |S|)``.
+
+The sequential sweep and the etree-parallel one
+(:func:`repro.core.parallel_superfw.parallel_superfw`) are one algorithm
+and share one sweep function, :func:`_sweep`: it owns every solve-level
+step and hands barrier groups of supernodes to an *executor*, whose only job is
+``run_group``.  Each supernode runs as one :func:`run_task` — fault
+sites, retries and the transactional :func:`eliminate_supernode` — on
+every executor alike, so a retried task is bit-exact everywhere.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import partial
+
 import numpy as np
 
-from repro.analysis.counters import OpCounter
 from repro.core.result import APSPResult
-from repro.obs import get_tracer
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-from repro.plan.plan import Plan, analyze, ensure_plan
+from repro.obs import get_tracer
+from repro.obs.metrics import OpCounter
+from repro.plan.plan import Plan, ensure_plan
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
+from repro.resilience.checkpoint import CheckpointManager, solve_key, weights_sha
 from repro.resilience.errors import (
     BudgetExceededError,
     NegativeCycleError,
     ReproError,
     TaskFailedError,
+    WorkerCrashError,
 )
-from repro.resilience.checkpoint import weights_sha as _weights_sha
-from repro.resilience.faults import task_site
+from repro.resilience.faults import task_kernel_epoch, task_site
 from repro.resilience.retry import DEFAULT_TASK_RETRY, RetryPolicy, call_with_retry
 from repro.semiring.base import MIN_PLUS, Semiring
 from repro.semiring.engine import SemiringGemmEngine, use_engine
@@ -51,10 +62,8 @@ from repro.symbolic.structure import SupernodalStructure
 from repro.util.perm import invert_permutation
 from repro.util.timing import TimingBreakdown
 
-#: Historical names, kept as aliases: the plan layer is first-class now
-#: (``repro.plan``), shared by every structure-consuming backend.
-SuperFWPlan = Plan
-plan_superfw = analyze
+#: The coordinator's single re-run of a task whose retries ran out.
+_ONCE = RetryPolicy(max_attempts=1)
 
 
 def _no_check() -> None:
@@ -73,10 +82,17 @@ def eliminate_supernode(
     defer_aa: bool = False,
     check=None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eliminate one supernode in place on the permuted distance matrix.
+    """Eliminate one supernode of the permuted distance matrix, as a transaction.
 
     Performs DiagUpdate, the two PanelUpdates restricted to
     ``A(s) ∪ D(s)``, and the four-region MinPlus outer product of §3.4.
+    Every kernel runs on a private copy of its block, and nothing is
+    written back to ``dist`` until the last kernel and the last
+    ``check()`` have returned.  An attempt that raises — an injected
+    kernel or task fault, a cooperative budget abort — therefore leaves
+    ``dist`` untouched, and a retry starts from exactly the inputs the
+    first attempt saw: every retry is bit-exact, with no snapshot.
+
     ``aa_lock`` (when given) serializes the ``A(s) x A(s)`` trailing
     accumulation, which is the only region two cousin supernodes can share
     (§3.5) — pass it from the threaded executor.  ``defer_aa`` instead
@@ -84,96 +100,379 @@ def eliminate_supernode(
     touching that region — the process-pool backend's workers hand it to
     the coordinator, which applies the ⊕-accumulations itself (the
     paper's "those blocks are updated sequentially").  ``check`` (when
-    given) is a no-arg callable invoked *between* the panel/outer ops —
-    a cooperative abort point for deadlines and budgets enforced inside
-    process workers; aborting mid-supernode is safe because min-plus
-    updates are idempotent and the task can simply be re-run.  Returns
-    ``None`` when the region was applied here or is empty.
+    given) is a no-arg callable invoked between the kernels — a
+    cooperative abort point for deadlines enforced inside process
+    workers.  Returns ``None`` when the region was applied here or is
+    empty.
     """
     counter = counter if counter is not None else OpCounter()
     check = check if check is not None else _no_check
     tracer = get_tracer()
     with tracer.span("eliminate", snode=s):
         lo, hi = structure.col_range(s)
-        diag = dist[lo:hi, lo:hi]
+        diag = dist[lo:hi, lo:hi].copy()
         with tracer.span("diag", snode=s):
             counter.add("diag", diag_update(diag, semiring))
         check()
         desc = structure.descendant_vertices(s)
         anc = structure.ancestor_vertices(s, exact=exact_panels)
         rows = np.concatenate([desc, anc]) if desc.size or anc.size else desc
-        if rows.size == 0:
-            return None
-        col_panel = dist[rows, lo:hi]
-        row_panel = dist[lo:hi, rows]
-        with tracer.span("panel", snode=s):
-            counter.add("panel", panel_update_cols(col_panel, diag, semiring))
-            counter.add("panel", panel_update_rows(row_panel, diag, semiring))
-        dist[rows, lo:hi] = col_panel
-        dist[lo:hi, rows] = row_panel
-        check()
-        nd_rows = desc.shape[0]
-        if aa_lock is None and not defer_aa:
-            with tracer.span("outer", snode=s):
-                trailing = dist[np.ix_(rows, rows)]
-                counter.add(
-                    "outer", outer_update(trailing, col_panel, row_panel, semiring)
-                )
-                dist[np.ix_(rows, rows)] = trailing
-            return None
-        # Parallel path: the D×D, D×A and A×D regions are private to this
-        # supernode within an etree level; only A×A is shared between cousins.
-        if nd_rows:
-            with tracer.span("outer", snode=s):
-                dd = dist[np.ix_(desc, desc)]
-                counter.add(
-                    "outer",
-                    outer_update(
-                        dd, col_panel[:nd_rows], row_panel[:, :nd_rows], semiring
-                    ),
-                )
-                dist[np.ix_(desc, desc)] = dd
-                check()
-                if anc.size:
-                    da = dist[np.ix_(desc, anc)]
+        writes = [(np.s_[lo:hi, lo:hi], diag)]
+        update = None
+        if rows.size:
+            col_panel = dist[rows, lo:hi]
+            row_panel = dist[lo:hi, rows]
+            with tracer.span("panel", snode=s):
+                counter.add("panel", panel_update_cols(col_panel, diag, semiring))
+                counter.add("panel", panel_update_rows(row_panel, diag, semiring))
+            check()
+            writes += [(np.s_[rows, lo:hi], col_panel), (np.s_[lo:hi, rows], row_panel)]
+            nd = desc.shape[0]
+            shared = aa_lock is not None or defer_aa
+            if not shared:
+                regions = [(rows, rows, slice(None), slice(None))]
+            else:
+                # Parallel path: the D×D, D×A and A×D regions are private
+                # to this supernode within an etree level; only A×A is
+                # shared between cousins.
+                regions = [(desc, desc, slice(None, nd), slice(None, nd))] if nd else []
+                if nd and anc.size:
+                    regions += [
+                        (desc, anc, slice(None, nd), slice(nd, None)),
+                        (anc, desc, slice(nd, None), slice(None, nd)),
+                    ]
+            with tracer.span("outer", snode=s) if regions else nullcontext():
+                for r, c, rs, cs in regions:
+                    where = np.ix_(r, c)
+                    block = dist[where]
+                    counter.add(
+                        "outer",
+                        outer_update(block, col_panel[rs], row_panel[:, cs], semiring),
+                    )
+                    writes.append((where, block))
+                    check()
+            if shared and anc.size:
+                with tracer.span("aa", snode=s, deferred=defer_aa):
+                    update = np.full((anc.shape[0], anc.shape[0]), semiring.zero)
                     counter.add(
                         "outer",
                         outer_update(
-                            da, col_panel[:nd_rows], row_panel[:, nd_rows:], semiring
+                            update, col_panel[nd:], row_panel[:, nd:], semiring
                         ),
                     )
-                    dist[np.ix_(desc, anc)] = da
-                    ad = dist[np.ix_(anc, desc)]
-                    counter.add(
-                        "outer",
-                        outer_update(
-                            ad, col_panel[nd_rows:], row_panel[:, :nd_rows], semiring
-                        ),
-                    )
-                    dist[np.ix_(anc, desc)] = ad
+        # Commit: every kernel has returned, so the writes cannot be torn
+        # by a fault; cousins only share the A×A region.
+        for where, block in writes:
+            dist[where] = block
+        if update is None:
+            return None
+        if defer_aa:
+            return anc, update
+        with aa_lock:
+            aa = dist[np.ix_(anc, anc)]
+            semiring.add(aa, update, out=aa)
+            dist[np.ix_(anc, anc)] = aa
+    return None
+
+
+def run_task(
+    dist: np.ndarray,
+    s: int,
+    *,
+    structure: SupernodalStructure,
+    retry: RetryPolicy,
+    exact_panels: bool,
+    semiring: Semiring,
+    attempt_base: int = 0,
+    **eliminate_options,
+) -> tuple[int, OpCounter, tuple | None]:
+    """One supernode task: fault sites, retries, transactional elimination.
+
+    Every executor runs supernodes through here — inline, on a pool
+    thread, or inside a process worker — so kernel- and task-fault draws
+    are keyed on ``(s, attempt_base + attempt)`` on all of them, and a
+    failed attempt leaves ``dist`` untouched for the next.
+    ``eliminate_options`` (``aa_lock`` / ``defer_aa`` / ``check``) pass
+    through to :func:`eliminate_supernode`; ``check`` also runs before
+    each attempt.  Returns ``(attempts_used, ops, aa_payload)``.
+    """
+    check = eliminate_options.get("check") or _no_check
+
+    def attempt(number: int):
         check()
-        if anc.size:
-            with tracer.span("aa", snode=s, deferred=defer_aa):
-                update = np.full((anc.shape[0], anc.shape[0]), semiring.zero)
-                counter.add(
-                    "outer",
-                    outer_update(
-                        update, col_panel[nd_rows:], row_panel[:, nd_rows:], semiring
-                    ),
-                )
-                if defer_aa:
-                    return anc, update
-                with aa_lock:
+        task_kernel_epoch(s, attempt_base + number)
+        task_site(s, attempt_base + number)
+        ops = OpCounter()
+        payload = eliminate_supernode(
+            dist, structure, s, exact_panels=exact_panels, semiring=semiring,
+            counter=ops, **eliminate_options,
+        )
+        return payload, ops
+
+    (payload, ops), used = call_with_retry(attempt, retry)
+    return used, ops, payload
+
+
+def _collect(calls, apply) -> list[tuple[int, ReproError]]:
+    """Run ``(s, call)`` pairs in order and ``apply`` each result.
+
+    Returns the soft failures: tasks whose retries ran out with a typed
+    error, for the sweep's coordinator re-run.  A blown budget is not
+    soft and propagates at once.
+    """
+    failures = []
+    for s, call in calls:
+        try:
+            value = call()
+        except BudgetExceededError:
+            raise
+        except ReproError as exc:
+            failures.append((s, exc))
+        else:
+            apply(s, value)
+    return failures
+
+
+class _Sequential:
+    """Inline executor: a group's tasks run one by one, in group order.
+
+    The base of every executor: ``dist`` is the working matrix the sweep
+    reads and checkpoints, ``run_group(group, apply) -> failures`` is the
+    only required operation, and ``escalate`` / ``close`` default to
+    "no successor" and "nothing to release".
+    """
+
+    def __init__(self, dist: np.ndarray, task) -> None:
+        self.dist = dist
+        self.task = task
+
+    def run_group(self, group, apply):
+        return _collect(((s, partial(self.task, self.dist, s)) for s in group), apply)
+
+    def escalate(self, exc: WorkerCrashError) -> "_Sequential":
+        raise exc
+
+    def close(self) -> None:
+        pass
+
+
+def _sweep(
+    graph: Graph | DiGraph,
+    plan: Plan | None,
+    plan_options: dict,
+    make_executor,
+    *,
+    name: str,
+    backend: str,
+    by_level: bool,
+    exact_panels: bool,
+    semiring: Semiring,
+    dtype,
+    budget,
+    retry: RetryPolicy,
+    engine,
+    checkpoint: CheckpointManager | None = None,
+    resume: bool = False,
+    meta: dict | None = None,
+) -> APSPResult:
+    """The one SuperFW sweep behind :func:`superfw` and ``parallel_superfw``.
+
+    Owns every solve-level step: plan resolution (folding a cold
+    analyze's timings into this solve), budget, reduction trail,
+    permutation, engine scope, the ``solve`` span, checkpoint/resume,
+    the negative-cycle witness, unpermute, unreduce and ``meta``.  The
+    supernodes run in barrier groups — etree levels when ``by_level``,
+    else one supernode per group in ascending order — through the
+    executor ``make_executor(dist, task, ...)`` returns.  A task whose
+    retries ran out gets one coordinator re-run after its group, then
+    raises :class:`TaskFailedError`; an executor that gives up with
+    :class:`WorkerCrashError` hands the rest of the solve to its
+    ``escalate`` successor.
+    """
+    if not (np.isposinf(semiring.zero) and semiring.one == 0.0):
+        raise ValueError(
+            f"{name} builds its matrix from a graph, which requires the "
+            "semiring's structural zero to be +inf and its one to be 0 "
+            "(min-plus); closure over other semirings is available through "
+            "floyd_warshall on an explicit dense matrix"
+        )
+    plan, plan_reused = ensure_plan(plan, graph, **plan_options)
+    timings = TimingBreakdown()
+    if not plan_reused:
+        # A cold (inline) plan's analyze cost belongs to this solve; a
+        # reused plan's was paid elsewhere — warm solves report zero
+        # preprocessing, which is the whole point of the split.
+        for phase, secs in plan.timings.phases.items():
+            timings.add(phase, secs)
+    perm = plan.ordering.perm
+    structure = plan.structure
+    tracker = as_tracker(budget, units_total=structure.ns)
+    if tracker is not None:
+        tracker.check_allocation(
+            float(graph.n) ** 2 * np.dtype(dtype).itemsize, where=f"{name}:dist"
+        )
+    applied = None
+    solve_graph = graph
+    if plan.trail is not None:
+        # Replay the weight-independent trail on this solve's weights:
+        # the sweep then runs on the reduced graph and the eliminated
+        # vertices are reconstituted exactly after the closure.
+        with timings.time("reduce"):
+            applied = plan.trail.apply(graph)
+            solve_graph = applied.graph
+    with timings.time("permute"):
+        dist = solve_graph.to_dense_dist(dtype=dtype)[np.ix_(perm, perm)]
+    levels = structure.level_order()
+    if by_level:
+        groups = [[int(s) for s in g.tolist()] for g in levels]
+    else:
+        groups = [[s] for s in range(structure.ns)]
+    recovery: dict = {"task_retries": 0, "sequential_reruns": []}
+    start = 0
+    if checkpoint is not None:
+        # The permuted matrix at a barrier is the entire solver state, so
+        # a snapshot + group cursor resumes exactly.  Keyed by the digest
+        # of the permuted input — a pure function of (plan, weights) — so
+        # a session re-solve resumes exactly the epoch it was computing.
+        digest = weights_sha(dist)
+        flavor = "levels" if by_level else "snodes"
+        ckpt_key = solve_key(plan.plan_id, digest, flavor)
+        ckpt_meta = {
+            "plan_id": plan.plan_id,
+            "weights_sha": digest,
+            "epoch_weights": weights_sha(graph.weights),
+            "flavor": flavor,
+            "groups_total": len(groups),
+            "n": int(dist.shape[0]),
+        }
+        snapshot = checkpoint.load(ckpt_key, expect=ckpt_meta) if resume else None
+        if snapshot is not None:
+            matrix, start = snapshot
+            start = min(int(start), len(groups))
+            dist[:] = matrix
+            recovery["resumed_from_group"] = start
+    tracer = get_tracer()
+    ops = OpCounter()
+    task = partial(
+        run_task, structure=structure, retry=retry,
+        exact_panels=exact_panels, semiring=semiring,
+    )
+    with use_engine(engine) as eng:
+        engine_before = eng.stats_snapshot()
+        executor = make_executor(
+            dist, task, plan=plan, eng=eng, tracker=tracker,
+            recovery=recovery, retry=retry,
+        )
+        opened = [executor]
+        dist = executor.dist  # escalated executors share this matrix
+
+        def apply(s: int, value) -> None:
+            used, local, payload = value
+            recovery["task_retries"] += used - 1
+            ops.merge(local)
+            if payload is not None:
+                anc, update = payload
+                with tracer.span("aa-apply", snode=s):
                     aa = dist[np.ix_(anc, anc)]
                     semiring.add(aa, update, out=aa)
                     dist[np.ix_(anc, anc)] = aa
-    return None
+            if tracker is not None:
+                tracker.charge(local.total, units=1, where=f"{name}:supernode {s}")
+
+        def rerun(s: int, cause: ReproError) -> None:
+            recovery["sequential_reruns"].append(s)
+            try:
+                value = task(dist, s, retry=_ONCE, attempt_base=retry.max_attempts)
+            except BudgetExceededError:
+                raise
+            except ReproError as exc:
+                raise TaskFailedError(
+                    f"supernode {s} failed {retry.max_attempts} attempts "
+                    f"and the coordinator re-run: {exc}",
+                    supernode=s,
+                    attempts=retry.max_attempts + 1,
+                ) from cause
+            apply(s, value)
+
+        try:
+            with timings.time("solve"), tracer.span(
+                "solve", method=name, backend=backend, ns=structure.ns
+            ):
+                index = start
+                while index < len(groups):
+                    group = groups[index]
+                    span = (
+                        tracer.span("level", index=index, size=len(group))
+                        if by_level
+                        else nullcontext()
+                    )
+                    try:
+                        with span:
+                            failures = executor.run_group(group, apply)
+                    except WorkerCrashError as exc:
+                        executor = executor.escalate(exc)
+                        opened.append(executor)
+                        groups[index] = sorted(int(s) for s in exc.pending)
+                        continue
+                    for s, cause in failures:
+                        rerun(s, cause)
+                    index += 1
+                    if checkpoint is not None and checkpoint.due(index) and (
+                        index < len(groups) or checkpoint.keep
+                    ):
+                        with tracer.span("checkpoint.write", groups_done=index):
+                            checkpoint.write(
+                                ckpt_key, dist, groups_done=index, meta=ckpt_meta
+                            )
+            engine_stats = eng.stats_dict(since=engine_before)
+            if semiring is MIN_PLUS and np.any(np.diag(dist) < 0):
+                kept = int(perm[int(np.argmin(np.diag(dist)))])
+                if applied is not None:
+                    kept = int(applied.trail.kept[kept])
+                raise NegativeCycleError(witness=kept)
+            iperm = invert_permutation(perm)
+            with timings.time("permute"):
+                out = dist[np.ix_(iperm, iperm)]
+        finally:
+            for opened_executor in opened:
+                opened_executor.close()
+    if checkpoint is not None and not checkpoint.keep:
+        checkpoint.clear(ckpt_key)
+    if applied is not None:
+        with timings.time("unreduce"):
+            out = applied.unreduce(out)
+    if tracer.enabled:
+        tracer.metrics.merge_ops(ops)
+        tracer.metrics.inc("retries.task", recovery["task_retries"])
+        tracer.metrics.inc("workspace.hits", engine_stats["workspace"]["hits"])
+        tracer.metrics.inc("workspace.misses", engine_stats["workspace"]["misses"])
+    method = name
+    if name == "superfw" and plan.ordering.method != "nd":
+        method = f"superfw-{plan.ordering.method}"
+    return APSPResult(
+        dist=out,
+        method=method,
+        timings=timings,
+        ops=ops,
+        meta={
+            "plan": plan,
+            "plan_id": plan.plan_id,
+            "plan_reused": plan_reused,
+            "weights_digest": weights_sha(graph.weights),
+            **(meta or {}),
+            "levels": [g.shape[0] for g in levels],
+            "recovery": recovery,
+            "engine": engine_stats,
+            **({"reduce": plan.trail.stats()} if plan.trail is not None else {}),
+            **({"obs": tracer.meta_snapshot()} if tracer.enabled else {}),
+        },
+    )
 
 
 def superfw(
     graph: Graph | DiGraph,
     *,
-    plan: SuperFWPlan | None = None,
+    plan: Plan | None = None,
     exact_panels: bool = True,
     semiring: Semiring = MIN_PLUS,
     dtype=np.float64,
@@ -191,9 +490,9 @@ def superfw(
         for the LU-analogue directed sweep (negative weights allowed;
         negative cycles raise).
     plan:
-        Optional pre-built :class:`SuperFWPlan`; built on the fly (and
-        timed separately) otherwise, with ``plan_options`` forwarded to
-        :func:`plan_superfw`.
+        Optional pre-built :class:`~repro.plan.plan.Plan`; built on the
+        fly (and timed separately) otherwise, with ``plan_options``
+        forwarded to :func:`repro.plan.analyze`.
     exact_panels:
         Clip ancestor panels to the symbolic fill structure (never changes
         the result; saves work versus the literal ``A(k)`` of Algorithm 3).
@@ -207,8 +506,10 @@ def superfw(
         granularity; a blown budget raises
         :class:`~repro.resilience.errors.BudgetExceededError`.
     retry:
-        Per-supernode retry policy.  Re-running a partially eliminated
-        supernode is safe because min-plus updates are idempotent.
+        Per-supernode retry policy; a supernode that exhausts it gets one
+        more run before :class:`~repro.resilience.errors.TaskFailedError`.
+        Tasks are transactional — a failed attempt writes nothing — so
+        every retry is bit-exact.
     engine:
         Min-plus GEMM engine for the sweep: a strategy name
         (``"auto"``/``"rank1"``/``"ktiled"``/``"outtiled"``), a prebuilt
@@ -222,111 +523,17 @@ def superfw(
         Distances in the original numbering; ``meta["plan"]`` carries the
         plan for inspection and reuse.
     """
-    if not (np.isposinf(semiring.zero) and semiring.one == 0.0):
-        raise ValueError(
-            "superfw builds its matrix from a graph, which requires the "
-            "semiring's structural zero to be +inf and its one to be 0 "
-            "(min-plus); closure over other semirings is available through "
-            "floyd_warshall on an explicit dense matrix"
-        )
-    plan, plan_reused = ensure_plan(plan, graph, **plan_options)
-    timings = TimingBreakdown()
-    if not plan_reused:
-        # A cold (inline) plan's analyze cost belongs to this solve; a
-        # reused plan's was paid elsewhere — warm solves report zero
-        # preprocessing, which is the whole point of the split.
-        for name, secs in plan.timings.phases.items():
-            timings.add(name, secs)
-    ops = OpCounter()
-    perm = plan.ordering.perm
-    structure = plan.structure
-    tracker = as_tracker(budget, units_total=structure.ns)
-    if tracker is not None:
-        tracker.check_allocation(
-            float(graph.n) ** 2 * np.dtype(dtype).itemsize, where="superfw:dist"
-        )
-    applied = None
-    solve_graph = graph
-    if plan.trail is not None:
-        # Replay the weight-independent trail on this solve's weights:
-        # the sweep then runs on the reduced graph and the eliminated
-        # vertices are reconstituted exactly after the closure.
-        with timings.time("reduce"):
-            applied = plan.trail.apply(graph)
-            solve_graph = applied.graph
-    task_retries = 0
-    tracer = get_tracer()
-    with timings.time("permute"):
-        dist = solve_graph.to_dense_dist(dtype=dtype)[np.ix_(perm, perm)]
-    with timings.time("solve"), use_engine(engine) as eng, tracer.span(
-        "solve", method="superfw", ns=structure.ns
-    ):
-        engine_before = eng.stats_snapshot()
-        for s in range(structure.ns):
-
-            def attempt(attempt_no: int, _s: int = s) -> OpCounter:
-                local = OpCounter()
-                task_site(_s, attempt_no)
-                eliminate_supernode(
-                    dist,
-                    structure,
-                    _s,
-                    exact_panels=exact_panels,
-                    semiring=semiring,
-                    counter=local,
-                )
-                return local
-
-            try:
-                local, used = call_with_retry(attempt, retry)
-            except BudgetExceededError:
-                raise
-            except TaskFailedError:
-                raise
-            except ReproError as exc:
-                raise TaskFailedError(
-                    f"supernode {s} failed after {retry.max_attempts} "
-                    f"attempts: {exc}",
-                    supernode=s,
-                    attempts=retry.max_attempts,
-                ) from exc
-            task_retries += used - 1
-            ops.merge(local)
-            if tracker is not None:
-                tracker.charge(local.total, units=1, where=f"superfw:supernode {s}")
-    if semiring is MIN_PLUS and np.any(np.diag(dist) < 0):
-        kept = int(perm[int(np.argmin(np.diag(dist)))])
-        if applied is not None:
-            kept = int(applied.trail.kept[kept])
-        raise NegativeCycleError(witness=kept)
-    iperm = invert_permutation(perm)
-    with timings.time("permute"):
-        out = dist[np.ix_(iperm, iperm)]
-    if applied is not None:
-        with timings.time("unreduce"):
-            out = applied.unreduce(out)
-    method = "superfw" if plan.ordering.method == "nd" else f"superfw-{plan.ordering.method}"
-    if tracer.enabled:
-        tracer.metrics.merge_ops(ops)
-        tracer.metrics.inc("retries.task", task_retries)
-    return APSPResult(
-        dist=out,
-        method=method,
-        timings=timings,
-        ops=ops,
-        meta={
-            "plan": plan,
-            "plan_id": plan.plan_id,
-            "plan_reused": plan_reused,
-            "weights_digest": _weights_sha(graph.weights),
-            "exact_panels": exact_panels,
-            "recovery": {"task_retries": task_retries},
-            "engine": eng.stats_dict(since=engine_before),
-            **(
-                {"reduce": plan.trail.stats()}
-                if plan.trail is not None
-                else {}
-            ),
-            **({"obs": tracer.meta_snapshot()} if tracer.enabled else {}),
-        },
+    return _sweep(
+        graph, plan, plan_options,
+        lambda dist, task, **_: _Sequential(dist, task),
+        name="superfw",
+        backend="sequential",
+        by_level=False,
+        exact_panels=exact_panels,
+        semiring=semiring,
+        dtype=dtype,
+        budget=budget,
+        retry=retry,
+        engine=engine,
+        meta={"exact_panels": exact_panels},
     )

@@ -15,7 +15,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.blocked_fw import blocked_floyd_warshall
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.generators import grid2d
 from repro.graphs.suite import build_suite
@@ -77,7 +78,7 @@ def run_worklaw(
     for side in sides:
         graph = grid2d(side, side, seed=seed)
         nd = nested_dissection(graph, seed=seed)
-        plan = plan_superfw(graph, ordering=nd.ordering)
+        plan = analyze(graph, ordering=nd.ordering)
         res = superfw(graph, plan=plan)
         s = max(nd.top_separator_size, 1)
         ns.append(graph.n)

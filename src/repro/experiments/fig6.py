@@ -18,7 +18,8 @@ from typing import Any
 from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.delta_stepping import apsp_delta_stepping
 from repro.core.dijkstra import apsp_dijkstra, apsp_dijkstra_adjlist
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import LARGE_NAMES, SMALL_NAMES, build_suite
 
@@ -43,10 +44,10 @@ def run_fig6a(
     ):
         blocked = blocked_floyd_warshall(graph)
         base = blocked.solve_seconds()
-        plan_nd = plan_superfw(graph, ordering="nd", seed=seed)
+        plan_nd = analyze(graph, ordering="nd", seed=seed)
         sfw = superfw(graph, plan=plan_nd)
         t_superfw = sfw.solve_seconds()
-        plan_bfs = plan_superfw(graph, ordering="bfs")
+        plan_bfs = analyze(graph, ordering="bfs")
         t_superbfs = superfw(graph, plan=plan_bfs).solve_seconds()
         t_dijkstra = apsp_dijkstra(graph).solve_seconds()
         rows.append(
@@ -88,7 +89,7 @@ def run_fig6b(
         names or LARGE_NAMES, size_factor=size_factor, seed=seed
     ):
         base = apsp_dijkstra(graph).solve_seconds()
-        plan_nd = plan_superfw(graph, ordering="nd", seed=seed)
+        plan_nd = analyze(graph, ordering="nd", seed=seed)
         t_superfw = superfw(graph, plan=plan_nd).solve_seconds()
         t_boost = apsp_dijkstra_adjlist(graph).solve_seconds()
         row: dict[str, Any] = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.delta_stepping import autotune_delta, sssp_delta_stepping
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import SCALING_NAMES, build_suite
 from repro.parallel.scheduler import (
@@ -71,7 +71,7 @@ def run_fig7(
     for entry, graph in build_suite(
         names or SCALING_NAMES, size_factor=size_factor, seed=seed
     ):
-        plan = plan_superfw(graph, seed=seed)
+        plan = analyze(graph, seed=seed)
         fw_levels = superfw_levels(plan.structure)
         dij_tasks = sssp_family_tasks(graph)
         boost_tasks = sssp_family_tasks(graph, heap_constant=4.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import build_suite
 from repro.parallel.scheduler import (
@@ -53,7 +53,7 @@ def run_fig8(
     for entry, graph in build_suite(
         names or DEFAULT_FIG8_NAMES, size_factor=size_factor, seed=seed
     ):
-        plan = plan_superfw(graph, seed=seed)
+        plan = analyze(graph, seed=seed)
         levels = superfw_levels(plan.structure)
         flat = [task for level in levels for task in level]
         t1 = simulate_sequence(flat, 1, model)

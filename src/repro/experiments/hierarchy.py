@@ -24,7 +24,8 @@ import numpy as np
 from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.dense_fw import floyd_warshall
 from repro.core.dijkstra import apsp_dijkstra, sssp_dijkstra
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.core.treewidth import TreewidthAPSP
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import get_entry
@@ -63,7 +64,7 @@ def run_hierarchy(
     # ordering is shared with the treewidth solver below so the comparison
     # isolates factorize-everything vs factorize-little-query-more.
     t0 = time.perf_counter()
-    plan = plan_superfw(graph, seed=seed)
+    plan = analyze(graph, seed=seed)
     build = time.perf_counter() - t0
     t0 = time.perf_counter()
     superfw(graph, plan=plan)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.blocked_fw import blocked_floyd_warshall
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.generators import delaunay_mesh
 
@@ -32,9 +33,9 @@ def run_size_sweep(
     for n in sizes:
         graph = delaunay_mesh(n, seed=seed)
         base = blocked_floyd_warshall(graph).solve_seconds()
-        nd_plan = plan_superfw(graph, ordering="nd", seed=seed)
+        nd_plan = analyze(graph, ordering="nd", seed=seed)
         t_nd = superfw(graph, plan=nd_plan).solve_seconds()
-        bfs_plan = plan_superfw(graph, ordering="bfs")
+        bfs_plan = analyze(graph, ordering="bfs")
         t_bfs = superfw(graph, plan=bfs_plan).solve_seconds()
         rows.append(
             {

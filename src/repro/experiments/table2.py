@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+
+from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.generators import grid2d
 from repro.ordering.nested_dissection import nested_dissection
@@ -41,7 +43,7 @@ def run_table2(
         n, m = graph.n, graph.num_edges
         nd = nested_dissection(graph, seed=seed)
         s = max(nd.top_separator_size, 1)
-        plan = plan_superfw(graph, ordering=nd.ordering)
+        plan = analyze(graph, ordering=nd.ordering)
         result = superfw(graph, plan=plan)
         measured_work = float(result.ops.total)
         model_work = models["SuperFw"].work(n, m, s)

@@ -4,9 +4,7 @@ Two granularities of instrumentation live here:
 
 * :class:`OpCounter` — the paper's machine-independent *scalar semiring
   operation* counts (§4, Table 2), accumulated per kernel category
-  (``diag`` / ``panel`` / ``outer``).  It moved here from
-  ``repro.analysis.counters`` when observability became a first-class
-  subsystem; that module remains as a compatibility re-export.
+  (``diag`` / ``panel`` / ``outer``).
 * :class:`MetricsRegistry` — named counters, gauges, and compact
   histograms covering everything *around* the semiring ops: workspace
   pool hits, plan-cache hits, engine dispatch decisions, task retries,

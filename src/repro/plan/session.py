@@ -165,12 +165,9 @@ class APSPSession:
             self._pool.close()
             self._pool = None
         if self._pool is None:
-            workers = opts.get("num_workers")
-            if workers is None:
-                workers = opts.get("num_threads", 4)
             self._pool = SharedPlanPool(
                 self.plan,
-                num_workers=workers,
+                num_workers=opts.get("num_workers", 4),
                 exact_panels=opts.get("exact_panels", True),
                 engine=opts.get("engine"),
             )

@@ -9,8 +9,8 @@ fault injection (:func:`inject_faults`) exercises those paths in tests
 and CI, including the process-level chaos sites (``worker_kill``,
 ``worker_hang``, ``shm_detach``); per-supernode retries
 (:class:`RetryPolicy`, :func:`~repro.resilience.retry.call_with_retry`)
-exploit the idempotence of min-plus updates; :class:`SolveBudget` bounds
-wall-clock, operations, and memory at task granularity — cooperatively
+re-run transactional supernode tasks bit-exactly; :class:`SolveBudget`
+bounds wall-clock, operations, and memory at task granularity — cooperatively
 inside process workers too; the heartbeat :class:`Supervisor` rebuilds a
 crashed or hung process pool and re-dispatches the unfinished level
 (:mod:`repro.resilience.supervisor`); :class:`CheckpointManager`

@@ -58,7 +58,7 @@ _METHOD_OPTIONS: dict[str, frozenset[str]] = {
          "max_snode", "small_snode", "seed", "engine", "reduce"}
     ),
     "parallel-superfw": frozenset(
-        {"plan", "num_threads", "num_workers", "backend", "etree_parallel",
+        {"plan", "num_workers", "backend", "etree_parallel",
          "exact_panels", "ordering", "leaf_size", "relax", "max_snode",
          "small_snode", "seed", "engine", "reduce"}
     ),

@@ -5,8 +5,8 @@ The injector hooks two layers of the solver stack:
 * **kernel sites** — each call to one of the four blocked kernels in
   :mod:`repro.semiring.kernels` may raise :class:`KernelFaultError` or
   corrupt one entry of its output block with NaN;
-* **task sites** — each per-supernode elimination task (sequential sweep
-  or threaded executor) may raise :class:`TaskFailedError` or sleep for a
+* **task sites** — each per-supernode elimination attempt, on every
+  executor, may raise :class:`TaskFailedError` or sleep for a
   configurable delay before running;
 * **process sites** (the chaos harness) — inside a pool worker an
   elimination attempt may SIGKILL its own process (``worker_kill``),
@@ -136,7 +136,8 @@ class FaultInjector:
     stats: dict[str, int] = field(default_factory=dict)
     _seed: int = field(init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _kernel_calls: int = field(default=0, init=False)
+    #: Per-thread kernel-call counter: concurrent tasks never share one.
+    _calls: threading.local = field(default_factory=threading.local, repr=False)
 
     def __post_init__(self) -> None:
         self._seed = self.spec.resolved_seed()
@@ -146,23 +147,20 @@ class FaultInjector:
             self.stats[what] = self.stats.get(what, 0) + 1
 
     def _next_kernel_call(self) -> int:
-        with self._lock:
-            self._kernel_calls += 1
-            return self._kernel_calls
+        call = getattr(self._calls, "n", 0) + 1
+        self._calls.n = call
+        return call
 
     def reseed_kernel_calls(self, *key) -> None:
-        """Set the kernel-call counter to a deterministic per-task epoch.
+        """Set this thread's kernel-call counter to a per-task epoch.
 
-        Process-pool workers call this before every elimination attempt:
-        the counter becomes a stable hash of ``(supernode, attempt)``
+        Every executor calls this before each elimination attempt: the
+        counter becomes a stable hash of ``(supernode, attempt)``
         instead of a scheduling-dependent running total, so kernel-fault
-        draws inside a task are reproducible regardless of which worker
-        ran what before it.
+        draws inside a task are reproducible regardless of which thread
+        or worker ran what before it.
         """
-        with self._lock:
-            self._kernel_calls = int(
-                _draw(self._seed, "kernel-epoch", *key) * 2**31
-            )
+        self._calls.n = int(_draw(self._seed, "kernel-epoch", *key) * 2**31)
 
     # ------------------------------------------------------------------
     # Hook entry points

@@ -1,10 +1,11 @@
 """Retry-with-backoff for per-supernode elimination tasks.
 
-Re-running a (possibly partially applied) supernode elimination is safe
-because every min-plus update is *idempotent*: ``min(x, c)`` applied twice
-equals applied once, so a task killed mid-kernel leaves the distance
-matrix in a state from which a clean re-run converges to the same result.
-(NaN corruption is the exception — NaN poisons ``min`` — which is why the
+Re-running a failed supernode elimination is exact because tasks are
+*transactional*: :func:`repro.core.superfw.eliminate_supernode` computes
+on private copies and writes the distance matrix only after its last
+kernel, so a failed attempt leaves the matrix untouched and the retry
+sees exactly the inputs the first attempt saw.  (NaN corruption is the
+exception — a corrupted kernel still commits — which is why the
 fallback layer re-verifies results with the APSP certificate instead of
 trusting retries alone.)
 """

@@ -18,9 +18,10 @@ stalls it forever.  This module closes both holes:
   heartbeats) and per-group progress deadlines trigger recovery: kill
   any stragglers, rebuild the pool against the *same* shared segment,
   and re-dispatch only the unfinished supernodes of the current group.
-  Level barriers make the re-dispatch safe, and min-plus idempotence
-  (``min(x, c)`` twice equals once) makes it *bit-identical* — a killed
-  task that half-applied its updates is simply run again.
+  Tasks are transactional (a failed attempt writes nothing), and the
+  process executor rewinds a killed task's strips to the level barrier
+  before re-dispatching it — a worker can die mid write-back — so
+  every recovery is *bit-identical* to an undisturbed run.
 * :class:`SupervisorPolicy` — tunables, including the
   ``max_pool_rebuilds`` budget after which the supervisor gives up with
   a typed :class:`~repro.resilience.errors.WorkerCrashError` /
@@ -86,9 +87,11 @@ class SupervisorPolicy:
         rebuild raises :class:`WorkerCrashError` (or
         :class:`SolveTimeoutError` for deadline exhaustion).
     escalate:
-        Backends to fall back to, in order, once the rebuild budget is
-        exhausted: any prefix of ``("thread", "sequential")``.  Empty
-        means fail fast with the typed error.
+        In-process executors the solve may continue on once the rebuild
+        budget is exhausted, from ``("thread", "sequential")``.  The
+        remaining groups move to the first entry, which never gives up
+        with a worker crash and so finishes the solve.  Empty means
+        fail fast with the typed error.
     """
 
     task_timeout: float | None = None
@@ -206,24 +209,29 @@ class HeartbeatBoard:
             pass
 
 
-def start_heartbeat_thread(
-    board: HeartbeatBoard, slot: int, interval: float
+def start_worker_watchdog(
+    interval: float, board: HeartbeatBoard | None = None, slot: int | None = None
 ) -> threading.Thread:
-    """Beat ``board[slot]`` every ``interval`` seconds until process death.
+    """Beat ``board[slot]`` every ``interval`` seconds; exit when orphaned.
 
-    Daemon thread: it needs no shutdown protocol — a worker that exits
-    (or is killed) simply stops beating, which is exactly the signal the
-    coordinator watches for.
+    Daemon thread started in every pool worker, supervised or not.  It
+    needs no shutdown protocol — a worker that exits (or is killed)
+    simply stops beating, which is exactly the signal the coordinator
+    watches for.  When the coordinator itself dies, the worker is
+    re-parented and exits at once: nothing will ever submit to it
+    again, and while it lives the multiprocessing resource tracker
+    keeps the coordinator's shared-memory segments linked.
     """
+    parent = os.getppid()
 
     def loop() -> None:
-        while True:
-            board.beat(slot)
+        while os.getppid() == parent:
+            if board is not None:
+                board.beat(slot)
             time.sleep(interval)
+        os._exit(0)
 
-    thread = threading.Thread(
-        target=loop, name=f"repro-heartbeat-{slot}", daemon=True
-    )
+    thread = threading.Thread(target=loop, name="repro-worker-watchdog", daemon=True)
     thread.start()
     return thread
 

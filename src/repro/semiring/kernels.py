@@ -11,7 +11,7 @@ SuperFW — is assembled from exactly these primitives:
 
 All kernels mutate their first argument in place and return the number of
 scalar semiring operations performed, which feeds the operation counters of
-:mod:`repro.analysis.counters`.
+:class:`repro.obs.metrics.OpCounter`.
 
 Min-plus calls route through the ambient
 :class:`~repro.semiring.engine.SemiringGemmEngine`, which supplies tiled

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.counters import OpCounter
+from repro.obs.metrics import OpCounter
 from repro.analysis.profiling import profile_superfw
 from repro.analysis.stats import fill_statistics, ordering_quality, suite_row
 from repro.graphs.generators import grid2d

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.graphs.generators import barabasi_albert, grid2d
 from repro.parallel.communication import (
     _depths_from_root,
@@ -21,7 +21,7 @@ def test_blockedfw_formula():
 
 
 def test_depths_root_zero(grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     depth = _depths_from_root(plan.structure)
     roots = np.flatnonzero(plan.structure.parent == -1)
     assert np.all(depth[roots] == 0)
@@ -32,14 +32,14 @@ def test_depths_root_zero(grid_graph):
 
 
 def test_single_processor_communicates_nothing(grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     assert superfw_comm_volume(plan.structure, 1) == 0.0
 
 
 def test_volume_shape_over_p(grid_graph):
     """Volume first grows (more etree levels cross processor boundaries),
     then decays like 1/sqrt(p) once every level communicates."""
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     v2 = superfw_comm_volume(plan.structure, 2)
     v16 = superfw_comm_volume(plan.structure, 16)
     assert 0 < v2 < v16  # engaging deeper levels adds traffic
@@ -52,7 +52,7 @@ def test_volume_shape_over_p(grid_graph):
 
 def test_mesh_beats_dense_communication():
     g = grid2d(16, 16, seed=0)
-    plan = plan_superfw(g, seed=0)
+    plan = analyze(g, seed=0)
     for p in (4, 16, 64):
         assert superfw_comm_volume(plan.structure, p) < blockedfw_comm_volume(g.n, p)
 
@@ -60,8 +60,8 @@ def test_mesh_beats_dense_communication():
 def test_expander_advantage_smaller_than_mesh():
     mesh = grid2d(16, 16, seed=0)
     exp = barabasi_albert(256, 8, seed=0)
-    pm = plan_superfw(mesh, seed=0)
-    pe = plan_superfw(exp, seed=0)
+    pm = analyze(mesh, seed=0)
+    pe = analyze(exp, seed=0)
     ratio_mesh = blockedfw_comm_volume(256, 16) / superfw_comm_volume(pm.structure, 16)
     ratio_exp = blockedfw_comm_volume(256, 16) / max(
         superfw_comm_volume(pe.structure, 16), 1e-9
@@ -74,7 +74,7 @@ def test_expander_advantage_smaller_than_mesh():
 
 
 def test_communication_table_rows(grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     rows = communication_table(plan.structure, grid_graph.n, [4, 16])
     assert [r["p"] for r in rows] == [4, 16]
     for row in rows:
@@ -96,7 +96,7 @@ def test_distributed_time_p1_is_pure_compute(grid_graph):
     assert blockedfw_distributed_time(n, 1, seconds_per_op=c) == pytest.approx(
         2 * n**3 * c
     )
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     t1 = superfw_distributed_time(plan.structure, 1, seconds_per_op=c)
     # At p=1 subtrees still "overlap" per-level in the model (no comm),
     # so t1 lower-bounds the sequential work and stays within it.
@@ -124,7 +124,7 @@ def test_superfw_advantage_grows_with_p(mesh_graph):
     )
 
     c = 6e-10
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     ratios = [
         blockedfw_distributed_time(mesh_graph.n, p, seconds_per_op=c)
         / superfw_distributed_time(plan.structure, p, seconds_per_op=c)

@@ -5,7 +5,8 @@ import pytest
 
 from repro import DiGraph, apsp
 from repro.core.dense_fw import floyd_warshall
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.graphs.validation import check_apsp_certificate, has_negative_cycle
 
 
@@ -154,7 +155,7 @@ def test_negative_cycle_detected_directed():
 
 def test_plan_uses_symmetrized_pattern():
     dg = _random_digraph(seed=7)
-    plan = plan_superfw(dg, seed=0)
+    plan = analyze(dg, seed=0)
     assert plan.pattern is not None
     assert plan.pattern.n == dg.n
     assert plan.structure.n == dg.n

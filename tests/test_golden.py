@@ -9,7 +9,9 @@ will trip these before it shows up as a performance mystery.
 
 import numpy as np
 
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+
+from repro.plan import analyze
 from repro.graphs.generators import grid2d
 from repro.graphs.suite import get_entry
 from repro.ordering.nested_dissection import nested_dissection
@@ -22,7 +24,7 @@ def test_grid16_pipeline_golden():
     assert g.num_edges == 480
     nd = nested_dissection(g, seed=0)
     sym = symbolic_cholesky(g, nd.perm)
-    plan = plan_superfw(g, ordering=nd.ordering)
+    plan = analyze(g, ordering=nd.ordering)
     result = superfw(g, plan=plan)
     golden = {
         "top_separator": nd.top_separator_size,
@@ -46,7 +48,7 @@ def test_grid16_pipeline_golden():
 
 def test_delaunay_suite_entry_golden():
     g = get_entry("delaunay_n14").build(size_factor=0.25, seed=0)
-    plan = plan_superfw(g, seed=0)
+    plan = analyze(g, seed=0)
     result = superfw(g, plan=plan)
     dense_ops = 2 * g.n**3
     # SuperFW must stay well below dense on this mesh at any code version.
@@ -67,9 +69,9 @@ def test_repeat_runs_bit_identical():
 def test_ops_independent_of_weights():
     """Symbolic work depends only on structure, never on weight values."""
     g = grid2d(10, 10, seed=0)
-    plan = plan_superfw(g, seed=0)
+    plan = analyze(g, seed=0)
     r1 = superfw(g, plan=plan)
     g2 = g.with_weights(g.weights * 7.5)
-    plan2 = plan_superfw(g2, ordering=plan.ordering)
+    plan2 = analyze(g2, ordering=plan.ordering)
     r2 = superfw(g2, plan=plan2)
     assert r1.ops.counts == r2.ops.counts

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core.dijkstra import sssp_dijkstra
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+from repro.plan import analyze
 from repro.graphs.suite import get_entry, suite_names
 from repro.graphs.validation import check_apsp_certificate
 
@@ -16,7 +17,7 @@ from repro.graphs.validation import check_apsp_certificate
 @pytest.mark.parametrize("name", suite_names())
 def test_pipeline_on_suite_graph(name):
     graph = get_entry(name).build(size_factor=0.12, seed=0)
-    plan = plan_superfw(graph, seed=0)
+    plan = analyze(graph, seed=0)
     result = superfw(graph, plan=plan)
     # Certificate: feasibility + optimality conditions, no recomputation.
     check_apsp_certificate(graph, result.dist)
@@ -32,13 +33,13 @@ def test_pipeline_on_suite_graph(name):
 def test_plan_is_reusable_across_weight_changes():
     """Sparse-solver idiom: one symbolic analysis, many numeric solves."""
     graph = get_entry("delaunay_n14").build(size_factor=0.2, seed=0)
-    plan = plan_superfw(graph, seed=0)
+    plan = analyze(graph, seed=0)
     r1 = superfw(graph, plan=plan)
     check_apsp_certificate(graph, r1.dist)
     # Same structure, new weights: the plan stays valid because symbolic
     # analysis depends only on the pattern.
     reweighted = graph.with_weights(graph.weights * 3.0)
-    plan2 = plan_superfw(reweighted, ordering=plan.ordering)
+    plan2 = analyze(reweighted, ordering=plan.ordering)
     r2 = superfw(reweighted, plan=plan2)
     assert np.allclose(r2.dist[np.isfinite(r2.dist)], 3.0 * r1.dist[np.isfinite(r1.dist)])
 

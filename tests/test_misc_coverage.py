@@ -81,13 +81,13 @@ def test_suite_entry_repr_fields():
 
 
 def test_custom_ordering_method_preserved():
-    from repro.core.superfw import plan_superfw
+    from repro.plan import analyze
     from repro.graphs.generators import delaunay_mesh
     from repro.ordering.base import Ordering
 
     g = delaunay_mesh(60, seed=0)
     rng = np.random.default_rng(0)
-    plan = plan_superfw(g, ordering=Ordering(perm=rng.permutation(g.n), method="random"))
+    plan = analyze(g, ordering=Ordering(perm=rng.permutation(g.n), method="random"))
     assert plan.ordering.method == "random"
     assert plan.structure.n == g.n
 

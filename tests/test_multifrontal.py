@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.multifrontal import multifrontal_dpc, plan_struct_rows
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.core.treewidth import dpc_right_looking, p3c_descending
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import barabasi_albert, delaunay_mesh, grid2d
@@ -33,7 +33,7 @@ def _right_looking_reference(graph, plan):
 def test_schedules_produce_identical_factor(builder):
     """Multifrontal and right-looking DPC agree bit-for-bit on the fill."""
     graph = builder()
-    plan = plan_superfw(graph, seed=0)
+    plan = analyze(graph, seed=0)
     w_mf, _ = multifrontal_dpc(graph, plan=plan)
     w_rl, sym = _right_looking_reference(graph, plan)
     for k in range(graph.n):
@@ -50,7 +50,7 @@ def test_directed_schedule_equivalence():
         if u != v
     ]
     dg = DiGraph.from_edges(60, arcs)
-    plan = plan_superfw(dg, seed=0)
+    plan = analyze(dg, seed=0)
     w_mf, _ = multifrontal_dpc(dg, plan=plan)
     w_rl, sym = _right_looking_reference(dg, plan)
     for k in range(dg.n):
@@ -61,7 +61,7 @@ def test_directed_schedule_equivalence():
 
 def test_multifrontal_composes_with_p3c(mesh_graph):
     """Multifrontal phase 1 + P3C phase 2 => exact filled-edge distances."""
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     w, _ = multifrontal_dpc(mesh_graph, plan=plan)
     pattern = plan.pattern if plan.pattern is not None else mesh_graph
     sym = symbolic_cholesky(pattern, plan.ordering.perm)
@@ -81,13 +81,13 @@ def test_negative_cycle_detected():
 
 
 def test_plan_mismatch_rejected(mesh_graph, grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     with pytest.raises(ValueError):
         multifrontal_dpc(mesh_graph, plan=plan)
 
 
 def test_ops_counted(mesh_graph):
-    from repro.analysis.counters import OpCounter
+    from repro.obs.metrics import OpCounter
 
     counter = OpCounter()
     multifrontal_dpc(mesh_graph, seed=0, counter=counter)
@@ -96,7 +96,7 @@ def test_ops_counted(mesh_graph):
 
 def test_struct_rows_nested_under_parent(mesh_graph):
     """The assembly-tree invariant: child fill rows live in parent fronts."""
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     rows = plan_struct_rows(plan)
     st = plan.structure
     for s in range(st.ns):
@@ -123,7 +123,7 @@ def test_left_looking_completes_the_trio(builder):
     from repro.core.treewidth import dpc_left_looking
 
     graph = builder()
-    plan = plan_superfw(graph, seed=0)
+    plan = analyze(graph, seed=0)
     pattern = plan.pattern if plan.pattern is not None else graph
     perm = plan.ordering.perm
     sym = symbolic_cholesky(pattern, perm)
@@ -149,7 +149,7 @@ def test_left_looking_directed():
         if u != v
     ]
     dg = DiGraph.from_edges(50, arcs)
-    plan = plan_superfw(dg, seed=0)
+    plan = analyze(dg, seed=0)
     perm = plan.ordering.perm
     sym = symbolic_cholesky(plan.pattern, perm)
     w_rl = dg.to_dense_dist()[np.ix_(perm, perm)]

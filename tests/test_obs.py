@@ -163,12 +163,6 @@ def test_metrics_merge_ops_prefixes_categories():
     assert counters == {"ops.diag": 10, "ops.outer": 20}
 
 
-def test_opcounter_reexport_shim():
-    from repro.analysis.counters import OpCounter as Legacy
-
-    assert Legacy is OpCounter
-
-
 # ---------------------------------------------------------------------------
 # Exporters
 # ---------------------------------------------------------------------------
@@ -272,10 +266,10 @@ def test_apsp_trace_path_writes_chrome_json(tmp_path):
 
 def test_traced_thread_backend_bit_identical_with_level_spans():
     g = gen.delaunay_mesh(120, seed=1)
-    plain = parallel_superfw(g, num_threads=3)
+    plain = parallel_superfw(g, num_workers=3)
     tracer = Tracer()
     with use_tracer(tracer):
-        traced = parallel_superfw(g, num_threads=3)
+        traced = parallel_superfw(g, num_workers=3)
     assert np.array_equal(plain.dist, traced.dist)
     names = {e.name for e in tracer.events()}
     assert {"level", "eliminate", "solve"} <= names

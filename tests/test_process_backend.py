@@ -18,7 +18,7 @@ from repro.resilience.faults import (
 
 def test_process_backend_matches_sequential_and_thread(mesh_graph):
     seq = superfw(mesh_graph)
-    thr = parallel_superfw(mesh_graph, num_threads=4)
+    thr = parallel_superfw(mesh_graph, num_workers=4)
     prc = parallel_superfw(mesh_graph, backend="process", num_workers=4)
     # All three run identical per-supernode kernel sequences over
     # identical candidate sets, so equality is bit-for-bit.
@@ -64,11 +64,6 @@ def test_process_backend_rejects_non_minplus(grid_graph):
 def test_unknown_backend_rejected(grid_graph):
     with pytest.raises(ValueError, match="backend"):
         parallel_superfw(grid_graph, backend="mpi")
-
-
-def test_num_workers_wins_over_num_threads(grid_graph):
-    r = parallel_superfw(grid_graph, num_threads=8, num_workers=2)
-    assert r.meta["num_workers"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_superfw_retries_recover_injected_task_failures(grid_graph):
 def test_parallel_superfw_recovers_killed_tasks(grid_graph):
     oracle = scipy_apsp(grid_graph)
     with inject_faults(seed=5, task_failure_rate=0.3) as inj:
-        r = apsp(grid_graph, method="parallel-superfw", num_threads=3)
+        r = apsp(grid_graph, method="parallel-superfw", num_workers=3)
     assert inj.stats.get("task_failures", 0) >= 1
     assert np.allclose(r.dist, oracle)
     assert r.meta["recovery"]["task_retries"] >= 1
@@ -210,11 +210,54 @@ def test_parallel_superfw_sequential_rerun_path(grid_graph):
         r = apsp(
             grid_graph,
             method="parallel-superfw",
-            num_threads=3,
+            num_workers=3,
             retry=RetryPolicy(max_attempts=1),
         )
     assert np.allclose(r.dist, oracle)
     assert r.meta["recovery"]["sequential_reruns"]
+
+
+_KERNEL_FAULT_SOLVERS = {
+    "superfw": lambda g, retry: apsp(g, method="superfw", retry=retry),
+    "thread": lambda g, retry: apsp(
+        g, method="parallel-superfw", num_workers=2, retry=retry
+    ),
+    "process": lambda g, retry: apsp(
+        g, method="parallel-superfw", backend="process", num_workers=2,
+        retry=retry,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("executor", sorted(_KERNEL_FAULT_SOLVERS))
+def test_kernel_fault_retries_are_bit_exact(executor, seed):
+    # Non-dyadic float weights: a retry that started from its own
+    # half-relaxed blocks would land ULPs low, so only a transactional
+    # task (a failed attempt writes nothing) passes array_equal here.
+    g = gen.grid2d(14, 14, seed=1)
+    expected = apsp(g, method="superfw").dist
+    with inject_faults(FaultSpec(seed=seed, kernel_error_rate=0.05)):
+        r = _KERNEL_FAULT_SOLVERS[executor](g, RetryPolicy(max_attempts=8))
+    assert r.meta["recovery"]["task_retries"] > 0
+    assert np.array_equal(expected, r.dist)
+
+
+def test_kernel_fault_retries_are_bit_exact_after_escalation():
+    # Every worker dies, so the solve escalates to the thread executor,
+    # whose in-process kernel faults must retry just as exactly.
+    g = gen.grid2d(14, 14, seed=1)
+    expected = apsp(g, method="superfw").dist
+    spec = FaultSpec(seed=0, kernel_error_rate=0.05, worker_kill_rate=1.0)
+    with inject_faults(spec):
+        r = apsp(
+            g, method="parallel-superfw", backend="process", num_workers=2,
+            retry=RetryPolicy(max_attempts=8),
+            supervise={"max_pool_rebuilds": 0},
+        )
+    assert r.meta["recovery"]["escalations"] == ["thread"]
+    assert r.meta["recovery"]["task_retries"] > 0
+    assert np.array_equal(expected, r.dist)
 
 
 def test_task_failure_surfaces_when_unrecoverable(grid_graph):

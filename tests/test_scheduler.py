@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.superfw import plan_superfw
+from repro.plan import analyze
 from repro.graphs.generators import grid2d
 from repro.parallel.scheduler import (
     DEFAULT_COST_MODEL,
@@ -53,7 +53,7 @@ def test_task_time_brent_form():
 
 
 def test_simulate_levels_monotone_in_p(mesh_graph):
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     times = [simulate_levels(levels, p, MODEL) for p in (1, 2, 4, 8, 16)]
     assert all(a >= b for a, b in zip(times, times[1:]))
@@ -61,7 +61,7 @@ def test_simulate_levels_monotone_in_p(mesh_graph):
 
 def test_simulate_sequence_ge_levels(mesh_graph):
     """Removing etree parallelism can only slow things down (p > 1)."""
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     flat = [t for lv in levels for t in lv]
     for p in (2, 8, 32):
@@ -69,7 +69,7 @@ def test_simulate_sequence_ge_levels(mesh_graph):
 
 
 def test_sequential_equals_levels_at_p1(mesh_graph):
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     flat = [t for lv in levels for t in lv]
     assert simulate_sequence(flat, 1, MODEL) == pytest.approx(
@@ -99,7 +99,7 @@ def test_speedup_curve_shape():
 # Task extraction
 # ----------------------------------------------------------------------
 def test_supernode_costs_positive(mesh_graph):
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     for s in range(plan.structure.ns):
         task = supernode_costs(plan.structure, s)
         assert task.work > 0 and task.depth > 0
@@ -108,7 +108,7 @@ def test_supernode_costs_positive(mesh_graph):
 
 
 def test_superfw_levels_cover_all_supernodes(mesh_graph):
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     assert sum(len(lv) for lv in levels) == plan.structure.ns
 
@@ -117,7 +117,7 @@ def test_superfw_structural_work_matches_runtime_ops(mesh_graph):
     """The simulator's static work model equals the executed op count."""
     from repro.core.superfw import superfw
 
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     result = superfw(mesh_graph, plan=plan)
     static = sum(t.work for lv in superfw_levels(plan.structure) for t in lv)
     assert static == pytest.approx(result.ops.total, rel=1e-12)

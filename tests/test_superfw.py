@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.dense_fw import floyd_warshall
-from repro.core.superfw import eliminate_supernode, plan_superfw, superfw
+from repro.core.superfw import eliminate_supernode, superfw
+from repro.plan import analyze
 from repro.graphs.generators import barabasi_albert, delaunay_mesh, grid2d
 from repro.graphs.graph import Graph
 
@@ -34,7 +35,7 @@ def test_exact_panels_never_do_more_work(mesh_graph):
 
 
 def test_plan_reuse(mesh_graph):
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     a = superfw(mesh_graph, plan=plan)
     b = superfw(mesh_graph, plan=plan)
     assert np.allclose(a.dist, b.dist)
@@ -42,20 +43,20 @@ def test_plan_reuse(mesh_graph):
 
 
 def test_plan_for_wrong_graph_rejected(mesh_graph, grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     with pytest.raises(ValueError):
         superfw(mesh_graph, plan=plan)
 
 
 def test_plan_unknown_ordering(grid_graph):
     with pytest.raises(ValueError):
-        plan_superfw(grid_graph, ordering="sorted-by-vibes")
+        analyze(grid_graph, ordering="sorted-by-vibes")
 
 
 def test_plan_accepts_prebuilt_ordering(grid_graph):
     from repro.ordering.bfs import rcm_ordering
 
-    plan = plan_superfw(grid_graph, ordering=rcm_ordering(grid_graph))
+    plan = analyze(grid_graph, ordering=rcm_ordering(grid_graph))
     r = superfw(grid_graph, plan=plan)
     assert np.allclose(r.dist, scipy_apsp(grid_graph))
     assert r.method == "superfw-rcm"
@@ -106,14 +107,14 @@ def test_timings_include_all_phases(mesh_graph):
 
 
 def test_preplanned_solve_excludes_preprocessing(mesh_graph):
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     assert plan.preprocessing_seconds() > 0
     assert "top_separator" in plan.describe()
 
 
 def test_eliminate_supernode_zero_is_noop_on_distances_outside_sets(mesh_graph):
     """Eliminating s must not touch rows/cols outside A(s) ∪ D(s) ∪ s."""
-    plan = plan_superfw(mesh_graph, seed=0)
+    plan = analyze(mesh_graph, seed=0)
     st = plan.structure
     perm = plan.ordering.perm
     dist = mesh_graph.to_dense_dist()[np.ix_(perm, perm)]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.superfw import plan_superfw, superfw
+from repro.core.superfw import superfw
+
+from repro.plan import analyze
 from repro.graphs.generators import grid2d
 from repro.ordering.nested_dissection import nested_dissection
 from repro.parallel.workdepth import (
@@ -63,7 +65,7 @@ def test_concurrency_helper():
 
 
 def test_measured_work_matches_runtime(grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     result = superfw(grid_graph, plan=plan)
     assert superfw_measured_work(plan.structure) == pytest.approx(result.ops.total)
 
@@ -74,7 +76,7 @@ def test_measured_work_tracks_n2s_model():
     for side in (10, 16, 22):
         g = grid2d(side, side, seed=0)
         nd = nested_dissection(g, seed=0)
-        plan = plan_superfw(g, ordering=nd.ordering)
+        plan = analyze(g, ordering=nd.ordering)
         model = g.n**2 * max(nd.top_separator_size, 1)
         ratios.append(superfw_measured_work(plan.structure) / model)
     assert max(ratios) / min(ratios) < 6.0  # bounded coefficient
@@ -82,7 +84,7 @@ def test_measured_work_tracks_n2s_model():
 
 def test_measured_depth_below_sequential_depth(grid_graph):
     """Etree depth must beat the n-step sequential pivot chain (scaled)."""
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     depth = superfw_measured_depth(plan.structure)
     sequential = sum(
         3 * plan.structure.snode_size(s) for s in range(plan.structure.ns)
@@ -91,7 +93,7 @@ def test_measured_depth_below_sequential_depth(grid_graph):
 
 
 def test_measured_depth_at_least_root_chain(grid_graph):
-    plan = plan_superfw(grid_graph, seed=0)
+    plan = analyze(grid_graph, seed=0)
     st = plan.structure
     root = int(np.argmax(st.levels))
     assert superfw_measured_depth(st) >= 3 * st.snode_size(root)
