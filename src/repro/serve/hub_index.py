@@ -31,18 +31,31 @@ dist(u, v)`` by the triangle inequality.  Label sizes are bounded by the
 separator-chain length — the quantity small nested-dissection separators
 directly minimize.
 
+**Why the join is a shared suffix.**  Written as a sequence, the chain
+of supernode ``s`` is ``chain(s) = [lo_s .. hi_s) ++ chain(parent(s))``
+and ``H(v)`` is the suffix of ``chain(snode(v))`` starting at ``v``'s
+own position.  Two chains share exactly the chain of the supernodes'
+etree LCA ``a``: the parts below ``a`` lie on disjoint tree paths.  So
+``H(u) ∩ H(v)`` is the common tail of both labels, of length
+``min(|H(u)|, |H(v)|, |chain(a)|)``, and :meth:`HubLabelIndex.query_many`
+answers each pair by lining up the last ``L`` entries of both labels —
+no keys, sort or ``searchsorted``.  The LCA comes from binary lifting
+over the supernodal etree, ``~log₂(depth)`` numpy passes per batch.
+
 The labels are *sliced*, not recomputed: the index is built against a
 published :class:`~repro.plan.epoch.Epoch` of an
 :class:`~repro.plan.session.APSPSession`, so index construction costs
-one warm solve (reused if the session already solved) plus ``O(total
-label entries)`` gather — and the answers are bit-identical to the
-matrix the write path published.
+one warm solve (reused if the session already solved) plus one flat
+``O(total label entries)`` gather — and every label distance is a
+bit-identical entry of the matrix the write path published (answers
+are sums of two of them, so float weights can round differently).
 
 Storage is CSR over *original* vertex ids: ``ptr``/``hubs``/``dto``/
 ``dfrom``, with hubs kept as permuted positions so every label array is
-sorted ascending — the batched join in :meth:`HubLabelIndex.query_many`
-exploits that ordering with a ``searchsorted`` merge instead of
-re-sorting per query.
+sorted ascending.  A plan with a reduction trail also labels the
+vertices the reduction eliminated, with unions of their neighbors'
+labels; those are not chain suffixes, so such an index answers with a
+sorted ``searchsorted`` merge over ``pair · n + hub`` keys instead.
 """
 
 from __future__ import annotations
@@ -54,6 +67,62 @@ import numpy as np
 from repro.graphs.components import connected_components
 from repro.obs import get_tracer
 from repro.plan.session import APSPSession
+
+
+def _vertex_ids(values) -> np.ndarray:
+    """``values`` as a flat int64 id array; a non-whole id is a ``ValueError``.
+
+    A plain ``astype`` would truncate ``1.9`` to vertex ``1`` and answer
+    a pair nobody asked for.  Range checks stay with the caller, which
+    knows ``n``.
+    """
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind not in "iub":
+        try:
+            num = arr.astype(np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"vertex ids must be integers, not {arr.dtype}"
+            ) from None
+        bad = ~(np.isfinite(num) & (num == np.trunc(num)))
+        if bad.any():
+            raise ValueError(
+                f"vertex id {arr[bad][0]!r} is not a whole number"
+            )
+        arr = num
+    return arr.astype(np.int64, copy=False)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over ``zip(starts, counts)``."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (ends - counts), counts
+    )
+
+
+def _lifting(parent: np.ndarray):
+    """Binary-lifting tables of a forest whose parents outnumber children.
+
+    Returns ``(up, depth, root)``: ``up[j, s]`` is the ``2**j``-th
+    ancestor of ``s`` (roots are their own ancestors), ``depth[s]``
+    counts the proper ancestors of ``s`` and ``root[s]`` is the root of
+    its tree.  Pointer jumping: each pass doubles every jump and adds
+    the depth covered by the jump it lands on, ``~log₂(depth)`` passes.
+    """
+    ns = parent.shape[0]
+    jump = np.where(parent >= 0, parent, np.arange(ns, dtype=np.int64))
+    depth = (parent >= 0).astype(np.int64)
+    up = [jump]
+    while True:
+        nxt = jump[jump]
+        if np.array_equal(nxt, jump):
+            break
+        depth = depth + depth[jump]
+        jump = nxt
+        up.append(jump)
+    return np.stack(up), depth, jump
 
 
 class HubLabelIndex:
@@ -81,18 +150,26 @@ class HubLabelIndex:
         different components are disjoint, so the index is the union of
         independent per-component shards and cross-component queries
         short-circuit to ``inf`` without touching the label arrays.
+    snode, depth, up, chain_len:
+        Supernodal etree tables of the chain-suffix join: the supernode
+        of each original vertex, the etree depth and binary-lifting
+        ancestors (``up[j, s]``, the ``2**j``-th) of each supernode, and
+        the length of its ancestor chain.  ``None`` for an index built
+        from a plan with a reduction trail, which joins by sorted merge.
     epoch_index, weights_digest, plan_id:
         Identity of the epoch/plan this index was sliced from.
     """
 
     __slots__ = (
         "n", "directed", "ptr", "hubs", "dto", "dfrom", "perm",
-        "comp", "ncomp", "epoch_index", "weights_digest", "plan_id",
+        "comp", "ncomp", "snode", "depth", "up", "chain_len",
+        "epoch_index", "weights_digest", "plan_id",
         "build_seconds", "solve_seconds",
     )
 
     def __init__(self, *, n, directed, ptr, hubs, dto, dfrom, perm, comp,
-                 ncomp, epoch_index, weights_digest, plan_id,
+                 ncomp, epoch_index, weights_digest, plan_id, snode=None,
+                 depth=None, up=None, chain_len=None,
                  build_seconds=0.0, solve_seconds=0.0) -> None:
         self.n = int(n)
         self.directed = bool(directed)
@@ -103,12 +180,17 @@ class HubLabelIndex:
         self.perm = perm
         self.comp = comp
         self.ncomp = int(ncomp)
+        self.snode = snode
+        self.depth = depth
+        self.up = up
+        self.chain_len = chain_len
         self.epoch_index = int(epoch_index)
         self.weights_digest = weights_digest
         self.plan_id = plan_id
         self.build_seconds = float(build_seconds)
         self.solve_seconds = float(solve_seconds)
-        for arr in (self.ptr, self.hubs, self.dto, self.dfrom, self.comp):
+        for arr in (self.ptr, self.hubs, self.dto, self.dfrom, self.comp,
+                    *self._etree_tables()):
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------
@@ -156,66 +238,55 @@ class HubLabelIndex:
                 hub_orig[nr:] = np.asarray(trail.verts, dtype=np.int64)
 
             with tracer.span("hub-index-labels"):
-                # Ancestor-chain vertex positions per supernode, memoized
-                # root-down (parent(s) > s, so chain[parent] exists by the
-                # time s needs it when filling from the last snode back).
+                # Chain table: supernode s's ancestor chain is the
+                # vertex runs of s, parent(s), parent²(s), ... — its
+                # k-th supernode is s's k-th ancestor, read off the
+                # binary-lifting table bit by bit of k.
+                up, depth, root = _lifting(st.parent)
                 ns = st.ns
-                parent = st.parent
-                chain: list[np.ndarray] = [None] * ns  # type: ignore[list-item]
-                for s in range(ns - 1, -1, -1):
-                    own = np.arange(
-                        st.snode_ptr[s], st.snode_ptr[s + 1], dtype=np.int64
-                    )
-                    p = int(parent[s])
-                    chain[s] = own if p < 0 else np.concatenate((own, chain[p]))
+                hops = depth + 1
+                anc = np.repeat(np.arange(ns, dtype=np.int64), hops)
+                k = _ranges(np.zeros(ns, dtype=np.int64), hops)
+                for j in range(up.shape[0]):
+                    step = ((k >> j) & 1).astype(bool)
+                    anc[step] = up[j, anc[step]]
+                run = np.diff(st.snode_ptr)[anc]
+                chain_pos = _ranges(st.snode_ptr[anc], run)
+                chain_len = (np.add.reduceat(run, np.cumsum(hops) - hops)
+                             if ns else np.zeros(0, dtype=np.int64))
+                chain_ptr = np.cumsum(chain_len) - chain_len
+                # Reduced position p at offset t of supernode s labels
+                # with chain(s)[t:].
+                pos = np.arange(nr, dtype=np.int64)
+                offset = pos - st.snode_ptr[st.snode_of]
+                pos_start = chain_ptr[st.snode_of] + offset
+                pos_count = chain_len[st.snode_of] - offset
 
                 counts = np.zeros(n, dtype=np.int64)
-                hub_parts: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-                dto_parts: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-                dfrom_parts: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-                for s in range(ns):
-                    lo, hi = int(st.snode_ptr[s]), int(st.snode_ptr[s + 1])
-                    ch = chain[s]
-                    orig = hub_orig[ch]
-                    verts = orig_of[lo:hi]
-                    # Every vertex of the supernode shares the chain, so
-                    # two 2D gathers fetch all its labels at once; vertex
-                    # at offset t then keeps the suffix from t (its own
-                    # position onward).
-                    d_to_all = dist[np.ix_(verts, orig)]
-                    d_from_all = dist[np.ix_(orig, verts)].T
-                    # Prune hubs unreachable in both directions: they can
-                    # never witness a minimum, and dropping them confines
-                    # each label to its own component.
-                    finite = np.isfinite(d_to_all) | np.isfinite(d_from_all)
-                    all_finite = bool(finite.all())
-                    for t in range(hi - lo):
-                        v = int(verts[t])
-                        hubs_pos = ch[t:]
-                        d_to = d_to_all[t, t:]
-                        d_from = d_from_all[t, t:]
-                        if not all_finite:
-                            keep = finite[t, t:]
-                            hubs_pos = hubs_pos[keep]
-                            d_to = d_to[keep]
-                            d_from = d_from[keep]
-                        counts[v] = hubs_pos.size
-                        hub_parts[v] = hubs_pos
-                        dto_parts[v] = d_to
-                        dfrom_parts[v] = d_from
-
+                counts[orig_of] = pos_count
+                elim: dict[int, np.ndarray] = {}
                 if trail is not None:
                     # Eliminated vertices, in *reverse* elimination order:
                     # each one's quotient neighbors were still alive when
-                    # it was eliminated, so they are kept (labels built
-                    # above) or eliminated later (labels built earlier in
-                    # this loop).  H(v) = {v's own key} ∪ ⋃ H(neighbor)
-                    # is a valid 2-hop cover: any shortest u–v path
-                    # enters v through a quotient neighbor q with
-                    # d(u,v) = d(u,q) + w_q(q,v), and the hub witnessing
-                    # (u,q) is inherited into H(v) — induction on the
-                    # earlier-eliminated endpoint.  Distances are sliced
-                    # from the exact full matrix, so extras stay harmless.
+                    # it was eliminated, so they are kept (chain labels)
+                    # or eliminated later (labels built earlier in this
+                    # loop).  H(v) = {v's own key} ∪ ⋃ H(neighbor) is a
+                    # valid 2-hop cover: any shortest u–v path enters v
+                    # through a quotient neighbor q with d(u,v) = d(u,q) +
+                    # w_q(q,v), and the hub witnessing (u,q) is inherited
+                    # into H(v) — induction on the earlier-eliminated
+                    # endpoint.  Distances are sliced from the exact full
+                    # matrix, so extras stay harmless.
+                    pos_of = np.full(n, -1, dtype=np.int64)
+                    pos_of[orig_of] = pos
+
+                    def label(q: int) -> np.ndarray:
+                        p = pos_of[q]
+                        if p < 0:
+                            return elim[q]
+                        s = pos_start[p]
+                        return chain_pos[s:s + pos_count[p]]
+
                     for r in range(trail.n_events - 1, -1, -1):
                         v = int(trail.verts[r])
                         nbrs = np.union1d(
@@ -223,41 +294,54 @@ class HubLabelIndex:
                             np.asarray(trail.in_nbrs[r], dtype=np.int64),
                         )
                         sets = [np.asarray([nr + r], dtype=np.int64)]
-                        sets.extend(hub_parts[int(q)] for q in nbrs)
-                        hubs_pos = np.unique(np.concatenate(sets))
-                        d_to = dist[v, hub_orig[hubs_pos]]
-                        d_from = dist[hub_orig[hubs_pos], v]
-                        keep = np.isfinite(d_to) | np.isfinite(d_from)
-                        if not keep.all():
-                            hubs_pos = hubs_pos[keep]
-                            d_to = d_to[keep]
-                            d_from = d_from[keep]
-                        counts[v] = hubs_pos.size
-                        hub_parts[v] = hubs_pos
-                        dto_parts[v] = d_to
-                        dfrom_parts[v] = d_from
+                        sets.extend(label(int(q)) for q in nbrs)
+                        elim[v] = np.unique(np.concatenate(sets))
+                        counts[v] = elim[v].size
 
                 ptr = np.zeros(n + 1, dtype=np.int64)
                 np.cumsum(counts, out=ptr[1:])
-                hubs = (np.concatenate(hub_parts) if n
-                        else np.empty(0, dtype=np.int64))
-                dto = np.concatenate(dto_parts) if n else np.empty(0)
-                dfrom = np.concatenate(dfrom_parts) if n else np.empty(0)
+                hubs = np.empty(int(ptr[-1]), dtype=np.int64)
+                hubs[_ranges(ptr[orig_of], pos_count)] = chain_pos[
+                    _ranges(pos_start, pos_count)
+                ]
+                for v, hubs_pos in elim.items():
+                    hubs[ptr[v]:ptr[v + 1]] = hubs_pos
+                # One flat gather of every label distance.
+                owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+                hub_ids = hub_orig[hubs]
+                dto = dist[owner, hub_ids]
+                dfrom = dist[hub_ids, owner]
 
             with tracer.span("hub-index-shards"):
-                # With a reduction trail the shards must come from the
-                # *original* graph: eliminating a directed source/sink
-                # adds no fill, so the reduced pattern can split a weak
-                # component whose pairs are perfectly reachable.
                 if trail is not None:
+                    # With a reduction trail the shards must come from
+                    # the *original* graph: eliminating a directed
+                    # source/sink adds no fill, so the reduced pattern
+                    # can split a weak component whose pairs are
+                    # perfectly reachable.
                     src = (
                         session.graph.symmetrized()
                         if session.directed
                         else session.graph
                     )
                     ncomp, comp = connected_components(src)
+                    etree = {}
                 else:
-                    ncomp, comp = connected_components(plan.pattern)
+                    # Each etree tree is one component of the pattern
+                    # (supernode relaxation merges only into the etree
+                    # parent), so the shard is the vertex's etree root,
+                    # numbered in order of each tree's smallest vertex.
+                    snode = np.empty(n, dtype=np.int64)
+                    snode[orig_of] = st.snode_of
+                    _, first, inv = np.unique(
+                        root[snode], return_index=True, return_inverse=True
+                    )
+                    ncomp = first.shape[0]
+                    rank = np.empty(ncomp, dtype=np.int64)
+                    rank[np.argsort(first)] = np.arange(ncomp)
+                    comp = rank[inv.ravel()]
+                    etree = dict(snode=snode, depth=depth, up=up,
+                                 chain_len=chain_len)
 
         build_s = time.perf_counter() - t0
         if tracer.enabled:
@@ -269,6 +353,7 @@ class HubLabelIndex:
             dfrom=dfrom, perm=perm, comp=comp, ncomp=ncomp,
             epoch_index=epoch.index, weights_digest=epoch.weights_digest,
             plan_id=plan.plan_id, build_seconds=build_s, solve_seconds=solve_s,
+            **etree,
         )
 
     # ------------------------------------------------------------------
@@ -281,10 +366,16 @@ class HubLabelIndex:
         """Per-vertex label cardinality (query-cost proxy)."""
         return np.diff(self.ptr)
 
+    def _etree_tables(self) -> tuple:
+        if self.up is None:
+            return ()
+        return (self.snode, self.depth, self.up, self.chain_len)
+
     def memory_bytes(self) -> int:
-        """Bytes held by the label arrays."""
+        """Bytes held by the label arrays and the etree join tables."""
         return sum(
-            a.nbytes for a in (self.ptr, self.hubs, self.dto, self.dfrom)
+            a.nbytes for a in (self.ptr, self.hubs, self.dto, self.dfrom,
+                               *self._etree_tables())
         )
 
     def shard_stats(self) -> list[dict]:
@@ -302,19 +393,18 @@ class HubLabelIndex:
         return out
 
     # ------------------------------------------------------------------
-    def _check_ids(self, idx: np.ndarray) -> None:
+    def _check_ids(self, values) -> np.ndarray:
+        idx = _vertex_ids(values)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             bad = idx[(idx < 0) | (idx >= self.n)][0]
             raise ValueError(
                 f"vertex id {int(bad)} out of range for n={self.n}"
             )
+        return idx
 
     def query_one(self, i: int, j: int) -> float:
         """Distance for one pair (original ids); ``inf`` if unreachable."""
-        out = self.query_many(
-            np.asarray([i], dtype=np.int64), np.asarray([j], dtype=np.int64)
-        )
-        return float(out[0])
+        return float(self.query_many([i], [j])[0])
 
     def query_many(self, sources, targets) -> np.ndarray:
         """Vectorized batched distances for pairs ``(sources[k], targets[k])``.
@@ -322,47 +412,101 @@ class HubLabelIndex:
         The whole batch is evaluated with a handful of numpy passes:
 
         1. cross-component pairs short-circuit to ``inf``;
-        2. the remaining pairs' labels are gathered CSR-style into flat
-           arrays tagged ``pair_id * n + hub_position`` — sorted by
-           construction, since each label's hub positions ascend;
-        3. one ``searchsorted`` merge intersects source-side and
-           target-side keys (probing the smaller side into the larger);
-        4. ``np.minimum.reduceat`` takes the per-pair minimum of
-           ``d(u→h) + d(h→v)`` over the intersection.
+        2. binary lifting finds each pair's supernodal etree LCA ``a``,
+           and ``L = min(|H(u)|, |H(v)|, |chain(a)|)`` is the length of
+           the labels' shared tail (see the module docstring);
+        3. the last ``L`` entries of ``dto`` for ``u`` and of ``dfrom``
+           for ``v`` line up hub for hub, and ``np.minimum.reduceat``
+           takes each pair's minimum of ``d(u→h) + d(h→v)``.
 
-        Unreachable same-component (directed) pairs fall out naturally
-        as an empty or all-``inf`` intersection.  Answers match the
-        published epoch matrix to within float-addition rounding.
+        An index built from a plan with a reduction trail joins by
+        sorted merge instead (:meth:`_merge_join`).  Unreachable
+        same-component (directed) pairs come out as an all-``inf``
+        minimum.  Vertex ids must be whole numbers in ``[0, n)``;
+        anything else raises ``ValueError``.
         """
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        targets = np.asarray(targets, dtype=np.int64).ravel()
+        return self._evaluate(sources, targets)[0]
+
+    def _evaluate(self, sources, targets) -> tuple[np.ndarray, str, int]:
+        """:meth:`query_many` plus the join that ran and its candidate sums.
+
+        The join is ``"chain"`` (shared suffix) or ``"merge"`` (sorted
+        merge, for indexes with a reduction trail); the count is the
+        number of ``d(u→h) + d(h→v)`` sums it evaluated.
+        """
+        sources = self._check_ids(sources)
+        targets = self._check_ids(targets)
         if sources.shape != targets.shape:
             raise ValueError("sources and targets must have the same length")
-        self._check_ids(sources)
-        self._check_ids(targets)
+        join, run = (("merge", self._merge_join) if self.up is None
+                     else ("chain", self._chain_join))
         out = np.full(sources.shape[0], np.inf)
-        same = self.comp[sources] == self.comp[targets]
-        if not same.any():
-            return out
-        pair_ids = np.flatnonzero(same)
-        srcs = sources[pair_ids]
-        tgts = targets[pair_ids]
+        pair_ids = np.flatnonzero(self.comp[sources] == self.comp[targets])
+        if not pair_ids.size:
+            return out, join, 0
+        out[pair_ids], candidates = run(sources[pair_ids], targets[pair_ids])
+        return out, join, candidates
 
+    def _lca(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Supernodal etree LCA of each pair ``(a[k], b[k])`` (same tree)."""
+        deeper = self.depth[a] >= self.depth[b]
+        a, b = np.where(deeper, a, b), np.where(deeper, b, a)
+        rise = self.depth[a] - self.depth[b]
+        for j in range(self.up.shape[0]):
+            step = ((rise >> j) & 1).astype(bool)
+            a = np.where(step, self.up[j, a], a)
+        for up in self.up[::-1]:
+            ua, ub = up[a], up[b]
+            apart = ua != ub
+            a = np.where(apart, ua, a)
+            b = np.where(apart, ub, b)
+        return np.where(a == b, a, self.up[0, a])
+
+    def _chain_join(self, srcs: np.ndarray, tgts: np.ndarray):
+        """Shared-suffix join of same-component pairs.
+
+        Returns the per-pair minima and the candidate-sum count.
+        """
+        end_s = self.ptr[srcs + 1]
+        end_t = self.ptr[tgts + 1]
+        shared = np.minimum(
+            np.minimum(end_s - self.ptr[srcs], end_t - self.ptr[tgts]),
+            self.chain_len[self._lca(self.snode[srcs], self.snode[tgts])],
+        )
+        # Every label ends with its tree's root chain, so shared >= 1.
+        ends = np.cumsum(shared)
+        starts = ends - shared
+        off = np.arange(int(ends[-1]), dtype=np.int64)
+        sums = (self.dto[off + np.repeat(end_s - ends, shared)]
+                + self.dfrom[off + np.repeat(end_t - ends, shared)])
+        return np.minimum.reduceat(sums, starts), int(ends[-1])
+
+    def _merge_join(self, srcs: np.ndarray, tgts: np.ndarray):
+        """Sorted-merge join of same-component pairs.
+
+        The labels' ``pair_index * n + hub_position`` keys are sorted by
+        construction, since each label's hub positions ascend; one
+        ``searchsorted`` probes the smaller side into the larger and
+        ``np.minimum.reduceat`` takes each pair's minimum over the
+        matches.  Serves any label layout, including the union labels of
+        reduced vertices.  Returns the per-pair minima and the number of
+        candidate sums (matched hubs).
+        """
         key_s, d_s, pid_s = self._gather(srcs, self.dto)
         key_t, d_t, pid_t = self._gather(tgts, self.dfrom)
         # Probe the smaller flat side into the larger: cost is
         # |small| · log |large|.
         if key_s.shape[0] <= key_t.shape[0]:
-            sums, pids = self._join(key_s, d_s, pid_s, key_t, d_t)
+            sums, pids = self._probe(key_s, d_s, pid_s, key_t, d_t)
         else:
-            sums, pids = self._join(key_t, d_t, pid_t, key_s, d_s)
+            sums, pids = self._probe(key_t, d_t, pid_t, key_s, d_s)
+        out = np.full(srcs.shape[0], np.inf)
         if sums.shape[0]:
             starts = np.flatnonzero(
                 np.r_[True, pids[1:] != pids[:-1]]
             )
-            mins = np.minimum.reduceat(sums, starts)
-            out[pair_ids[pids[starts]]] = mins
-        return out
+            out[pids[starts]] = np.minimum.reduceat(sums, starts)
+        return out, int(sums.shape[0])
 
     def _gather(self, verts: np.ndarray, dvals: np.ndarray):
         """Flatten the labels of ``verts`` with per-entry pair tags.
@@ -372,26 +516,20 @@ class HubLabelIndex:
         """
         starts = self.ptr[verts]
         counts = self.ptr[verts + 1] - starts
-        total = int(counts.sum())
         pair_index = np.repeat(
             np.arange(verts.shape[0], dtype=np.int64), counts
         )
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(counts) - counts, counts)
-            + np.repeat(starts, counts)
-        )
+        flat = _ranges(starts, counts)
         keys = pair_index * np.int64(self.n) + self.hubs[flat]
         return keys, dvals[flat], pair_index
 
     @staticmethod
-    def _join(key_a, d_a, pid_a, key_b, d_b):
-        """Sorted-merge intersection of two keyed label streams.
+    def _probe(key_a, d_a, pid_a, key_b, d_b):
+        """Probe keyed label stream ``key_a`` into ``key_b`` (both ascending).
 
-        Probes ``key_a`` into ``key_b`` (both ascending); returns the
-        matched ``d_a + d_b`` sums and their pair indexes, still grouped
-        by pair.  Min-plus is commutative, so which side probes does not
-        change the answer.
+        Returns the matched ``d_a + d_b`` sums and their pair indexes,
+        still grouped by pair.  Min-plus is commutative, so which side
+        probes does not change the answer.
         """
         loc = np.searchsorted(key_b, key_a)
         inb = loc < key_b.shape[0]

@@ -43,7 +43,7 @@ from repro.graphs.graph import Graph
 from repro.obs import get_tracer
 from repro.plan.session import APSPSession
 from repro.resilience.errors import StaleEpochError, UnreachablePairError
-from repro.serve.hub_index import HubLabelIndex
+from repro.serve.hub_index import HubLabelIndex, _vertex_ids
 
 #: Default bound on the (src, dst) -> distance result cache.
 DEFAULT_RESULT_CACHE = 65536
@@ -192,11 +192,11 @@ class DistanceServer:
 
         Served from the LRU result cache when possible; a miss costs one
         label intersection.  ``inf`` for unreachable pairs unless the
-        server is ``strict``.
+        server is ``strict``.  A non-whole id raises ``ValueError``.
         """
         idx = self.refresh()
         self._check_stale()
-        key = (int(i), int(j))
+        key = tuple(_vertex_ids((i, j)).tolist())
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
@@ -220,18 +220,20 @@ class DistanceServer:
     def query_many(self, sources, targets) -> np.ndarray:
         """Vectorized distances for pairs ``(sources[k], targets[k])``.
 
-        One ``serve-batch`` span per call; throughput scales with batch
-        size (this is the path the ``bench_query`` gate measures).
+        One ``serve-batch`` span per call, recording which label join ran
+        and how many candidate sums it evaluated; throughput scales with
+        batch size (this is the path the ``bench_query`` gate measures).
         Bypasses the scalar result cache — a vectorized pass is already
-        cheaper than n dict probes.
+        cheaper than n dict probes.  A non-whole id raises ``ValueError``.
         """
         idx = self.refresh()
         self._check_stale()
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        targets = np.asarray(targets, dtype=np.int64).ravel()
+        sources = _vertex_ids(sources)
+        targets = _vertex_ids(targets)
         tracer = get_tracer()
-        with tracer.span("serve-batch", size=int(sources.shape[0])):
-            out = idx.query_many(sources, targets)
+        with tracer.span("serve-batch", size=int(sources.shape[0])) as span:
+            out, join, candidates = idx._evaluate(sources, targets)
+            span.set(join=join, candidates=candidates)
         self.queries += int(sources.shape[0])
         self.batches += 1
         n_cross = int(np.sum(idx.comp[sources] != idx.comp[targets]))
@@ -265,9 +267,10 @@ class DistanceServer:
         """
         if self._closed:
             raise RuntimeError("server is closed")
+        i, j = _vertex_ids((i, j)).tolist()
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self._pending.append((int(i), int(j), future))
+        self._pending.append((i, j, future))
         if len(self._pending) >= self.max_batch:
             self._flush_pending()
         elif self._flush_handle is None:

@@ -283,6 +283,7 @@ def test_hub_labels_exact_under_reduce(kind):
     full = session.solve().dist
     index = HubLabelIndex.build(session)
     assert index.n == g.n
+    assert index.up is None  # union labels of reduced vertices: merge join
     i, j = np.meshgrid(np.arange(g.n), np.arange(g.n), indexing="ij")
     got = index.query_many(i.ravel(), j.ravel()).reshape(g.n, g.n)
     assert np.array_equal(got, full)

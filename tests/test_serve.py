@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.superfw import superfw
 from repro.graphs import generators
+from repro.graphs.components import connected_components
 from repro.graphs.digraph import DiGraph, orient_randomly
 from repro.graphs.graph import Graph
 from repro.obs import Tracer, use_tracer
+from repro.ordering.base import Ordering
 from repro.plan import APSPSession, PlanCache
 from repro.resilience.errors import StaleEpochError, UnreachablePairError
 from repro.serve import DistanceServer, HubLabelIndex
@@ -44,7 +46,8 @@ def test_directed_queries_match_full_matrix():
         _assert_matches(_all_pairs(server, dg.n), np.asarray(ref))
 
 
-def test_directed_negative_arcs():
+def _negative_digraph() -> DiGraph:
+    """Random digraph with negative arcs but no negative cycle (potentials)."""
     rng = np.random.default_rng(3)
     arcs = [
         (int(u), int(v), float(rng.uniform(0.1, 2)))
@@ -52,7 +55,11 @@ def test_directed_negative_arcs():
         if u != v
     ]
     h = rng.uniform(0, 3, 50)
-    dg = DiGraph.from_edges(50, [(u, v, w + h[u] - h[v]) for u, v, w in arcs])
+    return DiGraph.from_edges(50, [(u, v, w + h[u] - h[v]) for u, v, w in arcs])
+
+
+def test_directed_negative_arcs():
+    dg = _negative_digraph()
     ref = superfw(dg, seed=0).dist
     with DistanceServer(dg) as server:
         _assert_matches(_all_pairs(server, dg.n), np.asarray(ref))
@@ -79,6 +86,24 @@ def test_vertex_ids_validated(grid_graph):
         server.query(0, grid_graph.n)
     with pytest.raises(ValueError):
         server.query_many([-1], [0])
+    # A non-whole id is an error, never a truncation to its floor.
+    with pytest.raises(ValueError):
+        server.query(1.9, 2)
+    with pytest.raises(ValueError):
+        server.query_many([0.9], [2])
+    with pytest.raises(ValueError):
+        server.query_many([0], [np.nan])
+    with pytest.raises(ValueError):
+        asyncio.run(server.aquery(0, 2.5))
+    index = server.index
+    with pytest.raises(ValueError):
+        index.query_many([0.5], [1])
+    with pytest.raises(ValueError):
+        index.query_one(0, 1.5)
+    # Whole-valued floats name the same vertex as the integer.
+    assert server.query(1.0, 2) == server.query(1, 2)
+    assert np.array_equal(server.query_many([1.0], [np.float32(2)]),
+                          server.query_many([1], [2]))
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +135,73 @@ def test_shards_follow_components():
     for v in range(7):
         hubs = index.hubs[index.ptr[v]:index.ptr[v + 1]]
         assert (index.comp[index.perm[hubs]] == index.comp[v]).all()
+
+
+def _forest() -> Graph:
+    """Disjoint union of a grid, a mesh, a path and two isolated vertices."""
+    parts = [generators.grid2d(5, 6, seed=2), generators.delaunay_mesh(40, seed=3),
+             Graph.from_edges(4, [(0, 1, 0.7), (1, 2, 1.3), (2, 3, 0.9)])]
+    edges, base = [], 0
+    for part in parts:
+        e = part.edge_array()
+        e[:, :2] += base
+        edges.append(e)
+        base += part.n
+    return Graph.from_edges(base + 2, np.concatenate(edges))
+
+
+def _float_mesh() -> Graph:
+    edges = generators.delaunay_mesh(120, seed=7).edge_array()
+    rng = np.random.default_rng(11)
+    edges[:, 2] = rng.uniform(0.1, 10.0, edges.shape[0]) / 3.0
+    return Graph.from_edges(120, edges)
+
+
+#: Graphs for the chain-join exactness test, with their session options.
+JOIN_GRAPHS = {
+    "float-weights": (_float_mesh, {}),
+    "directed-negative": (_negative_digraph, {}),
+    "forest": (_forest, {}),
+    # Eliminated from both ends inward, without relaxation: one
+    # supernode per vertex and an etree of two ~n/2-deep branches that
+    # meet at the middle vertex, so the LCA walks every lifting level
+    # both while levelling depths and while climbing to a fork.
+    "path": (
+        lambda: Graph.from_edges(
+            151, [(i, i + 1, 1.0 + (i % 7) / 3.0) for i in range(150)]
+        ),
+        {"ordering": Ordering(np.column_stack(
+            (np.arange(76), np.arange(150, 74, -1))).ravel()[:151]),
+         "relax": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JOIN_GRAPHS))
+def test_chain_join_matches_merge_join(kind):
+    build, options = JOIN_GRAPHS[kind]
+    g = build()
+    session = APSPSession(g, **options)
+    index = HubLabelIndex.build(session)
+    assert index.up is not None  # trail-free plans join by chain suffix
+    n = g.n
+    src, dst = (a.ravel() for a in np.meshgrid(
+        np.arange(n), np.arange(n), indexing="ij"))
+    got = index.query_many(src, dst)
+    same = index.comp[src] == index.comp[dst]
+    merged = np.full(n * n, np.inf)
+    merged[same] = index._merge_join(src[same], dst[same])[0]
+    assert np.array_equal(got, merged)
+    _assert_matches(got.reshape(n, n), np.asarray(session.dist))
+    # Etree trees are exactly the pattern's components.
+    ncomp, comp = connected_components(session.plan.pattern)
+    assert index.ncomp == ncomp
+    assert np.array_equal(index.comp, comp)
+    if kind == "forest":
+        assert ncomp == 5
+    if kind == "path":
+        assert index.depth.max() > 2 ** (index.up.shape[0] - 2) >= 64
+    session.close()
 
 
 def test_strict_unreachable_raises():
@@ -287,7 +379,9 @@ def test_closed_server_rejects_queries(grid_graph):
 # Index internals and observability.
 # ----------------------------------------------------------------------
 def test_labels_sorted_and_bounded(mesh_graph):
-    index = HubLabelIndex.build(APSPSession(mesh_graph, seed=0))
+    session = APSPSession(mesh_graph, seed=0)
+    index = HubLabelIndex.build(session)
+    st = session.plan.structure
     sizes = index.label_sizes()
     assert sizes.min() >= 1
     assert sizes.max() <= mesh_graph.n
@@ -300,6 +394,15 @@ def test_labels_sorted_and_bounded(mesh_graph):
         # Every vertex is its own first hub at distance 0.
         assert hubs[0] == iperm[v]
         assert index.dto[lo] == 0.0 and index.dfrom[lo] == 0.0
+        # The label is the suffix of its supernode's ancestor chain from
+        # the vertex's own position: the layout the chain join relies on.
+        s = int(st.snode_of[iperm[v]])
+        chain = np.concatenate([
+            np.arange(st.snode_ptr[a], st.snode_ptr[a + 1])
+            for a in (s, *st.ancestor_snodes(s))
+        ])
+        assert np.array_equal(hubs, chain[iperm[v] - st.snode_ptr[s]:])
+        assert index.chain_len[s] == chain.size
     assert index.entries == int(sizes.sum())
     assert index.memory_bytes() > 0
 
@@ -320,6 +423,9 @@ def test_serving_emits_spans_and_metrics(grid_graph):
     names = {event.name for event in tracer.events()}
     assert "hub-index-build" in names
     assert "serve-batch" in names
+    (batch,) = [e for e in tracer.events() if e.name == "serve-batch"]
+    assert batch.args["join"] == "chain"
+    assert batch.args["candidates"] >= 2  # at least one hub per pair
     counters = tracer.metrics.snapshot()["counters"]
     assert counters["serve.index_builds"] == 1
     assert counters["serve.queries"] == 2
