@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -125,7 +126,15 @@ def main(argv=None) -> int:
 
     disabled = bench_disabled(graph, repeats)
     solve = bench_solve(graph, repeats)
-    payload = {"graph": f"grid2d:{side}", "disabled": disabled, "solve": solve}
+    payload = {
+        "version": "bench-obs/v1",
+        "quick": bool(args.quick),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "graph": f"grid2d:{side}",
+        "disabled": disabled,
+        "solve": solve,
+    }
 
     print(
         f"disabled path: {disabled['per_site_ns']:.0f} ns/site x "

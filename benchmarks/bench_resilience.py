@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
@@ -206,6 +207,10 @@ def main(argv=None) -> int:
         checkpoint = bench_checkpoint(graph, plan, pool, clean_dist)
     recovery = bench_recovery(graph, plan, clean_dist)
     payload = {
+        "version": "bench-resilience/v1",
+        "quick": bool(args.quick),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "graph": f"grid2d:{side}",
         "clean": clean,
         "recovery": recovery,

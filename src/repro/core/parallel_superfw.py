@@ -43,8 +43,8 @@ beats / stalled groups, and recovery rebuilds the pool against the same
 shared segment, rewinds each unfinished task's strips to a
 :class:`_BarrierSnapshot` taken at the level barrier, and re-dispatches
 it.  Once ``max_pool_rebuilds`` is spent, the remaining groups continue
-in-process on the first executor of the policy's ``escalate`` (the
-thread executor by default) over the same matrix.  ``checkpoint=`` snapshots the matrix
+in-process on the policy's ``escalate`` executor (the thread executor by
+default) over the same matrix.  ``checkpoint=`` snapshots the matrix
 at level barriers (:mod:`repro.resilience.checkpoint`) and
 ``resume=True`` restarts a killed solve from the last finished level.
 Workers exit by themselves when their coordinator dies.
@@ -684,16 +684,16 @@ class _Process(_Sequential):
         rewind to the level barrier; the successor then re-runs them and
         every later group on the same matrix.
         """
-        chain = self.policy.escalate if self.policy is not None else ()
-        if not chain:
+        to = self.policy.escalate if self.policy is not None else None
+        if to is None:
             raise exc
         with get_tracer().span(
-            "resilience.recover.escalate", to=chain[0], cause=exc.cause
+            "resilience.recover.escalate", to=to, cause=exc.cause
         ):
             for s in exc.pending:
                 self.barrier.restore(int(s))
-        self.recovery.setdefault("escalations", []).append(chain[0])
-        if chain[0] == "thread":
+        self.recovery.setdefault("escalations", []).append(to)
+        if to == "thread":
             return _Threaded(self.dist, self.task, self.workers)
         return _Sequential(self.dist, self.task)
 

@@ -26,7 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.symbolic.structure import SupernodalStructure
+from repro.symbolic.structure import (
+    SupernodalStructure,
+    panel_rows,
+    superfw_snode_ops,
+)
 
 
 def blockedfw_comm_volume(n: int, p: int) -> float:
@@ -46,47 +50,44 @@ def _depths_from_root(structure: SupernodalStructure) -> np.ndarray:
     return depth
 
 
-def superfw_comm_volume(
-    structure: SupernodalStructure,
-    p: int,
-    *,
-    exact_panels: bool = True,
-) -> float:
+def _panel_words(
+    structure: SupernodalStructure, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subcube size ``p_k`` and per-processor panel words of each supernode.
+
+    A supernode at depth ``d`` owns ``p_k = max(1, p / 2^d)`` processors
+    and broadcasts its ``|R_k| x b_k`` column and row panels across their
+    grid: ``2 |R_k| b_k / √p_k`` words per processor.
+    """
+    procs = np.maximum(p / 2.0 ** _depths_from_root(structure), 1.0)
+    widths = np.diff(structure.snode_ptr)
+    words = 2.0 * panel_rows(structure) * widths / np.sqrt(procs)
+    return procs, words
+
+
+def superfw_comm_volume(structure: SupernodalStructure, p: int) -> float:
     """Per-processor words for SuperFW under subtree-to-subcube mapping.
 
-    For each supernode ``k`` on a subcube of ``p_k = max(1, p / 2^depth)``
-    processors, the elimination broadcasts the ``|R_k| x b_k`` column and
-    row panels across the subcube grid: ``2 |R_k| b_k / √p_k`` words per
-    processor.  Supernodes whose subcube is a single processor cost zero.
+    Each supernode broadcasts its panels across its subcube (see
+    :func:`_panel_words`); supernodes whose subcube is a single
+    processor cost zero.
     """
     if p <= 1:
         return 0.0
-    depth = _depths_from_root(structure)
-    volume = 0.0
-    for s in range(structure.ns):
-        procs = p / float(2 ** int(depth[s]))
-        if procs <= 1.0:
-            continue
-        lo, hi = structure.col_range(s)
-        b = hi - lo
-        rows = structure.descendant_vertices(s).shape[0]
-        rows += structure.ancestor_vertices(s, exact=exact_panels).shape[0]
-        volume += 2.0 * rows * b / np.sqrt(procs)
-    return volume
+    procs, words = _panel_words(structure, p)
+    return float(words[procs > 1.0].sum())
 
 
 def communication_table(
     structure: SupernodalStructure,
     n: int,
     procs: list[int],
-    *,
-    exact_panels: bool = True,
 ) -> list[dict]:
     """Blocked-vs-SuperFW communication volumes across processor counts."""
     rows = []
     for p in procs:
         blocked = blockedfw_comm_volume(n, p)
-        super_ = superfw_comm_volume(structure, p, exact_panels=exact_panels)
+        super_ = superfw_comm_volume(structure, p)
         rows.append(
             {
                 "p": p,
@@ -114,7 +115,6 @@ def superfw_distributed_time(
     seconds_per_op: float,
     alpha: float = DEFAULT_ALPHA,
     beta: float = DEFAULT_BETA,
-    exact_panels: bool = True,
 ) -> float:
     """Estimated distributed SuperFW time under the α-β model.
 
@@ -123,28 +123,14 @@ def superfw_distributed_time(
     every communicated elimination adds a panel broadcast of
     ``log₂(p_k)`` message rounds plus its per-processor volume.
     """
-    from repro.parallel.tasks import supernode_costs
-
-    depth = _depths_from_root(structure)
-    # Accumulate per-level: subtrees at one depth run concurrently.
-    level_time: dict[int, float] = {}
-    for s in range(structure.ns):
-        lvl = int(structure.levels[s])
-        procs = max(p / float(2 ** int(depth[s])), 1.0)
-        task = supernode_costs(structure, s, exact_panels=exact_panels)
-        compute = task.work * seconds_per_op / procs
-        comm = 0.0
-        if procs > 1.0:
-            lo, hi = structure.col_range(s)
-            b = hi - lo
-            rows = structure.descendant_vertices(s).shape[0]
-            rows += structure.ancestor_vertices(s, exact=exact_panels).shape[0]
-            words = 2.0 * rows * b / np.sqrt(procs)
-            comm = alpha * np.log2(procs) + beta * words
-        # Within a level, same-depth subtrees overlap; the level's time is
-        # the max over its members, then levels serialize (barriers).
-        level_time[lvl] = max(level_time.get(lvl, 0.0), compute + comm)
-    return float(sum(level_time.values()))
+    procs, words = _panel_words(structure, p)
+    compute = superfw_snode_ops(structure) * seconds_per_op / procs
+    comm = np.where(procs > 1.0, alpha * np.log2(procs) + beta * words, 0.0)
+    # Within a level, same-depth subtrees overlap; the level's time is
+    # the max over its members, then levels serialize (barriers).
+    level_time = np.zeros(int(structure.levels.max()) + 1 if structure.ns else 0)
+    np.maximum.at(level_time, structure.levels, compute + comm)
+    return float(level_time.sum())
 
 
 def blockedfw_distributed_time(

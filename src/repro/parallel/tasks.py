@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.symbolic.structure import SupernodalStructure
+from repro.symbolic.structure import SupernodalStructure, superfw_snode_ops
 
 
 @dataclass(frozen=True)
@@ -33,31 +33,27 @@ class SimTask:
     depth: float
 
 
-def supernode_costs(
-    structure: SupernodalStructure, s: int, *, exact_panels: bool = True
-) -> SimTask:
-    """Work/depth of eliminating supernode ``s``.
+def supernode_costs(structure: SupernodalStructure) -> list[SimTask]:
+    """Work/depth of eliminating each supernode, indexed by supernode.
 
-    Work mirrors the kernel op counts of
-    :func:`repro.core.superfw.eliminate_supernode`; depth is ``3 b`` rank-1
-    steps (DiagUpdate, PanelUpdate and OuterUpdate each pivot ``b`` times;
-    the two panels run concurrently).
+    Work is the exact kernel op count of
+    :func:`repro.core.superfw.eliminate_supernode`
+    (:func:`~repro.symbolic.structure.superfw_snode_ops`); depth is
+    ``3 b`` rank-1 steps (DiagUpdate, PanelUpdate and OuterUpdate each
+    pivot ``b`` times; the two panels run concurrently).
     """
-    lo, hi = structure.col_range(s)
-    b = hi - lo
-    r = structure.descendant_vertices(s).shape[0]
-    r += structure.ancestor_vertices(s, exact=exact_panels).shape[0]
-    work = 2 * b**3 + 2 * (2 * b * b * r) + 2 * (r * b * r)
-    return SimTask(work=float(work), depth=float(3 * b))
-
-
-def superfw_levels(
-    structure: SupernodalStructure, *, exact_panels: bool = True
-) -> list[list[SimTask]]:
-    """SuperFW task DAG grouped by etree level (barriers between levels)."""
+    widths = np.diff(structure.snode_ptr).tolist()
     return [
-        [supernode_costs(structure, int(s), exact_panels=exact_panels) for s in group]
-        for group in structure.level_order()
+        SimTask(work=float(w), depth=float(3 * b))
+        for w, b in zip(superfw_snode_ops(structure).tolist(), widths)
+    ]
+
+
+def superfw_levels(structure: SupernodalStructure) -> list[list[SimTask]]:
+    """SuperFW task DAG grouped by etree level (barriers between levels)."""
+    tasks = supernode_costs(structure)
+    return [
+        [tasks[s] for s in group.tolist()] for group in structure.level_order()
     ]
 
 

@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.symbolic.structure import SupernodalStructure
+from repro.parallel.tasks import superfw_levels
+from repro.symbolic.structure import SupernodalStructure, superfw_snode_ops
 
 
 def _log2(x: float) -> float:
@@ -59,34 +60,17 @@ def concurrency(work: float, depth: float) -> float:
     return work / max(depth, 1.0)
 
 
-def superfw_measured_work(
-    structure: SupernodalStructure, *, exact_panels: bool = True
-) -> float:
+def superfw_measured_work(structure: SupernodalStructure) -> float:
     """Total scalar ops of a SuperFW sweep, from the symbolic structure."""
-    from repro.parallel.tasks import supernode_costs
-
-    return sum(
-        supernode_costs(structure, s, exact_panels=exact_panels).work
-        for s in range(structure.ns)
-    )
+    return float(superfw_snode_ops(structure).sum())
 
 
-def superfw_measured_depth(
-    structure: SupernodalStructure, *, exact_panels: bool = True
-) -> float:
+def superfw_measured_depth(structure: SupernodalStructure) -> float:
     """Critical path of the level-synchronous SuperFW DAG, in kernel steps.
 
     Per level the depth is the maximum supernode depth (cousins run in
     parallel); levels are barriers, so depths add — the empirical
     counterpart of Eq. (4)'s ``Σ_i i · S(n/2^i) = O(|S| log^2 n)``.
     """
-    from repro.parallel.tasks import supernode_costs
-
-    total = 0.0
-    for group in structure.level_order():
-        if group.size:
-            total += max(
-                supernode_costs(structure, int(s), exact_panels=exact_panels).depth
-                for s in group
-            )
-    return total
+    levels = superfw_levels(structure)
+    return sum((max(t.depth for t in level) for level in levels if level), 0.0)

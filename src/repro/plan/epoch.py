@@ -127,7 +127,10 @@ class CommitInfo:
     ``decision`` is the router's choice (``"fold"``, ``"resolve"``,
     ``"reanalyze"``, or ``"noop"`` when coalescing left nothing to do);
     ``predicted_seconds`` / ``actual_seconds`` expose the cost model's
-    forecast against reality; ``degraded`` flags a failed re-solve that
+    forecast against reality, and ``actual_ops`` the semiring ops the
+    commit ran (the sweep's ``OpCounter`` total for a re-solve, the
+    rank-k shape count for a fold, 0 when nothing ran or the re-solve
+    failed); ``degraded`` flags a failed re-solve that
     left the previous epoch published (see
     :class:`~repro.resilience.errors.StaleEpochWarning`).
     """
@@ -142,6 +145,7 @@ class CommitInfo:
     improved: int = 0
     predicted_seconds: float = 0.0
     actual_seconds: float = 0.0
+    actual_ops: float = 0.0
     degraded: bool = False
     error: str | None = None
     router: dict[str, Any] = field(default_factory=dict)

@@ -38,9 +38,14 @@ from repro.plan.keys import (
     plan_id as _plan_id,
     structure_hash,
 )
+from repro.plan.router import DEFAULT_OPS_PER_SECOND, sweep_seconds
 from repro.resilience.errors import PlanMismatchError
 from repro.symbolic.fill import symbolic_cholesky
-from repro.symbolic.structure import SupernodalStructure, build_structure
+from repro.symbolic.structure import (
+    SupernodalStructure,
+    build_structure,
+    superfw_snode_ops,
+)
 from repro.util.timing import TimingBreakdown
 
 #: On-disk format version of :meth:`Plan.save`.  v2 adds the reduction
@@ -389,29 +394,16 @@ def _modeled_cost(
 ) -> dict[str, Any]:
     """Score one candidate ordering from its symbolic structure alone.
 
-    Applies the router's supernodal work law — ``2c³ + 4c²r + 2cr²``
-    semiring ops for a supernode of width ``c`` with ``r`` fill rows —
-    plus its per-supernode dispatch overhead, converted to seconds with
-    the same default rate the cost-model router starts from, so
-    ``ordering="auto"`` picks the candidate the router would predict to
-    solve fastest.
+    Prices the candidate exactly as the cost-model router prices a warm
+    solve: the exact SuperFW op count
+    (:func:`~repro.symbolic.structure.superfw_snode_ops`) through
+    :func:`~repro.plan.router.sweep_seconds` at the router's default
+    rate, so ``ordering="auto"`` picks the candidate the router would
+    predict to solve fastest.
     """
-    from repro.plan.router import (
-        DEFAULT_OPS_PER_SECOND,
-        SNODE_OVERHEAD_SECONDS,
-    )
-
-    widths = np.array(
-        [structure.snode_size(s) for s in range(structure.ns)],
-        dtype=np.float64,
-    )
-    rows = np.array([r.shape[0] for r in snode_rows], dtype=np.float64)
-    ops = float(
-        np.sum(
-            2.0 * widths**3 + 4.0 * widths**2 * rows + 2.0 * widths * rows**2
-        )
-    )
-    fronts = widths + rows
+    widths = np.diff(structure.snode_ptr)
+    fronts = widths + np.array([r.shape[0] for r in snode_rows], dtype=np.int64)
+    ops = float(superfw_snode_ops(structure).sum())
     return {
         "fill_in": int(structure.fill_in),
         "nnz_factor": int(structure.nnz_factor),
@@ -419,8 +411,9 @@ def _modeled_cost(
         "max_snode": int(widths.max()) if widths.size else 0,
         "max_front": int(fronts.max()) if fronts.size else 0,
         "modeled_ops": ops,
-        "modeled_seconds": ops / DEFAULT_OPS_PER_SECOND
-        + structure.ns * SNODE_OVERHEAD_SECONDS,
+        "modeled_seconds": sweep_seconds(
+            ops, structure.ns, DEFAULT_OPS_PER_SECOND
+        ),
     }
 
 

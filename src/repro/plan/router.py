@@ -14,16 +14,16 @@ reach the next epoch:
   this, because only an insert changes the pattern).
 
 The router prices the legal candidates with a calibrated cost model and
-picks the cheapest.  Solve cost comes from the plan's own fill rows —
-the per-supernode ``2c(c² + 2cr + 2r²)`` semiring-op law the paper's
-work analysis derives, with supernode width ``c`` and fill-row count
-``r`` — and fold cost from the rank-k shape ``2(p³ + np² + pn²)``.
-Ops convert to seconds through per-path rates seeded from the
+picks the cheapest.  Solve cost is the plan's exact SuperFW op count
+(:func:`~repro.symbolic.structure.superfw_snode_ops`), and fold cost
+comes from the rank-k shape ``2(p³ + np² + pn²)``.  Ops convert to
+seconds through :func:`sweep_seconds`, the formula ``ordering="auto"``
+ranks by too, with per-path rates seeded from the
 :class:`~repro.semiring.engine.SemiringGemmEngine` AutoTuner counters
 (measured min-plus throughput) and then EWMA-calibrated from each
-commit's observed cost, so predictions track the machine the session is
-actually running on.  Decisions and predicted/actual costs land in
-``APSPResult.meta["router"]`` and the ``router.*`` obs metrics.
+commit's measured ops and seconds, so predictions track the machine the
+session is actually running on.  Decisions and predicted/actual costs
+land in ``APSPResult.meta["router"]`` and the ``router.*`` obs metrics.
 """
 
 from __future__ import annotations
@@ -31,13 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.obs import get_tracer
+from repro.symbolic.structure import superfw_snode_ops
 
 #: Fallback min-plus throughput (scalar semiring ops / second) before
 #: any engine counters or observed commits exist to calibrate against.
-DEFAULT_OPS_PER_SECOND = 2.0e8
+#: With :data:`SNODE_OVERHEAD_SECONDS`, a least-squares fit of
+#: :func:`sweep_seconds` to 56 warm ``superfw`` solves (7 suite graphs at
+#: size factors 0.25 and 0.5, ND and AMD, with and without reductions)
+#: on a 2-core Intel Xeon with NumPy 2.4.
+DEFAULT_OPS_PER_SECOND = 4.0e8
 
 #: EWMA smoothing for observed rates (higher = adapt faster).
 EWMA_ALPHA = 0.5
@@ -46,7 +49,7 @@ EWMA_ALPHA = 0.5
 #: structures with tiny supernodes (planar separators) the sweep's
 #: per-task Python overhead dominates its raw op count, so pricing a
 #: solve by ops alone would make it look as cheap as a rank-1 fold.
-SNODE_OVERHEAD_SECONDS = 5e-5
+SNODE_OVERHEAD_SECONDS = 2.5e-4
 
 #: Fixed cost of one rank-k fold (terminal gather + three GEMM calls).
 FOLD_OVERHEAD_SECONDS = 2e-4
@@ -79,25 +82,9 @@ class RouterDecision:
         }
 
 
-def solve_ops_estimate(plan) -> float:
-    """Semiring-op estimate for one warm solve on ``plan``.
-
-    Sums the supernodal work law over the plan's fill rows: eliminating
-    a supernode of width ``c`` with ``r`` fill rows costs ``~2c³`` for
-    the diagonal closure, ``2·2c²r`` for the two panels, and ``2cr²``
-    for the trailing outer product.
-    """
-    widths = np.array(
-        [plan.structure.snode_size(s) for s in range(plan.structure.ns)],
-        dtype=np.float64,
-    )
-    rows = np.array(
-        [r.shape[0] for r in plan.snode_rows], dtype=np.float64
-    )
-    return float(
-        np.sum(2.0 * widths**3 + 4.0 * widths**2 * rows
-               + 2.0 * widths * rows**2)
-    )
+def sweep_seconds(ops: float, snodes: int, rate: float) -> float:
+    """Seconds of one sweep: ``ops / rate`` plus per-supernode dispatch."""
+    return ops / rate + snodes * SNODE_OVERHEAD_SECONDS
 
 
 def fold_ops_estimate(n: int, p: int) -> float:
@@ -122,8 +109,8 @@ class UpdateRouter:
 
     # -- calibration ---------------------------------------------------
     def bind_plan(self, plan) -> None:
-        """(Re)fit the solve estimate to a plan's fill rows."""
-        self._solve_ops = solve_ops_estimate(plan)
+        """(Re)fit the solve estimate to a plan's exact op count."""
+        self._solve_ops = float(superfw_snode_ops(plan.structure).sum())
         self._snodes = int(plan.structure.ns)
         measured = plan.preprocessing_seconds()
         if measured > 0:
@@ -177,8 +164,9 @@ class UpdateRouter:
         }
         secs = {
             "fold": ops["fold"] / self.rate("fold") + FOLD_OVERHEAD_SECONDS,
-            "resolve": ops["resolve"] / self.rate("resolve")
-            + self._snodes * SNODE_OVERHEAD_SECONDS,
+            "resolve": sweep_seconds(
+                ops["resolve"], self._snodes, self.rate("resolve")
+            ),
         }
         if inserts:
             # Only an insert changes the pattern: re-analysis pays the

@@ -438,9 +438,10 @@ class APSPSession:
                 new_dist, weights_sha(self.graph.weights),
                 source="fold", meta={"router": info.router},
             )
+            # The fold has no op counter; its rank-k shape fixes its work.
+            info.actual_ops = fold_ops_estimate(g.n, len(terminals))
             self.router.observe(
-                "fold", fold_ops_estimate(g.n, len(terminals)),
-                time.perf_counter() - started,
+                "fold", info.actual_ops, time.perf_counter() - started
             )
         else:
             if decision.action == "reanalyze" or structural:
@@ -468,13 +469,13 @@ class APSPSession:
             else:
                 result.meta["router"] = info.router
                 self._epoch.meta["router"] = info.router
+                info.actual_ops = float(result.ops.total)
                 self.router.observe(
-                    "resolve",
-                    decision.predicted_ops["resolve"],
-                    time.perf_counter() - started,
+                    "resolve", info.actual_ops, time.perf_counter() - started
                 )
         info.actual_seconds = time.perf_counter() - started
         info.router["actual_seconds"] = round(info.actual_seconds, 6)
+        info.router["actual_ops"] = info.actual_ops
         if not info.degraded:
             info.epoch_index = self._epoch.index
         self.commits += 1

@@ -25,8 +25,9 @@ stalls it forever.  This module closes both holes:
 * :class:`SupervisorPolicy` — tunables, including the
   ``max_pool_rebuilds`` budget after which the supervisor gives up with
   a typed :class:`~repro.resilience.errors.WorkerCrashError` /
-  :class:`~repro.resilience.errors.SolveTimeoutError` so the caller can
-  escalate process → thread → sequential.
+  :class:`~repro.resilience.errors.SolveTimeoutError`, and the
+  ``escalate`` executor (thread or sequential) the solve then continues
+  on in-process.
 
 Observability: rebuilds emit ``resilience.recover.rebuild`` /
 ``resilience.recover.redispatch`` spans and bump the
@@ -87,11 +88,10 @@ class SupervisorPolicy:
         rebuild raises :class:`WorkerCrashError` (or
         :class:`SolveTimeoutError` for deadline exhaustion).
     escalate:
-        In-process executors the solve may continue on once the rebuild
-        budget is exhausted, from ``("thread", "sequential")``.  The
-        remaining groups move to the first entry, which never gives up
-        with a worker crash and so finishes the solve.  Empty means
-        fail fast with the typed error.
+        In-process executor the solve continues on once the rebuild
+        budget is exhausted: ``"thread"`` or ``"sequential"``.  It never
+        gives up with a worker crash, so it finishes the solve.  ``None``
+        means fail fast with the typed error.
     """
 
     task_timeout: float | None = None
@@ -99,14 +99,13 @@ class SupervisorPolicy:
     heartbeat_timeout: float = 10.0
     poll_interval: float = 0.05
     max_pool_rebuilds: int = 2
-    escalate: tuple[str, ...] = ("thread", "sequential")
+    escalate: str | None = "thread"
 
     def __post_init__(self) -> None:
-        bad = [b for b in self.escalate if b not in ("thread", "sequential")]
-        if bad:
+        if self.escalate not in ("thread", "sequential", None):
             raise ValueError(
-                f"unknown escalation backend(s) {bad}; "
-                "use 'thread' and/or 'sequential'"
+                f"unknown escalation backend {self.escalate!r}; "
+                "use 'thread', 'sequential' or None"
             )
 
 

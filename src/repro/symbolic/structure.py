@@ -146,6 +146,42 @@ class SupernodalStructure:
         }
 
 
+def panel_rows(structure: SupernodalStructure) -> np.ndarray:
+    """Per-supernode panel height ``|D(s)| + |A(s)|`` of the exact sweep.
+
+    ``D(s)`` counts every vertex below ``s`` in the supernodal etree — one
+    ascending pass of subtree sums, since parents outnumber their
+    children — and ``A(s)`` the vertices of the exact fill block rows
+    (:meth:`SupernodalStructure.ancestor_vertices` with ``exact=True``).
+    No row arrays are built.
+    """
+    widths = np.diff(structure.snode_ptr)
+    subtree = widths.tolist()
+    for s, p in enumerate(structure.parent.tolist()):
+        if p >= 0:
+            subtree[p] += subtree[s]
+    blocks = structure.fill_block_rows
+    owner = np.repeat(np.arange(structure.ns), [blk.shape[0] for blk in blocks])
+    flat = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    anc = np.bincount(owner, weights=widths[flat], minlength=structure.ns)
+    return np.asarray(subtree, dtype=np.int64) - widths + anc.astype(np.int64)
+
+
+def superfw_snode_ops(structure: SupernodalStructure) -> np.ndarray:
+    """Scalar semiring ops of eliminating each supernode (paper §4.1).
+
+    A supernode of width ``b`` with ``r`` panel rows (:func:`panel_rows`)
+    costs ``2b³`` for DiagUpdate, ``2·2b²r`` for the two PanelUpdates and
+    ``2br²`` for the OuterUpdate.  The total equals the ``OpCounter`` of
+    an exact-panel SuperFW sweep on this structure, on every executor.
+    This is the one cost law behind the update router, ``ordering="auto"``
+    and the scaling simulator.
+    """
+    b = np.diff(structure.snode_ptr).astype(np.int64)
+    r = panel_rows(structure)
+    return 2 * b**3 + 4 * b * b * r + 2 * b * r * r
+
+
 def build_structure(
     sym: SymbolicFactor,
     *,

@@ -100,8 +100,9 @@ def test_speedup_curve_shape():
 # ----------------------------------------------------------------------
 def test_supernode_costs_positive(mesh_graph):
     plan = analyze(mesh_graph, seed=0)
-    for s in range(plan.structure.ns):
-        task = supernode_costs(plan.structure, s)
+    tasks = supernode_costs(plan.structure)
+    assert len(tasks) == plan.structure.ns
+    for s, task in enumerate(tasks):
         assert task.work > 0 and task.depth > 0
         lo, hi = plan.structure.col_range(s)
         assert task.depth == 3 * (hi - lo)

@@ -61,7 +61,9 @@ def test_coerce_policy_variants():
 
 def test_policy_rejects_unknown_escalation():
     with pytest.raises(ValueError, match="escalation"):
-        SupervisorPolicy(escalate=("thread", "gpu"))
+        SupervisorPolicy(escalate="gpu")
+    with pytest.raises(ValueError, match="escalation"):
+        SupervisorPolicy(escalate=("thread", "sequential"))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def test_certain_kills_escalate_to_thread_bit_identically(grid_graph):
     expected = superfw(grid_graph).dist
     # Rate 1.0 defeats every redispatch epoch, so the rebuild budget is
     # guaranteed to exhaust and the solve must finish on the escalation
-    # chain — whose in-process backends the origin_pid guard exempts
+    # executor — whose in-process backends the origin_pid guard exempts
     # from chaos.
     with inject_faults(FaultSpec(seed=0, worker_kill_rate=1.0)):
         r = parallel_superfw(
@@ -260,6 +262,19 @@ def test_certain_kills_escalate_to_thread_bit_identically(grid_graph):
     assert r.meta["recovery"]["escalations"] == ["thread"]
 
 
+def test_certain_kills_escalate_to_sequential_bit_identically(grid_graph):
+    expected = superfw(grid_graph).dist
+    with inject_faults(FaultSpec(seed=0, worker_kill_rate=1.0)):
+        r = parallel_superfw(
+            grid_graph,
+            backend="process",
+            num_workers=2,
+            supervise={"max_pool_rebuilds": 0, "escalate": "sequential"},
+        )
+    assert np.array_equal(expected, r.dist)
+    assert r.meta["recovery"]["escalations"] == ["sequential"]
+
+
 def test_exhaustion_without_escalation_raises_worker_crash(grid_graph):
     with inject_faults(FaultSpec(seed=0, worker_kill_rate=1.0)):
         with pytest.raises(WorkerCrashError) as info:
@@ -267,7 +282,7 @@ def test_exhaustion_without_escalation_raises_worker_crash(grid_graph):
                 grid_graph,
                 backend="process",
                 num_workers=2,
-                supervise={"max_pool_rebuilds": 0, "escalate": ()},
+                supervise={"max_pool_rebuilds": 0, "escalate": None},
             )
     assert info.value.cause == "crash"
     assert info.value.pending  # the unfinished level rides on the error
@@ -295,7 +310,7 @@ def test_session_pool_survives_exhausted_solve(grid_graph):
                     grid_graph,
                     backend="process",
                     pool=pool,
-                    supervise={"max_pool_rebuilds": 0, "escalate": ()},
+                    supervise={"max_pool_rebuilds": 0, "escalate": None},
                 )
         # ensure_alive() must transparently rebuild the terminated pool —
         # and the rebuild (now outside the fault context) comes up clean.
