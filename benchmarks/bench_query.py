@@ -2,9 +2,13 @@
 
 Standalone script (not pytest-benchmark) emitting ``BENCH_query.json``:
 
-* ``build`` — per suite graph: one cold SuperFW solve vs one
-  ``HubLabelIndex`` build (which *includes* its own solve).  The gate is
-  build ≤ ``--check-max-build-ratio`` (default 3x) times the solve.
+* ``build`` — per suite graph: one cold SuperFW solve vs one cold
+  ``DistanceServer`` build (plan analysis plus the factor-built labels;
+  no solve).  The gate is build ≤ ``--check-max-build-ratio``
+  (default 3x) times the solve.  ``build_peak_bytes`` is the traced
+  allocation peak of one more label build on the same plan, beside
+  ``dense_bytes``, the ``8n²`` of the matrix that build never
+  allocates.
 * ``throughput`` — random pairs streamed through
   :meth:`~repro.serve.server.DistanceServer.query_many` in
   ``--batch-size`` batches on a warm index; every suite graph must clear
@@ -29,13 +33,14 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.core.superfw import superfw
 from repro.graphs.suite import build_suite
 from repro.plan import APSPSession
-from repro.serve import DistanceServer
+from repro.serve import DistanceServer, HubLabelIndex
 
 #: Suite subset the serving gates run on (mixed road / mesh / power /
 #: social / random classes, like the paper's Table 3 spread).
@@ -73,13 +78,23 @@ def bench_graph(entry, graph, *, queries: int, batch_size: int,
     cold = superfw(graph, seed=0)
     solve_s = time.perf_counter() - t0
 
-    # Timed cold: session construction (plan analysis) + solve + label
-    # slicing all inside the window.
+    # Timed cold: session construction (plan analysis) + factor-built
+    # labels, all inside the window.
     t0 = time.perf_counter()
     server = DistanceServer(graph)
     index = server.refresh()
     build_s = time.perf_counter() - t0
     build_ratio = build_s / max(solve_s, 1e-12)
+
+    # Untimed: the allocation peak of one more build on the same plan.
+    spare = APSPSession(graph, plan=server.session.plan)
+    tracemalloc.start()
+    try:
+        HubLabelIndex.build(spare)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spare.close()
 
     sources, targets = _sample_pairs(graph.n, queries, seed=1)
     t0 = time.perf_counter()
@@ -99,6 +114,9 @@ def bench_graph(entry, graph, *, queries: int, batch_size: int,
         "solve_s": round(solve_s, 6),
         "build_s": round(build_s, 6),
         "build_ratio": round(build_ratio, 3),
+        "index_source": index.source,
+        "build_peak_bytes": build_peak,
+        "dense_bytes": 8 * graph.n * graph.n,
         "queries": queries,
         "batch_size": batch_size,
         "query_s": round(query_s, 6),
@@ -113,7 +131,8 @@ def bench_graph(entry, graph, *, queries: int, batch_size: int,
     }
     print(
         f"{entry.name:>15}: n={graph.n:5d} | solve {solve_s * 1e3:7.1f} ms | "
-        f"build {build_s * 1e3:7.1f} ms (x{build_ratio:.2f}) | "
+        f"build {build_s * 1e3:7.1f} ms (x{build_ratio:.2f}, "
+        f"peak {build_peak / 2**20:.1f} MiB) | "
         f"{qps:>11,.0f} q/s | width {sizes.mean():.1f}/{int(sizes.max())} | "
         f"{mismatches} mismatches"
     )

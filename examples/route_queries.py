@@ -8,8 +8,9 @@ wasted work.  The DPC/P3C + hub-label solver (paper reference [33],
 and answers an arbitrary pair in label-join time — the concrete answer to
 the paper's closing question about the APSP "hierarchy of methods".
 When *many* clients query concurrently, the serving tier (`repro.serve`)
-adds the third regime: a 2-hop hub-label index sliced from one SuperFW
-epoch, served batched behind a `DistanceServer`.
+adds the third regime: a 2-hop hub-label index built from the same
+supernodal factor SuperFW sweeps (no n² matrix), served batched behind
+a `DistanceServer` and rebuilt from every epoch a commit publishes.
 """
 
 from __future__ import annotations
@@ -63,16 +64,17 @@ def main() -> None:
     print(f"one SSSP row from the factor: {t_row * 1e3:.1f} ms "
           f"(vs {t_full / g.n * 1e3:.1f} ms amortized in the full solve)")
 
-    # Route C: serve *many* queries — the DistanceServer slices a 2-hop
-    # hub-label index out of one SuperFW epoch and answers whole batches
-    # with a few vectorized passes.
+    # Route C: serve *many* queries — the DistanceServer builds a 2-hop
+    # hub-label index straight from the factor (no solve, no n² matrix)
+    # and answers whole batches with a few vectorized passes.
     t0 = time.perf_counter()
     server = DistanceServer(g)
     index = server.refresh()
     t_index = time.perf_counter() - t0
     sizes = index.label_sizes()
     print(f"\nDistanceServer index: {index.entries} label entries "
-          f"(mean width {sizes.mean():.1f}) in {t_index:.2f}s")
+          f"(mean width {sizes.mean():.1f}) built from the {index.source} "
+          f"in {t_index:.2f}s")
 
     n_q = 100_000
     sources = rng.integers(0, g.n, n_q)

@@ -321,7 +321,7 @@ def _cmd_query(args) -> int:
         f"index: {index.entries} label entries over {graph.n} vertices "
         f"in {index.ncomp} shard(s) (mean width {sizes.mean():.1f}, "
         f"max width {int(sizes.max()) if graph.n else 0}), "
-        f"built in {build_s * 1e3:.1f} ms"
+        f"built from the {index.source} in {build_s * 1e3:.1f} ms"
     )
     for a, b in pairs:
         print(f"dist({a}, {b}) = {server.query(a, b):.6g}")
@@ -345,8 +345,11 @@ def _cmd_query(args) -> int:
         for key, value in sorted(server.stats().items()):
             print(f"{key}: {value}")
     if args.verify:
+        # Check the index built above (factor-built when the session had
+        # no epoch yet): reading the full matrix publishes an epoch, after
+        # which the server would rebuild from it.
         return _verify_queries(
-            graph, pairs + rand_pairs, args, server.query,
+            graph, pairs + rand_pairs, args, index.query_one,
             dist=np.asarray(server.session.dist),
         )
     return 0

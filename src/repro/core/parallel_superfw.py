@@ -253,13 +253,17 @@ class SharedPlanPool:
             HeartbeatBoard.create(self.num_workers) if heartbeat else None
         )
         self._hb_interval = float(heartbeat_interval)
-        # Fork-inherited: travels to workers through initargs unpickled.
-        self._claim_lock = get_context("fork").Lock() if heartbeat else None
+        self._claim_lock = None
         self._pool = self._build_pool()
 
     def _build_pool(self) -> ProcessPoolExecutor:
         heartbeat = None
         if self.heartbeats is not None:
+            # A fresh claim lock per pool, fork-inherited through initargs
+            # unpickled: a worker SIGKILLed while claiming its row leaves
+            # its pool's lock held for good, which would block every
+            # worker of a rebuilt pool in its initializer.
+            self._claim_lock = get_context("fork").Lock()
             heartbeat = (
                 self.heartbeats.name, self.heartbeats.slots, self._claim_lock
             )

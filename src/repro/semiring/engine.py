@@ -51,6 +51,7 @@ metric, and each shape bucket's first strategy decision is emitted as an
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -99,7 +100,7 @@ class WorkspacePool:
         are arbitrary (callers must fully overwrite it).
         """
         store = self._store()
-        need = int(np.prod(shape)) if shape else 1
+        need = math.prod(shape)
         flat = store.get(key)
         if flat is None or flat.dtype != np.dtype(dtype) or flat.size < need:
             store[key] = flat = np.empty(need, dtype=dtype)
@@ -134,6 +135,9 @@ class AutoTuner:
     def __init__(self, cache_path: str | os.PathLike | None = None) -> None:
         self.cache_path = os.fspath(cache_path) if cache_path else None
         self.entries: dict[str, dict[str, Any]] = {}
+        #: Bumped by every :meth:`record` and :meth:`load`, so an engine
+        #: can tell that its memoized strategy picks went stale.
+        self.generation = 0
         if self.cache_path and os.path.exists(self.cache_path):
             self.load(self.cache_path)
 
@@ -155,6 +159,7 @@ class AutoTuner:
         if times:
             entry["seconds"] = {s: round(t, 6) for s, t in times.items()}
         self.entries[self.key(m, k, n, dtype)] = entry
+        self.generation += 1
 
     def save(self, path: str | os.PathLike | None = None) -> str:
         """Atomically write the table as JSON; returns the path written."""
@@ -179,6 +184,7 @@ class AutoTuner:
             {k: v for k, v in entries.items()
              if isinstance(v, dict) and v.get("strategy") in STRATEGIES}
         )
+        self.generation += 1
 
 
 class SemiringGemmEngine:
@@ -234,6 +240,9 @@ class SemiringGemmEngine:
         # Shape buckets already announced to a tracer as "autotune"
         # instants — one event per bucket, not per gemm call.
         self._announced: set[str] = set()
+        # Untraced dispatch memo: (tuner, generation, {(m, k, n, dtype):
+        # choose()'s pick}), valid while the tuner is unchanged.
+        self._memo: tuple[AutoTuner | None, int, dict[tuple, str]] = (None, -1, {})
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -278,6 +287,30 @@ class SemiringGemmEngine:
                 )
         return name
 
+    def _memoized_choice(self, m: int, k: int, n: int, dtype) -> str:
+        """:meth:`choose` memoized per exact shape and dtype.
+
+        ``choose`` formats a bucket key and consults the tuner table on
+        every call, which costs more than a small product itself.  The
+        memo is dropped whenever the tuner changes (:meth:`calibrate`,
+        :meth:`AutoTuner.load`, or a replaced ``tuner``).
+        """
+        if self.strategy != "auto":
+            return self.strategy
+        tuner = self.tuner
+        owner, generation, memo = self._memo
+        if owner is not tuner or generation != tuner.generation:
+            # Swap in a fresh stamped dict with one assignment: a thread
+            # still holding the old one only writes into a memo nobody
+            # reads again.
+            memo = {}
+            self._memo = (tuner, tuner.generation, memo)
+        key = (m, k, n, dtype)
+        name = memo.get(key)
+        if name is None:
+            name = memo[key] = self.choose(m, k, n, dtype)
+        return name
+
     # ------------------------------------------------------------------
     # The GEMM entry point
     # ------------------------------------------------------------------
@@ -313,9 +346,16 @@ class SemiringGemmEngine:
             out.fill(np.inf)
         if kdim == 0 or m == 0 or n == 0:
             return out
-        name = strategy or self.choose(m, kdim, n, out.dtype)
-        kernel = _KERNELS[name]
         tracer = get_tracer()
+        if strategy:
+            name = strategy
+        elif tracer.enabled:
+            # Traced dispatch goes through choose() so every shape
+            # bucket's first decision still emits its autotune instant.
+            name = self.choose(m, kdim, n, out.dtype)
+        else:
+            name = self._memoized_choice(m, kdim, n, out.dtype)
+        kernel = _KERNELS[name]
         if tracer.enabled:
             # Attribute dicts are built only on the traced path: gemm is
             # the hottest call site in the library.

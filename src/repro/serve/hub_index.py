@@ -25,11 +25,10 @@ vertex etree chain, and ``parent(s) > s`` always.  So taking
 
 (with ``p(v)`` the permuted position of ``v``) is a superset of the
 etree-ancestor hub set and therefore a *valid* 2-hop cover.  The extra
-vertices are harmless: label distances are sliced from an exact
-published epoch, so any hub only ever contributes ``d(u→h) + d(h→v) ≥
-dist(u, v)`` by the triangle inequality.  Label sizes are bounded by the
-separator-chain length — the quantity small nested-dissection separators
-directly minimize.
+vertices are harmless: every label distance is exact, so any hub only
+ever contributes ``d(u→h) + d(h→v) ≥ dist(u, v)`` by the triangle
+inequality.  Label sizes are bounded by the separator-chain length —
+the quantity small nested-dissection separators directly minimize.
 
 **Why the join is a shared suffix.**  Written as a sequence, the chain
 of supernode ``s`` is ``chain(s) = [lo_s .. hi_s) ++ chain(parent(s))``
@@ -42,13 +41,18 @@ answers each pair by lining up the last ``L`` entries of both labels —
 no keys, sort or ``searchsorted``.  The LCA comes from binary lifting
 over the supernodal etree, ``~log₂(depth)`` numpy passes per batch.
 
-The labels are *sliced*, not recomputed: the index is built against a
-published :class:`~repro.plan.epoch.Epoch` of an
-:class:`~repro.plan.session.APSPSession`, so index construction costs
-one warm solve (reused if the session already solved) plus one flat
-``O(total label entries)`` gather — and every label distance is a
-bit-identical entry of the matrix the write path published (answers
-are sums of two of them, so float weights can round differently).
+**Where the label distances come from.**  A session with no published
+epoch and a plan without a reduction trail gets its labels from the
+factor (:mod:`repro.serve.factor`): an ascending supernodal DPC and a
+descending chain pass compute exactly the chain blocks the labels
+need, with no solve and no ``n x n`` array.  Once the session has
+published an epoch — and always for a plan with a reduction trail —
+the labels are sliced from that epoch instead, solving first when
+there is none, in one flat ``O(total label entries)`` gather.  Both
+sources are exact; on dyadic weights (sums exact in float64) a
+factor-built index is bit-identical to the epoch-sliced one, and in
+general each label distance may differ from the epoch's entry by
+rounding.
 
 Storage is CSR over *original* vertex ids: ``ptr``/``hubs``/``dto``/
 ``dfrom``, with hubs kept as permuted positions so every label array is
@@ -66,7 +70,12 @@ import numpy as np
 
 from repro.graphs.components import connected_components
 from repro.obs import get_tracer
+from repro.obs.metrics import OpCounter
 from repro.plan.session import APSPSession
+from repro.resilience.checkpoint import weights_sha
+from repro.resilience.errors import NegativeCycleError
+from repro.semiring.engine import use_engine
+from repro.serve.factor import chain_lengths, factor_chain_blocks
 
 
 def _vertex_ids(values) -> np.ndarray:
@@ -126,7 +135,7 @@ def _lifting(parent: np.ndarray):
 
 
 class HubLabelIndex:
-    """Immutable 2-hop label set for one published epoch.
+    """Immutable 2-hop label set for one state of a session.
 
     Build with :meth:`build`; query with :meth:`query_one` /
     :meth:`query_many`.  Instances are never mutated after construction —
@@ -157,20 +166,26 @@ class HubLabelIndex:
         the length of its ancestor chain.  ``None`` for an index built
         from a plan with a reduction trail, which joins by sorted merge.
     epoch_index, weights_digest, plan_id:
-        Identity of the epoch/plan this index was sliced from.
+        Identity of the epoch/plan this index was built from;
+        ``epoch_index`` is ``-1`` for a factor-built index, whose
+        ``weights_digest`` is that of the session's weights.
+    source:
+        ``"factor"`` (built from the plan and weights, no epoch) or
+        ``"epoch"`` (sliced from a published epoch).
     """
 
     __slots__ = (
         "n", "directed", "ptr", "hubs", "dto", "dfrom", "perm",
         "comp", "ncomp", "snode", "depth", "up", "chain_len",
-        "epoch_index", "weights_digest", "plan_id",
+        "epoch_index", "weights_digest", "plan_id", "source",
         "build_seconds", "solve_seconds",
     )
 
     def __init__(self, *, n, directed, ptr, hubs, dto, dfrom, perm, comp,
-                 ncomp, epoch_index, weights_digest, plan_id, snode=None,
-                 depth=None, up=None, chain_len=None,
-                 build_seconds=0.0, solve_seconds=0.0) -> None:
+                 ncomp, epoch_index, weights_digest, plan_id,
+                 source="epoch", snode=None, depth=None, up=None,
+                 chain_len=None, build_seconds=0.0,
+                 solve_seconds=0.0) -> None:
         self.n = int(n)
         self.directed = bool(directed)
         self.ptr = ptr
@@ -187,6 +202,7 @@ class HubLabelIndex:
         self.epoch_index = int(epoch_index)
         self.weights_digest = weights_digest
         self.plan_id = plan_id
+        self.source = source
         self.build_seconds = float(build_seconds)
         self.solve_seconds = float(solve_seconds)
         for arr in (self.ptr, self.hubs, self.dto, self.dfrom, self.comp,
@@ -196,30 +212,61 @@ class HubLabelIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, session: APSPSession) -> "HubLabelIndex":
-        """Slice a label index out of ``session``'s published epoch.
+        """Build the label index for ``session``'s current weights.
 
-        Solves first if the session has no epoch yet, and re-solves if a
-        structural commit dropped the plan (the labels need plan and
-        epoch to describe the *same* structure and weights).  Reported
-        under the ``hub-index-build`` span with per-phase children.
+        With no published epoch and a plan without a reduction trail,
+        the labels come from the factor (:mod:`repro.serve.factor`): no
+        solve runs and no ``n x n`` array is allocated.  Otherwise they
+        are sliced from the published epoch, solving first if there is
+        none, and re-solving if a structural commit dropped the plan
+        (plan and epoch must describe the *same* structure and weights).
+        Reported under the ``hub-index-build`` span, whose ``source``
+        is ``"factor"`` or ``"epoch"`` and whose ``ops`` counts the
+        semiring ops the build ran, with per-phase children.
         """
         tracer = get_tracer()
         t0 = time.perf_counter()
-        with tracer.span("hub-index-build", n=session.graph.n):
+        with session._write_lock:  # one consistent (graph, plan, epoch)
+            graph, plan, epoch = session.graph, session.plan, session._epoch
+        from_factor = epoch is None and plan is not None and plan.trail is None
+        source = "factor" if from_factor else "epoch"
+        with tracer.span("hub-index-build", n=graph.n,
+                         source=source) as build_span:
             solve_s = 0.0
-            with tracer.span("hub-index-solve"):
-                if session.plan is None or session._epoch is None:
-                    t1 = time.perf_counter()
-                    session.solve()
-                    solve_s = time.perf_counter() - t1
-            epoch = session.epoch
-            plan = session.plan
-            st = plan.structure
+            ops = OpCounter()
+            if from_factor:
+                dtype = np.dtype(session.solve_options.get("dtype", np.float64))
+                st = plan.structure
+                with tracer.span("hub-index-factor", ns=st.ns), \
+                        use_engine(session.solve_options.get("engine")):
+                    try:
+                        blocks = factor_chain_blocks(
+                            st, plan.snode_rows, graph, plan.ordering.perm,
+                            dtype=dtype, counter=ops,
+                        )
+                    except NegativeCycleError:
+                        # The session's solve raises the canonical error
+                        # (same witness) for the same weights.
+                        session.solve()
+                        raise
+                epoch_index = -1
+                weights_digest = weights_sha(graph.weights)
+            else:
+                with tracer.span("hub-index-solve"):
+                    if session.plan is None or session._epoch is None:
+                        t1 = time.perf_counter()
+                        ops.merge(session.solve().ops)
+                        solve_s = time.perf_counter() - t1
+                epoch = session.epoch
+                plan = session.plan
+                st = plan.structure
+                dist = np.asarray(epoch.dist)
+                epoch_index = epoch.index
+                weights_digest = epoch.weights_digest
             trail = plan.trail
             n = plan.n
             nr = st.n
             perm = np.asarray(plan.ordering.perm, dtype=np.int64)
-            dist = np.asarray(epoch.dist)
             # ``orig_of[p]`` is the *original* vertex id sitting at reduced
             # permuted position ``p`` — with no trail the reduced graph is
             # the original graph and this is just ``perm``.
@@ -250,10 +297,8 @@ class HubLabelIndex:
                 for j in range(up.shape[0]):
                     step = ((k >> j) & 1).astype(bool)
                     anc[step] = up[j, anc[step]]
-                run = np.diff(st.snode_ptr)[anc]
-                chain_pos = _ranges(st.snode_ptr[anc], run)
-                chain_len = (np.add.reduceat(run, np.cumsum(hops) - hops)
-                             if ns else np.zeros(0, dtype=np.int64))
+                chain_pos = _ranges(st.snode_ptr[anc], np.diff(st.snode_ptr)[anc])
+                chain_len = chain_lengths(st)
                 chain_ptr = np.cumsum(chain_len) - chain_len
                 # Reduced position p at offset t of supernode s labels
                 # with chain(s)[t:].
@@ -301,16 +346,30 @@ class HubLabelIndex:
                 ptr = np.zeros(n + 1, dtype=np.int64)
                 np.cumsum(counts, out=ptr[1:])
                 hubs = np.empty(int(ptr[-1]), dtype=np.int64)
-                hubs[_ranges(ptr[orig_of], pos_count)] = chain_pos[
-                    _ranges(pos_start, pos_count)
-                ]
+                dest = _ranges(ptr[orig_of], pos_count)
+                hubs[dest] = chain_pos[_ranges(pos_start, pos_count)]
                 for v, hubs_pos in elim.items():
                     hubs[ptr[v]:ptr[v + 1]] = hubs_pos
-                # One flat gather of every label distance.
-                owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-                hub_ids = hub_orig[hubs]
-                dto = dist[owner, hub_ids]
-                dfrom = dist[hub_ids, owner]
+                if from_factor:
+                    # Row t of supernode s's chain block starts at
+                    # block_ptr[s] + t·|chain(s)|; its label is the
+                    # suffix from column t on.
+                    to_flat, from_flat, block_ptr = blocks
+                    at = _ranges(
+                        block_ptr[st.snode_of]
+                        + offset * (chain_len[st.snode_of] + 1),
+                        pos_count,
+                    )
+                    dto = np.empty(hubs.shape[0], dtype=to_flat.dtype)
+                    dfrom = np.empty_like(dto)
+                    dto[dest] = to_flat[at]
+                    dfrom[dest] = from_flat[at]
+                else:
+                    # One flat gather of every label distance.
+                    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+                    hub_ids = hub_orig[hubs]
+                    dto = dist[owner, hub_ids]
+                    dfrom = dist[hub_ids, owner]
 
             with tracer.span("hub-index-shards"):
                 if trail is not None:
@@ -342,6 +401,7 @@ class HubLabelIndex:
                     comp = rank[inv.ravel()]
                     etree = dict(snode=snode, depth=depth, up=up,
                                  chain_len=chain_len)
+            build_span.set(ops=ops.total)
 
         build_s = time.perf_counter() - t0
         if tracer.enabled:
@@ -351,9 +411,9 @@ class HubLabelIndex:
         return cls(
             n=n, directed=session.directed, ptr=ptr, hubs=hubs, dto=dto,
             dfrom=dfrom, perm=perm, comp=comp, ncomp=ncomp,
-            epoch_index=epoch.index, weights_digest=epoch.weights_digest,
-            plan_id=plan.plan_id, build_seconds=build_s, solve_seconds=solve_s,
-            **etree,
+            epoch_index=epoch_index, weights_digest=weights_digest,
+            plan_id=plan.plan_id, source=source,
+            build_seconds=build_s, solve_seconds=solve_s, **etree,
         )
 
     # ------------------------------------------------------------------

@@ -4,9 +4,10 @@ Composes the read side of the stack the same way
 :class:`~repro.plan.session.APSPSession` composes the write side:
 
 * **index lifecycle** — a :class:`~repro.serve.hub_index.HubLabelIndex`
-  is built lazily from the session's published epoch and swapped
-  atomically (whole-object assignment) whenever a newer epoch publishes,
-  so readers racing a rebuild see either the old consistent index or the
+  is built lazily — from the factor while the session has no published
+  epoch, from the epoch once one publishes — and swapped atomically
+  (whole-object assignment) whenever a newer epoch publishes, so
+  readers racing a rebuild see either the old consistent index or the
   new one, never a half-built label set;
 * **result cache** — a bounded LRU over ``(src, dst)`` pairs (mirroring
   :class:`~repro.plan.cache.PlanCache`) that is invalidated wholesale on
@@ -113,6 +114,9 @@ class DistanceServer:
         self.max_batch = int(max_batch)
         self.result_cache_size = int(result_cache_size)
         self._index: HubLabelIndex | None = None
+        # The session graph the index was built from: a factor-built
+        # index is current only while the session still holds it.
+        self._built_from: Graph | DiGraph | None = None
         self._cache: OrderedDict[tuple[int, int], float] = OrderedDict()
         self._build_lock = threading.Lock()
         self._closed = False
@@ -139,24 +143,27 @@ class DistanceServer:
         return self.refresh()
 
     def refresh(self) -> HubLabelIndex:
-        """Return an index matching the session's published epoch.
+        """Return an index matching the session's current state.
 
-        Cheap when current (one epoch-index comparison).  When the
-        session published a newer epoch — any ``commit()`` or
-        ``solve()`` — the index is rebuilt from it and swapped in
-        atomically, and the result cache is cleared: cached distances
-        belong to the epoch they were answered from.
+        Cheap when current (one epoch-index comparison).  Before the
+        session publishes its first epoch the index is built from the
+        factor (:meth:`HubLabelIndex.build`) and stays current while the
+        session's graph is the one it was built from.  Once an epoch
+        publishes — a lazy ``session.dist`` read, ``solve()`` or
+        ``commit()`` — and whenever a newer one follows, the index is
+        rebuilt from it and swapped in atomically, and the result cache
+        is cleared: cached distances belong to the state they were
+        answered from.
         """
         if self._closed:
             raise RuntimeError("server is closed")
         idx = self._index
-        epoch = self.session._epoch
-        if idx is not None and epoch is not None and idx.epoch_index == epoch.index:
+        if idx is not None and self._current(idx):
             return idx
         with self._build_lock:
-            epoch = self.session._epoch
             idx = self._index
-            if idx is None or epoch is None or idx.epoch_index != epoch.index:
+            if idx is None or not self._current(idx):
+                graph = self.session.graph
                 fresh = HubLabelIndex.build(self.session)
                 if idx is not None:
                     self.rebuilds += 1
@@ -164,8 +171,16 @@ class DistanceServer:
                     if tracer.enabled:
                         tracer.metric_inc("serve.index_rebuilds")
                 self._cache.clear()
+                self._built_from = graph
                 self._index = fresh  # atomic swap, like the epoch publish
             return self._index
+
+    def _current(self, idx: HubLabelIndex) -> bool:
+        """Whether ``idx`` still describes the session's published state."""
+        epoch = self.session._epoch
+        if epoch is None:
+            return idx.source == "factor" and self._built_from is self.session.graph
+        return idx.epoch_index == epoch.index
 
     def _check_stale(self) -> None:
         if not self.session.stale:
@@ -325,6 +340,7 @@ class DistanceServer:
         if idx is not None:
             sizes = idx.label_sizes()
             out["index"] = {
+                "source": idx.source,
                 "epoch": idx.epoch_index,
                 "plan_id": idx.plan_id,
                 "entries": idx.entries,

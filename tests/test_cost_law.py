@@ -3,6 +3,8 @@
 :func:`repro.symbolic.structure.superfw_snode_ops` prices every model
 decision — the update router, ``ordering="auto"`` and the scaling
 simulator — so these tests pin it to the measured op count with ``==``.
+The factor-built hub labels' two passes have their own law,
+:func:`repro.serve.factor.factor_pass_ops`, pinned the same way.
 """
 
 import numpy as np
@@ -17,6 +19,10 @@ from repro.parallel.tasks import supernode_costs
 from repro.plan import APSPSession
 from repro.plan.plan import analyze
 from repro.plan.router import UpdateRouter
+from repro.obs import Tracer, use_tracer
+from repro.obs.metrics import OpCounter
+from repro.serve import HubLabelIndex
+from repro.serve.factor import factor_chain_blocks, factor_pass_ops
 from repro.symbolic.structure import panel_rows, superfw_snode_ops
 
 
@@ -107,3 +113,28 @@ def test_commit_records_measured_ops(grid_graph):
     assert info.actual_ops == sess.last_result.ops.total
     assert info.router["actual_ops"] == info.actual_ops
     assert info.router["predicted_ops"]["resolve"] == info.actual_ops
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_factor_pass_law_equals_its_op_counter(name):
+    build, options = FIXTURES[name]
+    g = build()
+    plan = analyze(g, seed=0, **options)
+    if plan.trail is not None:
+        return  # reduced plans build their labels by solve-and-slice
+    counter = OpCounter()
+    factor_chain_blocks(plan.structure, plan.snode_rows, g, plan.ordering.perm,
+                        counter=counter)
+    ascending, descending = factor_pass_ops(plan.structure, plan.snode_rows)
+    counts = counter.counts
+    assert int(ascending.sum()) == sum(
+        counts.get(k, 0) for k in ("diag", "panel", "outer")
+    )
+    assert int(descending.sum()) == counts.get("descend", 0)
+    # A factor-built index reports the same total on its build span.
+    tracer = Tracer()
+    with use_tracer(tracer):
+        index = HubLabelIndex.build(APSPSession(g, plan=plan))
+    assert index.source == "factor"
+    (span,) = [e for e in tracer.events() if e.name == "hub-index-build"]
+    assert span.args["ops"] == counter.total

@@ -241,3 +241,131 @@ def test_env_var_selects_default_strategy(monkeypatch):
         assert engine_mod.get_engine().strategy == "ktiled"
     finally:
         engine_mod.set_engine(None)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch memo: exact-shape memoization of choose()
+# ---------------------------------------------------------------------------
+
+
+def _memo(engine) -> dict:
+    """The engine's current ``(m, k, n, dtype) -> strategy`` memo."""
+    return engine._memo[2]
+
+
+def _superfw_with(engine, tracer=None):
+    from repro.core.superfw import superfw
+    from repro.graphs.generators import delaunay_mesh
+    from repro.obs import Tracer, use_tracer
+
+    g = delaunay_mesh(160, seed=1)
+    if tracer is None:
+        return superfw(g, engine=engine, seed=0)
+    with use_tracer(tracer):
+        return superfw(g, engine=engine, seed=0)
+
+
+def test_memoized_choice_equals_choose():
+    engine = SemiringGemmEngine("auto")
+    shapes = [(8, 8, 8), (4, 1100, 4), (40, 70, 40), (300, 64, 300),
+              (2000, 64, 2000), (64, 2048, 64)]
+    for m, k, n in shapes:
+        picked = engine._memoized_choice(m, k, n, np.dtype(np.float64))
+        assert picked == engine.choose(m, k, n, np.float64)
+    assert set(_memo(engine).values()) >= {"rank1", "ktiled", "outtiled"}
+    # A real dispatch goes where choose() says.
+    engine.gemm(_rand((4, 1100), seed=1), _rand((1100, 4), seed=2))
+    assert engine.stats_dict()["strategies"]["ktiled"]["calls"] == 1
+
+
+def test_memo_invalidated_by_tuner_changes(tmp_path):
+    engine = SemiringGemmEngine("auto")
+    a, b = _rand((16, 16), seed=1), _rand((16, 16), seed=2)
+    engine.gemm(a, b)
+    assert _memo(engine)[(16, 16, 16, np.dtype(np.float64))] == "rank1"
+    engine.tuner.record(16, 16, 16, np.float64, "outtiled")
+    engine.gemm(a, b)
+    assert engine.stats_dict()["strategies"]["outtiled"]["calls"] == 1
+    # calibrate() re-records every bucket it measures.
+    report = engine.calibrate(shapes=[(16, 16, 16)], repeats=1, persist=False)
+    assert report
+    assert engine._memoized_choice(16, 16, 16, np.dtype(np.float64)) == (
+        engine.tuner.lookup(16, 16, 16, np.float64)
+    )
+    cache = tmp_path / "tune.json"
+    cache.write_text(json.dumps({
+        "version": 1, "entries": {"16x16x16/float64": {"strategy": "ktiled"}},
+    }))
+    engine.tuner.load(cache)
+    before = engine.stats_snapshot()
+    engine.gemm(a, b)
+    delta = engine.stats_dict(since=before)["strategies"]
+    assert list(delta) == ["ktiled"] and delta["ktiled"]["calls"] == 1
+    # An explicit strategy= still forces the kernel past the memo.
+    engine.gemm(a, b, strategy="rank1")
+    assert engine.stats_dict(since=before)["strategies"]["rank1"]["calls"] == 1
+
+
+def test_memo_keeps_stats_and_autotune_events():
+    from repro.obs import Tracer
+
+    memo_engine = SemiringGemmEngine("auto")
+    plain = _superfw_with(memo_engine)
+    assert _memo(memo_engine)  # the untraced solve went through the memo
+    traced_engine = SemiringGemmEngine("auto")
+    tracer = Tracer()
+    traced = _superfw_with(traced_engine, tracer)  # choose() on every call
+
+    def counts(result):
+        return {name: (v["calls"], v["ops"])
+                for name, v in result.meta["engine"]["strategies"].items()}
+
+    assert counts(plain) == counts(traced)
+    assert np.array_equal(plain.dist, traced.dist)
+    # A traced solve on the memo-warm engine still announces each shape
+    # bucket exactly once.
+    tracer = Tracer()
+    _superfw_with(memo_engine, tracer)
+    buckets = [e.args["bucket"] for e in tracer.events() if e.name == "autotune"]
+    assert buckets and len(buckets) == len(set(buckets))
+    tuner = memo_engine.tuner
+    assert set(buckets) == {tuner.key(*shape) for shape in _memo(memo_engine)}
+
+
+def test_memo_under_concurrent_dispatch_and_retuning():
+    import sys
+    import threading
+
+    engine = SemiringGemmEngine("auto")
+    shapes = [(4, 3, 5), (8, 8, 8), (16, 2, 16), (3, 1100, 3), (16, 16, 16)]
+    operands = [(_rand((m, k), seed=i), _rand((k, n), seed=i + 50))
+                for i, (m, k, n) in enumerate(shapes)]
+    oracles = [minplus_inner(a, b) for a, b in operands]
+    wrong: list = []
+
+    def dispatch():
+        for _ in range(40):
+            for (a, b), want in zip(operands, oracles):
+                if not np.array_equal(engine.gemm(a, b), want):
+                    wrong.append((a.shape, b.shape))
+
+    def retune():
+        for i in range(40):
+            engine.tuner.record(16, 16, 16, np.float64, STRATEGIES[i % 3])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=dispatch) for _ in range(4)]
+        threads.append(threading.Thread(target=retune))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    # Whatever raced, the live memo agrees with the final tuner table.
+    for m, k, n, dtype in _memo(engine):
+        assert _memo(engine)[(m, k, n, dtype)] == engine.choose(m, k, n, dtype)

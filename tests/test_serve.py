@@ -1,10 +1,12 @@
 """Serving tier: hub-label index + DistanceServer (read path)."""
 
 import asyncio
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.incremental import quantize_weights
 from repro.core.superfw import superfw
 from repro.graphs import generators
 from repro.graphs.components import connected_components
@@ -13,7 +15,11 @@ from repro.graphs.graph import Graph
 from repro.obs import Tracer, use_tracer
 from repro.ordering.base import Ordering
 from repro.plan import APSPSession, PlanCache
-from repro.resilience.errors import StaleEpochError, UnreachablePairError
+from repro.resilience.errors import (
+    NegativeCycleError,
+    StaleEpochError,
+    UnreachablePairError,
+)
 from repro.serve import DistanceServer, HubLabelIndex
 
 from conftest import scipy_apsp
@@ -440,3 +446,123 @@ def test_server_stats_shape(grid_graph):
     assert stats["index"]["shards"] == 1
     assert stats["index"]["entries"] > 0
     assert stats["result_cache"]["misses"] == 1
+
+
+# ----------------------------------------------------------------------
+# Factor-built labels: no epoch, no n x n matrix.
+# ----------------------------------------------------------------------
+def _dyadic_negative_digraph() -> DiGraph:
+    """Negative arcs, no negative cycle, every weight a multiple of 1/8."""
+    rng = np.random.default_rng(4)
+    h = rng.integers(0, 25, 60) / 8.0
+    arcs = [
+        (int(u), int(v), rng.integers(1, 17) / 8.0 + h[u] - h[v])
+        for u, v in rng.integers(0, 60, (200, 2))
+        if u != v
+    ]
+    return DiGraph.from_edges(60, arcs)
+
+
+#: Dyadic-weight graphs on which factor labels equal the epoch's bits.
+FACTOR_GRAPHS = {
+    "undirected": lambda: quantize_weights(generators.delaunay_mesh(160, seed=1)),
+    "directed": lambda: quantize_weights(orient_randomly(
+        generators.delaunay_mesh(120, seed=2), seed=1)),
+    "disconnected": lambda: quantize_weights(_forest()),
+    "negative-arcs": _dyadic_negative_digraph,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FACTOR_GRAPHS))
+def test_factor_labels_bit_identical_to_epoch_labels(kind):
+    g = FACTOR_GRAPHS[kind]()
+    cold = APSPSession(g, seed=0)
+    factor = HubLabelIndex.build(cold)
+    assert factor.source == "factor" and cold._epoch is None
+    warm = APSPSession(g, plan=cold.plan)
+    warm.solve()
+    sliced = HubLabelIndex.build(warm)
+    assert sliced.source == "epoch"
+    for name in ("ptr", "hubs", "dto", "dfrom", "comp"):
+        assert getattr(factor, name).tobytes() == getattr(sliced, name).tobytes()
+    assert factor.ncomp == sliced.ncomp
+    n = g.n
+    src, dst = (a.ravel() for a in np.meshgrid(
+        np.arange(n), np.arange(n), indexing="ij"))
+    got = factor.query_many(src, dst).reshape(n, n)
+    assert np.array_equal(got, np.asarray(warm.dist))
+    if kind == "disconnected":
+        assert factor.ncomp == 5
+
+
+def test_factor_negative_cycle_raises_like_solve():
+    g = DiGraph.from_edges(
+        6, [(0, 1, 1.0), (1, 2, -3.0), (2, 0, 1.0), (2, 3, 1.0),
+            (3, 4, 1.0), (4, 5, 1.0)],
+    )
+    with pytest.raises(NegativeCycleError) as solved:
+        APSPSession(g, seed=0).solve()
+    with pytest.raises(NegativeCycleError) as served:
+        DistanceServer(g, seed=0).refresh()
+    assert served.value.witness == solved.value.witness
+
+
+def test_reduced_plan_slices_the_epoch():
+    g = quantize_weights(generators.road_network_like(200, seed=3))
+    session = APSPSession(g, reduce=True, seed=0)
+    assert session.plan.trail is not None
+    index = HubLabelIndex.build(session)
+    assert index.source == "epoch" and index.up is None
+    assert session._epoch is not None
+
+
+def test_factor_index_lifecycle():
+    g = quantize_weights(generators.delaunay_mesh(160, seed=1))
+    server = DistanceServer(g, seed=0)
+    session = server.session
+    index = server.refresh()
+    assert index.source == "factor" and index.epoch_index == -1
+    assert session._epoch is None
+    for _ in range(3):
+        server.query_many([0, 5, 9], [7, 1, 150])
+        server.query(3, 4)
+    assert server.refresh() is index
+    assert server.rebuilds == 0 and session._epoch is None
+    # The first matrix read solves lazily and equals the sweep's matrix;
+    # the next refresh rebuilds once, sliced from that epoch.
+    dist = np.asarray(session.dist)
+    assert np.array_equal(dist, superfw(g, plan=session.plan).dist)
+    sliced = server.refresh()
+    assert sliced.source == "epoch" and server.rebuilds == 1
+    assert sliced.dto.tobytes() == index.dto.tobytes()
+    assert server.refresh() is sliced and server.rebuilds == 1
+    assert server.stats()["index"]["source"] == "epoch"
+
+
+def test_factor_build_stays_below_dense_matrix_bytes():
+    g = quantize_weights(generators.road_network_like(1200, seed=0))
+    session = APSPSession(g, seed=0)
+    tracemalloc.start()
+    try:
+        index = HubLabelIndex.build(session)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.source == "factor"
+    assert peak < g.n * g.n * 8
+
+
+def test_factor_build_span_records_source_and_ops(grid_graph):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        server = DistanceServer(grid_graph, seed=0)
+        server.refresh()
+        server.session.solve()
+        server.refresh()
+    builds = [e for e in tracer.events() if e.name == "hub-index-build"]
+    assert [b.args["source"] for b in builds] == ["factor", "epoch"]
+    assert builds[0].args["ops"] > 0 and builds[1].args["ops"] == 0
+    names = {e.name for e in tracer.events()}
+    assert "hub-index-factor" in names
+    solves = [e for e in tracer.events() if e.name == "hub-index-solve"]
+    assert len(solves) == 1  # only the epoch build has a solve phase

@@ -318,6 +318,21 @@ def test_session_pool_survives_exhausted_solve(grid_graph):
         assert np.array_equal(expected, r.dist)
 
 
+def test_rebuild_survives_a_worker_killed_mid_claim(grid_graph):
+    plan = analyze(grid_graph)
+    expected = superfw(grid_graph).dist
+    with SharedPlanPool(plan, num_workers=2) as pool:
+        # A worker SIGKILLed while claiming its heartbeat row never
+        # releases the claim lock; the rebuilt pool must not inherit it,
+        # or every new worker blocks in its initializer for good.
+        held = pool._claim_lock
+        assert held.acquire(timeout=5)
+        pool.rebuild()
+        assert pool._claim_lock is not held
+        r = parallel_superfw(grid_graph, backend="process", pool=pool)
+        assert np.array_equal(expected, r.dist)
+
+
 # ---------------------------------------------------------------------------
 # Worker-side cooperative wall budget
 # ---------------------------------------------------------------------------
