@@ -64,17 +64,20 @@ def main() -> None:
     print(f"one SSSP row from the factor: {t_row * 1e3:.1f} ms "
           f"(vs {t_full / g.n * 1e3:.1f} ms amortized in the full solve)")
 
-    # Route C: serve *many* queries — the DistanceServer builds a 2-hop
-    # hub-label index straight from the factor (no solve, no n² matrix)
-    # and answers whole batches with a few vectorized passes.
+    # Route C: serve *many* queries — the DistanceServer reduces the
+    # road graph (its default reduce="auto" keeps a reduction that
+    # removes most vertices in shallow trees), builds a 2-hop hub-label
+    # index straight from the factor of the reduced core (no solve, no
+    # n² matrix; eliminated vertices hang off the etree as chain-suffix
+    # leaves) and answers whole batches with a few vectorized passes.
     t0 = time.perf_counter()
     server = DistanceServer(g)
     index = server.refresh()
     t_index = time.perf_counter() - t0
     sizes = index.label_sizes()
     print(f"\nDistanceServer index: {index.entries} label entries "
-          f"(mean width {sizes.mean():.1f}) built from the {index.source} "
-          f"in {t_index:.2f}s")
+          f"(mean width {sizes.mean():.1f}, {index.trail_events} trail "
+          f"vertices) built from the {index.source} in {t_index:.2f}s")
 
     n_q = 100_000
     sources = rng.integers(0, g.n, n_q)

@@ -20,6 +20,7 @@ from repro.ordering.partition import bisect_graph
 from repro.ordering.reduce import (
     AppliedReduction,
     ReductionTrail,
+    auto_keeps,
     build_trail,
     reduce_graph,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "ReductionTrail",
     "SeparatorNode",
     "amd_ordering",
+    "auto_keeps",
     "bfs_ordering",
     "bisect_graph",
     "build_trail",

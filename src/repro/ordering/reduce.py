@@ -67,6 +67,14 @@ KIND_NAMES = ("isolated", "pendant", "chain", "twin", "simplicial")
 #: Pendants and chain interiors are always eliminated regardless.
 DEFAULT_MAX_DEGREE = 8
 
+#: ``reduce="auto"`` keeps an undirected trail only when it eliminates
+#: at least this share of the vertices (see :func:`auto_keeps`).
+AUTO_MIN_ELIMINATED = 0.9
+
+#: ... and when its trail-forest depths sum to at most this many
+#: ``n·log₂ n``.
+AUTO_MAX_DEPTH_SUM = 2.0
+
 
 @dataclass
 class ReductionTrail:
@@ -213,6 +221,43 @@ class ReductionTrail:
             tracer.metric_inc("ordering.reduce.applies")
         return AppliedReduction(
             trail=self, graph=reduced, w_out=w_out_all, w_in=w_in_all
+        )
+
+    def reduced_pattern(self, graph: Graph | DiGraph) -> Graph:
+        """Unit-weight undirected pattern of the reduced graph, from structure.
+
+        The reduced arc set is every arc of ``graph`` between kept
+        vertices plus every in × out shortcut an event adds between kept
+        vertices — :meth:`apply` materializes each shortcut whatever
+        the weights say — symmetrized (``A + Aᵀ`` when directed).  This
+        is the graph ordering and symbolic analysis see; no weight is
+        read and no event is replayed.
+        """
+        rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
+        n_in = np.array([a.shape[0] for a in self.in_nbrs], dtype=np.int64)
+        n_out = np.array([a.shape[0] for a in self.out_nbrs], dtype=np.int64)
+        flat_in = np.concatenate([np.zeros(0, dtype=np.int64), *self.in_nbrs])
+        flat_out = np.concatenate([np.zeros(0, dtype=np.int64), *self.out_nbrs])
+        # Shortcut k of event e pairs in-neighbor k // n_out[e] with
+        # out-neighbor k % n_out[e].
+        pairs = n_in * n_out
+        event = np.repeat(np.arange(self.n_events, dtype=np.int64), pairs)
+        k = np.arange(int(pairs.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(pairs) - pairs, pairs
+        )
+        tail = flat_in[np.repeat(np.cumsum(n_in) - n_in, pairs) + k // n_out[event]]
+        head = flat_out[np.repeat(np.cumsum(n_out) - n_out, pairs) + k % n_out[event]]
+        red_of = np.full(self.n, -1, dtype=np.int64)
+        red_of[self.kept] = np.arange(self.n_reduced, dtype=np.int64)
+        u = red_of[np.concatenate([rows, tail])]
+        v = red_of[np.concatenate([np.asarray(graph.indices, dtype=np.int64), head])]
+        keep = (u >= 0) & (v >= 0) & (u != v)
+        lo, hi = np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep])
+        key = np.unique(lo * self.n_reduced + hi)
+        return Graph.from_edges(
+            self.n_reduced,
+            np.column_stack([key // self.n_reduced, key % self.n_reduced,
+                             np.ones(key.shape[0])]),
         )
 
     # ------------------------------------------------------------------
@@ -442,6 +487,62 @@ def build_trail(
         for name, count in trail.kind_counts().items():
             tracer.metric_inc(f"ordering.reduce.{name}", count)
     return trail
+
+
+def trail_depths(trail: ReductionTrail) -> np.ndarray:
+    """Depth of each event of an undirected trail in its trail forest.
+
+    Event ``r`` hangs below its earliest-eliminated quotient neighbor
+    that the trail also eliminates (a later event, since neighbors are
+    alive at elimination time), and is a root when every neighbor is
+    kept.  Its depth counts itself and its event ancestors — the
+    eliminated part of the hub label it gets when the plan is served
+    (:mod:`repro.serve.hub_index`).
+    """
+    ne = trail.n_events
+    event_of = np.full(trail.n, ne, dtype=np.int64)
+    event_of[trail.verts] = np.arange(ne, dtype=np.int64)
+    sizes = np.array([a.shape[0] for a in trail.out_nbrs], dtype=np.int64)
+    up = np.full(ne, ne, dtype=np.int64)
+    np.minimum.at(
+        up,
+        np.repeat(np.arange(ne, dtype=np.int64), sizes),
+        event_of[np.concatenate([np.zeros(0, dtype=np.int64), *trail.out_nbrs])],
+    )
+    depth = [1] * ne
+    for r, p in zip(range(ne - 1, -1, -1), up[::-1].tolist()):
+        if p < ne:
+            depth[r] += depth[p]
+    return np.asarray(depth, dtype=np.int64)
+
+
+def auto_keeps(trail: ReductionTrail) -> bool:
+    """Whether ``analyze(reduce="auto")`` orders the reduced graph.
+
+    Decided from the trail alone, before any ordering runs.  A reduced
+    plan pays off when the core left to nested dissection is small and
+    the eliminated vertices hang in shallow trees:
+
+    * at least :data:`AUTO_MIN_ELIMINATED` of the vertices must go.
+      Below that the core's dissection costs about what the full
+      graph's does, while the trail vertices' labels stack on the
+      core's — 10–17% more label entries than the unreduced plan on the
+      power-grid and mesh suite graphs that eliminate 20–66%;
+    * the trail-forest depths (:func:`trail_depths`) may sum to at most
+      :data:`AUTO_MAX_DEPTH_SUM` ``· n·log₂ n``.  A path, cycle or
+      long chain is eliminated end to end, each vertex below the next,
+      and its labels would hold ``~n²/2`` entries where nested
+      dissection's hold ``~3·n·log₂ n``.  Road networks and random
+      trees sum to 0.6–1.4 ``n·log₂ n``.
+
+    Directed trails are never kept: their eliminated vertices' labels
+    are not chain suffixes.
+    """
+    n = trail.n
+    if (trail.directed or not trail.n_events
+            or trail.n_events < AUTO_MIN_ELIMINATED * n):
+        return False
+    return int(trail_depths(trail).sum()) <= AUTO_MAX_DEPTH_SUM * n * np.log2(n)
 
 
 def reduce_graph(

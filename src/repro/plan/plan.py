@@ -32,7 +32,7 @@ from repro.ordering.amd import amd_ordering
 from repro.ordering.base import Ordering
 from repro.ordering.bfs import bfs_ordering
 from repro.ordering.nested_dissection import NDResult, nested_dissection
-from repro.ordering.reduce import ReductionTrail, build_trail
+from repro.ordering.reduce import ReductionTrail, auto_keeps, build_trail
 from repro.plan.keys import (
     PLAN_PARAM_DEFAULTS,
     plan_id as _plan_id,
@@ -43,8 +43,8 @@ from repro.resilience.errors import PlanMismatchError
 from repro.symbolic.fill import symbolic_cholesky
 from repro.symbolic.structure import (
     SupernodalStructure,
-    build_structure,
     superfw_snode_ops,
+    supernodal_analysis,
 )
 from repro.util.timing import TimingBreakdown
 
@@ -372,21 +372,12 @@ def _symbolic_bundle(
     — the multifrontal frontal index sets), derived while the symbolic
     factor is in hand so no backend ever recomputes them.
     """
-    sym = symbolic_cholesky(pattern, perm)
-    structure = build_structure(
-        sym, relax=relax, max_snode=max_snode, small_snode=small_snode
+    return supernodal_analysis(
+        symbolic_cholesky(pattern, perm),
+        relax=relax,
+        max_snode=max_snode,
+        small_snode=small_snode,
     )
-    snode_rows: list[np.ndarray] = []
-    for s in range(structure.ns):
-        lo, hi = structure.col_range(s)
-        cols = [sym.col_struct[j] for j in range(lo, hi)]
-        if cols:
-            rows = np.unique(np.concatenate(cols))
-            rows = rows[rows >= hi]
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        snode_rows.append(rows)
-    return structure, snode_rows
 
 
 def _modeled_cost(
@@ -426,7 +417,7 @@ def analyze(
     max_snode: int = 64,
     small_snode: int = 8,
     seed: int = 0,
-    reduce: bool = False,
+    reduce: bool | str = False,
 ) -> Plan:
     """Run the weight-independent analyze phase: ordering + symbolics.
 
@@ -458,7 +449,10 @@ def analyze(
         Run the exact weight-independent reductions of
         :mod:`repro.ordering.reduce` first, ordering only the reduced
         graph; the recorded trail is stored on the plan and replayed by
-        every solve.
+        every solve.  ``"auto"`` builds the trail and keeps it only when
+        :func:`~repro.ordering.reduce.auto_keeps` says the reduced plan
+        pays off (most vertices eliminated, shallow trail trees, an
+        undirected graph); otherwise the plan is the unreduced one.
 
     Returns
     -------
@@ -471,23 +465,27 @@ def analyze(
     tracer = get_tracer()
     with timings.time("plan-key"), tracer.span("plan-key", n=graph.n):
         key = structure_hash(graph)
+    if isinstance(reduce, str) and reduce != "auto":
+        raise ValueError(f"reduce must be True, False or 'auto', not {reduce!r}")
     trail: ReductionTrail | None = None
-    target = graph
-    if reduce:
+    pattern = None
+    # A directed trail never passes auto_keeps, so "auto" skips building it.
+    if reduce and not (reduce == "auto" and directed):
         with timings.time("reduce"), tracer.span(
             "ordering.reduce.analyze", n=graph.n
-        ):
+        ) as red_span:
             trail = build_trail(graph)
-            if trail.n_eliminated == 0:
+            if reduce == "auto":
+                kept = auto_keeps(trail)
+                red_span.set(auto_kept=kept)
+            else:
+                kept = trail.n_eliminated > 0
+            if not kept:
                 trail = None
             else:
-                # The reduced *pattern* is weight-independent — every
-                # in×out fill arc is materialized regardless of weight
-                # comparisons — so a unit-weight replay yields exactly
-                # the arc set every solve-time replay will produce.
-                unit = graph.with_weights(np.ones(graph.weights.shape[0]))
-                target = trail.apply(unit).graph
-    pattern = _unit_pattern(target)
+                pattern = trail.reduced_pattern(graph)
+    if pattern is None:
+        pattern = _unit_pattern(graph)
     score_report: dict[str, Any] | None = None
     candidates: list[tuple[str, Ordering, NDResult | None]] = []
     with timings.time("ordering"), tracer.span(
@@ -576,7 +574,7 @@ def analyze(
         max_snode=max_snode,
         small_snode=small_snode,
         seed=seed,
-        reduce=bool(reduce),
+        reduce=reduce if reduce == "auto" else bool(reduce),
     )
     return Plan(
         key=key,

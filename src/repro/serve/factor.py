@@ -103,7 +103,10 @@ def factor_chain_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every supernode's chain blocks, from ``graph``'s weights and the plan.
 
-    ``perm`` is the plan's ordering.  Returns ``(to_flat, from_flat, block_ptr)``:
+    ``graph`` is the graph the plan orders — for a plan with a
+    reduction trail, the reduced graph the trail's ``apply`` returns —
+    and ``perm`` is the plan's ordering.  Returns
+    ``(to_flat, from_flat, block_ptr)``:
     supernode ``s`` owns ``[block_ptr[s], block_ptr[s+1])`` of both flat
     arrays, a row-major ``b × |chain(s)|`` block whose row ``t`` holds
     ``D[lo_s + t, chain(s)]`` (``to_flat``) or ``D[chain(s), lo_s + t]``

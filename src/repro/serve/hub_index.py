@@ -38,28 +38,51 @@ etree LCA ``a``: the parts below ``a`` lie on disjoint tree paths.  So
 ``H(u) ∩ H(v)`` is the common tail of both labels, of length
 ``min(|H(u)|, |H(v)|, |chain(a)|)``, and :meth:`HubLabelIndex.query_many`
 answers each pair by lining up the last ``L`` entries of both labels —
-no keys, sort or ``searchsorted``.  The LCA comes from binary lifting
-over the supernodal etree, ``~log₂(depth)`` numpy passes per batch.
+no keys, sort or ``searchsorted``.  The LCA is a range-minimum query
+over the etree's depth-first preorder (a sparse table of shallowest
+nodes), a fixed dozen numpy passes per batch whatever the depth.
+
+**Reduction trails join the etree.**  A plan analyzed with
+``reduce=True`` orders only the reduced graph; the vertices the
+reduction eliminated (:mod:`repro.ordering.reduce`) still need labels.
+For an undirected trail, eliminating ``v`` makes its quotient
+neighborhood a clique of the remaining graph, so that neighborhood lies
+on one root path of the etree, and ``v``'s label is ``[v] ++ H(q)`` for
+its lowest neighbor ``q`` — the same set as the union of its
+neighbors' labels, a valid cover by induction on the elimination
+order.  Hub keys follow an *extended order* — trail events first, in
+elimination order, then the reduced permutation — so every label still
+ascends along its chain, and ``v`` becomes an etree leaf below ``q``
+(:func:`_extended_etree`).  When ``q`` sits at offset ``t > 0`` inside
+supernode ``s``, ``v`` shares only ``chain(s)[t:]``; the extended etree
+splits ``s`` at ``t`` into a chain of pieces, so that every node's
+chain is a whole suffix of its parent's and the join's
+``|chain(lca)|`` stays exact.  A directed trail's in × out fill is
+one-sided, so its eliminated vertices keep union labels
+(:func:`_union_labels`), which are not chain suffixes: such an index
+answers by a sorted ``searchsorted`` merge over ``pair · n + hub``
+keys instead (:meth:`HubLabelIndex._merge_join`), and shards by the
+weak components of the original graph.
 
 **Where the label distances come from.**  A session with no published
-epoch and a plan without a reduction trail gets its labels from the
-factor (:mod:`repro.serve.factor`): an ascending supernodal DPC and a
-descending chain pass compute exactly the chain blocks the labels
-need, with no solve and no ``n x n`` array.  Once the session has
-published an epoch — and always for a plan with a reduction trail —
-the labels are sliced from that epoch instead, solving first when
-there is none, in one flat ``O(total label entries)`` gather.  Both
-sources are exact; on dyadic weights (sums exact in float64) a
-factor-built index is bit-identical to the epoch-sliced one, and in
-general each label distance may differ from the epoch's entry by
+epoch gets its labels from the factor (:mod:`repro.serve.factor`) —
+unless its plan is directed and carries a trail: an ascending
+supernodal DPC and a descending chain pass compute exactly the chain
+blocks the reduced vertices' labels need, on the weights
+:meth:`~repro.ordering.reduce.ReductionTrail.apply` leaves on the
+reduced graph, and the trail is then unreduced in label space
+(:func:`_unreduce_labels`), with no solve and no ``n x n`` array.  Once
+the session has published an epoch — and always for a directed plan
+with a trail — the labels are sliced from that epoch instead, solving
+first when there is none, in one flat ``O(total label entries)``
+gather.  Both sources are exact; on dyadic weights (sums exact in
+float64) a factor-built index is bit-identical to the epoch-sliced one,
+and in general each label distance may differ from the epoch's entry by
 rounding.
 
 Storage is CSR over *original* vertex ids: ``ptr``/``hubs``/``dto``/
-``dfrom``, with hubs kept as permuted positions so every label array is
-sorted ascending.  A plan with a reduction trail also labels the
-vertices the reduction eliminated, with unions of their neighbors'
-labels; those are not chain suffixes, so such an index answers with a
-sorted ``searchsorted`` merge over ``pair · n + hub`` keys instead.
+``dfrom``, with hubs kept as keys of the extended order so every label
+array is sorted ascending.
 """
 
 from __future__ import annotations
@@ -134,6 +157,186 @@ def _lifting(parent: np.ndarray):
     return np.stack(up), depth, jump
 
 
+def _preorder(parent: np.ndarray, anc: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """Depth-first preorder numbers of a forest, siblings in id order.
+
+    ``anc`` lists every node's root path (the node first), ``hops`` its
+    length.  A node's subtree size is the number of root paths through
+    it, and its preorder number sums, along its root path, one per
+    non-root step plus the sizes of the siblings it follows.
+    """
+    nodes = parent.shape[0]
+    size = np.bincount(anc, minlength=nodes)
+    by_parent = np.lexsort((np.arange(nodes), parent))
+    before = np.cumsum(size[by_parent]) - size[by_parent]
+    group = np.searchsorted(parent[by_parent], parent[by_parent])
+    skip = np.empty(nodes, dtype=np.int64)
+    skip[by_parent] = before - before[group]
+    return np.add.reduceat((skip + (parent >= 0))[anc], np.cumsum(hops) - hops)
+
+
+def _span_table(order: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Sparse table of shallowest nodes over the sequence ``order``.
+
+    ``span[j, i]`` is a node of least depth among
+    ``order[i : i + 2**j]`` (windows running past the end are cut
+    there), for every ``2**j`` up to the sequence length.
+    """
+    nodes = order.shape[0]
+    span = [order]
+    while 1 << len(span) <= nodes:
+        prev = span[-1]
+        nxt = prev[np.minimum(np.arange(nodes) + (1 << (len(span) - 1)),
+                              nodes - 1)]
+        span.append(np.where(depth[nxt] < depth[prev], nxt, prev))
+    return np.stack(span)
+
+
+def _extended_etree(structure, trail, key_of: np.ndarray):
+    """Key runs and parents of the supernodal etree extended by the trail.
+
+    Returns ``(node_ptr, parent)``: node ``x`` owns the hub keys
+    ``[node_ptr[x], node_ptr[x+1])`` and its chain is its own run
+    followed by its parent's chain.  Nodes ``0..ne-1`` are the trail's
+    events, one key each.  An undirected trail vertex hangs below its
+    lowest-keyed quotient neighbor ``q``, so its label is ``[v] ++
+    H(q)``; it is a root when it had no neighbor, and every trail vertex
+    of a directed trail is a root (its label is a union, see
+    :func:`_union_labels`).  The remaining nodes cover the reduced
+    keys supernode by supernode; a supernode below which a trail vertex
+    hangs at offset ``t > 0`` is split at ``t`` into a chain of pieces,
+    so that every node's chain is a whole suffix of its parent's and the
+    join's ``|chain(lca)|`` stays the shared length.
+    """
+    ne = 0 if trail is None else trail.n_events
+    snode_ptr = ne + structure.snode_ptr
+    hang = np.full(ne, -1, dtype=np.int64)
+    if ne and not trail.directed:
+        sizes = [nbrs.shape[0] for nbrs in trail.out_nbrs]
+        low = np.full(ne, key_of.shape[0], dtype=np.int64)
+        np.minimum.at(
+            low,
+            np.repeat(np.arange(ne, dtype=np.int64), sizes),
+            key_of[np.concatenate(trail.out_nbrs)],
+        )
+        hang = np.where(low < key_of.shape[0], low, -1)
+    node_ptr = np.unique(np.concatenate(
+        [np.arange(ne, dtype=np.int64), snode_ptr, hang[hang >= ne]]
+    ))
+    nodes = node_ptr.shape[0] - 1
+    node_of_key = np.repeat(np.arange(nodes, dtype=np.int64), np.diff(node_ptr))
+    parent = np.empty(nodes, dtype=np.int64)
+    parent[:ne] = np.where(hang >= 0, node_of_key[hang], -1)
+    # A piece's parent is the next piece of its supernode; the top piece
+    # continues at the bottom piece of the supernode's etree parent.
+    s = structure.snode_of[node_ptr[ne:-1] - ne]
+    up = structure.parent[s]
+    top = node_ptr[ne + 1:] == snode_ptr[s + 1]
+    parent[ne:] = np.where(
+        top,
+        np.where(up >= 0, node_of_key[snode_ptr[np.maximum(up, 0)]], -1),
+        np.arange(ne + 1, nodes + 1, dtype=np.int64),
+    )
+    return node_ptr, parent
+
+
+def _union_labels(trail, key_of, chain_pos, pos_start, pos_count) -> dict:
+    """Hub keys of a directed trail's eliminated vertices.
+
+    In *reverse* elimination order: each vertex's quotient neighbors
+    were still alive when it was eliminated, so they are kept (chain
+    labels) or eliminated later (labels built earlier in this loop).
+    ``H(v) = {v's own key} ∪ ⋃ H(neighbor)`` is a valid 2-hop cover:
+    any shortest u–v path enters v through a quotient neighbor q with
+    d(u,v) = d(u,q) + w_q(q,v), and the hub witnessing (u,q) is
+    inherited into H(v) — induction on the earlier-eliminated endpoint.
+    These unions are not chain suffixes: a directed event's in × out
+    fill leaves its in-neighbors unlinked, so they need not share one
+    root path.
+    """
+    ne = trail.n_events
+    elim: dict[int, np.ndarray] = {}
+
+    def label(q: int) -> np.ndarray:
+        key = key_of[q]
+        if key < ne:
+            return elim[q]
+        start = pos_start[key]
+        return chain_pos[start:start + pos_count[key]]
+
+    for r in range(ne - 1, -1, -1):
+        nbrs = np.union1d(trail.out_nbrs[r], trail.in_nbrs[r])
+        sets = [np.asarray([r], dtype=np.int64)]
+        sets.extend(label(int(q)) for q in nbrs)
+        elim[int(trail.verts[r])] = np.unique(np.concatenate(sets))
+    return elim
+
+
+def _unreduce_labels(trail, applied, hub_orig, ptr, hubs, dto, dfrom,
+                     depth) -> None:
+    """Fill the labels of an undirected trail's eliminated vertices in place.
+
+    :meth:`~repro.ordering.reduce.AppliedReduction.unreduce` restricted
+    to label entries: for ``v`` with neighbors ``n_j`` and every hub
+    ``h`` of ``H(v) = [v] ++ H(q)``,
+
+        d(v → h) = min_j  w(v → n_j) + d(n_j → h)
+        d(h → v) = min_j  d(h → n_j) + w(n_j → v)
+
+    Every ``n_j`` lies in ``H(q)``, whose suffix from ``n_j`` is
+    ``H(n_j)``: ``d(n_j → h)`` is read from ``n_j``'s label when ``h``
+    lies above ``n_j`` and from ``h``'s label (at hub ``n_j``) when it
+    lies below — the same operands unreduce reads from the full matrix.
+    The neighbors and hubs of a vertex are its proper etree ancestors,
+    so the vertices of one extended-etree depth (``depth[r]`` for event
+    ``r``) are filled together, shallowest first.  No weight is
+    negative here: :meth:`~repro.ordering.reduce.ReductionTrail.apply`
+    raises on any negative edge at an eliminated vertex of an
+    undirected trail, and the factor on one between kept vertices.
+    """
+    sizes = np.array([nbrs.shape[0] for nbrs in trail.out_nbrs], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    nbr = np.concatenate(trail.out_nbrs)
+    # Undirected: in_nbrs equal out_nbrs, so both weight lists align.
+    w_out = np.concatenate(applied.w_out)
+    w_in = np.concatenate(applied.w_in)
+    width = np.diff(ptr)
+    verts = np.asarray(trail.verts, dtype=np.int64)
+    dto[ptr[verts]] = 0.0
+    dfrom[ptr[verts]] = 0.0
+    # H(q) is v's label after its own key.
+    tail = width[verts] - 1
+    order = np.argsort(depth, kind="stable")
+    cuts = np.flatnonzero(np.diff(depth[order])) + 1
+    for ev in np.split(order, cuts):
+        nj_count, label_len = sizes[ev], tail[ev]
+        cnt = label_len * nj_count
+        total = int(cnt.sum())
+        if not total:
+            continue
+        # One term per (event, hub i of H(q), neighbor j), grouped by
+        # (event, i) for the min.
+        pair = _ranges(first[ev], nj_count)
+        pair_first = np.cumsum(nj_count) - nj_count
+        term_ev = np.repeat(np.arange(ev.shape[0], dtype=np.int64), cnt)
+        loc = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        j_count = nj_count[term_ev]
+        i = loc // j_count
+        p = pair[pair_first[term_ev] + loc % j_count]
+        n_j = nbr[p]
+        k = label_len[term_ev] - width[n_j]  # n_j's index in H(q)
+        h = hub_orig[hubs[ptr[verts[ev]][term_ev] + 1 + i]]
+        below = i < k
+        at = np.where(below, ptr[h] + (k - i), ptr[n_j] + (i - k))
+        fwd = np.where(below, dfrom[at], dto[at])  # d(n_j → h)
+        bwd = np.where(below, dto[at], dfrom[at])  # d(h → n_j)
+        group = np.repeat(nj_count, label_len)
+        starts = np.cumsum(group) - group
+        dest = _ranges(ptr[verts[ev]] + 1, label_len)
+        dto[dest] = np.minimum.reduceat(w_out[p] + fwd, starts)
+        dfrom[dest] = np.minimum.reduceat(bwd + w_in[p], starts)
+
+
 class HubLabelIndex:
     """Immutable 2-hop label set for one state of a session.
 
@@ -146,25 +349,30 @@ class HubLabelIndex:
     ----------
     ptr, hubs, dto, dfrom:
         CSR label storage over original vertex ids: vertex ``v`` owns
-        entries ``[ptr[v], ptr[v+1])``; ``hubs`` holds hub *permuted
-        positions* (ascending per vertex), ``dto[e] = dist(v → hub)``,
-        ``dfrom[e] = dist(hub → v)``.  When the plan carries a reduction
-        trail, positions ``0..n_reduced-1`` name the reduced permuted
-        vertices and position ``n_reduced + r`` names the vertex the
-        trail's ``r``-th event eliminated — the key space still spans
-        exactly ``n`` values and queries take *original* ids throughout.
+        entries ``[ptr[v], ptr[v+1])``; ``hubs`` holds hub *keys*
+        (ascending per vertex), ``dto[e] = dist(v → hub)``,
+        ``dfrom[e] = dist(hub → v)``.  Keys follow the extended order:
+        with ``ne`` trail events, key ``r < ne`` names the vertex the
+        trail's ``r``-th event eliminated and key ``ne + p`` the reduced
+        vertex at permuted position ``p`` — the key space spans exactly
+        ``n`` values and queries take *original* ids throughout.
+    perm:
+        Original vertex id of each hub key.
     comp:
-        Connected-component label per vertex (components of the plan's
-        symmetrized pattern — weak components for digraphs).  Labels of
-        different components are disjoint, so the index is the union of
+        Connected-component label per vertex.  Labels of different
+        components are disjoint, so the index is the union of
         independent per-component shards and cross-component queries
         short-circuit to ``inf`` without touching the label arrays.
-    snode, depth, up, chain_len:
-        Supernodal etree tables of the chain-suffix join: the supernode
-        of each original vertex, the etree depth and binary-lifting
-        ancestors (``up[j, s]``, the ``2**j``-th) of each supernode, and
-        the length of its ancestor chain.  ``None`` for an index built
-        from a plan with a reduction trail, which joins by sorted merge.
+    node, parent, depth, pre, span, chain_len:
+        Extended etree tables of the chain-suffix join: the etree node
+        of each original vertex; the parent, depth, depth-first preorder
+        number and chain length of each node; and the sparse table of
+        shallowest nodes over the preorder (``span[j, i]`` covers
+        preorder positions ``[i, i + 2**j)``) that answers LCA queries.
+        ``None`` for an index built from a directed plan with a
+        reduction trail, which joins by sorted merge.
+    trail_events:
+        Vertices the plan's reduction trail eliminated (0 without one).
     epoch_index, weights_digest, plan_id:
         Identity of the epoch/plan this index was built from;
         ``epoch_index`` is ``-1`` for a factor-built index, whose
@@ -176,15 +384,17 @@ class HubLabelIndex:
 
     __slots__ = (
         "n", "directed", "ptr", "hubs", "dto", "dfrom", "perm",
-        "comp", "ncomp", "snode", "depth", "up", "chain_len",
-        "epoch_index", "weights_digest", "plan_id", "source",
+        "comp", "ncomp", "node", "parent", "depth", "pre", "span",
+        "chain_len",
+        "trail_events", "epoch_index", "weights_digest", "plan_id", "source",
         "build_seconds", "solve_seconds",
     )
 
     def __init__(self, *, n, directed, ptr, hubs, dto, dfrom, perm, comp,
                  ncomp, epoch_index, weights_digest, plan_id,
-                 source="epoch", snode=None, depth=None, up=None,
-                 chain_len=None, build_seconds=0.0,
+                 source="epoch", node=None, parent=None, depth=None,
+                 pre=None, span=None, chain_len=None, trail_events=0,
+                 build_seconds=0.0,
                  solve_seconds=0.0) -> None:
         self.n = int(n)
         self.directed = bool(directed)
@@ -195,10 +405,13 @@ class HubLabelIndex:
         self.perm = perm
         self.comp = comp
         self.ncomp = int(ncomp)
-        self.snode = snode
+        self.node = node
+        self.parent = parent
         self.depth = depth
-        self.up = up
+        self.pre = pre
+        self.span = span
         self.chain_len = chain_len
+        self.trail_events = int(trail_events)
         self.epoch_index = int(epoch_index)
         self.weights_digest = weights_digest
         self.plan_id = plan_id
@@ -214,21 +427,27 @@ class HubLabelIndex:
     def build(cls, session: APSPSession) -> "HubLabelIndex":
         """Build the label index for ``session``'s current weights.
 
-        With no published epoch and a plan without a reduction trail,
-        the labels come from the factor (:mod:`repro.serve.factor`): no
-        solve runs and no ``n x n`` array is allocated.  Otherwise they
-        are sliced from the published epoch, solving first if there is
-        none, and re-solving if a structural commit dropped the plan
-        (plan and epoch must describe the *same* structure and weights).
-        Reported under the ``hub-index-build`` span, whose ``source``
-        is ``"factor"`` or ``"epoch"`` and whose ``ops`` counts the
-        semiring ops the build ran, with per-phase children.
+        With no published epoch, the labels of an undirected plan — or
+        of a directed plan without a reduction trail — come from the
+        factor (:mod:`repro.serve.factor`), with a trail unreduced in
+        label space (:func:`_unreduce_labels`): no solve runs and no
+        ``n x n`` array is allocated.  Otherwise they are sliced from
+        the published epoch, solving first if there is none, and
+        re-solving if a structural commit dropped the plan (plan and
+        epoch must describe the *same* structure and weights).
+        Reported under the ``hub-index-build`` span, whose ``source`` is
+        ``"factor"`` or ``"epoch"``, ``join`` is ``"chain"`` or
+        ``"merge"``, ``trail_events`` counts the labelled eliminated
+        vertices and ``ops`` the semiring ops the build ran, with
+        per-phase children.
         """
         tracer = get_tracer()
         t0 = time.perf_counter()
         with session._write_lock:  # one consistent (graph, plan, epoch)
             graph, plan, epoch = session.graph, session.plan, session._epoch
-        from_factor = epoch is None and plan is not None and plan.trail is None
+        from_factor = epoch is None and plan is not None and not (
+            plan.trail is not None and plan.directed
+        )
         source = "factor" if from_factor else "epoch"
         with tracer.span("hub-index-build", n=graph.n,
                          source=source) as build_span:
@@ -240,9 +459,12 @@ class HubLabelIndex:
                 with tracer.span("hub-index-factor", ns=st.ns), \
                         use_engine(session.solve_options.get("engine")):
                     try:
+                        applied = (None if plan.trail is None
+                                   else plan.trail.apply(graph))
                         blocks = factor_chain_blocks(
-                            st, plan.snode_rows, graph, plan.ordering.perm,
-                            dtype=dtype, counter=ops,
+                            st, plan.snode_rows,
+                            graph if applied is None else applied.graph,
+                            plan.ordering.perm, dtype=dtype, counter=ops,
                         )
                     except NegativeCycleError:
                         # The session's solve raises the canonical error
@@ -258,112 +480,86 @@ class HubLabelIndex:
                         ops.merge(session.solve().ops)
                         solve_s = time.perf_counter() - t1
                 epoch = session.epoch
-                plan = session.plan
+                graph, plan = session.graph, session.plan
                 st = plan.structure
                 dist = np.asarray(epoch.dist)
                 epoch_index = epoch.index
                 weights_digest = epoch.weights_digest
             trail = plan.trail
+            merge = trail is not None and plan.directed
             n = plan.n
-            nr = st.n
+            ne = trail.n_events if trail is not None else 0
             perm = np.asarray(plan.ordering.perm, dtype=np.int64)
-            # ``orig_of[p]`` is the *original* vertex id sitting at reduced
-            # permuted position ``p`` — with no trail the reduced graph is
-            # the original graph and this is just ``perm``.
-            if trail is not None:
-                kept_ids = np.asarray(trail.kept, dtype=np.int64)
-                orig_of = kept_ids[perm]
-            else:
-                orig_of = perm
-            # Hub key space: positions 0..nr-1 are reduced permuted
-            # positions; keys nr+r (one per trail event, in elimination
-            # order) name the eliminated vertices.  nr + n_events == n, so
-            # the query-side key arithmetic (pair * n + hub) is unchanged.
-            hub_orig = np.empty(n, dtype=np.int64)
-            hub_orig[:nr] = orig_of
-            if trail is not None:
-                hub_orig[nr:] = np.asarray(trail.verts, dtype=np.int64)
+            # Hub keys in the extended order: key r < ne names the vertex
+            # the trail's r-th event eliminated, key ne + p the reduced
+            # vertex at permuted position p.  ``hub_orig`` maps a key to
+            # its original vertex id.
+            hub_orig = perm if trail is None else np.concatenate(
+                [trail.verts, np.asarray(trail.kept, dtype=np.int64)[perm]]
+            )
+            key_of = np.empty(n, dtype=np.int64)
+            key_of[hub_orig] = np.arange(n, dtype=np.int64)
 
             with tracer.span("hub-index-labels"):
-                # Chain table: supernode s's ancestor chain is the
-                # vertex runs of s, parent(s), parent²(s), ... — its
-                # k-th supernode is s's k-th ancestor, read off the
-                # binary-lifting table bit by bit of k.
-                up, depth, root = _lifting(st.parent)
-                ns = st.ns
+                node_ptr, parent = _extended_etree(st, trail, key_of)
+                # Chain table: node x's chain is the key runs of x,
+                # parent(x), parent²(x), ... — its k-th node is x's k-th
+                # ancestor, read off the binary-lifting table bit by bit
+                # of k.
+                up, depth, root = _lifting(parent)
+                nodes = parent.shape[0]
+                widths = np.diff(node_ptr)
                 hops = depth + 1
-                anc = np.repeat(np.arange(ns, dtype=np.int64), hops)
-                k = _ranges(np.zeros(ns, dtype=np.int64), hops)
+                anc = np.repeat(np.arange(nodes, dtype=np.int64), hops)
+                k = _ranges(np.zeros(nodes, dtype=np.int64), hops)
                 for j in range(up.shape[0]):
                     step = ((k >> j) & 1).astype(bool)
                     anc[step] = up[j, anc[step]]
-                chain_pos = _ranges(st.snode_ptr[anc], np.diff(st.snode_ptr)[anc])
-                chain_len = chain_lengths(st)
+                chain_pos = _ranges(node_ptr[anc], widths[anc])
+                chain_len = np.add.reduceat(widths[anc], np.cumsum(hops) - hops)
                 chain_ptr = np.cumsum(chain_len) - chain_len
-                # Reduced position p at offset t of supernode s labels
-                # with chain(s)[t:].
-                pos = np.arange(nr, dtype=np.int64)
-                offset = pos - st.snode_ptr[st.snode_of]
-                pos_start = chain_ptr[st.snode_of] + offset
-                pos_count = chain_len[st.snode_of] - offset
-
-                counts = np.zeros(n, dtype=np.int64)
-                counts[orig_of] = pos_count
-                elim: dict[int, np.ndarray] = {}
-                if trail is not None:
-                    # Eliminated vertices, in *reverse* elimination order:
-                    # each one's quotient neighbors were still alive when
-                    # it was eliminated, so they are kept (chain labels)
-                    # or eliminated later (labels built earlier in this
-                    # loop).  H(v) = {v's own key} ∪ ⋃ H(neighbor) is a
-                    # valid 2-hop cover: any shortest u–v path enters v
-                    # through a quotient neighbor q with d(u,v) = d(u,q) +
-                    # w_q(q,v), and the hub witnessing (u,q) is inherited
-                    # into H(v) — induction on the earlier-eliminated
-                    # endpoint.  Distances are sliced from the exact full
-                    # matrix, so extras stay harmless.
-                    pos_of = np.full(n, -1, dtype=np.int64)
-                    pos_of[orig_of] = pos
-
-                    def label(q: int) -> np.ndarray:
-                        p = pos_of[q]
-                        if p < 0:
-                            return elim[q]
-                        s = pos_start[p]
-                        return chain_pos[s:s + pos_count[p]]
-
-                    for r in range(trail.n_events - 1, -1, -1):
-                        v = int(trail.verts[r])
-                        nbrs = np.union1d(
-                            np.asarray(trail.out_nbrs[r], dtype=np.int64),
-                            np.asarray(trail.in_nbrs[r], dtype=np.int64),
-                        )
-                        sets = [np.asarray([nr + r], dtype=np.int64)]
-                        sets.extend(label(int(q)) for q in nbrs)
-                        elim[v] = np.unique(np.concatenate(sets))
-                        counts[v] = elim[v].size
+                # Key h at offset t of node x labels with chain(x)[t:].
+                node_of_key = np.repeat(np.arange(nodes, dtype=np.int64), widths)
+                offset = np.arange(n, dtype=np.int64) - node_ptr[node_of_key]
+                pos_start = chain_ptr[node_of_key] + offset
+                pos_count = chain_len[node_of_key] - offset
+                counts = np.empty(n, dtype=np.int64)
+                counts[hub_orig] = pos_count
+                # A directed trail's vertices take union labels instead
+                # and every key from ne on keeps its chain label.
+                chained = np.arange(ne if merge else 0, n, dtype=np.int64)
+                elim = (_union_labels(trail, key_of, chain_pos, pos_start,
+                                      pos_count) if merge else {})
+                for v, hubs_v in elim.items():
+                    counts[v] = hubs_v.size
 
                 ptr = np.zeros(n + 1, dtype=np.int64)
                 np.cumsum(counts, out=ptr[1:])
                 hubs = np.empty(int(ptr[-1]), dtype=np.int64)
-                dest = _ranges(ptr[orig_of], pos_count)
-                hubs[dest] = chain_pos[_ranges(pos_start, pos_count)]
-                for v, hubs_pos in elim.items():
-                    hubs[ptr[v]:ptr[v + 1]] = hubs_pos
+                hubs[_ranges(ptr[hub_orig[chained]], pos_count[chained])] = (
+                    chain_pos[_ranges(pos_start[chained], pos_count[chained])]
+                )
+                for v, hubs_v in elim.items():
+                    hubs[ptr[v]:ptr[v + 1]] = hubs_v
                 if from_factor:
                     # Row t of supernode s's chain block starts at
-                    # block_ptr[s] + t·|chain(s)|; its label is the
-                    # suffix from column t on.
+                    # block_ptr[s] + t·|chain(s)|; the label of the
+                    # reduced vertex there is the suffix from column t.
                     to_flat, from_flat, block_ptr = blocks
+                    s = st.snode_of
+                    t = np.arange(st.n, dtype=np.int64) - st.snode_ptr[s]
+                    count = pos_count[ne:]
                     at = _ranges(
-                        block_ptr[st.snode_of]
-                        + offset * (chain_len[st.snode_of] + 1),
-                        pos_count,
+                        block_ptr[s] + t * (chain_lengths(st)[s] + 1), count
                     )
+                    dest = _ranges(ptr[hub_orig[ne:]], count)
                     dto = np.empty(hubs.shape[0], dtype=to_flat.dtype)
                     dfrom = np.empty_like(dto)
                     dto[dest] = to_flat[at]
                     dfrom[dest] = from_flat[at]
+                    if ne:
+                        _unreduce_labels(trail, applied, hub_orig, ptr, hubs,
+                                         dto, dfrom, depth[:ne])
                 else:
                     # One flat gather of every label distance.
                     owner = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -372,36 +568,36 @@ class HubLabelIndex:
                     dfrom = dist[hub_ids, owner]
 
             with tracer.span("hub-index-shards"):
-                if trail is not None:
-                    # With a reduction trail the shards must come from
-                    # the *original* graph: eliminating a directed
-                    # source/sink adds no fill, so the reduced pattern
-                    # can split a weak component whose pairs are
-                    # perfectly reachable.
-                    src = (
-                        session.graph.symmetrized()
-                        if session.directed
-                        else session.graph
-                    )
-                    ncomp, comp = connected_components(src)
+                if merge:
+                    # Eliminating a directed source/sink adds no fill,
+                    # so the reduced pattern can split a weak component
+                    # whose pairs are perfectly reachable: shards come
+                    # from the original graph.
+                    ncomp, comp = connected_components(graph.symmetrized())
                     etree = {}
                 else:
-                    # Each etree tree is one component of the pattern
-                    # (supernode relaxation merges only into the etree
-                    # parent), so the shard is the vertex's etree root,
+                    # Each extended etree tree is one (weak) component of
+                    # the graph — supernode relaxation merges only into
+                    # the etree parent, and a trail vertex hangs below a
+                    # neighbor — so the shard is the vertex's tree root,
                     # numbered in order of each tree's smallest vertex.
-                    snode = np.empty(n, dtype=np.int64)
-                    snode[orig_of] = st.snode_of
+                    node = np.empty(n, dtype=np.int64)
+                    node[hub_orig] = node_of_key
                     _, first, inv = np.unique(
-                        root[snode], return_index=True, return_inverse=True
+                        root[node], return_index=True, return_inverse=True
                     )
                     ncomp = first.shape[0]
                     rank = np.empty(ncomp, dtype=np.int64)
                     rank[np.argsort(first)] = np.arange(ncomp)
                     comp = rank[inv.ravel()]
-                    etree = dict(snode=snode, depth=depth, up=up,
+                    pre = _preorder(parent, anc, hops)
+                    order = np.empty(nodes, dtype=np.int64)
+                    order[pre] = np.arange(nodes, dtype=np.int64)
+                    etree = dict(node=node, parent=parent, depth=depth,
+                                 pre=pre, span=_span_table(order, depth),
                                  chain_len=chain_len)
-            build_span.set(ops=ops.total)
+            build_span.set(ops=ops.total, trail_events=ne,
+                           join="merge" if merge else "chain")
 
         build_s = time.perf_counter() - t0
         if tracer.enabled:
@@ -410,10 +606,11 @@ class HubLabelIndex:
             tracer.metrics.observe("serve.label_entries", float(hubs.size))
         return cls(
             n=n, directed=session.directed, ptr=ptr, hubs=hubs, dto=dto,
-            dfrom=dfrom, perm=perm, comp=comp, ncomp=ncomp,
-            epoch_index=epoch_index, weights_digest=weights_digest,
-            plan_id=plan.plan_id, source=source,
-            build_seconds=build_s, solve_seconds=solve_s, **etree,
+            dfrom=dfrom, perm=hub_orig, comp=comp, ncomp=ncomp,
+            trail_events=ne, epoch_index=epoch_index,
+            weights_digest=weights_digest, plan_id=plan.plan_id,
+            source=source, build_seconds=build_s, solve_seconds=solve_s,
+            **etree,
         )
 
     # ------------------------------------------------------------------
@@ -426,10 +623,16 @@ class HubLabelIndex:
         """Per-vertex label cardinality (query-cost proxy)."""
         return np.diff(self.ptr)
 
+    @property
+    def join(self) -> str:
+        """``"chain"`` (shared-suffix join) or ``"merge"`` (sorted merge)."""
+        return "merge" if self.span is None else "chain"
+
     def _etree_tables(self) -> tuple:
-        if self.up is None:
+        if self.span is None:
             return ()
-        return (self.snode, self.depth, self.up, self.chain_len)
+        return (self.node, self.parent, self.depth, self.pre, self.span,
+                self.chain_len)
 
     def memory_bytes(self) -> int:
         """Bytes held by the label arrays and the etree join tables."""
@@ -472,15 +675,16 @@ class HubLabelIndex:
         The whole batch is evaluated with a handful of numpy passes:
 
         1. cross-component pairs short-circuit to ``inf``;
-        2. binary lifting finds each pair's supernodal etree LCA ``a``,
-           and ``L = min(|H(u)|, |H(v)|, |chain(a)|)`` is the length of
-           the labels' shared tail (see the module docstring);
+        2. a range-minimum query over the etree's preorder finds each
+           pair's extended etree LCA ``a``, and
+           ``L = min(|H(u)|, |H(v)|, |chain(a)|)`` is the length of the
+           labels' shared tail (see the module docstring);
         3. the last ``L`` entries of ``dto`` for ``u`` and of ``dfrom``
            for ``v`` line up hub for hub, and ``np.minimum.reduceat``
            takes each pair's minimum of ``d(u→h) + d(h→v)``.
 
-        An index built from a plan with a reduction trail joins by
-        sorted merge instead (:meth:`_merge_join`).  Unreachable
+        An index built from a directed plan with a reduction trail
+        joins by sorted merge instead (:meth:`_merge_join`).  Unreachable
         same-component (directed) pairs come out as an all-``inf``
         minimum.  Vertex ids must be whole numbers in ``[0, n)``;
         anything else raises ``ValueError``.
@@ -491,14 +695,14 @@ class HubLabelIndex:
         """:meth:`query_many` plus the join that ran and its candidate sums.
 
         The join is ``"chain"`` (shared suffix) or ``"merge"`` (sorted
-        merge, for indexes with a reduction trail); the count is the
+        merge, for directed indexes with a reduction trail); the count is the
         number of ``d(u→h) + d(h→v)`` sums it evaluated.
         """
         sources = self._check_ids(sources)
         targets = self._check_ids(targets)
         if sources.shape != targets.shape:
             raise ValueError("sources and targets must have the same length")
-        join, run = (("merge", self._merge_join) if self.up is None
+        join, run = (("merge", self._merge_join) if self.span is None
                      else ("chain", self._chain_join))
         out = np.full(sources.shape[0], np.inf)
         pair_ids = np.flatnonzero(self.comp[sources] == self.comp[targets])
@@ -508,19 +712,22 @@ class HubLabelIndex:
         return out, join, candidates
 
     def _lca(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Supernodal etree LCA of each pair ``(a[k], b[k])`` (same tree)."""
-        deeper = self.depth[a] >= self.depth[b]
-        a, b = np.where(deeper, a, b), np.where(deeper, b, a)
-        rise = self.depth[a] - self.depth[b]
-        for j in range(self.up.shape[0]):
-            step = ((rise >> j) & 1).astype(bool)
-            a = np.where(step, self.up[j, a], a)
-        for up in self.up[::-1]:
-            ua, ub = up[a], up[b]
-            apart = ua != ub
-            a = np.where(apart, ua, a)
-            b = np.where(apart, ub, b)
-        return np.where(a == b, a, self.up[0, a])
+        """Extended etree LCA of each pair ``(a[k], b[k])`` (same tree).
+
+        A range-minimum query: for ``pre(a) < pre(b)``, the nodes at
+        preorder positions ``(pre(a), pre(b)]`` all lie below the LCA
+        in its subtree, and the shallowest of them are its children.
+        Two overlapping power-of-two windows of the sparse table find
+        one, in a fixed number of numpy passes.
+        """
+        pa, pb = self.pre[a], self.pre[b]
+        hi = np.maximum(pa, pb)
+        lo = np.minimum(np.minimum(pa, pb) + 1, hi)
+        k = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(window))
+        left = self.span[k, lo]
+        right = self.span[k, hi + 1 - np.left_shift(1, k)]
+        child = np.where(self.depth[left] <= self.depth[right], left, right)
+        return np.where(a == b, a, self.parent[child])
 
     def _chain_join(self, srcs: np.ndarray, tgts: np.ndarray):
         """Shared-suffix join of same-component pairs.
@@ -531,7 +738,7 @@ class HubLabelIndex:
         end_t = self.ptr[tgts + 1]
         shared = np.minimum(
             np.minimum(end_s - self.ptr[srcs], end_t - self.ptr[tgts]),
-            self.chain_len[self._lca(self.snode[srcs], self.snode[tgts])],
+            self.chain_len[self._lca(self.node[srcs], self.node[tgts])],
         )
         # Every label ends with its tree's root chain, so shared >= 1.
         ends = np.cumsum(shared)
@@ -549,7 +756,7 @@ class HubLabelIndex:
         ``searchsorted`` probes the smaller side into the larger and
         ``np.minimum.reduceat`` takes each pair's minimum over the
         matches.  Serves any label layout, including the union labels of
-        reduced vertices.  Returns the per-pair minima and the number of
+        a directed trail's eliminated vertices.  Returns the per-pair minima and the number of
         candidate sums (matched hubs).
         """
         key_s, d_s, pid_s = self._gather(srcs, self.dto)

@@ -63,7 +63,13 @@ class DistanceServer:
     method, cache, detect_negative_cycles, session_options:
         Forwarded to the internal session when ``source`` is a graph
         (``cache`` is a :class:`~repro.plan.cache.PlanCache`, so server
-        rebuilds after structural commits hit warm plans).
+        rebuilds after structural commits hit warm plans).  For an
+        undirected :class:`Graph` the session analyzes with
+        ``reduce="auto"`` unless told otherwise: the reduction is kept
+        when it eliminates most of the graph in shallow trees
+        (:func:`~repro.ordering.reduce.auto_keeps`), as on road
+        networks, and dropped on meshes, power grids and long paths.  A
+        :class:`DiGraph` keeps the session's default.
     result_cache_size:
         LRU bound for the scalar-query result cache (0 disables it).
     strict:
@@ -100,6 +106,10 @@ class DistanceServer:
             self.session = source
             self._owns_session = False
         else:
+            if not isinstance(source, DiGraph):
+                # A reduced plan serves from the factor with chain-suffix
+                # labels; analyze keeps the trail only when it pays off.
+                session_options.setdefault("reduce", "auto")
             self.session = APSPSession(
                 source,
                 method=method,
@@ -341,6 +351,8 @@ class DistanceServer:
             sizes = idx.label_sizes()
             out["index"] = {
                 "source": idx.source,
+                "join": idx.join,
+                "trail_events": idx.trail_events,
                 "epoch": idx.epoch_index,
                 "plan_id": idx.plan_id,
                 "entries": idx.entries,

@@ -182,6 +182,65 @@ def superfw_snode_ops(structure: SupernodalStructure) -> np.ndarray:
     return 2 * b**3 + 4 * b * b * r + 2 * b * r * r
 
 
+def _split_keys(keys: np.ndarray, width: int, groups: int) -> list[np.ndarray]:
+    """Split ascending ``group * width + value`` keys into per-group values."""
+    if not groups:
+        return []
+    bounds = np.searchsorted(keys // width, np.arange(1, groups))
+    return np.split(keys % width, bounds)
+
+
+def supernodal_analysis(
+    sym: SymbolicFactor,
+    *,
+    relax: bool = True,
+    max_snode: int = 64,
+    small_snode: int = 8,
+) -> tuple[SupernodalStructure, list[np.ndarray]]:
+    """Supernodal structure plus each supernode's vertex-level fill rows.
+
+    ``snode_rows[s]`` is the sorted union of the column structures of
+    ``s`` restricted to rows above the supernode (the multifrontal
+    frontal index set); the structure's ``fill_block_rows`` are the
+    supernodes those rows fall in.  Both come from one vectorized union
+    over every factor entry.  Parameters as for :func:`build_structure`.
+    """
+    snode_ptr = find_supernodes(sym)
+    if relax:
+        snode_ptr = relax_supernodes(
+            sym, snode_ptr, max_size=max_snode, small=small_snode
+        )
+    ns = snode_ptr.shape[0] - 1
+    n = sym.n
+    snode_of = np.repeat(np.arange(ns, dtype=np.int64), np.diff(snode_ptr))
+    parent = supernode_parents(sym, snode_ptr)
+    children: list[list[int]] = [[] for _ in range(ns)]
+    for s in range(ns):
+        if parent[s] >= 0:
+            children[parent[s]].append(s)
+    levels = etree_levels(parent)
+    # Every factor entry (row, column), keyed by the column's supernode
+    # and kept when the row lies above that supernode.
+    flat = (np.concatenate(sym.col_struct) if n
+            else np.empty(0, dtype=np.int64))
+    owner = np.repeat(snode_of, sym.col_counts)
+    above = flat >= snode_ptr[owner + 1]
+    row_keys = np.unique(owner[above] * n + flat[above])
+    snode_rows = _split_keys(row_keys, n, ns)
+    block_keys = np.unique(row_keys // n * ns + snode_of[row_keys % n])
+    structure = SupernodalStructure(
+        snode_ptr=snode_ptr,
+        snode_of=snode_of,
+        parent=parent,
+        children=children,
+        levels=levels,
+        fill_block_rows=_split_keys(block_keys, ns, ns),
+        nnz_factor=sym.nnz_factor,
+        fill_in=sym.fill_in,
+    )
+    return structure, snode_rows
+
+
 def build_structure(
     sym: SymbolicFactor,
     *,
@@ -201,38 +260,6 @@ def build_structure(
     max_snode / small_snode:
         Relaxation thresholds (see :func:`repro.symbolic.supernodes.relax_supernodes`).
     """
-    snode_ptr = find_supernodes(sym)
-    if relax:
-        snode_ptr = relax_supernodes(
-            sym, snode_ptr, max_size=max_snode, small=small_snode
-        )
-    ns = snode_ptr.shape[0] - 1
-    snode_of = np.empty(sym.n, dtype=np.int64)
-    for s in range(ns):
-        snode_of[snode_ptr[s] : snode_ptr[s + 1]] = s
-    parent = supernode_parents(sym, snode_ptr)
-    children: list[list[int]] = [[] for _ in range(ns)]
-    for s in range(ns):
-        if parent[s] >= 0:
-            children[parent[s]].append(s)
-    levels = etree_levels(parent)
-    fill_block_rows: list[np.ndarray] = []
-    for s in range(ns):
-        lo, hi = snode_ptr[s], snode_ptr[s + 1]
-        rows_sets = [sym.col_struct[j] for j in range(lo, hi)]
-        if rows_sets:
-            rows = np.unique(np.concatenate(rows_sets))
-            rows = rows[rows >= hi]  # outside the supernode itself
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        fill_block_rows.append(np.unique(snode_of[rows]) if rows.size else np.empty(0, dtype=np.int64))
-    return SupernodalStructure(
-        snode_ptr=snode_ptr,
-        snode_of=snode_of,
-        parent=parent,
-        children=children,
-        levels=levels,
-        fill_block_rows=fill_block_rows,
-        nnz_factor=sym.nnz_factor,
-        fill_in=sym.fill_in,
-    )
+    return supernodal_analysis(
+        sym, relax=relax, max_snode=max_snode, small_snode=small_snode
+    )[0]

@@ -18,11 +18,13 @@ import pytest
 from repro.core.api import apsp
 from repro.core.parallel_superfw import parallel_superfw
 from repro.core.superfw import superfw
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import DiGraph, orient_randomly
 from repro.graphs.graph import Graph
-from repro.ordering import amd_ordering, build_trail, reduce_graph
+from repro.graphs.generators import delaunay_mesh, road_network_like
+from repro.ordering import amd_ordering, auto_keeps, build_trail, reduce_graph
+from repro.ordering.reduce import trail_depths
 from repro.plan.cache import PlanCache
-from repro.plan.plan import PLAN_FORMAT_VERSION, Plan, analyze
+from repro.plan.plan import PLAN_FORMAT_VERSION, Plan, _unit_pattern, analyze
 from repro.plan.session import APSPSession
 from repro.resilience.errors import NegativeCycleError, ReproError
 from repro.serve.hub_index import HubLabelIndex
@@ -169,6 +171,18 @@ def test_negative_cycle_on_pendant_chain_caught():
 # ----------------------------------------------------------------------
 # Plan schema v2: trail round-trips through save/load and the cache.
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reduced_pattern_matches_the_unit_weight_replay(kind, seed):
+    g = _graph(kind, seed)
+    trail = build_trail(g)
+    unit = g.with_weights(np.ones(g.weights.shape[0]))
+    replayed = _unit_pattern(trail.apply(unit).graph)
+    pattern = trail.reduced_pattern(g)
+    for name in ("indptr", "indices", "weights"):
+        assert getattr(pattern, name).tobytes() == getattr(replayed, name).tobytes()
+
+
 def test_plan_save_load_roundtrip_with_trail(tmp_path):
     g = _graph("directed", 7)
     plan = analyze(g, ordering="auto", reduce=True)
@@ -214,6 +228,38 @@ def test_reduce_changes_plan_key():
     assert (
         analyze(g, reduce=True).plan_id != analyze(g, reduce=False).plan_id
     )
+
+
+def _same_analysis(a, b) -> bool:
+    return (np.array_equal(a.ordering.perm, b.ordering.perm)
+            and np.array_equal(a.structure.snode_ptr, b.structure.snode_ptr)
+            and np.array_equal(a.structure.parent, b.structure.parent))
+
+
+def test_trail_depths_follow_the_elimination_chain():
+    # A path is eliminated from vertex 0 on, each vertex below the next.
+    trail = build_trail(Graph.from_edges(6, [(i, i + 1, 1.0) for i in range(5)]))
+    assert trail.n_events == 5
+    assert trail_depths(trail).tolist() == [5, 4, 3, 2, 1]
+    star = build_trail(Graph.from_edges(5, [(0, i, 1.0) for i in range(1, 5)]))
+    assert trail_depths(star).max() <= 2
+
+
+def test_reduce_auto_keeps_road_trails_only():
+    road = road_network_like(600, seed=3)
+    auto = analyze(road, reduce="auto")
+    assert auto_keeps(build_trail(road)) and auto.trail is not None
+    assert auto.params["reduce"] == "auto"
+    assert _same_analysis(auto, analyze(road, reduce=True))
+    path = Graph.from_edges(300, [(i, i + 1, 1.0) for i in range(299)])
+    mesh = delaunay_mesh(300, seed=3)
+    for g in (path, mesh, orient_randomly(road, seed=0)):
+        assert not auto_keeps(build_trail(g))
+        plan = analyze(g, reduce="auto")
+        assert plan.trail is None
+        assert _same_analysis(plan, analyze(g, reduce=False))
+    with pytest.raises(ValueError, match="reduce must be"):
+        analyze(road, reduce="yes")
 
 
 def test_amd_ordering_valid_and_deterministic():
@@ -283,7 +329,10 @@ def test_hub_labels_exact_under_reduce(kind):
     full = session.solve().dist
     index = HubLabelIndex.build(session)
     assert index.n == g.n
-    assert index.up is None  # union labels of reduced vertices: merge join
+    # Undirected trail vertices hang off the etree as chain-suffix
+    # leaves; a directed trail's union labels join by sorted merge.
+    assert index.join == ("merge" if session.directed else "chain")
+    assert index.trail_events == session.plan.trail.n_events
     i, j = np.meshgrid(np.arange(g.n), np.arange(g.n), indexing="ij")
     got = index.query_many(i.ravel(), j.ravel()).reshape(g.n, g.n)
     assert np.array_equal(got, full)

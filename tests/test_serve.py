@@ -2,6 +2,7 @@
 
 import asyncio
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.graphs import generators
 from repro.graphs.components import connected_components
 from repro.graphs.digraph import DiGraph, orient_randomly
 from repro.graphs.graph import Graph
+from repro.graphs.suite import get_entry
 from repro.obs import Tracer, use_tracer
 from repro.ordering.base import Ordering
 from repro.plan import APSPSession, PlanCache
@@ -23,6 +25,7 @@ from repro.resilience.errors import (
 from repro.serve import DistanceServer, HubLabelIndex
 
 from conftest import scipy_apsp
+from test_reduce import _graph as reduce_fixture
 
 
 def _all_pairs(server, n):
@@ -170,8 +173,8 @@ JOIN_GRAPHS = {
     "forest": (_forest, {}),
     # Eliminated from both ends inward, without relaxation: one
     # supernode per vertex and an etree of two ~n/2-deep branches that
-    # meet at the middle vertex, so the LCA walks every lifting level
-    # both while levelling depths and while climbing to a fork.
+    # meet at the middle vertex, so the LCA queries windows of every
+    # width up to the whole preorder.
     "path": (
         lambda: Graph.from_edges(
             151, [(i, i + 1, 1.0 + (i % 7) / 3.0) for i in range(150)]
@@ -189,7 +192,7 @@ def test_chain_join_matches_merge_join(kind):
     g = build()
     session = APSPSession(g, **options)
     index = HubLabelIndex.build(session)
-    assert index.up is not None  # trail-free plans join by chain suffix
+    assert index.join == "chain"  # trail-free plans join by chain suffix
     n = g.n
     src, dst = (a.ravel() for a in np.meshgrid(
         np.arange(n), np.arange(n), indexing="ij"))
@@ -206,8 +209,29 @@ def test_chain_join_matches_merge_join(kind):
     if kind == "forest":
         assert ncomp == 5
     if kind == "path":
-        assert index.depth.max() > 2 ** (index.up.shape[0] - 2) >= 64
+        assert index.depth.max() >= 64
+        assert index.span.shape[0] == int(np.log2(index.depth.shape[0])) + 1
     session.close()
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+def test_lca_matches_root_paths(reduce):
+    index = HubLabelIndex.build(
+        APSPSession(quantize_weights(_forest()), reduce=reduce, seed=0))
+    nodes = index.depth.shape[0]
+    paths = []
+    for x in range(nodes):
+        path = [x]
+        while index.parent[path[-1]] >= 0:
+            path.append(int(index.parent[path[-1]]))
+        paths.append(path)
+    a, b = (v.ravel() for v in np.meshgrid(
+        np.arange(nodes), np.arange(nodes), indexing="ij"))
+    same = np.array([paths[x][-1] == paths[y][-1] for x, y in zip(a, b)])
+    a, b = a[same], b[same]
+    want = [next(z for z in paths[x] if z in paths[y]) for x, y in zip(a, b)]
+    assert np.array_equal(index._lca(a, b), want)
+    assert np.array_equal(index.depth, [len(p) - 1 for p in paths])
 
 
 def test_strict_unreachable_raises():
@@ -445,7 +469,63 @@ def test_server_stats_shape(grid_graph):
     assert stats["queries"] == 1
     assert stats["index"]["shards"] == 1
     assert stats["index"]["entries"] > 0
+    assert stats["index"]["join"] == "chain"
+    # A grid eliminates no vertex: reduce="auto" serves it unreduced.
+    assert stats["index"]["trail_events"] == 0
     assert stats["result_cache"]["misses"] == 1
+
+
+def test_server_reduces_road_graphs_by_default():
+    g = quantize_weights(generators.road_network_like(300, seed=1))
+    with DistanceServer(g) as server:
+        server.refresh()
+        index = server.stats()["index"]
+        assert server.session.plan.params["reduce"] == "auto"
+        assert server.session.plan.trail is not None
+        assert index["source"] == "factor" and index["join"] == "chain"
+        assert index["trail_events"] > 0
+    with DistanceServer(g, reduce=False) as server:
+        server.refresh()
+        assert server.session.plan.trail is None
+        assert server.stats()["index"]["trail_events"] == 0
+    with DistanceServer(orient_randomly(g, seed=2)) as server:
+        assert server.session.plan.trail is None
+    session = APSPSession(g, seed=0)
+    with DistanceServer(session) as server:
+        assert server.session is session and session.plan.trail is None
+
+
+@pytest.mark.parametrize("name", ["power_grid", "mesh"])
+def test_server_keeps_unreduced_labels_where_reduction_grows_them(name):
+    # Power grids and meshes eliminate too little for a reduced plan to
+    # pay: the default serves the unreduced plan's labels.
+    g = (generators.power_grid_like(300, seed=0) if name == "power_grid"
+         else generators.delaunay_mesh(300, seed=0))
+    with DistanceServer(g) as auto, DistanceServer(g, reduce=False) as plain:
+        assert auto.session.plan.trail is None
+        assert auto.index.entries == plain.index.entries
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+def test_server_labels_stay_n_log_n_on_long_chains(shape):
+    # Eliminated end to end, a path or cycle would hang each vertex
+    # below the next and label it with every later one (~n²/2 entries);
+    # reduce="auto" serves it from nested dissection instead.
+    n = 5000
+    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    if shape == "cycle":
+        edges.append((n - 1, 0, 1.0))
+    g = Graph.from_edges(n, edges)
+    with DistanceServer(g) as server:
+        index = server.index
+        assert index.trail_events == 0
+        assert index.entries <= 4 * n * np.log2(n)
+        src = np.arange(0, n, 7)
+        dst = (src * 31 + 11) % n
+        expect = np.abs(dst - src).astype(float)
+        if shape == "cycle":
+            expect = np.minimum(expect, n - expect)
+        assert np.array_equal(server.query_many(src, dst), expect)
 
 
 # ----------------------------------------------------------------------
@@ -507,13 +587,98 @@ def test_factor_negative_cycle_raises_like_solve():
     assert served.value.witness == solved.value.witness
 
 
-def test_reduced_plan_slices_the_epoch():
+def test_reduced_factor_negative_cycle_raises_like_solve():
+    edges = generators.road_network_like(100, seed=1).edge_array()
+    edges[5, 2] = -1.0  # an undirected negative edge is a negative cycle
+    g = Graph.from_edges(100, edges)
+    with pytest.raises(NegativeCycleError) as solved:
+        APSPSession(g, reduce=True, seed=0).solve()
+    with pytest.raises(NegativeCycleError) as served:
+        DistanceServer(g, seed=0).refresh()
+    assert served.value.witness == solved.value.witness
+
+
+def test_reduced_plan_builds_from_the_factor():
     g = quantize_weights(generators.road_network_like(200, seed=3))
     session = APSPSession(g, reduce=True, seed=0)
     assert session.plan.trail is not None
-    index = HubLabelIndex.build(session)
-    assert index.source == "epoch" and index.up is None
-    assert session._epoch is not None
+    tracer = Tracer()
+    with use_tracer(tracer):
+        index = HubLabelIndex.build(session)
+    assert index.source == "factor" and index.join == "chain"
+    assert index.trail_events == session.plan.trail.n_events > 0
+    assert session._epoch is None and session.solves == 0
+    (span,) = [e for e in tracer.events() if e.name == "hub-index-build"]
+    assert span.args["join"] == "chain"
+    assert span.args["trail_events"] == index.trail_events
+    assert "hub-index-solve" not in {e.name for e in tracer.events()}
+
+
+def _twins() -> Graph:
+    """A mesh plus three vertices on one vertex triple: twins, then simplicial."""
+    extra = [(60 + k, t, 1.0 + k) for k in range(3) for t in (7, 21, 33)]
+    edges = generators.delaunay_mesh(60, seed=5).edge_array()
+    return Graph.from_edges(63, np.concatenate([edges, np.array(extra)]))
+
+
+#: Dyadic-weight undirected graphs whose reduced plans build from the
+#: factor: the reduction rules each one must exercise, and whether some
+#: trail vertex hangs at an offset t > 0 inside a supernode.
+REDUCED_GRAPHS = {
+    **{f"{kind}-{seed}": (partial(reduce_fixture, kind, seed), (), True)
+       for kind in ("undirected", "undirected-disconnected",
+                    "undirected-selfloops")
+       for seed in (0, 1)},
+    "road": (lambda: quantize_weights(
+        generators.road_network_like(1500, seed=0)), ("twin", "simplicial"),
+        True),
+    "USpowerGrid": (lambda: quantize_weights(
+        get_entry("USpowerGrid").build(seed=0)), ("pendant", "chain"), True),
+    "forest": (lambda: quantize_weights(_forest()), ("isolated",), True),
+    "twins": (lambda: quantize_weights(_twins()), ("twin", "simplicial"),
+              False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCED_GRAPHS))
+def test_reduced_factor_labels_bit_identical_to_epoch_labels(kind):
+    build, rules, offset = REDUCED_GRAPHS[kind]
+    g = build()
+    cold = APSPSession(g, reduce=True, seed=0)
+    trail = cold.plan.trail
+    assert set(rules) <= set(trail.kind_counts())
+    factor = HubLabelIndex.build(cold)
+    assert factor.source == "factor" and factor.join == "chain"
+    assert cold._epoch is None
+    warm = APSPSession(g, plan=cold.plan)
+    warm.solve()
+    sliced = HubLabelIndex.build(warm)
+    assert sliced.source == "epoch" and sliced.join == "chain"
+    for name in ("ptr", "hubs", "dto", "dfrom", "comp", "node", "chain_len"):
+        assert getattr(factor, name).tobytes() == getattr(sliced, name).tobytes()
+    # A supernode split at a trail vertex's offset t > 0 adds an etree
+    # node beyond one per trail vertex and one per supernode.
+    nodes = factor.chain_len.shape[0]
+    assert (nodes > trail.n_events + cold.plan.structure.ns) == offset
+    # Every label is its own key followed by a chain suffix, so the
+    # chain join answers all n² pairs exactly.
+    n = g.n
+    dist = np.asarray(warm.dist)
+    for lo in range(0, n, 128):
+        src, dst = (a.ravel() for a in np.meshgrid(
+            np.arange(lo, min(n, lo + 128)), np.arange(n), indexing="ij"))
+        assert np.array_equal(factor.query_many(src, dst), dist[src, dst])
+    ncomp, _ = connected_components(g)
+    assert factor.ncomp == ncomp
+    # Each eliminated vertex's label is exactly the union label of the
+    # merge join — its own key and its neighbors' labels — so label
+    # entries do not grow.
+    def label(v):
+        return factor.hubs[factor.ptr[v]:factor.ptr[v + 1]]
+
+    for r, v in enumerate(trail.verts):
+        union = {r}.union(*(label(q).tolist() for q in trail.out_nbrs[r]))
+        assert label(v).tolist() == sorted(union)
 
 
 def test_factor_index_lifecycle():

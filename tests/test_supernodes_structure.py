@@ -6,7 +6,7 @@ import pytest
 from repro.graphs.generators import delaunay_mesh, grid2d
 from repro.ordering.nested_dissection import nested_dissection
 from repro.symbolic.fill import symbolic_cholesky
-from repro.symbolic.structure import build_structure
+from repro.symbolic.structure import build_structure, supernodal_analysis
 from repro.symbolic.supernodes import (
     find_supernodes,
     relax_supernodes,
@@ -130,3 +130,18 @@ def test_snode_of_matches_ranges(sym):
     for s in range(st.ns):
         lo, hi = st.col_range(s)
         assert np.all(st.snode_of[lo:hi] == s)
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_one_union_pass_matches_per_supernode_unions(relax):
+    for graph in (delaunay_mesh(160, seed=1), grid2d(9, 11, seed=0)):
+        sym = symbolic_cholesky(graph, nested_dissection(graph, seed=0).perm)
+        st, snode_rows = supernodal_analysis(sym, relax=relax)
+        for s in range(st.ns):
+            lo, hi = st.col_range(s)
+            rows = np.unique(np.concatenate(
+                [sym.col_struct[j] for j in range(lo, hi)]))
+            rows = rows[rows >= hi]
+            assert snode_rows[s].tobytes() == rows.tobytes()
+            blocks = np.unique(st.snode_of[rows]).astype(np.int64)
+            assert st.fill_block_rows[s].tobytes() == blocks.tobytes()
