@@ -3,14 +3,14 @@
 Run:  python examples/route_queries.py
 
 When only a handful of pairs matter, materializing the full n² matrix is
-wasted work.  The DPC/P3C + hub-label solver (paper reference [33],
-`repro.core.treewidth`) factorizes in O(n·tw²), builds hub labels lazily,
-and answers an arbitrary pair in label-join time — the concrete answer to
-the paper's closing question about the APSP "hierarchy of methods".
-When *many* clients query concurrently, the serving tier (`repro.serve`)
-adds the third regime: a 2-hop hub-label index built from the same
-supernodal factor SuperFW sweeps (no n² matrix), served batched behind
-a `DistanceServer` and rebuilt from every epoch a commit publishes.
+wasted work.  The serving tier (`repro.serve`) builds 2-hop hub labels
+straight from the supernodal min-plus factor (the treewidth method of
+the paper's reference [33]; no solve, no n² matrix) and answers an
+arbitrary pair in label-join time — the concrete answer to the paper's
+closing question about the APSP "hierarchy of methods".  The same
+`DistanceServer` also answers whole batches with a few vectorized
+passes, serves async callers, and rebuilds from every epoch a commit
+publishes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from repro import DistanceServer, analyze, generators, superfw
-from repro.core.treewidth import TreewidthAPSP
 
 
 def main() -> None:
@@ -36,17 +35,24 @@ def main() -> None:
     print(f"\nSuperFW (full matrix): {t_full:.2f}s for all "
           f"{g.n * g.n:,} pairs")
 
-    # Route B: factorize the fill only, answer queries on demand.
+    # Route B: serve from the factor — the DistanceServer reduces the
+    # road graph (its default reduce="auto" keeps a reduction that
+    # removes most vertices in shallow trees), builds a 2-hop hub-label
+    # index from the factor of the reduced core (eliminated vertices
+    # hang off the etree as chain-suffix leaves) and answers on demand.
     t0 = time.perf_counter()
-    tw = TreewidthAPSP(g, ordering=plan.ordering)  # share the ND ordering
-    t_build = time.perf_counter() - t0
-    print(f"treewidth solver build (DPC/P3C): {t_build:.3f}s "
-          f"(width {tw.width})")
+    server = DistanceServer(g)
+    index = server.refresh()
+    t_index = time.perf_counter() - t0
+    sizes = index.label_sizes()
+    print(f"DistanceServer index: {index.entries} label entries "
+          f"(mean width {sizes.mean():.1f}, {index.trail_events} trail "
+          f"vertices) built from the {index.source} in {t_index:.3f}s")
 
     rng = np.random.default_rng(0)
     queries = [(int(a), int(b)) for a, b in rng.integers(0, g.n, (10, 2))]
     t0 = time.perf_counter()
-    answers = [tw.query(i, j) for i, j in queries]
+    answers = [server.query(i, j) for i, j in queries]
     t_q = time.perf_counter() - t0
     print(f"10 point-to-point queries: {t_q * 1e3:.1f} ms total")
     for (i, j), d in zip(queries[:3], answers[:3]):
@@ -56,29 +62,15 @@ def main() -> None:
         np.isclose(d, full.dist[i, j]) for (i, j), d in zip(queries, answers)
     )
 
-    # One full SSSP row from the factor: the min-plus triangular solve.
+    # One full SSSP row: one batch of the pairs (0, t) for every t.
     t0 = time.perf_counter()
-    row = tw.distances_from(0)
+    row = server.query_many(np.zeros(g.n, dtype=np.int64), np.arange(g.n))
     t_row = time.perf_counter() - t0
     assert np.allclose(row, full.dist[0])
-    print(f"one SSSP row from the factor: {t_row * 1e3:.1f} ms "
+    print(f"one SSSP row from the labels: {t_row * 1e3:.1f} ms "
           f"(vs {t_full / g.n * 1e3:.1f} ms amortized in the full solve)")
 
-    # Route C: serve *many* queries — the DistanceServer reduces the
-    # road graph (its default reduce="auto" keeps a reduction that
-    # removes most vertices in shallow trees), builds a 2-hop hub-label
-    # index straight from the factor of the reduced core (no solve, no
-    # n² matrix; eliminated vertices hang off the etree as chain-suffix
-    # leaves) and answers whole batches with a few vectorized passes.
-    t0 = time.perf_counter()
-    server = DistanceServer(g)
-    index = server.refresh()
-    t_index = time.perf_counter() - t0
-    sizes = index.label_sizes()
-    print(f"\nDistanceServer index: {index.entries} label entries "
-          f"(mean width {sizes.mean():.1f}, {index.trail_events} trail "
-          f"vertices) built from the {index.source} in {t_index:.2f}s")
-
+    # Route C: serve *many* queries in vectorized batches.
     n_q = 100_000
     sources = rng.integers(0, g.n, n_q)
     targets = rng.integers(0, g.n, n_q)
@@ -96,10 +88,11 @@ def main() -> None:
             *(server.aquery(i, j) for i, j in queries)
         )
 
+    batches = server.batches
     async_answers = asyncio.run(fan_in())
     assert np.allclose(async_answers, answers)
     print(f"async micro-batching: {len(queries)} aquery() awaiters -> "
-          f"{server.batches - 1} extra batch(es)")
+          f"{server.batches - batches} batch(es)")
 
     # The server composes with the epoch write path: a commit on the
     # underlying session atomically invalidates index + result cache.
@@ -113,11 +106,10 @@ def main() -> None:
           "answers track the new epoch")
     server.close()
 
-    print("\nrule of thumb: few queries -> treewidth labels; "
-          "everything -> SuperFW; many point queries -> DistanceServer "
-          "(also behind `python -m repro query ... --random K --verify`); "
-          "the break-even is printed by "
-          "`python -m repro experiment hierarchy`.")
+    print("\nrule of thumb: point queries or batches -> DistanceServer "
+          "labels from the factor (also behind `python -m repro query ... "
+          "--random K --verify`); everything -> SuperFW; the break-even "
+          "is printed by `python -m repro experiment hierarchy`.")
 
 
 if __name__ == "__main__":

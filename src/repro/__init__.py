@@ -35,7 +35,6 @@ from repro.core.incremental import IncrementalAPSP
 from repro.core.paths import PathOracle
 from repro.core.result import APSPResult
 from repro.core.superfw import superfw
-from repro.core.treewidth import TreewidthAPSP
 from repro.graphs import generators
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
@@ -113,7 +112,6 @@ __all__ = [
     "SupervisorPolicy",
     "TaskFailedError",
     "Tracer",
-    "TreewidthAPSP",
     "UnreachablePairError",
     "UpdateBuffer",
     "UpdateRouter",

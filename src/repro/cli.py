@@ -287,27 +287,6 @@ def _cmd_query(args) -> int:
     if not pairs and not args.random:
         raise SystemExit("provide SRC:DST pairs and/or --random K")
 
-    if args.dpc:
-        # Legacy label-on-demand path: DPC/P3C factor, no dense matrix.
-        from repro.core.treewidth import TreewidthAPSP
-
-        solver = TreewidthAPSP(graph, seed=args.seed)
-        print(f"factorized in {solver.timings.total * 1e3:.1f} ms "
-              f"(width {solver.width})")
-        for a, b in pairs:
-            print(f"dist({a}, {b}) = {solver.query(a, b):.6g}")
-        if args.random:
-            rng = np.random.default_rng(args.seed)
-            t0 = time.perf_counter()
-            for a, b in rng.integers(0, graph.n, (args.random, 2)):
-                solver.query(int(a), int(b))
-            dt = time.perf_counter() - t0
-            print(f"{args.random} random queries in {dt * 1e3:.1f} ms "
-                  f"({args.random / max(dt, 1e-12):,.0f} queries/s)")
-        if args.verify:
-            return _verify_queries(graph, pairs, args, solver.query)
-        return 0
-
     from repro.plan.cache import PlanCache
     from repro.serve import DistanceServer
 
@@ -349,18 +328,13 @@ def _cmd_query(args) -> int:
         # no epoch yet): reading the full matrix publishes an epoch, after
         # which the server would rebuild from it.
         return _verify_queries(
-            graph, pairs + rand_pairs, args, index.query_one,
-            dist=np.asarray(server.session.dist),
+            pairs + rand_pairs, index.query_one, np.asarray(server.session.dist)
         )
     return 0
 
 
-def _verify_queries(graph, pairs, args, query, dist=None) -> int:
-    """Spot-check ``query`` answers against a full solve's matrix."""
-    if dist is None:
-        from repro.core.superfw import superfw
-
-        dist = superfw(graph, seed=args.seed).dist
+def _verify_queries(pairs, query, dist) -> int:
+    """Spot-check ``query`` answers against the full matrix ``dist``."""
     bad = 0
     for a, b in pairs:
         got, want = query(a, b), float(dist[a, b])
@@ -896,11 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the server's serving counters",
-    )
-    query.add_argument(
-        "--dpc",
-        action="store_true",
-        help="use the legacy DPC/P3C TreewidthAPSP path (no dense matrix)",
     )
     query.set_defaults(func=_cmd_query)
 

@@ -25,20 +25,17 @@ from repro.core.dijkstra import (
 )
 from repro.core.incremental import IncrementalAPSP, apply_edge_improvement
 from repro.core.johnson import johnson_apsp
-from repro.core.multifrontal import multifrontal_dpc
 from repro.core.path_doubling import path_doubling
 from repro.core.paths import PathOracle
 from repro.core.result import APSPResult
 from repro.core.superfw import superfw
 from repro.core.parallel_superfw import SharedPlanPool, parallel_superfw
-from repro.core.treewidth import TreewidthAPSP
 
 __all__ = [
     "APSPResult",
     "IncrementalAPSP",
     "PathOracle",
     "SharedPlanPool",
-    "TreewidthAPSP",
     "apply_edge_improvement",
     "path_doubling",
     "apsp",
@@ -49,7 +46,6 @@ __all__ = [
     "blocked_floyd_warshall",
     "floyd_warshall",
     "johnson_apsp",
-    "multifrontal_dpc",
     "parallel_superfw",
     "sssp_bellman_ford",
     "sssp_delta_stepping",

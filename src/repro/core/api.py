@@ -80,24 +80,24 @@ def _path_doubling(graph: Graph, **kw) -> APSPResult:
 
 
 def _treewidth(graph: Graph, **kw) -> APSPResult:
-    from repro.core.treewidth import TreewidthAPSP
-    from repro.util.timing import Timer
+    from repro.plan.session import APSPSession
+    from repro.serve.factor import factor_pass_ops
+    from repro.serve.hub_index import HubLabelIndex
 
-    solver = TreewidthAPSP(graph, **kw)
-    timings = solver.timings
-    with Timer() as t:
-        dist = solver.all_pairs()
-    timings.add("solve", t.elapsed)
-    # Scalars only: stashing the live solver here would pin the dense
-    # factor (and the input graph) in memory for the result's lifetime.
+    # Hub labels from the min-plus factor (the paper's ref [33] on its
+    # supernodes): no n x n array exists before ``dist`` itself.
+    with APSPSession(graph, **kw) as session:
+        index = HubLabelIndex.build(session)
+    plan = session.plan
+    ascending, descending = factor_pass_ops(plan.structure, plan.snode_rows)
+    sizes = index.label_sizes()
     return APSPResult(
-        dist=dist,
+        dist=index.all_pairs(),
         method="treewidth",
-        timings=timings,
         meta={
-            "width": solver.width,
-            "factor_ops": solver.factor_ops,
-            "fill_entries": int(sum(len(c) for c in solver.struct)),
+            "factor_ops": int(ascending.sum() + descending.sum()),
+            "label_entries": index.entries,
+            "width": int(sizes.max()) if sizes.size else 0,
         },
     )
 
@@ -145,7 +145,8 @@ _FW_FAMILY = frozenset(
 
 #: Methods that can consume a precomputed :class:`repro.plan.plan.Plan`.
 _PLAN_AWARE = frozenset(
-    {"auto", "superfw", "superbfs", "parallel-superfw", "blocked-fw"}
+    {"auto", "superfw", "superbfs", "parallel-superfw", "blocked-fw",
+     "treewidth"}
 )
 
 #: Methods whose plan can carry a reduction trail (``reduce=True``).

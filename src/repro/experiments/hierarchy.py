@@ -6,8 +6,9 @@ spectrum.  For APSP, we do not yet fully understand what the analogous
 hierarchy might look like."*
 
 This runner lines up the hierarchy this library implements — dense FW,
-blocked FW, SuperFW, the DPC/P3C+labels treewidth solver, and on-demand
-Dijkstra — and measures, per method, the one-off *build* cost, the cost
+blocked FW, SuperFW, hub labels from the min-plus factor (the
+treewidth method of the paper's ref [33], :mod:`repro.serve.factor`), and
+on-demand Dijkstra — and measures, per method, the one-off *build* cost, the cost
 to *materialize* the full n² matrix, and the marginal cost of a *single
 pair query*.  The interesting output is the break-even query count: below
 it, the query-oriented end of the hierarchy wins; above it, the
@@ -25,10 +26,10 @@ from repro.core.blocked_fw import blocked_floyd_warshall
 from repro.core.dense_fw import floyd_warshall
 from repro.core.dijkstra import apsp_dijkstra, sssp_dijkstra
 from repro.core.superfw import superfw
-from repro.plan import analyze
-from repro.core.treewidth import TreewidthAPSP
+from repro.plan import APSPSession, analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import get_entry
+from repro.serve import HubLabelIndex
 
 
 def run_hierarchy(
@@ -61,7 +62,7 @@ def run_hierarchy(
         )
 
     # SuperFW: plan is the build; sweep materializes the matrix.  The ND
-    # ordering is shared with the treewidth solver below so the comparison
+    # plan is shared with the label index below so the comparison
     # isolates factorize-everything vs factorize-little-query-more.
     t0 = time.perf_counter()
     plan = analyze(graph, seed=seed)
@@ -75,24 +76,22 @@ def run_hierarchy(
     )
     superfw_solve = full
 
-    # Treewidth solver: build = symbolic + DPC/P3C factorization; labels
-    # are lazy, so a *cold* query pays for two hub labels and a *warm*
-    # query only for the label join.
+    # Treewidth: the build is the hub-label index from the factor on the
+    # shared plan; a query is one label join.
     t0 = time.perf_counter()
-    tw = TreewidthAPSP(graph, ordering=plan.ordering)
+    index = HubLabelIndex.build(APSPSession(graph, plan=plan))
     tw_build = time.perf_counter() - t0
+    answers = np.empty(query_samples)
     t0 = time.perf_counter()
-    for i, j in pairs:
-        tw.query(int(i), int(j))
-    cold = (time.perf_counter() - t0) / query_samples
+    for k, (i, j) in enumerate(pairs):
+        answers[k] = index.query_one(int(i), int(j))
+    query = (time.perf_counter() - t0) / query_samples
     t0 = time.perf_counter()
-    for i, j in pairs:
-        tw.query(int(i), int(j))
-    warm = (time.perf_counter() - t0) / query_samples
+    index.all_pairs()
     rows.append(
         {"method": "treewidth", "build_s": tw_build,
-         "full_matrix_s": tw_build + cold * 2 * n,  # every label once
-         "per_query_us": cold * 1e6}
+         "full_matrix_s": tw_build + time.perf_counter() - t0,
+         "per_query_us": query * 1e6}
     )
 
     # Dijkstra: zero build; a query costs one SSSP row.
@@ -109,18 +108,19 @@ def run_hierarchy(
          "per_query_us": dij_row * 1e6}
     )
 
-    # Break-even: with a shared ordering, the treewidth route costs
-    # tw_build + q·cold while the SuperFW route costs superfw_solve for
+    # Break-even: with a shared plan, the treewidth route costs
+    # tw_build + q·query while the SuperFW route costs superfw_solve for
     # every q.  q* below which the query-oriented method wins:
     breakeven_tw_vs_superfw = (
-        max(superfw_solve - tw_build, 0.0) / cold if cold > 0 else np.inf
+        max(superfw_solve - tw_build, 0.0) / query if query > 0 else np.inf
     )
     out = {
         "graph": graph_name,
         "n": n,
         "rows": rows,
-        "cold_query_us": cold * 1e6,
-        "warm_query_us": warm * 1e6,
+        "query_us": query * 1e6,
+        "query_pairs": pairs,
+        "treewidth_answers": answers,
         "breakeven_queries_treewidth_vs_superfw": breakeven_tw_vs_superfw,
     }
     if verbose:
@@ -128,10 +128,7 @@ def run_hierarchy(
             f"Hierarchy of APSP methods on {graph_name} (n={n}) — paper §7"
         )
         print(format_table(rows))
-        print(
-            f"\ntreewidth queries: {cold * 1e6:.1f} us cold (label build), "
-            f"{warm * 1e6:.2f} us warm (cached labels)"
-        )
+        print(f"\ntreewidth queries: {query * 1e6:.1f} us each (label join)")
         print(
             f"break-even: treewidth wins below ~"
             f"{breakeven_tw_vs_superfw:.3g} queries, SuperFW above "

@@ -8,10 +8,10 @@ produces a :class:`Plan` holding the fill-reducing ordering, the
 supernodal block structure, the elimination-tree schedule, and the
 symmetrized pattern, none of which reference edge weights.  Every
 structure-consuming backend (:func:`repro.core.superfw.superfw`,
-:func:`repro.core.parallel_superfw.parallel_superfw`,
-:func:`repro.core.multifrontal.multifrontal_dpc`, the blocked-FW tiling,
-and the ``method="auto"`` fallback chain) consumes a plan instead of
-rebuilding this state inline.
+:func:`repro.core.parallel_superfw.parallel_superfw`, the factor-built
+hub labels of :mod:`repro.serve.factor`, the blocked-FW tiling, and the
+``method="auto"`` fallback chain) consumes a plan instead of rebuilding
+this state inline.
 
 Plans serialize (:meth:`Plan.save` / :meth:`Plan.load`, npz + JSON
 header) for warm starts across processes, and are cached by structure

@@ -14,12 +14,12 @@ dissection separators as the hubs.
 
 **Why the separator hierarchy covers.**  In the fill-reducing ordering,
 the maximum-numbered vertex of any shortest path between ``u`` and ``v``
-is a common elimination-tree ancestor of both (the same fact the DPC /
-P3C factorization in :mod:`repro.core.treewidth` rests on).  Every
-etree ancestor of a vertex in supernode ``s`` lies either at a
-greater-or-equal position inside ``s`` itself or inside one of ``s``'s
-ancestor supernodes — supernodes are exactly contiguous runs of the
-vertex etree chain, and ``parent(s) > s`` always.  So taking
+is a common elimination-tree ancestor of both (the same fact DPC / P3C,
+the paper's ref [33], and the factor passes of :mod:`repro.serve.factor`
+rest on).  Every etree ancestor of a vertex in supernode ``s`` lies
+either at a greater-or-equal position inside ``s`` itself or inside one
+of ``s``'s ancestor supernodes — supernodes are exactly contiguous runs
+of the vertex etree chain, and ``parent(s) > s`` always.  So taking
 
     H(v) = { positions ≥ p(v) in snode(v) }  ∪  vertices of A(snode(v))
 
@@ -99,6 +99,9 @@ from repro.resilience.checkpoint import weights_sha
 from repro.resilience.errors import NegativeCycleError
 from repro.semiring.engine import use_engine
 from repro.serve.factor import chain_lengths, factor_chain_blocks
+
+#: Pairs per :meth:`HubLabelIndex.all_pairs` block.
+_ALL_PAIRS_BLOCK = 1 << 16
 
 
 def _vertex_ids(values) -> np.ndarray:
@@ -690,6 +693,26 @@ class HubLabelIndex:
         anything else raises ``ValueError``.
         """
         return self._evaluate(sources, targets)[0]
+
+    def all_pairs(self) -> np.ndarray:
+        """The full ``n x n`` distance matrix, one :meth:`query_many` per
+        block of source rows.
+
+        Each block holds about 65k pairs, so the join's per-pair
+        candidate sums never span all ``n²`` pairs at once; the returned
+        matrix is the only ``n x n`` array.
+        """
+        n = self.n
+        dist = np.empty((n, n))
+        rows = max(1, _ALL_PAIRS_BLOCK // max(n, 1))
+        targets = np.tile(np.arange(n, dtype=np.int64), min(rows, n))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            sources = np.repeat(np.arange(lo, hi, dtype=np.int64), n)
+            dist[lo:hi] = self.query_many(
+                sources, targets[:sources.shape[0]]
+            ).reshape(hi - lo, n)
+        return dist
 
     def _evaluate(self, sources, targets) -> tuple[np.ndarray, str, int]:
         """:meth:`query_many` plus the join that ran and its candidate sums.

@@ -230,26 +230,3 @@ def test_query_reduced_road_serves_through_the_chain_join(capsys):
     trail_events = int(out.split("'trail_events': ")[1].split(",")[0])
     assert trail_events > 0
     assert ": OK" in out
-
-
-def test_query_dpc_path(capsys):
-    assert main(
-        ["query", "0:35", "--generate", "grid2d:6", "--dpc", "--verify"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "factorized" in out
-    assert "dist(0, 35)" in out
-    assert ": OK" in out
-
-
-def test_query_dpc_and_server_agree(capsys):
-    main(["query", "0:35", "--generate", "grid2d:6", "--seed", "2"])
-    server_out = capsys.readouterr().out
-    main(["query", "0:35", "--generate", "grid2d:6", "--seed", "2", "--dpc"])
-    dpc_out = capsys.readouterr().out
-    import re
-
-    pat = r"dist\(0, 35\) = ([\d.]+)"
-    a = float(re.search(pat, server_out).group(1))
-    b = float(re.search(pat, dpc_out).group(1))
-    assert abs(a - b) < 1e-9

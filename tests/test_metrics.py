@@ -132,18 +132,24 @@ def test_disconnected_conventions():
     assert np.all(c < 1.0)  # component-size corrected
 
 
+def _index_row(index, s: int) -> np.ndarray:
+    return index.query_many(np.full(index.n, s), np.arange(index.n))
+
+
 def test_treewidth_distances_from(mesh_and_dist):
-    from repro.core.treewidth import TreewidthAPSP
+    from repro.plan import APSPSession
+    from repro.serve import HubLabelIndex
 
     g, dist = mesh_and_dist
-    tw = TreewidthAPSP(g, seed=0)
+    index = HubLabelIndex.build(APSPSession(g, seed=0))
     for s in (0, 13, g.n - 1):
-        assert np.allclose(tw.distances_from(s), dist[s])
+        assert np.allclose(_index_row(index, s), dist[s])
 
 
 def test_treewidth_distances_from_directed():
-    from repro.core.treewidth import TreewidthAPSP
     from repro.graphs.digraph import DiGraph
+    from repro.plan import APSPSession
+    from repro.serve import HubLabelIndex
 
     rng = np.random.default_rng(4)
     arcs = [
@@ -152,7 +158,7 @@ def test_treewidth_distances_from_directed():
         if u != v
     ]
     dg = DiGraph.from_edges(60, arcs)
-    tw = TreewidthAPSP(dg, seed=0)
+    index = HubLabelIndex.build(APSPSession(dg, seed=0))
     ref = superfw(dg, seed=0).dist
     for s in (0, 30, 59):
-        assert np.allclose(tw.distances_from(s), ref[s])
+        assert np.allclose(_index_row(index, s), ref[s])

@@ -7,13 +7,13 @@ import pytest
 
 from repro.core.api import apsp
 from repro.core.blocked_fw import blocked_floyd_warshall
-from repro.core.multifrontal import multifrontal_dpc
 from repro.core.parallel_superfw import parallel_superfw
 from repro.core.superfw import superfw
 from repro.graphs import generators as gen
 from repro.graphs.digraph import DiGraph, orient_randomly
 from repro.graphs.graph import Graph
 from repro.plan import (
+    APSPSession,
     Plan,
     PlanCache,
     TilingPlan,
@@ -23,6 +23,7 @@ from repro.plan import (
     structure_hash,
 )
 from repro.resilience.errors import PlanMismatchError, ReproError
+from repro.serve import HubLabelIndex
 
 from conftest import scipy_apsp
 
@@ -135,12 +136,16 @@ def test_warm_process_backend_bit_identical(grid_graph):
 
 
 def test_warm_multifrontal_bit_identical(grid_graph):
+    """The factor-built labels on a reused plan equal a cold build's."""
     plan = analyze(grid_graph)
     reweighted = _perturbed(grid_graph)
-    w_cold, _ = multifrontal_dpc(reweighted)
-    w_warm, plan_back = multifrontal_dpc(reweighted, plan=plan)
-    assert np.array_equal(w_cold, w_warm)
-    assert plan_back is plan
+    cold = HubLabelIndex.build(APSPSession(reweighted))
+    warm_session = APSPSession(reweighted, plan=plan)
+    warm = HubLabelIndex.build(warm_session)
+    assert warm_session.plan is plan
+    assert warm.source == cold.source == "factor"
+    for name in ("ptr", "hubs", "dto", "dfrom"):
+        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
 
 
 def test_plan_not_for_other_structure(grid_graph, mesh_graph):
@@ -148,7 +153,7 @@ def test_plan_not_for_other_structure(grid_graph, mesh_graph):
     for call in (
         lambda: superfw(mesh_graph, plan=plan),
         lambda: parallel_superfw(mesh_graph, plan=plan),
-        lambda: multifrontal_dpc(mesh_graph, plan=plan),
+        lambda: APSPSession(mesh_graph, plan=plan),
     ):
         with pytest.raises(ValueError):
             call()

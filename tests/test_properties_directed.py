@@ -90,22 +90,23 @@ def test_arbitrary_ordering_accepted(seed):
 @given(dg=random_digraphs(max_n=14))
 @settings(max_examples=20, deadline=None)
 def test_treewidth_solver_equals_dense_directed(dg):
-    from repro.core.treewidth import TreewidthAPSP
+    from repro.core.api import apsp
 
-    tw = TreewidthAPSP(dg, seed=0)
-    assert np.allclose(tw.all_pairs(), floyd_warshall(dg).dist)
+    assert np.allclose(apsp(dg, method="treewidth").dist, floyd_warshall(dg).dist)
 
 
 @given(dg=random_digraphs(max_n=14), seed=st.integers(0, 50))
 @settings(max_examples=15, deadline=None)
 def test_treewidth_sssp_rows_match(dg, seed):
-    from repro.core.treewidth import TreewidthAPSP
+    from repro.plan import APSPSession
+    from repro.serve import HubLabelIndex
 
-    tw = TreewidthAPSP(dg, seed=0)
+    index = HubLabelIndex.build(APSPSession(dg, seed=0))
     ref = floyd_warshall(dg).dist
     rng = np.random.default_rng(seed)
     s = int(rng.integers(0, dg.n))
-    assert np.allclose(tw.distances_from(s), ref[s])
+    row = index.query_many(np.full(dg.n, s), np.arange(dg.n))
+    assert np.allclose(row, ref[s])
 
 
 def test_superfw_rejects_non_tropical_semiring():

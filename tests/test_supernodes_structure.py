@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.generators import delaunay_mesh, grid2d
 from repro.ordering.nested_dissection import nested_dissection
+from repro.plan import analyze
 from repro.symbolic.fill import symbolic_cholesky
 from repro.symbolic.structure import build_structure, supernodal_analysis
 from repro.symbolic.supernodes import (
@@ -12,6 +13,8 @@ from repro.symbolic.supernodes import (
     relax_supernodes,
     supernode_parents,
 )
+
+from test_cost_law import FIXTURES
 
 
 @pytest.fixture
@@ -145,3 +148,20 @@ def test_one_union_pass_matches_per_supernode_unions(relax):
             assert snode_rows[s].tobytes() == rows.tobytes()
             blocks = np.unique(st.snode_of[rows]).astype(np.int64)
             assert st.fill_block_rows[s].tobytes() == blocks.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_struct_rows_nested_under_parent(name):
+    """The assembly-tree invariant the factor's extend-add relies on:
+    a child's fill rows lie in its parent's front, cols ∪ rows."""
+    build, options = FIXTURES[name]
+    plan = analyze(build(), seed=0, **options)
+    st, rows = plan.structure, plan.snode_rows
+    for s in range(st.ns):
+        p = st.parent[s]
+        if p < 0:
+            assert rows[s].size == 0
+            continue
+        lo, hi = st.col_range(p)
+        parent_front = set(range(lo, hi)) | set(rows[p].tolist())
+        assert set(rows[s].tolist()) <= parent_front

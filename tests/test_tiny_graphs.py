@@ -40,12 +40,12 @@ def test_empty_digraph():
 
 
 def test_treewidth_on_tiny():
-    from repro.core.treewidth import TreewidthAPSP
+    from repro.serve import DistanceServer
 
     g = Graph.from_edges(2, [(0, 1, 0.5)])
-    tw = TreewidthAPSP(g, seed=0)
-    assert tw.query(0, 1) == 0.5
-    assert tw.query(1, 1) == 0.0
+    with DistanceServer(g, seed=0) as server:
+        assert server.query(0, 1) == 0.5
+        assert server.query(1, 1) == 0.0
 
 
 def test_incremental_on_tiny():

@@ -1,63 +1,69 @@
-"""Low-treewidth APSP (DPC/P3C + hub labels; paper reference [33])."""
+"""Low-treewidth APSP (paper reference [33]): ``apsp(method="treewidth")``.
+
+The method builds hub labels from the supernodal min-plus factor
+(:mod:`repro.serve.factor`) and fills the matrix from label joins.
+"""
 
 import numpy as np
 import pytest
 
+from repro import apsp
 from repro.core.superfw import superfw
-from repro.core.treewidth import TreewidthAPSP
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
+from repro.plan import APSPSession, analyze
+from repro.serve import HubLabelIndex
 
 from conftest import scipy_apsp
+from test_serve import FACTOR_GRAPHS
 
 
 def test_all_pairs_matches_oracle(any_graph):
-    tw = TreewidthAPSP(any_graph, seed=0)
-    assert np.allclose(tw.all_pairs(), scipy_apsp(any_graph))
+    r = apsp(any_graph, method="treewidth")
+    assert r.method == "treewidth"
+    assert np.allclose(r.dist, scipy_apsp(any_graph))
+
+
+@pytest.mark.parametrize("kind", sorted(FACTOR_GRAPHS))
+def test_bit_identical_to_superfw(kind):
+    """On dyadic weights every label sum is exact, so the factor's matrix
+    equals the SuperFW sweep's bit for bit."""
+    g = FACTOR_GRAPHS[kind]()
+    assert np.array_equal(
+        apsp(g, method="treewidth").dist, superfw(g, seed=0).dist
+    )
 
 
 def test_single_queries(mesh_graph):
-    tw = TreewidthAPSP(mesh_graph, seed=0)
+    index = HubLabelIndex.build(APSPSession(mesh_graph, seed=0))
     oracle = scipy_apsp(mesh_graph)
     rng = np.random.default_rng(0)
     for _ in range(50):
         i, j = (int(x) for x in rng.integers(0, mesh_graph.n, 2))
-        assert tw.query(i, j) == pytest.approx(oracle[i, j])
+        assert index.query_one(i, j) == pytest.approx(oracle[i, j])
 
 
 def test_self_distance_zero(grid_graph):
-    tw = TreewidthAPSP(grid_graph, seed=0)
-    assert tw.query(7, 7) == 0.0
-
-
-def test_filled_edges_exact_after_p3c(mesh_graph):
-    """P3C's defining property: every filled-edge weight is the true distance."""
-    tw = TreewidthAPSP(mesh_graph, seed=0)
-    ref = scipy_apsp(mesh_graph)[np.ix_(tw.perm, tw.perm)]
-    for k in range(mesh_graph.n):
-        s = tw.struct[k]
-        assert np.allclose(tw._w[s, k], ref[s, k])
-        assert np.allclose(tw._w[k, s], ref[k, s])
+    assert np.all(np.diag(apsp(grid_graph, method="treewidth").dist) == 0.0)
 
 
 def test_factor_work_below_dense(mesh_graph):
     """O(n·tw²) factorization ≪ O(n³) — the point of the method."""
-    tw = TreewidthAPSP(mesh_graph, seed=0)
-    assert tw.factor_ops < 0.1 * 2 * mesh_graph.n**3
+    r = apsp(mesh_graph, method="treewidth")
+    assert 0 < r.meta["factor_ops"] < 0.1 * 2 * mesh_graph.n**3
 
 
 def test_label_sizes_bounded_by_tree_depth(mesh_graph):
-    tw = TreewidthAPSP(mesh_graph, seed=0)
-    sizes = tw.label_sizes()
-    assert sizes.min() >= 1
-    assert sizes.max() <= mesh_graph.n
+    meta = apsp(mesh_graph, method="treewidth").meta
+    assert 1 <= meta["width"] <= mesh_graph.n
+    assert mesh_graph.n <= meta["label_entries"] <= mesh_graph.n * meta["width"]
 
 
 def test_disconnected_queries_infinite():
     g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    tw = TreewidthAPSP(g, seed=0)
-    assert np.isinf(tw.query(0, 2))
-    assert tw.query(0, 1) == 1.0
+    dist = apsp(g, method="treewidth").dist
+    assert np.isinf(dist[0, 2])
+    assert dist[0, 1] == 1.0
 
 
 def test_directed_queries():
@@ -68,9 +74,7 @@ def test_directed_queries():
         if u != v
     ]
     dg = DiGraph.from_edges(70, arcs)
-    tw = TreewidthAPSP(dg, seed=0)
-    ref = superfw(dg, seed=0).dist
-    assert np.allclose(tw.all_pairs(), ref)
+    assert np.allclose(apsp(dg, method="treewidth").dist, superfw(dg, seed=0).dist)
 
 
 def test_directed_negative_arcs():
@@ -83,46 +87,32 @@ def test_directed_negative_arcs():
     h = rng.uniform(0, 3, 50)
     arcs = [(u, v, w + h[u] - h[v]) for u, v, w in arcs]
     dg = DiGraph.from_edges(50, arcs)
-    tw = TreewidthAPSP(dg, seed=0)
-    assert np.allclose(tw.all_pairs(), superfw(dg, seed=0).dist)
+    assert np.allclose(apsp(dg, method="treewidth").dist, superfw(dg, seed=0).dist)
 
 
 def test_negative_cycle_detected():
     dg = DiGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, -5.0)])
     with pytest.raises(ValueError):
-        TreewidthAPSP(dg, seed=0)
-
-
-def test_timings_recorded(grid_graph):
-    tw = TreewidthAPSP(grid_graph, seed=0)
-    for phase in ("ordering", "symbolic", "factorize"):
-        assert phase in tw.timings.phases
-
-
-def test_labels_are_lazy(grid_graph):
-    tw = TreewidthAPSP(grid_graph, seed=0)
-    assert len(tw._to_anc) == 0  # nothing built yet
-    tw.query(0, grid_graph.n - 1)
-    assert len(tw._to_anc) == 2  # exactly the two endpoints
-    tw.query(0, grid_graph.n - 1)
-    assert len(tw._to_anc) == 2  # cached
+        apsp(dg, method="treewidth")
 
 
 def test_prebuilt_ordering_accepted(mesh_graph):
     from repro.ordering.nested_dissection import nested_dissection
 
     nd = nested_dissection(mesh_graph, seed=0)
-    tw = TreewidthAPSP(mesh_graph, ordering=nd.ordering)
-    assert np.allclose(tw.all_pairs(), scipy_apsp(mesh_graph))
+    r = apsp(mesh_graph, method="treewidth", ordering=nd.ordering)
+    assert np.allclose(r.dist, scipy_apsp(mesh_graph))
+
+
+def test_prebuilt_plan_accepted(mesh_graph):
+    plan = analyze(mesh_graph, seed=0)
+    r = apsp(mesh_graph, method="treewidth", plan=plan)
+    assert np.array_equal(r.dist, apsp(mesh_graph, method="treewidth").dist)
 
 
 def test_diagonal_consults_factor():
-    """query(i, i) reads the factor diagonal, matching superfw entry-for-entry.
-
-    Regression: a hardcoded 0.0 short-circuit would silently diverge from
-    the full-matrix solvers' diagonal semantics (min over the empty path
-    and every cycle through i) instead of sharing them.
-    """
+    """The diagonal comes out of the label join, as every other entry does,
+    and matches superfw entry for entry on a directed graph."""
     rng = np.random.default_rng(4)
     arcs = [
         (int(u), int(v), float(rng.uniform(0.1, 2)))
@@ -130,57 +120,15 @@ def test_diagonal_consults_factor():
         if u != v
     ]
     dg = DiGraph.from_edges(40, arcs)
-    tw = TreewidthAPSP(dg, seed=0)
-    ref = superfw(dg, seed=0).dist
-    for i in range(40):
-        assert tw.query(i, i) == pytest.approx(float(ref[i, i]))
-        # And the same value the factor itself holds on its diagonal.
-        pi = int(tw.iperm[i])
-        assert tw.query(i, i) == float(tw._w[pi, pi])
+    got = np.diag(apsp(dg, method="treewidth").dist)
+    assert np.array_equal(got, np.diag(superfw(dg, seed=0).dist))
 
 
 def test_cached_label_directions_do_not_alias(grid_graph):
-    """Regression: on undirected graphs the cached to/from labels must be
-    independent dicts — mutating one through its handle must not corrupt
-    the other query direction."""
-    tw = TreewidthAPSP(grid_graph, seed=0)
-    i, j = 0, grid_graph.n - 1
-    before = tw.query(i, j)
-    pi = int(tw.iperm[i])
-    lab_to, lab_from = tw._labels_of(pi)
-    assert lab_to is not lab_from
-    assert lab_to == lab_from
-    # Poison one direction in place; the other must be unaffected.
-    for h in lab_to:
-        lab_to[h] = -1e9
-    _, lab_from_again = tw._labels_of(pi)
-    assert all(v != -1e9 for v in lab_from_again.values())
-    # Reverse-direction queries still answer from the clean labels.
-    assert tw.query(j, i) == pytest.approx(before)
-
-
-def test_label_cache_lru_eviction(mesh_graph):
-    """The lazy label caches stay bounded under random query load."""
-    cap = 8
-    tw = TreewidthAPSP(mesh_graph, seed=0, label_cache_size=cap)
-    oracle = scipy_apsp(mesh_graph)
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        i, j = (int(x) for x in rng.integers(0, mesh_graph.n, 2))
-        assert tw.query(i, j) == pytest.approx(oracle[i, j])
-    assert len(tw._to_anc) <= cap
-    assert len(tw._from_anc) <= cap
-    assert set(tw._to_anc) == set(tw._from_anc)
-    assert tw.label_evictions > 0
-    # Recency: the hot vertex survives a sweep of cold ones.
-    hot = int(tw.iperm[0])
-    tw.query(0, 1)
-    victims = [v for v in range(mesh_graph.n) if int(tw.iperm[v]) != hot]
-    for v in victims[: cap - 1]:
-        tw.query(v, 0)  # touches v's labels (and re-touches 0's)
-    assert hot in tw._to_anc
-
-
-def test_label_cache_size_validated(grid_graph):
+    """On undirected graphs the two label directions are independent,
+    read-only arrays: neither can be mutated through the other."""
+    index = HubLabelIndex.build(APSPSession(grid_graph, seed=0))
+    assert np.array_equal(index.dto, index.dfrom)
+    assert not np.shares_memory(index.dto, index.dfrom)
     with pytest.raises(ValueError):
-        TreewidthAPSP(grid_graph, label_cache_size=0)
+        index.dto[0] = -1e9
