@@ -5,9 +5,9 @@ Standalone script (not pytest-benchmark) emitting ``BENCH_query.json``:
 * ``build`` — per suite graph: one cold SuperFW solve vs one cold
   ``DistanceServer`` build (plan analysis under the server's
   ``reduce="auto"`` default — the suite graphs are undirected — plus
-  the factor-built labels; no solve).  ``join`` and ``trail_events``
-  record the join the index serves with and how many eliminated
-  vertices it labels (0 where ``auto_keeps`` drops the trail).  The
+  the factor-built labels; no solve).  ``trail_events`` records how
+  many eliminated vertices the index labels (0 where ``auto_keeps``
+  drops the trail).  The
   gate is build ≤ ``--check-max-build-ratio``
   (default 3x) times the solve.  ``build_peak_bytes`` is the traced
   allocation peak of one more label build on the same plan, beside
@@ -119,7 +119,6 @@ def bench_graph(entry, graph, *, queries: int, batch_size: int,
         "build_s": round(build_s, 6),
         "build_ratio": round(build_ratio, 3),
         "index_source": index.source,
-        "join": index.join,
         "trail_events": index.trail_events,
         "build_peak_bytes": build_peak,
         "dense_bytes": 8 * graph.n * graph.n,

@@ -6,17 +6,23 @@ analyze phase produces is weight-independent — so contracting the graph
 solve, epoch commit, and hub-label build ("Engineering Data Reduction
 for Nested Dissection", Ost/Schulz/Strash).
 
-The algebra that makes the rules exact is min-plus Gaussian elimination:
-removing one vertex ``v`` and shortcutting every in-neighbor ×
-out-neighbor pair
+The rules read structure only, and always the *symmetric* pattern: a
+:class:`DiGraph` is reduced on ``A + Aᵀ``, the pattern ordering and
+symbolic analysis already see (paper §4), so its trail is structurally
+identical to the trail of ``graph.symmetrized()``.  Eliminating ``v``
+makes its quotient neighborhood ``N(v)`` a clique of that pattern, and
+the weights of every pair in it improve by min-plus Gaussian
+elimination
 
-    w(x → y)  ⊕=  w(x → v) + w(v → y)
+    w(x → y)  ⊕=  w(x → v) + w(v → y)        (x ≠ y in N(v))
 
-is the tropical Schur complement, which preserves all pairwise distances
-among the surviving vertices *exactly* — for arbitrary (including
-negative) weights, directed or undirected.  The rules below therefore
-only decide **which** vertices are worth eliminating; they read nothing
-but structure, so the recorded :class:`ReductionTrail` is
+— the tropical Schur complement, which preserves all pairwise distances
+among the surviving vertices *exactly*, for arbitrary (including
+negative) weights, directed or undirected.  Direction lives only in the
+weights: a missing arc weighs ``inf``, and a directed graph materializes
+only the finite shortcuts, so its reduced graph is a subgraph of the
+reduced pattern.  The rules below therefore only decide **which**
+vertices are worth eliminating; the recorded :class:`ReductionTrail` is
 weight-independent and can live inside a cached
 :class:`~repro.plan.plan.Plan`:
 
@@ -33,8 +39,8 @@ weights (building the reduced graph plus the per-event quotient weight
 vectors), and :meth:`AppliedReduction.unreduce` reconstitutes the full
 ``n × n`` distance matrix by walking the trail backwards:
 
-    d(v, y) = min_j  w(v → nⱼ) + d(nⱼ, y)        (out-neighbors at
-    d(x, v) = min_i  d(x, nᵢ) + w(nᵢ → v)         elimination time)
+    d(v, y) = min_j  w(v → nⱼ) + d(nⱼ, y)        (nⱼ in N(v) at
+    d(x, v) = min_j  d(x, nⱼ) + w(nⱼ → v)         elimination time)
 
 Negative cycles surface either as a negative shortcut self-loop during
 :meth:`~ReductionTrail.apply`, as a negative diagonal in the reduced
@@ -67,7 +73,7 @@ KIND_NAMES = ("isolated", "pendant", "chain", "twin", "simplicial")
 #: Pendants and chain interiors are always eliminated regardless.
 DEFAULT_MAX_DEGREE = 8
 
-#: ``reduce="auto"`` keeps an undirected trail only when it eliminates
+#: ``reduce="auto"`` keeps a trail only when it eliminates
 #: at least this share of the vertices (see :func:`auto_keeps`).
 AUTO_MIN_ELIMINATED = 0.9
 
@@ -85,15 +91,17 @@ class ReductionTrail:
     n:
         Vertex count of the *original* graph.
     directed:
-        Whether the trail was built for a :class:`DiGraph`.
+        Whether the trail was built for a :class:`DiGraph`.  The rules
+        read the symmetric pattern either way; only :meth:`apply` reads
+        arc directions, from the weights.
     kinds, verts:
         Per-event rule code (:data:`KIND_NAMES`) and eliminated vertex
         (original id), in elimination order.
-    out_nbrs, in_nbrs:
-        Per-event sorted quotient out-/in-neighbor ids at elimination
-        time (equal arrays for undirected graphs).  These are exactly
-        the endpoints of the shortcut arcs the event introduces, and the
-        attachment points unreduce restores distances through.
+    nbrs:
+        Per-event sorted quotient neighbor ids at elimination time, in
+        the symmetric pattern.  The event makes them a clique: they are
+        the endpoints of every shortcut it can add, and the attachment
+        points unreduce restores distances through.
     kept:
         Sorted original ids surviving every event; reduced vertex ``r``
         is original vertex ``kept[r]``.
@@ -103,8 +111,7 @@ class ReductionTrail:
     directed: bool
     kinds: np.ndarray
     verts: np.ndarray
-    out_nbrs: list[np.ndarray]
-    in_nbrs: list[np.ndarray]
+    nbrs: list[np.ndarray]
     kept: np.ndarray
 
     # ------------------------------------------------------------------
@@ -145,9 +152,12 @@ class ReductionTrail:
     def apply(self, graph: Graph | DiGraph) -> "AppliedReduction":
         """Replay the trail on ``graph``'s weights.
 
-        Returns the reduced graph (same structure the plan's symbolic
-        analysis saw, by construction) plus the per-event quotient
-        weight vectors unreduce needs.  Raises
+        Returns the reduced graph plus the per-event quotient weight
+        vectors unreduce needs: ``w_out[e][j] = w(v → nⱼ)`` and
+        ``w_in[e][j] = w(nⱼ → v)``, ``inf`` where a directed graph has
+        no such arc.  Only finite shortcuts are materialized, so the
+        reduced graph has exactly :meth:`reduced_pattern`'s structure
+        when undirected and a subgraph of it when directed.  Raises
         :class:`NegativeCycleError` when a shortcut closes a negative
         cycle through an eliminated vertex.
         """
@@ -169,27 +179,32 @@ class ReductionTrail:
                     graph.weights.tolist(),
                 )
             )
+            inf = float("inf")
             w_out_all: list[np.ndarray] = []
             w_in_all: list[np.ndarray] = []
             for e in range(self.n_events):
                 v = int(self.verts[e])
-                outs = [int(y) for y in self.out_nbrs[e]]
-                ins = [int(x) for x in self.in_nbrs[e]]
-                w_out = np.array([W[(v, y)] for y in outs], dtype=np.float64)
-                w_in = np.array([W[(x, v)] for x in ins], dtype=np.float64)
+                nbrs = self.nbrs[e].tolist()
+                w_out = np.array([W.get((v, y), inf) for y in nbrs],
+                                 dtype=np.float64)
+                w_in = np.array([W.get((x, v), inf) for x in nbrs],
+                                dtype=np.float64)
                 w_out_all.append(w_out)
                 w_in_all.append(w_in)
-                for i, x in enumerate(ins):
-                    wx = w_in[i]
-                    for j, y in enumerate(outs):
+                for x, wx in zip(nbrs, w_in):
+                    if wx == inf:
+                        continue
+                    for y, wy in zip(nbrs, w_out):
+                        cand = wx + wy
                         if x == y:
                             # Shortcut self-loop x→v→x: a negative one is
                             # a negative cycle; a nonnegative one can
                             # never improve a shortest path.
-                            if wx + w_out[j] < 0:
+                            if cand < 0:
                                 raise NegativeCycleError(witness=v)
                             continue
-                        cand = wx + w_out[j]
+                        if cand == inf:
+                            continue
                         old = W.get((x, y))
                         if old is None or cand < old:
                             W[(x, y)] = cand
@@ -226,27 +241,24 @@ class ReductionTrail:
     def reduced_pattern(self, graph: Graph | DiGraph) -> Graph:
         """Unit-weight undirected pattern of the reduced graph, from structure.
 
-        The reduced arc set is every arc of ``graph`` between kept
-        vertices plus every in × out shortcut an event adds between kept
-        vertices — :meth:`apply` materializes each shortcut whatever
-        the weights say — symmetrized (``A + Aᵀ`` when directed).  This
-        is the graph ordering and symbolic analysis see; no weight is
-        read and no event is replayed.
+        Every edge of ``graph``'s symmetric pattern between kept
+        vertices, plus the clique each event makes of its neighbors.
+        This is the graph ordering and symbolic analysis see; no weight
+        is read and no event is replayed.
         """
         rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
-        n_in = np.array([a.shape[0] for a in self.in_nbrs], dtype=np.int64)
-        n_out = np.array([a.shape[0] for a in self.out_nbrs], dtype=np.int64)
-        flat_in = np.concatenate([np.zeros(0, dtype=np.int64), *self.in_nbrs])
-        flat_out = np.concatenate([np.zeros(0, dtype=np.int64), *self.out_nbrs])
-        # Shortcut k of event e pairs in-neighbor k // n_out[e] with
-        # out-neighbor k % n_out[e].
-        pairs = n_in * n_out
+        sizes = np.array([a.shape[0] for a in self.nbrs], dtype=np.int64)
+        flat = np.concatenate([np.zeros(0, dtype=np.int64), *self.nbrs])
+        # Clique pair k of event e joins neighbors k // sizes[e] and
+        # k % sizes[e].
+        pairs = sizes * sizes
         event = np.repeat(np.arange(self.n_events, dtype=np.int64), pairs)
         k = np.arange(int(pairs.sum()), dtype=np.int64) - np.repeat(
             np.cumsum(pairs) - pairs, pairs
         )
-        tail = flat_in[np.repeat(np.cumsum(n_in) - n_in, pairs) + k // n_out[event]]
-        head = flat_out[np.repeat(np.cumsum(n_out) - n_out, pairs) + k % n_out[event]]
+        first = np.repeat(np.cumsum(sizes) - sizes, pairs)
+        tail = flat[first + k // sizes[event]]
+        head = flat[first + k % sizes[event]]
         red_of = np.full(self.n, -1, dtype=np.int64)
         red_of[self.kept] = np.arange(self.n_reduced, dtype=np.int64)
         u = red_of[np.concatenate([rows, tail])]
@@ -267,15 +279,12 @@ class ReductionTrail:
         """Flat int arrays for npz round-tripping."""
         from repro.plan.plan import _pack_ragged
 
-        out_concat, out_ptr = _pack_ragged(self.out_nbrs)
-        in_concat, in_ptr = _pack_ragged(self.in_nbrs)
+        nbr_concat, nbr_ptr = _pack_ragged(self.nbrs)
         return {
             "trail_kinds": np.asarray(self.kinds, dtype=np.int64),
             "trail_verts": np.asarray(self.verts, dtype=np.int64),
-            "trail_out_concat": out_concat,
-            "trail_out_ptr": out_ptr,
-            "trail_in_concat": in_concat,
-            "trail_in_ptr": in_ptr,
+            "trail_nbr_concat": nbr_concat,
+            "trail_nbr_ptr": nbr_ptr,
             "trail_kept": np.asarray(self.kept, dtype=np.int64),
         }
 
@@ -283,20 +292,31 @@ class ReductionTrail:
     def from_arrays(
         cls, data, *, n: int, directed: bool
     ) -> "ReductionTrail":
-        """Inverse of :meth:`to_arrays` (``data`` is a loaded npz)."""
+        """Inverse of :meth:`to_arrays` (``data`` is a loaded npz).
+
+        Plan format v2 stored out- and in-neighbor lists.  They are equal
+        on an undirected trail, which loads from its out lists; a
+        directed v2 trail followed arc directions, so its reduced
+        pattern is not the one this library builds, and loading it
+        raises ``ValueError``.
+        """
         from repro.plan.plan import _unpack_ragged
 
+        if "trail_nbr_concat" in data.files:
+            nbrs = _unpack_ragged(data["trail_nbr_concat"], data["trail_nbr_ptr"])
+        elif directed:
+            raise ValueError(
+                "plan format v2 holds a directed trail built on arc "
+                "directions; analyze the graph again"
+            )
+        else:
+            nbrs = _unpack_ragged(data["trail_out_concat"], data["trail_out_ptr"])
         return cls(
             n=int(n),
             directed=bool(directed),
             kinds=np.asarray(data["trail_kinds"], dtype=np.int64),
             verts=np.asarray(data["trail_verts"], dtype=np.int64),
-            out_nbrs=_unpack_ragged(
-                data["trail_out_concat"], data["trail_out_ptr"]
-            ),
-            in_nbrs=_unpack_ragged(
-                data["trail_in_concat"], data["trail_in_ptr"]
-            ),
+            nbrs=nbrs,
             kept=np.asarray(data["trail_kept"], dtype=np.int64),
         )
 
@@ -326,15 +346,13 @@ class AppliedReduction:
             full[np.ix_(t.kept, t.kept)] = reduced_dist
             for e in range(t.n_events - 1, -1, -1):
                 v = int(t.verts[e])
-                outs = t.out_nbrs[e]
-                ins = t.in_nbrs[e]
-                if outs.size:
+                nbrs = t.nbrs[e]
+                if nbrs.size:
                     full[v, :] = np.min(
-                        self.w_out[e][:, None] + full[outs, :], axis=0
+                        self.w_out[e][:, None] + full[nbrs, :], axis=0
                     )
-                if ins.size:
                     full[:, v] = np.min(
-                        full[:, ins] + self.w_in[e][None, :], axis=1
+                        full[:, nbrs] + self.w_in[e][None, :], axis=1
                     )
                 if full[v, v] < 0:
                     raise NegativeCycleError(witness=v)
@@ -350,77 +368,56 @@ def build_trail(
 ) -> ReductionTrail:
     """Run the structural reduction rules to a fixpoint.
 
-    Reads only the adjacency structure (never weights), so the result is
-    valid for every reweighting of ``graph``.  Rules fire in rounds —
+    Reads only the symmetric adjacency (never weights or arc
+    directions), so the result is valid for every reweighting of
+    ``graph``, and a :class:`DiGraph`'s trail is structurally the trail
+    of ``graph.symmetrized()``.  Rules fire in rounds —
     low-degree/simplicial sweep, then a twin sweep — until a full round
     eliminates nothing; ties always resolve to the smallest vertex id,
     so the trail is deterministic.  At least ``min_kept`` vertices
     survive (the solver needs a nonempty reduced graph).
     """
     directed = isinstance(graph, DiGraph)
+    pattern = graph.symmetrized() if directed else graph
     n = graph.n
     tracer = get_tracer()
     with tracer.span("ordering.reduce.build", n=n):
-        out_adj: list[set[int]] = [
-            set(map(int, graph.neighbors(v))) for v in range(n)
+        adj: list[set[int]] = [
+            set(map(int, pattern.neighbors(v))) for v in range(n)
         ]
-        if directed:
-            in_adj: list[set[int]] = [set() for _ in range(n)]
-            for v in range(n):
-                for u in out_adj[v]:
-                    in_adj[u].add(v)
-        else:
-            in_adj = out_adj  # aliased: undirected mutations stay symmetric
         alive = np.ones(n, dtype=bool)
         alive_count = n
         kinds: list[int] = []
         verts: list[int] = []
-        out_lists: list[np.ndarray] = []
-        in_lists: list[np.ndarray] = []
+        nbr_lists: list[np.ndarray] = []
 
         def eliminate(v: int, kind: int) -> None:
             nonlocal alive_count
-            outs = sorted(out_adj[v])
-            ins = sorted(in_adj[v])
+            nbrs = adj[v]
             kinds.append(kind)
             verts.append(v)
-            out_lists.append(np.asarray(outs, dtype=np.int64))
-            in_lists.append(np.asarray(ins, dtype=np.int64))
-            for x in ins:
-                out_adj[x].discard(v)
-            for y in outs:
-                in_adj[y].discard(v)
-            for x in ins:
-                ox = out_adj[x]
-                for y in outs:
-                    if x != y:
-                        ox.add(y)
-                        in_adj[y].add(x)
-            out_adj[v].clear()
-            in_adj[v].clear()
+            nbr_lists.append(np.asarray(sorted(nbrs), dtype=np.int64))
+            # The quotient neighborhood becomes a clique.
+            for x in nbrs:
+                ax = adj[x]
+                ax |= nbrs
+                ax.discard(x)
+                ax.discard(v)
+            adj[v] = set()
             alive[v] = False
             alive_count -= 1
 
-        def union_degree(v: int) -> int:
-            if directed:
-                return len(out_adj[v] | in_adj[v])
-            return len(out_adj[v])
-
         def is_simplicial(v: int) -> bool:
-            for x in in_adj[v]:
-                ox = out_adj[x]
-                for y in out_adj[v]:
-                    if y != x and y not in ox:
+            nbrs = adj[v]
+            for x in nbrs:
+                ax = adj[x]
+                for y in nbrs:
+                    if y != x and y not in ax:
                         return False
             return True
 
-        def twin_key(v: int, closed: bool):
-            if closed:
-                return (
-                    tuple(sorted(out_adj[v] | {v})),
-                    tuple(sorted(in_adj[v] | {v})),
-                )
-            return tuple(sorted(out_adj[v])), tuple(sorted(in_adj[v]))
+        def twin_key(v: int, closed: bool) -> tuple:
+            return tuple(sorted(adj[v] | {v} if closed else adj[v]))
 
         changed = True
         while changed and alive_count > min_kept:
@@ -430,7 +427,7 @@ def build_trail(
                     break
                 if not alive[v]:
                     continue
-                d = union_degree(v)
+                d = len(adj[v])
                 if d == 0:
                     eliminate(v, ISOLATED)
                 elif d == 1:
@@ -446,14 +443,13 @@ def build_trail(
                 break
             groups: dict[tuple, list[int]] = {}
             for v in range(n):
-                if not alive[v] or union_degree(v) > max_degree:
+                if not alive[v] or len(adj[v]) > max_degree:
                     continue
-                groups.setdefault((0,) + twin_key(v, False), []).append(v)
-                groups.setdefault((1,) + twin_key(v, True), []).append(v)
-            for key, members in groups.items():
+                groups.setdefault((False, twin_key(v, False)), []).append(v)
+                groups.setdefault((True, twin_key(v, True)), []).append(v)
+            for (closed, _), members in groups.items():
                 if len(members) < 2:
                     continue
-                closed = key[0] == 1
                 live = [v for v in members if alive[v]]
                 if len(live) < 2:
                     continue
@@ -465,7 +461,7 @@ def build_trail(
                     # re-validate the twin relation at elimination time.
                     if not (alive[v] and alive[rep]):
                         continue
-                    if union_degree(v) > max_degree:
+                    if len(adj[v]) > max_degree:
                         continue
                     if twin_key(v, closed) != twin_key(rep, closed):
                         continue
@@ -477,8 +473,7 @@ def build_trail(
             directed=directed,
             kinds=np.asarray(kinds, dtype=np.int64),
             verts=np.asarray(verts, dtype=np.int64),
-            out_nbrs=out_lists,
-            in_nbrs=in_lists,
+            nbrs=nbr_lists,
             kept=np.flatnonzero(alive).astype(np.int64),
         )
     if tracer.enabled and trail.n_events:
@@ -490,24 +485,24 @@ def build_trail(
 
 
 def trail_depths(trail: ReductionTrail) -> np.ndarray:
-    """Depth of each event of an undirected trail in its trail forest.
+    """Depth of each event in its trail forest.
 
     Event ``r`` hangs below its earliest-eliminated quotient neighbor
     that the trail also eliminates (a later event, since neighbors are
     alive at elimination time), and is a root when every neighbor is
     kept.  Its depth counts itself and its event ancestors — the
     eliminated part of the hub label it gets when the plan is served
-    (:mod:`repro.serve.hub_index`).
+    (:mod:`repro.serve.hub_index`), directed or not.
     """
     ne = trail.n_events
     event_of = np.full(trail.n, ne, dtype=np.int64)
     event_of[trail.verts] = np.arange(ne, dtype=np.int64)
-    sizes = np.array([a.shape[0] for a in trail.out_nbrs], dtype=np.int64)
+    sizes = np.array([a.shape[0] for a in trail.nbrs], dtype=np.int64)
     up = np.full(ne, ne, dtype=np.int64)
     np.minimum.at(
         up,
         np.repeat(np.arange(ne, dtype=np.int64), sizes),
-        event_of[np.concatenate([np.zeros(0, dtype=np.int64), *trail.out_nbrs])],
+        event_of[np.concatenate([np.zeros(0, dtype=np.int64), *trail.nbrs])],
     )
     depth = [1] * ne
     for r, p in zip(range(ne - 1, -1, -1), up[::-1].tolist()):
@@ -519,9 +514,11 @@ def trail_depths(trail: ReductionTrail) -> np.ndarray:
 def auto_keeps(trail: ReductionTrail) -> bool:
     """Whether ``analyze(reduce="auto")`` orders the reduced graph.
 
-    Decided from the trail alone, before any ordering runs.  A reduced
-    plan pays off when the core left to nested dissection is small and
-    the eliminated vertices hang in shallow trees:
+    Decided from the trail alone, before any ordering runs, by one rule
+    for undirected and directed graphs (a directed trail has its
+    symmetric pattern's structure).  A reduced plan pays off when the
+    core left to nested dissection is small and the eliminated vertices
+    hang in shallow trees:
 
     * at least :data:`AUTO_MIN_ELIMINATED` of the vertices must go.
       Below that the core's dissection costs about what the full
@@ -534,13 +531,9 @@ def auto_keeps(trail: ReductionTrail) -> bool:
       and its labels would hold ``~n²/2`` entries where nested
       dissection's hold ``~3·n·log₂ n``.  Road networks and random
       trees sum to 0.6–1.4 ``n·log₂ n``.
-
-    Directed trails are never kept: their eliminated vertices' labels
-    are not chain suffixes.
     """
     n = trail.n
-    if (trail.directed or not trail.n_events
-            or trail.n_events < AUTO_MIN_ELIMINATED * n):
+    if not trail.n_events or trail.n_events < AUTO_MIN_ELIMINATED * n:
         return False
     return int(trail_depths(trail).sum()) <= AUTO_MAX_DEPTH_SUM * n * np.log2(n)
 

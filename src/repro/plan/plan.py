@@ -48,10 +48,13 @@ from repro.symbolic.structure import (
 )
 from repro.util.timing import TimingBreakdown
 
-#: On-disk format version of :meth:`Plan.save`.  v2 adds the reduction
-#: trail, the original vertex count, and the ordering score report; v1
-#: files still load (with ``trail=None``).
-PLAN_FORMAT_VERSION = 2
+#: On-disk format version of :meth:`Plan.save`.  v2 added the reduction
+#: trail, the original vertex count, and the ordering score report; v3
+#: stores one neighbor list per trail event, read off the symmetric
+#: pattern.  v1 files load with ``trail=None``, v2 files with an
+#: undirected trail load as they are, and a v2 directed trail (built on
+#: arc directions) raises ``ValueError``.
+PLAN_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -449,10 +452,11 @@ def analyze(
         Run the exact weight-independent reductions of
         :mod:`repro.ordering.reduce` first, ordering only the reduced
         graph; the recorded trail is stored on the plan and replayed by
-        every solve.  ``"auto"`` builds the trail and keeps it only when
-        :func:`~repro.ordering.reduce.auto_keeps` says the reduced plan
-        pays off (most vertices eliminated, shallow trail trees, an
-        undirected graph); otherwise the plan is the unreduced one.
+        every solve.  A directed graph is reduced on its symmetric
+        pattern, like the ordering.  ``"auto"`` builds the trail and
+        keeps it only when :func:`~repro.ordering.reduce.auto_keeps`
+        says the reduced plan pays off (most vertices eliminated,
+        shallow trail trees); otherwise the plan is the unreduced one.
 
     Returns
     -------
@@ -469,8 +473,7 @@ def analyze(
         raise ValueError(f"reduce must be True, False or 'auto', not {reduce!r}")
     trail: ReductionTrail | None = None
     pattern = None
-    # A directed trail never passes auto_keeps, so "auto" skips building it.
-    if reduce and not (reduce == "auto" and directed):
+    if reduce:
         with timings.time("reduce"), tracer.span(
             "ordering.reduce.analyze", n=graph.n
         ) as red_span:

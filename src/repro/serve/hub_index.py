@@ -45,40 +45,35 @@ nodes), a fixed dozen numpy passes per batch whatever the depth.
 **Reduction trails join the etree.**  A plan analyzed with
 ``reduce=True`` orders only the reduced graph; the vertices the
 reduction eliminated (:mod:`repro.ordering.reduce`) still need labels.
-For an undirected trail, eliminating ``v`` makes its quotient
-neighborhood a clique of the remaining graph, so that neighborhood lies
-on one root path of the etree, and ``v``'s label is ``[v] ++ H(q)`` for
-its lowest neighbor ``q`` — the same set as the union of its
-neighbors' labels, a valid cover by induction on the elimination
-order.  Hub keys follow an *extended order* — trail events first, in
-elimination order, then the reduced permutation — so every label still
-ascends along its chain, and ``v`` becomes an etree leaf below ``q``
+The trail reads the symmetric pattern, directed graph or not, so
+eliminating ``v`` makes its quotient neighborhood a clique of the
+remaining pattern; that neighborhood lies on one root path of the
+etree, and ``v``'s label is ``[v] ++ H(q)`` for its lowest neighbor
+``q`` — the same set as the union of its neighbors' labels, a valid
+cover by induction on the elimination order.  Hub keys follow an
+*extended order* — trail events first, in elimination order, then the
+reduced permutation — so every label still ascends along its chain,
+and ``v`` becomes an etree leaf below ``q``
 (:func:`_extended_etree`).  When ``q`` sits at offset ``t > 0`` inside
 supernode ``s``, ``v`` shares only ``chain(s)[t:]``; the extended etree
 splits ``s`` at ``t`` into a chain of pieces, so that every node's
 chain is a whole suffix of its parent's and the join's
-``|chain(lca)|`` stays exact.  A directed trail's in × out fill is
-one-sided, so its eliminated vertices keep union labels
-(:func:`_union_labels`), which are not chain suffixes: such an index
-answers by a sorted ``searchsorted`` merge over ``pair · n + hub``
-keys instead (:meth:`HubLabelIndex._merge_join`), and shards by the
-weak components of the original graph.
+``|chain(lca)|`` stays exact.  Each tree of this extended etree is one
+weak component of the graph, and one shard of the index.
 
 **Where the label distances come from.**  A session with no published
-epoch gets its labels from the factor (:mod:`repro.serve.factor`) —
-unless its plan is directed and carries a trail: an ascending
-supernodal DPC and a descending chain pass compute exactly the chain
-blocks the reduced vertices' labels need, on the weights
+epoch gets its labels from the factor (:mod:`repro.serve.factor`): an
+ascending supernodal DPC and a descending chain pass compute exactly
+the chain blocks the reduced vertices' labels need, on the weights
 :meth:`~repro.ordering.reduce.ReductionTrail.apply` leaves on the
 reduced graph, and the trail is then unreduced in label space
 (:func:`_unreduce_labels`), with no solve and no ``n x n`` array.  Once
-the session has published an epoch — and always for a directed plan
-with a trail — the labels are sliced from that epoch instead, solving
-first when there is none, in one flat ``O(total label entries)``
-gather.  Both sources are exact; on dyadic weights (sums exact in
-float64) a factor-built index is bit-identical to the epoch-sliced one,
-and in general each label distance may differ from the epoch's entry by
-rounding.
+the session has published an epoch, the labels are sliced from that
+epoch instead (solving first if a structural commit dropped the plan),
+in one flat ``O(total label entries)`` gather.  Both sources are exact;
+on dyadic weights (sums exact in float64) a factor-built index is
+bit-identical to the epoch-sliced one, and in general each label
+distance may differ from the epoch's entry by rounding.
 
 Storage is CSR over *original* vertex ids: ``ptr``/``hubs``/``dto``/
 ``dfrom``, with hubs kept as keys of the extended order so every label
@@ -91,7 +86,6 @@ import time
 
 import numpy as np
 
-from repro.graphs.components import connected_components
 from repro.obs import get_tracer
 from repro.obs.metrics import OpCounter
 from repro.plan.session import APSPSession
@@ -201,11 +195,9 @@ def _extended_etree(structure, trail, key_of: np.ndarray):
     Returns ``(node_ptr, parent)``: node ``x`` owns the hub keys
     ``[node_ptr[x], node_ptr[x+1])`` and its chain is its own run
     followed by its parent's chain.  Nodes ``0..ne-1`` are the trail's
-    events, one key each.  An undirected trail vertex hangs below its
-    lowest-keyed quotient neighbor ``q``, so its label is ``[v] ++
-    H(q)``; it is a root when it had no neighbor, and every trail vertex
-    of a directed trail is a root (its label is a union, see
-    :func:`_union_labels`).  The remaining nodes cover the reduced
+    events, one key each.  A trail vertex hangs below its lowest-keyed
+    quotient neighbor ``q``, so its label is ``[v] ++ H(q)``; it is a
+    root when it had no neighbor.  The remaining nodes cover the reduced
     keys supernode by supernode; a supernode below which a trail vertex
     hangs at offset ``t > 0`` is split at ``t`` into a chain of pieces,
     so that every node's chain is a whole suffix of its parent's and the
@@ -214,13 +206,13 @@ def _extended_etree(structure, trail, key_of: np.ndarray):
     ne = 0 if trail is None else trail.n_events
     snode_ptr = ne + structure.snode_ptr
     hang = np.full(ne, -1, dtype=np.int64)
-    if ne and not trail.directed:
-        sizes = [nbrs.shape[0] for nbrs in trail.out_nbrs]
+    if ne:
+        sizes = [nbrs.shape[0] for nbrs in trail.nbrs]
         low = np.full(ne, key_of.shape[0], dtype=np.int64)
         np.minimum.at(
             low,
             np.repeat(np.arange(ne, dtype=np.int64), sizes),
-            key_of[np.concatenate(trail.out_nbrs)],
+            key_of[np.concatenate(trail.nbrs)],
         )
         hang = np.where(low < key_of.shape[0], low, -1)
     node_ptr = np.unique(np.concatenate(
@@ -243,41 +235,9 @@ def _extended_etree(structure, trail, key_of: np.ndarray):
     return node_ptr, parent
 
 
-def _union_labels(trail, key_of, chain_pos, pos_start, pos_count) -> dict:
-    """Hub keys of a directed trail's eliminated vertices.
-
-    In *reverse* elimination order: each vertex's quotient neighbors
-    were still alive when it was eliminated, so they are kept (chain
-    labels) or eliminated later (labels built earlier in this loop).
-    ``H(v) = {v's own key} ∪ ⋃ H(neighbor)`` is a valid 2-hop cover:
-    any shortest u–v path enters v through a quotient neighbor q with
-    d(u,v) = d(u,q) + w_q(q,v), and the hub witnessing (u,q) is
-    inherited into H(v) — induction on the earlier-eliminated endpoint.
-    These unions are not chain suffixes: a directed event's in × out
-    fill leaves its in-neighbors unlinked, so they need not share one
-    root path.
-    """
-    ne = trail.n_events
-    elim: dict[int, np.ndarray] = {}
-
-    def label(q: int) -> np.ndarray:
-        key = key_of[q]
-        if key < ne:
-            return elim[q]
-        start = pos_start[key]
-        return chain_pos[start:start + pos_count[key]]
-
-    for r in range(ne - 1, -1, -1):
-        nbrs = np.union1d(trail.out_nbrs[r], trail.in_nbrs[r])
-        sets = [np.asarray([r], dtype=np.int64)]
-        sets.extend(label(int(q)) for q in nbrs)
-        elim[int(trail.verts[r])] = np.unique(np.concatenate(sets))
-    return elim
-
-
 def _unreduce_labels(trail, applied, hub_orig, ptr, hubs, dto, dfrom,
                      depth) -> None:
-    """Fill the labels of an undirected trail's eliminated vertices in place.
+    """Fill the labels of a trail's eliminated vertices in place.
 
     :meth:`~repro.ordering.reduce.AppliedReduction.unreduce` restricted
     to label entries: for ``v`` with neighbors ``n_j`` and every hub
@@ -292,15 +252,16 @@ def _unreduce_labels(trail, applied, hub_orig, ptr, hubs, dto, dfrom,
     lies below — the same operands unreduce reads from the full matrix.
     The neighbors and hubs of a vertex are its proper etree ancestors,
     so the vertices of one extended-etree depth (``depth[r]`` for event
-    ``r``) are filled together, shallowest first.  No weight is
-    negative here: :meth:`~repro.ordering.reduce.ReductionTrail.apply`
-    raises on any negative edge at an eliminated vertex of an
-    undirected trail, and the factor on one between kept vertices.
+    ``r``) are filled together, shallowest first.  A directed graph's
+    missing arcs weigh ``inf`` and its arcs may be negative: the
+    formula is the min-plus recurrence of unreduce, exact whenever no
+    cycle is negative, and a negative cycle has already raised in
+    :meth:`~repro.ordering.reduce.ReductionTrail.apply` (a negative
+    shortcut self-loop) or in the factor (a negative diagonal).
     """
-    sizes = np.array([nbrs.shape[0] for nbrs in trail.out_nbrs], dtype=np.int64)
+    sizes = np.array([nbrs.shape[0] for nbrs in trail.nbrs], dtype=np.int64)
     first = np.cumsum(sizes) - sizes
-    nbr = np.concatenate(trail.out_nbrs)
-    # Undirected: in_nbrs equal out_nbrs, so both weight lists align.
+    nbr = np.concatenate(trail.nbrs)
     w_out = np.concatenate(applied.w_out)
     w_in = np.concatenate(applied.w_in)
     width = np.diff(ptr)
@@ -372,8 +333,6 @@ class HubLabelIndex:
         number and chain length of each node; and the sparse table of
         shallowest nodes over the preorder (``span[j, i]`` covers
         preorder positions ``[i, i + 2**j)``) that answers LCA queries.
-        ``None`` for an index built from a directed plan with a
-        reduction trail, which joins by sorted merge.
     trail_events:
         Vertices the plan's reduction trail eliminated (0 without one).
     epoch_index, weights_digest, plan_id:
@@ -394,10 +353,9 @@ class HubLabelIndex:
     )
 
     def __init__(self, *, n, directed, ptr, hubs, dto, dfrom, perm, comp,
-                 ncomp, epoch_index, weights_digest, plan_id,
-                 source="epoch", node=None, parent=None, depth=None,
-                 pre=None, span=None, chain_len=None, trail_events=0,
-                 build_seconds=0.0,
+                 ncomp, node, parent, depth, pre, span, chain_len,
+                 epoch_index, weights_digest, plan_id, source="epoch",
+                 trail_events=0, build_seconds=0.0,
                  solve_seconds=0.0) -> None:
         self.n = int(n)
         self.directed = bool(directed)
@@ -430,27 +388,22 @@ class HubLabelIndex:
     def build(cls, session: APSPSession) -> "HubLabelIndex":
         """Build the label index for ``session``'s current weights.
 
-        With no published epoch, the labels of an undirected plan — or
-        of a directed plan without a reduction trail — come from the
-        factor (:mod:`repro.serve.factor`), with a trail unreduced in
-        label space (:func:`_unreduce_labels`): no solve runs and no
-        ``n x n`` array is allocated.  Otherwise they are sliced from
-        the published epoch, solving first if there is none, and
-        re-solving if a structural commit dropped the plan (plan and
-        epoch must describe the *same* structure and weights).
-        Reported under the ``hub-index-build`` span, whose ``source`` is
-        ``"factor"`` or ``"epoch"``, ``join`` is ``"chain"`` or
-        ``"merge"``, ``trail_events`` counts the labelled eliminated
-        vertices and ``ops`` the semiring ops the build ran, with
-        per-phase children.
+        With no published epoch, the labels come from the factor
+        (:mod:`repro.serve.factor`), with a trail unreduced in label
+        space (:func:`_unreduce_labels`): no solve runs and no ``n x n``
+        array is allocated.  Otherwise they are sliced from the
+        published epoch, re-solving if a structural commit dropped the
+        plan (plan and epoch must describe the *same* structure and
+        weights).  Reported under the ``hub-index-build`` span, whose
+        ``source`` is ``"factor"`` or ``"epoch"``, ``trail_events``
+        counts the labelled eliminated vertices and ``ops`` the semiring
+        ops the build ran, with per-phase children.
         """
         tracer = get_tracer()
         t0 = time.perf_counter()
         with session._write_lock:  # one consistent (graph, plan, epoch)
             graph, plan, epoch = session.graph, session.plan, session._epoch
-        from_factor = epoch is None and plan is not None and not (
-            plan.trail is not None and plan.directed
-        )
+        from_factor = epoch is None and plan is not None
         source = "factor" if from_factor else "epoch"
         with tracer.span("hub-index-build", n=graph.n,
                          source=source) as build_span:
@@ -489,7 +442,6 @@ class HubLabelIndex:
                 epoch_index = epoch.index
                 weights_digest = epoch.weights_digest
             trail = plan.trail
-            merge = trail is not None and plan.directed
             n = plan.n
             ne = trail.n_events if trail is not None else 0
             perm = np.asarray(plan.ordering.perm, dtype=np.int64)
@@ -528,22 +480,12 @@ class HubLabelIndex:
                 pos_count = chain_len[node_of_key] - offset
                 counts = np.empty(n, dtype=np.int64)
                 counts[hub_orig] = pos_count
-                # A directed trail's vertices take union labels instead
-                # and every key from ne on keeps its chain label.
-                chained = np.arange(ne if merge else 0, n, dtype=np.int64)
-                elim = (_union_labels(trail, key_of, chain_pos, pos_start,
-                                      pos_count) if merge else {})
-                for v, hubs_v in elim.items():
-                    counts[v] = hubs_v.size
-
                 ptr = np.zeros(n + 1, dtype=np.int64)
                 np.cumsum(counts, out=ptr[1:])
                 hubs = np.empty(int(ptr[-1]), dtype=np.int64)
-                hubs[_ranges(ptr[hub_orig[chained]], pos_count[chained])] = (
-                    chain_pos[_ranges(pos_start[chained], pos_count[chained])]
+                hubs[_ranges(ptr[hub_orig], pos_count)] = (
+                    chain_pos[_ranges(pos_start, pos_count)]
                 )
-                for v, hubs_v in elim.items():
-                    hubs[ptr[v]:ptr[v + 1]] = hubs_v
                 if from_factor:
                     # Row t of supernode s's chain block starts at
                     # block_ptr[s] + t·|chain(s)|; the label of the
@@ -571,36 +513,26 @@ class HubLabelIndex:
                     dfrom = dist[hub_ids, owner]
 
             with tracer.span("hub-index-shards"):
-                if merge:
-                    # Eliminating a directed source/sink adds no fill,
-                    # so the reduced pattern can split a weak component
-                    # whose pairs are perfectly reachable: shards come
-                    # from the original graph.
-                    ncomp, comp = connected_components(graph.symmetrized())
-                    etree = {}
-                else:
-                    # Each extended etree tree is one (weak) component of
-                    # the graph — supernode relaxation merges only into
-                    # the etree parent, and a trail vertex hangs below a
-                    # neighbor — so the shard is the vertex's tree root,
-                    # numbered in order of each tree's smallest vertex.
-                    node = np.empty(n, dtype=np.int64)
-                    node[hub_orig] = node_of_key
-                    _, first, inv = np.unique(
-                        root[node], return_index=True, return_inverse=True
-                    )
-                    ncomp = first.shape[0]
-                    rank = np.empty(ncomp, dtype=np.int64)
-                    rank[np.argsort(first)] = np.arange(ncomp)
-                    comp = rank[inv.ravel()]
-                    pre = _preorder(parent, anc, hops)
-                    order = np.empty(nodes, dtype=np.int64)
-                    order[pre] = np.arange(nodes, dtype=np.int64)
-                    etree = dict(node=node, parent=parent, depth=depth,
-                                 pre=pre, span=_span_table(order, depth),
-                                 chain_len=chain_len)
-            build_span.set(ops=ops.total, trail_events=ne,
-                           join="merge" if merge else "chain")
+                # Each extended etree tree is one (weak) component of the
+                # graph — supernode relaxation merges only into the etree
+                # parent, and a trail vertex hangs below a neighbor in
+                # the symmetric pattern — so the shard is the vertex's
+                # tree root, numbered in order of each tree's smallest
+                # vertex.
+                node = np.empty(n, dtype=np.int64)
+                node[hub_orig] = node_of_key
+                _, first, inv = np.unique(
+                    root[node], return_index=True, return_inverse=True
+                )
+                ncomp = first.shape[0]
+                rank = np.empty(ncomp, dtype=np.int64)
+                rank[np.argsort(first)] = np.arange(ncomp)
+                comp = rank[inv.ravel()]
+                pre = _preorder(parent, anc, hops)
+                order = np.empty(nodes, dtype=np.int64)
+                order[pre] = np.arange(nodes, dtype=np.int64)
+                span = _span_table(order, depth)
+            build_span.set(ops=ops.total, trail_events=ne)
 
         build_s = time.perf_counter() - t0
         if tracer.enabled:
@@ -609,11 +541,12 @@ class HubLabelIndex:
             tracer.metrics.observe("serve.label_entries", float(hubs.size))
         return cls(
             n=n, directed=session.directed, ptr=ptr, hubs=hubs, dto=dto,
-            dfrom=dfrom, perm=hub_orig, comp=comp, ncomp=ncomp,
+            dfrom=dfrom, perm=hub_orig, comp=comp, ncomp=ncomp, node=node,
+            parent=parent, depth=depth, pre=pre, span=span,
+            chain_len=chain_len,
             trail_events=ne, epoch_index=epoch_index,
             weights_digest=weights_digest, plan_id=plan.plan_id,
             source=source, build_seconds=build_s, solve_seconds=solve_s,
-            **etree,
         )
 
     # ------------------------------------------------------------------
@@ -626,14 +559,7 @@ class HubLabelIndex:
         """Per-vertex label cardinality (query-cost proxy)."""
         return np.diff(self.ptr)
 
-    @property
-    def join(self) -> str:
-        """``"chain"`` (shared-suffix join) or ``"merge"`` (sorted merge)."""
-        return "merge" if self.span is None else "chain"
-
     def _etree_tables(self) -> tuple:
-        if self.span is None:
-            return ()
         return (self.node, self.parent, self.depth, self.pre, self.span,
                 self.chain_len)
 
@@ -686,10 +612,8 @@ class HubLabelIndex:
            for ``v`` line up hub for hub, and ``np.minimum.reduceat``
            takes each pair's minimum of ``d(u→h) + d(h→v)``.
 
-        An index built from a directed plan with a reduction trail
-        joins by sorted merge instead (:meth:`_merge_join`).  Unreachable
-        same-component (directed) pairs come out as an all-``inf``
-        minimum.  Vertex ids must be whole numbers in ``[0, n)``;
+        Unreachable same-component (directed) pairs come out as an
+        all-``inf`` minimum.  Vertex ids must be whole numbers in ``[0, n)``;
         anything else raises ``ValueError``.
         """
         return self._evaluate(sources, targets)[0]
@@ -714,25 +638,21 @@ class HubLabelIndex:
             ).reshape(hi - lo, n)
         return dist
 
-    def _evaluate(self, sources, targets) -> tuple[np.ndarray, str, int]:
-        """:meth:`query_many` plus the join that ran and its candidate sums.
-
-        The join is ``"chain"`` (shared suffix) or ``"merge"`` (sorted
-        merge, for directed indexes with a reduction trail); the count is the
-        number of ``d(u→h) + d(h→v)`` sums it evaluated.
-        """
+    def _evaluate(self, sources, targets) -> tuple[np.ndarray, int]:
+        """:meth:`query_many` plus the number of ``d(u→h) + d(h→v)`` sums
+        the join evaluated."""
         sources = self._check_ids(sources)
         targets = self._check_ids(targets)
         if sources.shape != targets.shape:
             raise ValueError("sources and targets must have the same length")
-        join, run = (("merge", self._merge_join) if self.span is None
-                     else ("chain", self._chain_join))
         out = np.full(sources.shape[0], np.inf)
         pair_ids = np.flatnonzero(self.comp[sources] == self.comp[targets])
         if not pair_ids.size:
-            return out, join, 0
-        out[pair_ids], candidates = run(sources[pair_ids], targets[pair_ids])
-        return out, join, candidates
+            return out, 0
+        out[pair_ids], candidates = self._chain_join(
+            sources[pair_ids], targets[pair_ids]
+        )
+        return out, candidates
 
     def _lca(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Extended etree LCA of each pair ``(a[k], b[k])`` (same tree).
@@ -770,62 +690,6 @@ class HubLabelIndex:
         sums = (self.dto[off + np.repeat(end_s - ends, shared)]
                 + self.dfrom[off + np.repeat(end_t - ends, shared)])
         return np.minimum.reduceat(sums, starts), int(ends[-1])
-
-    def _merge_join(self, srcs: np.ndarray, tgts: np.ndarray):
-        """Sorted-merge join of same-component pairs.
-
-        The labels' ``pair_index * n + hub_position`` keys are sorted by
-        construction, since each label's hub positions ascend; one
-        ``searchsorted`` probes the smaller side into the larger and
-        ``np.minimum.reduceat`` takes each pair's minimum over the
-        matches.  Serves any label layout, including the union labels of
-        a directed trail's eliminated vertices.  Returns the per-pair minima and the number of
-        candidate sums (matched hubs).
-        """
-        key_s, d_s, pid_s = self._gather(srcs, self.dto)
-        key_t, d_t, pid_t = self._gather(tgts, self.dfrom)
-        # Probe the smaller flat side into the larger: cost is
-        # |small| · log |large|.
-        if key_s.shape[0] <= key_t.shape[0]:
-            sums, pids = self._probe(key_s, d_s, pid_s, key_t, d_t)
-        else:
-            sums, pids = self._probe(key_t, d_t, pid_t, key_s, d_s)
-        out = np.full(srcs.shape[0], np.inf)
-        if sums.shape[0]:
-            starts = np.flatnonzero(
-                np.r_[True, pids[1:] != pids[:-1]]
-            )
-            out[pids[starts]] = np.minimum.reduceat(sums, starts)
-        return out, int(sums.shape[0])
-
-    def _gather(self, verts: np.ndarray, dvals: np.ndarray):
-        """Flatten the labels of ``verts`` with per-entry pair tags.
-
-        Returns ``(keys, dists, pair_index)`` where
-        ``keys = pair_index * n + hub_position`` is globally ascending.
-        """
-        starts = self.ptr[verts]
-        counts = self.ptr[verts + 1] - starts
-        pair_index = np.repeat(
-            np.arange(verts.shape[0], dtype=np.int64), counts
-        )
-        flat = _ranges(starts, counts)
-        keys = pair_index * np.int64(self.n) + self.hubs[flat]
-        return keys, dvals[flat], pair_index
-
-    @staticmethod
-    def _probe(key_a, d_a, pid_a, key_b, d_b):
-        """Probe keyed label stream ``key_a`` into ``key_b`` (both ascending).
-
-        Returns the matched ``d_a + d_b`` sums and their pair indexes,
-        still grouped by pair.  Min-plus is commutative, so which side
-        probes does not change the answer.
-        """
-        loc = np.searchsorted(key_b, key_a)
-        inb = loc < key_b.shape[0]
-        loc_c = np.where(inb, loc, 0)
-        hit = inb & (key_b[loc_c] == key_a)
-        return d_a[hit] + d_b[loc_c[hit]], pid_a[hit]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

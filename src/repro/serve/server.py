@@ -63,13 +63,12 @@ class DistanceServer:
     method, cache, detect_negative_cycles, session_options:
         Forwarded to the internal session when ``source`` is a graph
         (``cache`` is a :class:`~repro.plan.cache.PlanCache`, so server
-        rebuilds after structural commits hit warm plans).  For an
-        undirected :class:`Graph` the session analyzes with
-        ``reduce="auto"`` unless told otherwise: the reduction is kept
-        when it eliminates most of the graph in shallow trees
-        (:func:`~repro.ordering.reduce.auto_keeps`), as on road
-        networks, and dropped on meshes, power grids and long paths.  A
-        :class:`DiGraph` keeps the session's default.
+        rebuilds after structural commits hit warm plans).  The session
+        analyzes with ``reduce="auto"`` unless told otherwise: the
+        reduction is kept when it eliminates most of the graph in
+        shallow trees (:func:`~repro.ordering.reduce.auto_keeps`), as on
+        road networks, directed or not, and dropped on meshes, power
+        grids and long paths.
     result_cache_size:
         LRU bound for the scalar-query result cache (0 disables it).
     strict:
@@ -106,10 +105,9 @@ class DistanceServer:
             self.session = source
             self._owns_session = False
         else:
-            if not isinstance(source, DiGraph):
-                # A reduced plan serves from the factor with chain-suffix
-                # labels; analyze keeps the trail only when it pays off.
-                session_options.setdefault("reduce", "auto")
+            # A reduced plan serves from the factor with chain-suffix
+            # labels; analyze keeps the trail only when it pays off.
+            session_options.setdefault("reduce", "auto")
             self.session = APSPSession(
                 source,
                 method=method,
@@ -245,8 +243,8 @@ class DistanceServer:
     def query_many(self, sources, targets) -> np.ndarray:
         """Vectorized distances for pairs ``(sources[k], targets[k])``.
 
-        One ``serve-batch`` span per call, recording which label join ran
-        and how many candidate sums it evaluated; throughput scales with
+        One ``serve-batch`` span per call, recording how many candidate
+        sums the label join evaluated; throughput scales with
         batch size (this is the path the ``bench_query`` gate measures).
         Bypasses the scalar result cache — a vectorized pass is already
         cheaper than n dict probes.  A non-whole id raises ``ValueError``.
@@ -257,8 +255,8 @@ class DistanceServer:
         targets = _vertex_ids(targets)
         tracer = get_tracer()
         with tracer.span("serve-batch", size=int(sources.shape[0])) as span:
-            out, join, candidates = idx._evaluate(sources, targets)
-            span.set(join=join, candidates=candidates)
+            out, candidates = idx._evaluate(sources, targets)
+            span.set(candidates=candidates)
         self.queries += int(sources.shape[0])
         self.batches += 1
         n_cross = int(np.sum(idx.comp[sources] != idx.comp[targets]))
@@ -351,7 +349,6 @@ class DistanceServer:
             sizes = idx.label_sizes()
             out["index"] = {
                 "source": idx.source,
-                "join": idx.join,
                 "trail_events": idx.trail_events,
                 "epoch": idx.epoch_index,
                 "plan_id": idx.plan_id,

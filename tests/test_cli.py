@@ -220,13 +220,15 @@ def test_query_stats_and_directed(capsys):
 
 
 def test_query_reduced_road_serves_through_the_chain_join(capsys):
-    assert main(
-        ["query", "0:1", "--generate", "road_network_like:300",
-         "--random", "200", "--verify", "--stats"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "built from the factor" in out
-    assert "'join': 'chain'" in out
-    trail_events = int(out.split("'trail_events': ")[1].split(",")[0])
-    assert trail_events > 0
-    assert ": OK" in out
+    # Directed or not, a road graph serves a reduced plan from the factor.
+    for directed in ([], ["--directed"]):
+        assert main(
+            ["query", "0:1", "--generate", "road_network_like:300",
+             "--random", "200", "--verify", "--stats", *directed]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "built from the factor" in out
+        assert "'source': 'factor'" in out
+        trail_events = int(out.split("'trail_events': ")[1].split(",")[0])
+        assert trail_events > 0
+        assert ": OK" in out

@@ -7,12 +7,14 @@ The factor-built hub labels' two passes have their own law,
 :func:`repro.serve.factor.factor_pass_ops`, pinned the same way.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.superfw import superfw
 from repro.graphs import generators as gen
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import DiGraph, orient_randomly
 from repro.graphs.graph import Graph
 from repro.graphs.suite import get_entry
 from repro.parallel.tasks import supernode_costs
@@ -24,6 +26,8 @@ from repro.obs.metrics import OpCounter
 from repro.serve import HubLabelIndex
 from repro.serve.factor import factor_chain_blocks, factor_pass_ops
 from repro.symbolic.structure import panel_rows, superfw_snode_ops
+
+from test_reduce import _graph as reduce_fixture
 
 
 def _digraph() -> DiGraph:
@@ -44,7 +48,21 @@ def _forest() -> Graph:
     return Graph.from_edges(off + 10, rows)
 
 
+#: Directed graphs analyzed with ``reduce=True``: the trail reads the
+#: symmetric pattern, and the plan orders its clique fill.
+DIRECTED_REDUCED = {
+    "digraph": _digraph,
+    "road": lambda: orient_randomly(gen.road_network_like(1500, seed=0), seed=0),
+    "power-grid": lambda: orient_randomly(gen.power_grid_like(1000, seed=0),
+                                          seed=0),
+    **{f"{kind}-{seed}": partial(reduce_fixture, kind, seed)
+       for kind in ("directed", "directed-negative", "directed-disconnected")
+       for seed in (0, 1, 2)},
+}
+
 FIXTURES = {
+    **{f"reduce-{name}": (build, {"reduce": True})
+       for name, build in DIRECTED_REDUCED.items()},
     "mesh-nd": (lambda: gen.delaunay_mesh(160, seed=1), {"ordering": "nd"}),
     "mesh-amd": (lambda: gen.delaunay_mesh(160, seed=1), {"ordering": "amd"}),
     "digraph": (_digraph, {}),
@@ -65,6 +83,18 @@ def test_law_equals_sweep_ops(name):
     assert int(ops.sum()) == superfw(g, plan=plan).ops.total
     # The simulator indexes the same array.
     assert [t.work for t in supernode_costs(plan.structure)] == ops.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTED_REDUCED))
+def test_directed_reduced_plans_sweep_fewer_ops(name):
+    # The symmetric quotient neighborhoods are structural fill, yet every
+    # directed reduced plan still sweeps fewer ops than the unreduced one.
+    g = DIRECTED_REDUCED[name]()
+    reduced = analyze(g, seed=0, reduce=True)
+    assert reduced.trail is not None
+    full = analyze(g, seed=0)
+    assert (superfw(g, plan=reduced).ops.total
+            < superfw(g, plan=full).ops.total)
 
 
 def test_panel_rows_match_row_arrays(mesh_graph):

@@ -148,6 +148,12 @@ def test_negative_cycle_parity_directed(reduce_):
     with pytest.raises(NegativeCycleError) as info:
         superfw(g, seed=0, reduce=reduce_)
     assert 0 <= int(info.value.witness) < g.n
+    # A factor-built index raises the session's error, same witness.
+    with pytest.raises(NegativeCycleError) as solved:
+        APSPSession(g, reduce=reduce_, seed=0).solve()
+    with pytest.raises(NegativeCycleError) as served:
+        HubLabelIndex.build(APSPSession(g, reduce=reduce_, seed=0))
+    assert served.value.witness == solved.value.witness
 
 
 @pytest.mark.parametrize("reduce_", [False, True])
@@ -176,11 +182,25 @@ def test_negative_cycle_on_pendant_chain_caught():
 def test_reduced_pattern_matches_the_unit_weight_replay(kind, seed):
     g = _graph(kind, seed)
     trail = build_trail(g)
-    unit = g.with_weights(np.ones(g.weights.shape[0]))
-    replayed = _unit_pattern(trail.apply(unit).graph)
+    # The rules read the symmetric pattern: a digraph's trail is its
+    # symmetrization's, event for event.
+    sym = _unit_pattern(g)
+    sym_trail = build_trail(sym)
+    for name in ("kinds", "verts", "kept"):
+        assert getattr(trail, name).tobytes() == getattr(sym_trail, name).tobytes()
+    assert [a.tolist() for a in trail.nbrs] == [a.tolist() for a in sym_trail.nbrs]
     pattern = trail.reduced_pattern(g)
+    replayed = _unit_pattern(sym_trail.apply(sym).graph)
     for name in ("indptr", "indices", "weights"):
         assert getattr(pattern, name).tobytes() == getattr(replayed, name).tobytes()
+    # A digraph materializes only its finite shortcuts: its reduced
+    # graph's pattern is a subgraph of the plan's.
+    own = _unit_pattern(trail.apply(g).graph)
+
+    def keys(p):
+        return np.repeat(np.arange(p.n), np.diff(p.indptr)) * p.n + p.indices
+
+    assert np.isin(keys(own), keys(pattern)).all()
 
 
 def test_plan_save_load_roundtrip_with_trail(tmp_path):
@@ -200,6 +220,49 @@ def test_plan_save_load_roundtrip_with_trail(tmp_path):
     assert np.array_equal(
         superfw(g, plan=loaded).dist, superfw(g, plan=plan).dist
     )
+
+
+def _save_as_v2(plan, path) -> None:
+    """Write ``plan`` in format v2: a trail with out- and in-neighbor lists."""
+    plan.save(path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(bytes(arrays.pop("header")).decode())
+    header["version"] = 2
+    concat, ptr = arrays.pop("trail_nbr_concat"), arrays.pop("trail_nbr_ptr")
+    arrays.update(trail_out_concat=concat, trail_out_ptr=ptr,
+                  trail_in_concat=concat, trail_in_ptr=ptr)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(),
+                                          dtype=np.uint8), **arrays)
+
+
+def test_plan_v2_loads_undirected_trails_and_rejects_directed(tmp_path):
+    assert PLAN_FORMAT_VERSION == 3
+    g = _graph("undirected", 7)
+    plan = analyze(g, reduce=True)
+    path = tmp_path / "u.plan.npz"
+    _save_as_v2(plan, path)
+    loaded = Plan.load(path)
+    assert loaded.plan_id == plan.plan_id
+    assert [a.tolist() for a in loaded.trail.nbrs] == [
+        a.tolist() for a in plan.trail.nbrs]
+    assert np.array_equal(superfw(g, plan=loaded).dist,
+                          superfw(g, plan=plan).dist)
+    # A v2 directed trail followed arc directions: loading it raises, so
+    # the plan cache evicts it as a miss and analyzes again.
+    dg = _graph("directed", 7)
+    cache = PlanCache(directory=str(tmp_path / "cache"))
+    fresh = analyze(dg, reduce=True)
+    key = cache.key_for(dg, reduce=True)
+    os.makedirs(tmp_path / "cache", exist_ok=True)
+    _save_as_v2(fresh, cache._path_for(key))
+    with pytest.raises(ValueError, match="directed trail"):
+        Plan.load(cache._path_for(key))
+    got = cache.get_or_analyze(dg, reduce=True)
+    assert cache.stale_evictions == 1
+    assert got.plan_id == fresh.plan_id and got.trail is not None
+    assert Plan.load(cache._path_for(key)).trail.n_events == fresh.trail.n_events
 
 
 def test_plan_without_trail_roundtrip_unchanged(tmp_path):
@@ -247,13 +310,16 @@ def test_trail_depths_follow_the_elimination_chain():
 
 def test_reduce_auto_keeps_road_trails_only():
     road = road_network_like(600, seed=3)
-    auto = analyze(road, reduce="auto")
-    assert auto_keeps(build_trail(road)) and auto.trail is not None
-    assert auto.params["reduce"] == "auto"
-    assert _same_analysis(auto, analyze(road, reduce=True))
+    # One rule for both graph kinds: a directed road network's trail is
+    # its symmetric pattern's, kept like the undirected one.
+    for g in (road, orient_randomly(road, seed=0)):
+        auto = analyze(g, reduce="auto")
+        assert auto_keeps(build_trail(g)) and auto.trail is not None
+        assert auto.params["reduce"] == "auto"
+        assert _same_analysis(auto, analyze(g, reduce=True))
     path = Graph.from_edges(300, [(i, i + 1, 1.0) for i in range(299)])
     mesh = delaunay_mesh(300, seed=3)
-    for g in (path, mesh, orient_randomly(road, seed=0)):
+    for g in (path, mesh, orient_randomly(mesh, seed=0)):
         assert not auto_keeps(build_trail(g))
         plan = analyze(g, reduce="auto")
         assert plan.trail is None
@@ -321,21 +387,21 @@ def test_session_solve_and_commit_exact_under_reduce():
 
 
 @pytest.mark.parametrize(
-    "kind", ["undirected", "directed-negative", "directed-disconnected"]
+    "kind",
+    ["undirected", "directed", "directed-negative", "directed-disconnected"],
 )
 def test_hub_labels_exact_under_reduce(kind):
     g = _graph(kind, 16)
     session = APSPSession(g, reduce=True)
-    full = session.solve().dist
     index = HubLabelIndex.build(session)
     assert index.n == g.n
-    # Undirected trail vertices hang off the etree as chain-suffix
-    # leaves; a directed trail's union labels join by sorted merge.
-    assert index.join == ("merge" if session.directed else "chain")
+    # Every trail vertex, directed or not, hangs off the etree as a
+    # chain-suffix leaf, so an epoch-less build reads the factor.
+    assert index.source == "factor" and session._epoch is None
     assert index.trail_events == session.plan.trail.n_events
     i, j = np.meshgrid(np.arange(g.n), np.arange(g.n), indexing="ij")
     got = index.query_many(i.ravel(), j.ravel()).reshape(g.n, g.n)
-    assert np.array_equal(got, full)
+    assert np.array_equal(got, np.asarray(session.dist))
     session.close()
 
 

@@ -188,19 +188,16 @@ JOIN_GRAPHS = {
 
 @pytest.mark.parametrize("kind", sorted(JOIN_GRAPHS))
 def test_chain_join_matches_merge_join(kind):
+    # The chain join is the index's only join: the full matrix is its
+    # oracle.
     build, options = JOIN_GRAPHS[kind]
     g = build()
     session = APSPSession(g, **options)
     index = HubLabelIndex.build(session)
-    assert index.join == "chain"  # trail-free plans join by chain suffix
     n = g.n
     src, dst = (a.ravel() for a in np.meshgrid(
         np.arange(n), np.arange(n), indexing="ij"))
     got = index.query_many(src, dst)
-    same = index.comp[src] == index.comp[dst]
-    merged = np.full(n * n, np.inf)
-    merged[same] = index._merge_join(src[same], dst[same])[0]
-    assert np.array_equal(got, merged)
     _assert_matches(got.reshape(n, n), np.asarray(session.dist))
     # Etree trees are exactly the pattern's components.
     ncomp, comp = connected_components(session.plan.pattern)
@@ -454,7 +451,6 @@ def test_serving_emits_spans_and_metrics(grid_graph):
     assert "hub-index-build" in names
     assert "serve-batch" in names
     (batch,) = [e for e in tracer.events() if e.name == "serve-batch"]
-    assert batch.args["join"] == "chain"
     assert batch.args["candidates"] >= 2  # at least one hub per pair
     counters = tracer.metrics.snapshot()["counters"]
     assert counters["serve.index_builds"] == 1
@@ -469,7 +465,7 @@ def test_server_stats_shape(grid_graph):
     assert stats["queries"] == 1
     assert stats["index"]["shards"] == 1
     assert stats["index"]["entries"] > 0
-    assert stats["index"]["join"] == "chain"
+    assert stats["index"]["source"] == "factor"
     # A grid eliminates no vertex: reduce="auto" serves it unreduced.
     assert stats["index"]["trail_events"] == 0
     assert stats["result_cache"]["misses"] == 1
@@ -482,14 +478,19 @@ def test_server_reduces_road_graphs_by_default():
         index = server.stats()["index"]
         assert server.session.plan.params["reduce"] == "auto"
         assert server.session.plan.trail is not None
-        assert index["source"] == "factor" and index["join"] == "chain"
+        assert index["source"] == "factor"
         assert index["trail_events"] > 0
     with DistanceServer(g, reduce=False) as server:
         server.refresh()
         assert server.session.plan.trail is None
         assert server.stats()["index"]["trail_events"] == 0
+    # One rule for both graph kinds: a directed road network reduces on
+    # its symmetric pattern and serves from the factor too.
     with DistanceServer(orient_randomly(g, seed=2)) as server:
-        assert server.session.plan.trail is None
+        server.refresh()
+        index = server.stats()["index"]
+        assert server.session.plan.trail is not None
+        assert index["source"] == "factor" and index["trail_events"] > 0
     session = APSPSession(g, seed=0)
     with DistanceServer(session) as server:
         assert server.session is session and session.plan.trail is None
@@ -605,11 +606,10 @@ def test_reduced_plan_builds_from_the_factor():
     tracer = Tracer()
     with use_tracer(tracer):
         index = HubLabelIndex.build(session)
-    assert index.source == "factor" and index.join == "chain"
+    assert index.source == "factor"
     assert index.trail_events == session.plan.trail.n_events > 0
     assert session._epoch is None and session.solves == 0
     (span,) = [e for e in tracer.events() if e.name == "hub-index-build"]
-    assert span.args["join"] == "chain"
     assert span.args["trail_events"] == index.trail_events
     assert "hub-index-solve" not in {e.name for e in tracer.events()}
 
@@ -621,14 +621,25 @@ def _twins() -> Graph:
     return Graph.from_edges(63, np.concatenate([edges, np.array(extra)]))
 
 
-#: Dyadic-weight undirected graphs whose reduced plans build from the
-#: factor: the reduction rules each one must exercise, and whether some
-#: trail vertex hangs at an offset t > 0 inside a supernode.
+#: Dyadic-weight graphs whose reduced plans build from the factor: the
+#: reduction rules each one must exercise, and whether some trail vertex
+#: hangs at an offset t > 0 inside a supernode.  Directed trails reduce
+#: on the symmetric pattern, so they build and join like undirected ones.
 REDUCED_GRAPHS = {
     **{f"{kind}-{seed}": (partial(reduce_fixture, kind, seed), (), True)
        for kind in ("undirected", "undirected-disconnected",
                     "undirected-selfloops")
        for seed in (0, 1)},
+    **{f"{kind}-{seed}": (partial(reduce_fixture, kind, seed),
+                          ("pendant", "chain"), True)
+       for kind in ("directed", "directed-negative", "directed-disconnected")
+       for seed in (0, 1, 2)},
+    "road-directed": (lambda: quantize_weights(orient_randomly(
+        generators.road_network_like(1500, seed=0), seed=0)),
+        ("twin", "simplicial"), True),
+    "power-grid-directed": (lambda: quantize_weights(orient_randomly(
+        generators.power_grid_like(1000, seed=0), seed=0)),
+        ("pendant", "chain", "twin"), True),
     "road": (lambda: quantize_weights(
         generators.road_network_like(1500, seed=0)), ("twin", "simplicial"),
         True),
@@ -648,12 +659,12 @@ def test_reduced_factor_labels_bit_identical_to_epoch_labels(kind):
     trail = cold.plan.trail
     assert set(rules) <= set(trail.kind_counts())
     factor = HubLabelIndex.build(cold)
-    assert factor.source == "factor" and factor.join == "chain"
+    assert factor.source == "factor"
     assert cold._epoch is None
     warm = APSPSession(g, plan=cold.plan)
     warm.solve()
     sliced = HubLabelIndex.build(warm)
-    assert sliced.source == "epoch" and sliced.join == "chain"
+    assert sliced.source == "epoch"
     for name in ("ptr", "hubs", "dto", "dfrom", "comp", "node", "chain_len"):
         assert getattr(factor, name).tobytes() == getattr(sliced, name).tobytes()
     # A supernode split at a trail vertex's offset t > 0 adds an etree
@@ -668,16 +679,26 @@ def test_reduced_factor_labels_bit_identical_to_epoch_labels(kind):
         src, dst = (a.ravel() for a in np.meshgrid(
             np.arange(lo, min(n, lo + 128)), np.arange(n), indexing="ij"))
         assert np.array_equal(factor.query_many(src, dst), dist[src, dst])
-    ncomp, _ = connected_components(g)
+    # One shard per weak component of the original graph.
+    ncomp, _ = connected_components(
+        g.symmetrized() if isinstance(g, DiGraph) else g)
     assert factor.ncomp == ncomp
-    # Each eliminated vertex's label is exactly the union label of the
-    # merge join — its own key and its neighbors' labels — so label
-    # entries do not grow.
+    # Each eliminated vertex's label is its own key followed by the label
+    # of its lowest-keyed neighbor q — the union of its own key and all
+    # its neighbors' labels, so label entries do not grow past the union.
     def label(v):
         return factor.hubs[factor.ptr[v]:factor.ptr[v + 1]]
 
+    key_of = np.empty(n, dtype=np.int64)
+    key_of[factor.perm] = np.arange(n)
     for r, v in enumerate(trail.verts):
-        union = {r}.union(*(label(q).tolist() for q in trail.out_nbrs[r]))
+        nbrs = trail.nbrs[r]
+        if not nbrs.size:
+            assert label(v).tolist() == [r]
+            continue
+        q = nbrs[np.argmin(key_of[nbrs])]
+        assert label(v).tolist() == [r] + label(q).tolist()
+        union = {r}.union(*(label(x).tolist() for x in nbrs))
         assert label(v).tolist() == sorted(union)
 
 
