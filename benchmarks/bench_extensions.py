@@ -2,7 +2,7 @@
 
 * path doubling — Table 2's best-depth row, now runnable;
 * directed SuperFW — the LU-analogue sweep on ``A + Aᵀ`` structure;
-* incremental APSP — rank-1 updates vs full re-solve crossover.
+* incremental APSP — single-edge ``APSPSession.update_edge`` folds.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.incremental import IncrementalAPSP
 from repro.core.path_doubling import path_doubling
 from repro.core.superfw import superfw
-from repro.plan import analyze
+from repro.plan import APSPSession, analyze
 from repro.experiments.common import format_table, save_table
 from repro.graphs.generators import grid2d
 from repro.graphs.suite import get_entry
@@ -65,7 +64,8 @@ def test_directed_superfw(benchmark, digraph, bench_seed):
 
 def test_incremental_update(benchmark, bench_size_factor, bench_seed):
     graph = get_entry("rgg2d_14").build(size_factor=bench_size_factor, seed=bench_seed)
-    inc = IncrementalAPSP(graph, seed=bench_seed)
+    session = APSPSession(graph, seed=bench_seed)
+    session.solve()
     edges = graph.edge_array()
     rng = np.random.default_rng(bench_seed)
     state = {"scale": 1.0}
@@ -73,7 +73,8 @@ def test_incremental_update(benchmark, bench_size_factor, bench_seed):
     def one_update():
         state["scale"] *= 0.95  # strictly decreasing => always the fast path
         e = edges[rng.integers(0, edges.shape[0])]
-        inc.update_edge(int(e[0]), int(e[1]), float(e[2]) * state["scale"])
+        session.update_edge(int(e[0]), int(e[1]), float(e[2]) * state["scale"])
 
     benchmark.pedantic(one_update, rounds=10, iterations=1)
-    assert inc.recomputes == 1  # constructor only: every update took O(n^2)
+    # Every update folded in O(n^2); none re-solved.
+    assert session.fast_updates == 10 and session.recomputes == 0

@@ -9,9 +9,9 @@ through :class:`repro.APSPSession`'s batch API: each tick's updates are
 staged with ``apply_updates`` and published atomically by ``commit()``,
 which routes between an O(n²·k) rank-k min-plus fold (all-decrease
 batches) and a warm SuperFW re-solve on the cached plan — while readers
-always see a fully published epoch.  The per-edge ``IncrementalAPSP``
-loop is replayed for comparison: the same stream, one rank-1 fold or
-re-solve per edge.
+always see a fully published epoch.  A second session replays the same
+stream one edge at a time through ``update_edge`` (a one-element commit:
+one fold or one re-solve per edge) and must end bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from repro import APSPSession, IncrementalAPSP, generators, superfw
+from repro import APSPSession, generators, superfw
 from repro.core.incremental import quantize_weights, reweight_stream
 
 TICKS = 8
@@ -64,23 +64,21 @@ def main() -> None:
     assert np.array_equal(np.asarray(session.dist), reference.dist)
     print("final epoch bit-identical to a from-scratch solve: True")
 
-    # The same stream, one edge at a time (rank-1 folds; every slowdown
-    # pays a full warm re-solve).
-    base = quantize_weights(
-        generators.random_geometric(500, dim=2, avg_degree=8, seed=3)
-    )
-    inc = IncrementalAPSP(base, seed=0)
+    # The same stream, one edge at a time through a second session
+    # (one fold per speed-up; every slowdown pays a full warm re-solve).
+    per_edge = APSPSession(g, seed=0)
+    per_edge.solve()
     t0 = time.perf_counter()
     for tick in ticks:
         for u, v, w in tick:
-            inc.update_edge(u, v, w)
+            per_edge.update_edge(u, v, w)
     t_per_edge = time.perf_counter() - t0
     print(
         f"per-edge: {n_updates} updates, {t_per_edge * 1e3:.0f} ms total "
-        f"({inc.fast_updates} folds + {inc.recomputes} re-solves) "
+        f"({per_edge.fast_updates} folds + {per_edge.recomputes} re-solves) "
         f"-> batching is {t_per_edge / t_batched:.1f}x faster"
     )
-    assert np.array_equal(inc.dist, np.asarray(session.dist))
+    assert np.array_equal(np.asarray(per_edge.dist), np.asarray(session.dist))
 
     # Readers never block and never see a half-written matrix: the
     # published epoch is immutable (copy-on-write), so a snapshot taken

@@ -31,7 +31,6 @@ Public surface
 """
 
 from repro.core.api import apsp, available_methods
-from repro.core.incremental import IncrementalAPSP
 from repro.core.paths import PathOracle
 from repro.core.result import APSPResult
 from repro.core.superfw import superfw
@@ -96,7 +95,6 @@ __all__ = [
     "Graph",
     "GraphValidationError",
     "HubLabelIndex",
-    "IncrementalAPSP",
     "KernelFaultError",
     "MetricsRegistry",
     "NegativeCycleError",

@@ -53,7 +53,7 @@ def profile_superfw(
     result = superfw(graph, plan=plan)
     return PreprocessingReport(
         name=name,
-        ordering_seconds=plan.timings.phases.get("ordering", 0.0),
-        symbolic_seconds=plan.timings.phases.get("symbolic", 0.0),
-        solve_seconds=result.timings.phases.get("solve", 0.0),
+        ordering_seconds=plan.timings.get("ordering", 0.0),
+        symbolic_seconds=plan.timings.get("symbolic", 0.0),
+        solve_seconds=result.timings.get("solve", 0.0),
     )

@@ -23,7 +23,6 @@ from repro.core.dijkstra import (
     apsp_dijkstra_adjlist,
     sssp_dijkstra,
 )
-from repro.core.incremental import IncrementalAPSP, apply_edge_improvement
 from repro.core.johnson import johnson_apsp
 from repro.core.path_doubling import path_doubling
 from repro.core.paths import PathOracle
@@ -33,10 +32,8 @@ from repro.core.parallel_superfw import SharedPlanPool, parallel_superfw
 
 __all__ = [
     "APSPResult",
-    "IncrementalAPSP",
     "PathOracle",
     "SharedPlanPool",
-    "apply_edge_improvement",
     "path_doubling",
     "apsp",
     "apsp_delta_stepping",

@@ -14,6 +14,7 @@ import numpy as np
 from repro.obs.metrics import OpCounter
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
+from repro.obs import phase
 from repro.plan.plan import Plan, TilingPlan, make_tiling
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
 from repro.resilience.errors import NegativeCycleError
@@ -25,7 +26,6 @@ from repro.semiring.kernels import (
     panel_update_cols,
     panel_update_rows,
 )
-from repro.util.timing import TimingBreakdown
 
 
 def blocked_floyd_warshall_inplace(
@@ -121,7 +121,7 @@ def blocked_floyd_warshall(
     the tiling) — the dense baseline's share of the analyze/solve split,
     and what lets the fallback chain hand one plan to every backend.
     """
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     ops = OpCounter()
     tiling: TilingPlan | None = None
     if isinstance(plan, TilingPlan):
@@ -139,7 +139,7 @@ def blocked_floyd_warshall(
         dist = graph.to_dense_dist()
     else:
         dist = np.array(graph, dtype=np.float64, copy=True)
-    with timings.time("solve"), use_engine(engine) as eng:
+    with phase(timings, "solve", method="blocked-fw"), use_engine(engine) as eng:
         engine_before = eng.stats_snapshot()
         blocked_floyd_warshall_inplace(
             dist,

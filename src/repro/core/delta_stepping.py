@@ -22,9 +22,9 @@ import numpy as np
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
 from repro.graphs.validation import validate_weights
+from repro.obs import phase
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
 from repro.resilience.errors import GraphValidationError
-from repro.util.timing import TimingBreakdown
 
 
 def sssp_delta_stepping(
@@ -130,17 +130,17 @@ def apsp_delta_stepping(
     """
     validate_weights(graph, require_positive=True)
     n = graph.n
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     tracker = as_tracker(budget, units_total=n)
     if tracker is not None:
         tracker.check_allocation(float(n) ** 2 * 8, where="delta-stepping:dist")
     if delta is None:
-        with timings.time("autotune"):
+        with phase(timings, "autotune", "delta-autotune"):
             delta = autotune_delta(graph)
     dist = np.empty((n, n))
     total_rounds = 0
     m = graph.indices.size
-    with timings.time("solve"):
+    with phase(timings, "solve", method="delta-stepping"):
         for s in range(n):
             if tracker is not None:
                 tracker.charge(2 * m, units=1, where=f"delta-stepping:source {s}")

@@ -12,10 +12,10 @@ import numpy as np
 from repro.obs.metrics import OpCounter
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
+from repro.obs import phase
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
 from repro.resilience.errors import NegativeCycleError
 from repro.semiring.base import MIN_PLUS, Semiring
-from repro.util.timing import TimingBreakdown
 
 
 def floyd_warshall_inplace(
@@ -88,7 +88,7 @@ def floyd_warshall(
         Optional :class:`~repro.resilience.budget.SolveBudget` checked at
         every pivot step.
     """
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     ops = OpCounter()
     if hasattr(graph, "to_dense_dist"):
         n_est = graph.n
@@ -102,7 +102,7 @@ def floyd_warshall(
     else:
         dist = np.array(graph, dtype=np.float64, copy=True)
     via = np.full(dist.shape, -1, dtype=np.int64) if track_via else None
-    with timings.time("solve"):
+    with phase(timings, "solve", method="dense-fw"):
         count = floyd_warshall_inplace(dist, semiring, via, tracker=tracker)
     ops.add("dense_fw", count)
     if (

@@ -29,8 +29,8 @@ import numpy as np
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
 from repro.graphs.validation import validate_weights
+from repro.obs import phase
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
-from repro.util.timing import TimingBreakdown
 
 _INF = float("inf")
 
@@ -101,15 +101,15 @@ def apsp_dijkstra(
     """
     validate_weights(graph, require_positive=True)
     n = graph.n
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     tracker = as_tracker(budget, units_total=n)
     if tracker is not None:
         tracker.check_allocation(float(n) ** 2 * 8, where="dijkstra:dist")
     dist = np.empty((n, n))
-    with timings.time("setup"):
+    with phase(timings, "setup"):
         indptr, indices, weights = _csr_lists(graph)
     m = graph.indices.size
-    with timings.time("solve"):
+    with phase(timings, "solve", method="dijkstra"):
         for s in range(n):
             if tracker is not None:
                 tracker.charge(2 * m, units=1, where=f"dijkstra:source {s}")
@@ -159,17 +159,17 @@ def apsp_dijkstra_adjlist(
     """
     validate_weights(graph, require_positive=True)
     n = graph.n
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     tracker = as_tracker(budget, units_total=n)
     if tracker is not None:
         tracker.check_allocation(float(n) ** 2 * 8, where="boost-dijkstra:dist")
     dist = np.empty((n, n))
-    with timings.time("setup"):
+    with phase(timings, "setup"):
         adj = graph.adjacency_lists()
         dist_map: dict[int, float] = {}
         color_map: dict[int, int] = {}
     m = graph.indices.size
-    with timings.time("solve"):
+    with phase(timings, "solve", method="boost-dijkstra"):
         for s in range(n):
             if tracker is not None:
                 tracker.charge(2 * m, units=1, where=f"boost-dijkstra:source {s}")

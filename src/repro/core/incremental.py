@@ -1,24 +1,25 @@
-"""Incremental APSP maintenance under edge insertions / weight decreases.
+"""Batch folding of improved arcs into a published APSP matrix.
 
 The paper's related-work section (§6) points at Carré's algebraic account
-of graph updates via the Sherman-Morrison-Woodbury identity: a rank-1
+of graph updates via the Sherman-Morrison-Woodbury identity: a low-rank
 change to the weight matrix induces a closed-form update of its closure.
-In min-plus terms, improving arc ``u → v`` to weight ``w`` updates every
-pair by the best path routed through the new arc:
+In min-plus terms, improving a batch of arcs updates every pair by the
+best path routed through the improved arcs.
+:func:`apply_batch_improvements` does that in one pass through the
+*terminal closure* — close the small ``p × p`` subproblem over the arcs'
+endpoints first, then apply one ``(n × p) ⊗ (p × p) ⊗ (p × n)`` min-plus
+sandwich: ``O(n² p)`` instead of an ``O(n² |S|)`` re-solve.  Because
+every updated shortest path decomposes at its terminal visits into
+old-distance segments, a single pass reaches the exact fixed point; no
+verification sweep is needed.  Weight *increases* can invalidate
+arbitrarily many pairs and need a re-solve (the classical asymmetry of
+dynamic shortest paths).
 
-    Dist[i, j] ← Dist[i, j] ⊕ Dist[i, u] ⊗ w ⊗ Dist[v, j]
-
-— an ``O(n²)`` rank-1 outer product instead of an ``O(n² |S|)`` re-solve.
-Weight *increases* can invalidate arbitrarily many pairs and fall back to
-a recompute (the classical asymmetry of dynamic shortest paths).
-
-:func:`apply_batch_improvements` generalizes the fold to rank ``k``: a
-whole tick's worth of improved arcs is folded in one pass through the
-*terminal closure* — close the small ``p × p`` subproblem over the
-arcs' endpoints first, then apply one ``(n × p) ⊗ (p × p) ⊗ (p × n)``
-min-plus sandwich.  Because every updated shortest path decomposes at
-its terminal visits into old-distance segments, a single pass reaches
-the exact fixed point; no verification sweep is needed.
+:class:`~repro.plan.session.APSPSession` is the one update path: its
+``commit()`` (and ``update_edge``, a one-element commit) routes each
+batch to this fold or to a warm re-solve.  The reweight-stream helpers
+below feed the example, the CLI ``update`` subcommand and
+``benchmarks/bench_dynamic.py``.
 """
 
 from __future__ import annotations
@@ -27,37 +28,6 @@ import numpy as np
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-
-
-def apply_edge_improvement(
-    dist: np.ndarray,
-    u: int,
-    v: int,
-    w: float,
-    *,
-    directed: bool = False,
-    atol: float = 1e-12,
-) -> int:
-    """Fold an improved arc ``u→v`` (and ``v→u`` when undirected) into ``dist``.
-
-    Mutates ``dist`` in place; returns the number of pairs improved by more
-    than ``atol`` (sub-``atol`` wiggles are floating-point re-association
-    noise, not path changes — the matrix itself still takes the exact
-    minimum).  ``dist`` must be a valid APSP matrix of the graph *before*
-    the change, and ``w`` must not create a negative cycle.
-    """
-    n = dist.shape[0]
-    if dist.shape != (n, n):
-        raise ValueError("dist must be square")
-    if not (0 <= u < n and 0 <= v < n) or u == v:
-        raise ValueError("invalid edge endpoints")
-    improved = 0
-    for a, b in ((u, v),) if directed else ((u, v), (v, u)):
-        through = dist[:, a : a + 1] + (w + dist[b, :])
-        better = through < dist - atol
-        improved += int(np.count_nonzero(better))
-        np.minimum(dist, through, out=dist)
-    return improved
 
 
 def apply_batch_improvements(
@@ -189,92 +159,3 @@ def reweight_stream(
             current[(u, v)] = w
             batch.append((u, v, w))
         yield batch
-
-
-class IncrementalAPSP:
-    """Maintains an APSP matrix across edge updates.
-
-    Improvements (new edges, weight decreases) apply in ``O(n²)``;
-    degradations trigger a full SuperFW recompute.  The running graph and
-    matrix stay consistent after every call.
-
-    Parameters
-    ----------
-    graph:
-        Starting graph (undirected or directed).  The instance takes a
-        private copy of the weight array, so updates never mutate the
-        caller's graph.
-    dist:
-        Optional precomputed APSP matrix; solved with SuperFW otherwise.
-    """
-
-    def __init__(self, graph: Graph | DiGraph, dist: np.ndarray | None = None, *, seed: int = 0) -> None:
-        # Private weights: reweights mutate arc slots in place (O(1))
-        # instead of rebuilding the whole CSR object per update.
-        self.graph = graph.with_weights(graph.weights.copy())
-        self.directed = isinstance(graph, DiGraph)
-        self.seed = seed
-        self.recomputes = 0
-        self.fast_updates = 0
-        if dist is None:
-            dist = self._solve(self.graph)
-        elif dist.shape != (graph.n, graph.n):
-            raise ValueError("dist shape does not match graph")
-        else:
-            dist = np.array(dist, dtype=np.float64, copy=True)
-        self.dist = dist
-
-    def _solve(self, graph) -> np.ndarray:
-        from repro.core.superfw import superfw
-
-        self.recomputes += 1
-        return superfw(graph, seed=self.seed).dist
-
-    def _arc_slots(self, u: int, v: int) -> np.ndarray:
-        g = self.graph
-        lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
-        return lo + np.flatnonzero(g.indices[lo:hi] == v)
-
-    def _current_weight(self, u: int, v: int) -> float:
-        slots = self._arc_slots(u, v)
-        return float(self.graph.weights[slots[0]]) if slots.size else np.inf
-
-    def _set_weight(self, u: int, v: int, w: float) -> None:
-        """Reweight existing arc slots in place — no CSR reconstruction."""
-        self.graph.weights[self._arc_slots(u, v)] = w
-        if not self.directed:
-            self.graph.weights[self._arc_slots(v, u)] = w
-
-    def _insert_edge(self, u: int, v: int, w: float):
-        """Splice a brand-new arc/edge in (the only structural rebuild)."""
-        if self.directed:
-            arcs = np.vstack([self.graph.arc_array(), [u, v, w]])
-            return DiGraph.from_edges(self.graph.n, arcs)
-        a, b = min(u, v), max(u, v)
-        edges = np.vstack([self.graph.edge_array(), [a, b, w]])
-        return Graph.from_edges(self.graph.n, edges)
-
-    def update_edge(self, u: int, v: int, w: float) -> int:
-        """Set arc/edge ``(u, v)`` to weight ``w``; returns pairs improved.
-
-        Decreases (including brand-new edges) use the rank-1 fast path;
-        increases recompute from scratch (returns ``-1`` to signal it).
-        """
-        if w < 0 and not self.directed:
-            raise ValueError("negative undirected edges form negative 2-cycles")
-        old = self._current_weight(u, v)
-        if np.isinf(old):
-            self.graph = self._insert_edge(u, v, w)
-        else:
-            self._set_weight(u, v, w)
-        if w <= old:
-            self.fast_updates += 1
-            return apply_edge_improvement(
-                self.dist, u, v, w, directed=self.directed
-            )
-        self.dist = self._solve(self.graph)
-        return -1
-
-    def distance(self, i: int, j: int) -> float:
-        """Current shortest distance between ``i`` and ``j``."""
-        return float(self.dist[i, j])

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.bellman_ford import sssp_bellman_ford
 from repro.core.result import APSPResult
 from repro.graphs.graph import Graph
-from repro.util.timing import TimingBreakdown
+from repro.obs import phase
 
 
 def johnson_apsp(graph: Graph) -> APSPResult:
@@ -29,8 +29,8 @@ def johnson_apsp(graph: Graph) -> APSPResult:
     Raises ``ValueError`` on negative cycles (via Bellman-Ford).
     """
     n = graph.n
-    timings = TimingBreakdown()
-    with timings.time("potentials"):
+    timings: dict[str, float] = {}
+    with phase(timings, "potentials"):
         h = sssp_bellman_ford(graph, None)
         rows = np.repeat(np.arange(n), np.diff(graph.indptr))
         reweighted = graph.weights + h[rows] - h[graph.indices]
@@ -38,7 +38,7 @@ def johnson_apsp(graph: Graph) -> APSPResult:
         reweighted = np.maximum(reweighted, 0.0)
         gprime = graph.with_weights(reweighted)
     dist = np.empty((n, n))
-    with timings.time("solve"):
+    with phase(timings, "solve", method="johnson"):
         from repro.core.dijkstra import _csr_lists, _sssp_csr
 
         indptr, indices, weights = _csr_lists(gprime)

@@ -91,7 +91,6 @@ from repro.resilience.supervisor import (
     coerce_policy,
     start_worker_watchdog,
 )
-from repro.semiring.base import MIN_PLUS, Semiring
 from repro.semiring.engine import SemiringGemmEngine, set_engine, use_engine
 
 #: Per-process state of a pool worker, populated by :func:`_process_init`.
@@ -180,7 +179,7 @@ def _process_eliminate(
     run = partial(
         run_task, _WORKER["dist"], s,
         structure=_WORKER["structure"], retry=retry,
-        exact_panels=_WORKER["exact_panels"], semiring=MIN_PLUS,
+        exact_panels=_WORKER["exact_panels"],
         attempt_base=attempt_base, defer_aa=True,
         check=partial(_deadline_check, s, deadline),
     )
@@ -389,7 +388,6 @@ def parallel_superfw(
     backend: str = "thread",
     etree_parallel: bool = True,
     exact_panels: bool = True,
-    semiring: Semiring = MIN_PLUS,
     budget: SolveBudget | BudgetTracker | float | None = None,
     retry: RetryPolicy = DEFAULT_TASK_RETRY,
     engine: str | SemiringGemmEngine | None = None,
@@ -459,8 +457,6 @@ def parallel_superfw(
     """
     if backend not in ("thread", "process"):
         raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
-    if backend == "process" and semiring is not MIN_PLUS:
-        raise ValueError("backend='process' supports only the min-plus semiring")
     if pool is not None:
         if backend != "process":
             raise ValueError("pool= requires backend='process'")
@@ -486,7 +482,6 @@ def parallel_superfw(
         backend=backend,
         by_level=etree_parallel,
         exact_panels=exact_panels,
-        semiring=semiring,
         dtype=np.float64,
         budget=budget,
         retry=retry,

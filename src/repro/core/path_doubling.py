@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.obs.metrics import OpCounter
 from repro.core.result import APSPResult
+from repro.obs import phase
 from repro.semiring.base import MIN_PLUS, Semiring
 from repro.semiring.minplus import minplus_gemm, semiring_gemm
-from repro.util.timing import TimingBreakdown
 
 
 def path_doubling(
@@ -42,7 +42,7 @@ def path_doubling(
         (≤ ⌈log₂(n−1)⌉, fewer when the distance matrix converges early —
         e.g. small-diameter graphs).
     """
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     ops = OpCounter()
     if hasattr(graph, "to_dense_dist"):
         dist = graph.to_dense_dist()
@@ -52,7 +52,7 @@ def path_doubling(
     if dist.shape != (n, n):
         raise ValueError("dist must be square")
     rounds = 0
-    with timings.time("solve"):
+    with phase(timings, "solve", method="path-doubling"):
         scratch = np.empty_like(dist)
         max_rounds = max(int(np.ceil(np.log2(max(n - 1, 1)))), 1)
         for _ in range(max_rounds):

@@ -8,7 +8,6 @@ from typing import Any
 import numpy as np
 
 from repro.obs.metrics import OpCounter
-from repro.util.timing import TimingBreakdown
 
 
 @dataclass
@@ -23,7 +22,8 @@ class APSPResult:
     method:
         Identifier of the producing algorithm.
     timings:
-        Phase timing breakdown (ordering / symbolic / solve / ...).
+        Seconds per phase (ordering / symbolic / solve / ...), each the
+        summed duration of that phase's :func:`repro.obs.phase` spans.
     ops:
         Scalar semiring operation counts where the algorithm tracks them.
     meta:
@@ -32,7 +32,7 @@ class APSPResult:
 
     dist: np.ndarray
     method: str
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
+    timings: dict[str, float] = field(default_factory=dict)
     ops: OpCounter = field(default_factory=OpCounter)
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -47,4 +47,4 @@ class APSPResult:
         The paper excludes ordering/symbolic time from the reported solve
         numbers (§5.1.4); benchmarks use this accessor for comparability.
         """
-        return self.timings.phases.get("solve", self.timings.total)
+        return self.timings.get("solve", sum(self.timings.values()))

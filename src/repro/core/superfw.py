@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.result import APSPResult
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-from repro.obs import get_tracer
+from repro.obs import get_tracer, phase
 from repro.obs.metrics import OpCounter
 from repro.plan.plan import Plan, ensure_plan
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
@@ -50,7 +50,6 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import task_kernel_epoch, task_site
 from repro.resilience.retry import DEFAULT_TASK_RETRY, RetryPolicy, call_with_retry
-from repro.semiring.base import MIN_PLUS, Semiring
 from repro.semiring.engine import SemiringGemmEngine, use_engine
 from repro.semiring.kernels import (
     diag_update,
@@ -60,7 +59,6 @@ from repro.semiring.kernels import (
 )
 from repro.symbolic.structure import SupernodalStructure
 from repro.util.perm import invert_permutation
-from repro.util.timing import TimingBreakdown
 
 #: The coordinator's single re-run of a task whose retries ran out.
 _ONCE = RetryPolicy(max_attempts=1)
@@ -76,7 +74,6 @@ def eliminate_supernode(
     s: int,
     *,
     exact_panels: bool = True,
-    semiring: Semiring = MIN_PLUS,
     counter: OpCounter | None = None,
     aa_lock=None,
     defer_aa: bool = False,
@@ -112,7 +109,7 @@ def eliminate_supernode(
         lo, hi = structure.col_range(s)
         diag = dist[lo:hi, lo:hi].copy()
         with tracer.span("diag", snode=s):
-            counter.add("diag", diag_update(diag, semiring))
+            counter.add("diag", diag_update(diag))
         check()
         desc = structure.descendant_vertices(s)
         anc = structure.ancestor_vertices(s, exact=exact_panels)
@@ -123,8 +120,8 @@ def eliminate_supernode(
             col_panel = dist[rows, lo:hi]
             row_panel = dist[lo:hi, rows]
             with tracer.span("panel", snode=s):
-                counter.add("panel", panel_update_cols(col_panel, diag, semiring))
-                counter.add("panel", panel_update_rows(row_panel, diag, semiring))
+                counter.add("panel", panel_update_cols(col_panel, diag))
+                counter.add("panel", panel_update_rows(row_panel, diag))
             check()
             writes += [(np.s_[rows, lo:hi], col_panel), (np.s_[lo:hi, rows], row_panel)]
             nd = desc.shape[0]
@@ -147,18 +144,16 @@ def eliminate_supernode(
                     block = dist[where]
                     counter.add(
                         "outer",
-                        outer_update(block, col_panel[rs], row_panel[:, cs], semiring),
+                        outer_update(block, col_panel[rs], row_panel[:, cs]),
                     )
                     writes.append((where, block))
                     check()
             if shared and anc.size:
                 with tracer.span("aa", snode=s, deferred=defer_aa):
-                    update = np.full((anc.shape[0], anc.shape[0]), semiring.zero)
+                    update = np.full((anc.shape[0], anc.shape[0]), np.inf)
                     counter.add(
                         "outer",
-                        outer_update(
-                            update, col_panel[nd:], row_panel[:, nd:], semiring
-                        ),
+                        outer_update(update, col_panel[nd:], row_panel[:, nd:]),
                     )
         # Commit: every kernel has returned, so the writes cannot be torn
         # by a fault; cousins only share the A×A region.
@@ -170,7 +165,7 @@ def eliminate_supernode(
             return anc, update
         with aa_lock:
             aa = dist[np.ix_(anc, anc)]
-            semiring.add(aa, update, out=aa)
+            np.minimum(aa, update, out=aa)
             dist[np.ix_(anc, anc)] = aa
     return None
 
@@ -182,7 +177,6 @@ def run_task(
     structure: SupernodalStructure,
     retry: RetryPolicy,
     exact_panels: bool,
-    semiring: Semiring,
     attempt_base: int = 0,
     **eliminate_options,
 ) -> tuple[int, OpCounter, tuple | None]:
@@ -204,7 +198,7 @@ def run_task(
         task_site(s, attempt_base + number)
         ops = OpCounter()
         payload = eliminate_supernode(
-            dist, structure, s, exact_panels=exact_panels, semiring=semiring,
+            dist, structure, s, exact_panels=exact_panels,
             counter=ops, **eliminate_options,
         )
         return payload, ops
@@ -266,7 +260,6 @@ def _sweep(
     backend: str,
     by_level: bool,
     exact_panels: bool,
-    semiring: Semiring,
     dtype,
     budget,
     retry: RetryPolicy,
@@ -289,21 +282,11 @@ def _sweep(
     :class:`WorkerCrashError` hands the rest of the solve to its
     ``escalate`` successor.
     """
-    if not (np.isposinf(semiring.zero) and semiring.one == 0.0):
-        raise ValueError(
-            f"{name} builds its matrix from a graph, which requires the "
-            "semiring's structural zero to be +inf and its one to be 0 "
-            "(min-plus); closure over other semirings is available through "
-            "floyd_warshall on an explicit dense matrix"
-        )
     plan, plan_reused = ensure_plan(plan, graph, **plan_options)
-    timings = TimingBreakdown()
-    if not plan_reused:
-        # A cold (inline) plan's analyze cost belongs to this solve; a
-        # reused plan's was paid elsewhere — warm solves report zero
-        # preprocessing, which is the whole point of the split.
-        for phase, secs in plan.timings.phases.items():
-            timings.add(phase, secs)
+    # A cold (inline) plan's analyze cost belongs to this solve; a reused
+    # plan's was paid elsewhere — warm solves report zero preprocessing,
+    # which is the whole point of the split.
+    timings = {} if plan_reused else dict(plan.timings)
     perm = plan.ordering.perm
     structure = plan.structure
     tracker = as_tracker(budget, units_total=structure.ns)
@@ -317,10 +300,10 @@ def _sweep(
         # Replay the weight-independent trail on this solve's weights:
         # the sweep then runs on the reduced graph and the eliminated
         # vertices are reconstituted exactly after the closure.
-        with timings.time("reduce"):
+        with phase(timings, "reduce", n=graph.n):
             applied = plan.trail.apply(graph)
             solve_graph = applied.graph
-    with timings.time("permute"):
+    with phase(timings, "permute", n=solve_graph.n):
         dist = solve_graph.to_dense_dist(dtype=dtype)[np.ix_(perm, perm)]
     levels = structure.level_order()
     if by_level:
@@ -355,7 +338,7 @@ def _sweep(
     ops = OpCounter()
     task = partial(
         run_task, structure=structure, retry=retry,
-        exact_panels=exact_panels, semiring=semiring,
+        exact_panels=exact_panels,
     )
     with use_engine(engine) as eng:
         engine_before = eng.stats_snapshot()
@@ -374,7 +357,7 @@ def _sweep(
                 anc, update = payload
                 with tracer.span("aa-apply", snode=s):
                     aa = dist[np.ix_(anc, anc)]
-                    semiring.add(aa, update, out=aa)
+                    np.minimum(aa, update, out=aa)
                     dist[np.ix_(anc, anc)] = aa
             if tracker is not None:
                 tracker.charge(local.total, units=1, where=f"{name}:supernode {s}")
@@ -395,8 +378,8 @@ def _sweep(
             apply(s, value)
 
         try:
-            with timings.time("solve"), tracer.span(
-                "solve", method=name, backend=backend, ns=structure.ns
+            with phase(
+                timings, "solve", method=name, backend=backend, ns=structure.ns
             ):
                 index = start
                 while index < len(groups):
@@ -425,13 +408,13 @@ def _sweep(
                                 ckpt_key, dist, groups_done=index, meta=ckpt_meta
                             )
             engine_stats = eng.stats_dict(since=engine_before)
-            if semiring is MIN_PLUS and np.any(np.diag(dist) < 0):
+            if np.any(np.diag(dist) < 0):
                 kept = int(perm[int(np.argmin(np.diag(dist)))])
                 if applied is not None:
                     kept = int(applied.trail.kept[kept])
                 raise NegativeCycleError(witness=kept)
             iperm = invert_permutation(perm)
-            with timings.time("permute"):
+            with phase(timings, "permute", n=iperm.shape[0]):
                 out = dist[np.ix_(iperm, iperm)]
         finally:
             for opened_executor in opened:
@@ -439,7 +422,7 @@ def _sweep(
     if checkpoint is not None and not checkpoint.keep:
         checkpoint.clear(ckpt_key)
     if applied is not None:
-        with timings.time("unreduce"):
+        with phase(timings, "unreduce", n=graph.n):
             out = applied.unreduce(out)
     if tracer.enabled:
         tracer.metrics.merge_ops(ops)
@@ -474,7 +457,6 @@ def superfw(
     *,
     plan: Plan | None = None,
     exact_panels: bool = True,
-    semiring: Semiring = MIN_PLUS,
     dtype=np.float64,
     budget: SolveBudget | BudgetTracker | float | None = None,
     retry: RetryPolicy = DEFAULT_TASK_RETRY,
@@ -530,7 +512,6 @@ def superfw(
         backend="sequential",
         by_level=False,
         exact_panels=exact_panels,
-        semiring=semiring,
         dtype=dtype,
         budget=budget,
         retry=retry,

@@ -14,6 +14,8 @@ Entry points:
   trace one solve; summary lands in ``result.meta["obs"]``.
 * :func:`use_tracer` — install an ambient :class:`Tracer` around any
   block of repro calls.
+* :func:`phase` — time one coarse phase into a ``timings`` dict and,
+  when tracing, the same interval as a span.
 * :func:`write_chrome_trace` / :func:`write_csv` /
   :func:`flame_summary` — export the buffered spans.
 * ``repro trace --graph grid2d --out trace.json`` — CLI one-shot.
@@ -37,6 +39,7 @@ from repro.obs.trace import (
     Tracer,
     coerce_tracer,
     get_tracer,
+    phase,
     set_tracer,
     use_tracer,
 )
@@ -53,6 +56,7 @@ __all__ = [
     "coerce_tracer",
     "flame_summary",
     "get_tracer",
+    "phase",
     "set_tracer",
     "use_tracer",
     "write_chrome_trace",

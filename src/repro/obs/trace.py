@@ -14,7 +14,9 @@ Design constraints, in order:
    the shared :data:`NULL_TRACER`, whose ``span()`` returns one reusable
    no-op context manager — no allocation, no clock read.  Hot call sites
    additionally guard attribute-dict construction with
-   ``if tracer.enabled:``.
+   ``if tracer.enabled:``.  Coarse phases (:func:`phase`) still read
+   the clock twice, since their seconds feed ``result.timings`` whether
+   or not a tracer records the span.
 2. **Low overhead when enabled.**  Events are appended to a
    preallocated list grown geometrically under a lock; each event is a
    :class:`SpanEvent` ``NamedTuple`` (no dict per event beyond ``args``).
@@ -279,6 +281,49 @@ class Tracer:
         snap["spans"] = self.span_stats()
         snap["events"] = self.event_count
         return snap
+
+
+class _Phase(_Span):
+    """A :class:`_Span` that also adds its seconds to ``timings[key]``.
+
+    One pair of clock reads times the phase: the interval lands in the
+    ``timings`` dict (seconds, accumulated) and, when the tracer is
+    enabled, is recorded as one complete span of the same start and
+    duration — so a phase's timing and its span cannot disagree.
+    """
+
+    __slots__ = ("_timings", "_key")
+
+    def __init__(self, timings: dict[str, float], key: str,
+                 tracer: "Tracer | NullTracer", name: str,
+                 args: dict[str, Any]):
+        super().__init__(tracer, name, args)
+        self._timings = timings
+        self._key = key
+
+    def __exit__(self, *exc) -> None:
+        dur = time.perf_counter_ns() - self._start
+        self._timings[self._key] = self._timings.get(self._key, 0.0) + dur / 1e9
+        if self._tracer.enabled:
+            self._tracer._record(
+                SpanEvent(self._name, "X", self._start, dur,
+                          os.getpid(), threading.get_ident(), self._args)
+            )
+
+
+def phase(
+    timings: dict[str, float], key: str, span: str | None = None, **attrs: Any
+) -> _Phase:
+    """Time one phase into ``timings[key]`` and the ambient tracer.
+
+    The one clock behind every ``result.timings`` / ``plan.timings``
+    entry: the phase's seconds are added under ``key``, and an enabled
+    ambient tracer records the same interval as a span named ``span``
+    (default: ``key``) with ``attrs``.  A key timed more than once (the
+    sweep permutes in and out) accumulates, so ``timings[key]`` is the
+    summed duration of its spans.
+    """
+    return _Phase(timings, key, _ambient, span or key, attrs)
 
 
 # -- ambient tracer ----------------------------------------------------

@@ -363,6 +363,7 @@ class AppliedReduction:
 def build_trail(
     graph: Graph | DiGraph,
     *,
+    pattern: Graph | None = None,
     max_degree: int = DEFAULT_MAX_DEGREE,
     min_kept: int = 1,
 ) -> ReductionTrail:
@@ -371,14 +372,16 @@ def build_trail(
     Reads only the symmetric adjacency (never weights or arc
     directions), so the result is valid for every reweighting of
     ``graph``, and a :class:`DiGraph`'s trail is structurally the trail
-    of ``graph.symmetrized()``.  Rules fire in rounds —
-    low-degree/simplicial sweep, then a twin sweep — until a full round
-    eliminates nothing; ties always resolve to the smallest vertex id,
-    so the trail is deterministic.  At least ``min_kept`` vertices
-    survive (the solver needs a nonempty reduced graph).
+    of ``graph.symmetrized()`` (pass that pattern as ``pattern`` when
+    it is already built).  Rules fire in rounds — low-degree/simplicial
+    sweep, then a twin sweep — until a full round eliminates nothing;
+    ties always resolve to the smallest vertex id, so the trail is
+    deterministic.  At least ``min_kept`` vertices survive (the solver
+    needs a nonempty reduced graph).
     """
     directed = isinstance(graph, DiGraph)
-    pattern = graph.symmetrized() if directed else graph
+    if pattern is None:
+        pattern = graph.symmetrized() if directed else graph
     n = graph.n
     tracer = get_tracer()
     with tracer.span("ordering.reduce.build", n=n):

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-from repro.obs import get_tracer
+from repro.obs import get_tracer, phase
 from repro.ordering.amd import amd_ordering
 from repro.ordering.base import Ordering
 from repro.ordering.bfs import bfs_ordering
@@ -46,7 +46,6 @@ from repro.symbolic.structure import (
     superfw_snode_ops,
     supernodal_analysis,
 )
-from repro.util.timing import TimingBreakdown
 
 #: On-disk format version of :meth:`Plan.save`.  v2 added the reduction
 #: trail, the original vertex count, and the ordering score report; v3
@@ -140,7 +139,7 @@ class Plan:
     directed: bool = False
     snode_rows: list[np.ndarray] = field(default_factory=list)
     nd: NDResult | None = None
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
+    timings: dict[str, float] = field(default_factory=dict)
     trail: ReductionTrail | None = None
     score_report: dict[str, Any] | None = None
 
@@ -162,7 +161,7 @@ class Plan:
 
     def preprocessing_seconds(self) -> float:
         """Ordering + symbolic analysis wall-clock."""
-        return self.timings.total
+        return sum(self.timings.values())
 
     def describe(self) -> dict[str, Any]:
         """Summary combining ordering and structure statistics."""
@@ -463,21 +462,26 @@ def analyze(
     Plan
         Reusable across every solve on a graph with this structure.
     """
-    timings = TimingBreakdown()
+    timings: dict[str, float] = {}
     nd: NDResult | None = None
     directed = isinstance(graph, DiGraph)
     tracer = get_tracer()
-    with timings.time("plan-key"), tracer.span("plan-key", n=graph.n):
+    with phase(timings, "plan-key", n=graph.n):
         key = structure_hash(graph)
     if isinstance(reduce, str) and reduce != "auto":
         raise ValueError(f"reduce must be True, False or 'auto', not {reduce!r}")
     trail: ReductionTrail | None = None
     pattern = None
+    # A DiGraph is symmetrized once: the trail reads that pattern, and it
+    # is the analyzed pattern when no trail is kept.
+    unit = None
     if reduce:
-        with timings.time("reduce"), tracer.span(
-            "ordering.reduce.analyze", n=graph.n
+        with phase(
+            timings, "reduce", "ordering.reduce.analyze", n=graph.n
         ) as red_span:
-            trail = build_trail(graph)
+            if directed:
+                unit = _unit_pattern(graph)
+            trail = build_trail(graph, pattern=unit)
             if reduce == "auto":
                 kept = auto_keeps(trail)
                 red_span.set(auto_kept=kept)
@@ -488,10 +492,11 @@ def analyze(
             else:
                 pattern = trail.reduced_pattern(graph)
     if pattern is None:
-        pattern = _unit_pattern(graph)
+        pattern = unit if unit is not None else _unit_pattern(graph)
     score_report: dict[str, Any] | None = None
     candidates: list[tuple[str, Ordering, NDResult | None]] = []
-    with timings.time("ordering"), tracer.span(
+    with phase(
+        timings,
         "ordering",
         method=ordering if isinstance(ordering, str) else ordering.method,
     ):
@@ -522,7 +527,7 @@ def analyze(
             ordr = nd_cand.ordering  # provisional until scoring below
         else:
             raise ValueError(f"unknown ordering {ordering!r}")
-    with timings.time("symbolic"), tracer.span("symbolic", n=pattern.n):
+    with phase(timings, "symbolic", n=pattern.n):
         if candidates:
             scored = [
                 (

@@ -1,4 +1,4 @@
-"""Shared utilities: permutations, timing, and small numeric helpers."""
+"""Shared utilities: permutations and small numeric helpers."""
 
 from repro.util.perm import (
     apply_symmetric_permutation,
@@ -7,11 +7,8 @@ from repro.util.perm import (
     identity_permutation,
     invert_permutation,
 )
-from repro.util.timing import Timer, TimingBreakdown
 
 __all__ = [
-    "Timer",
-    "TimingBreakdown",
     "apply_symmetric_permutation",
     "check_permutation",
     "compose_permutations",

@@ -7,8 +7,8 @@ from repro.obs.metrics import OpCounter
 from repro.analysis.profiling import profile_superfw
 from repro.analysis.stats import fill_statistics, ordering_quality, suite_row
 from repro.graphs.generators import grid2d
+from repro.obs import Tracer, phase, use_tracer
 from repro.ordering.nested_dissection import nested_dissection
-from repro.util.timing import Timer, TimingBreakdown
 
 
 def test_counter_accumulates():
@@ -38,23 +38,32 @@ def test_counter_str():
 
 
 def test_timer_context():
-    with Timer() as t:
+    timings: dict[str, float] = {}
+    with phase(timings, "work"):
         sum(range(1000))
-    assert t.elapsed >= 0.0
+    assert list(timings) == ["work"] and timings["work"] >= 0.0
 
 
 def test_timing_breakdown_phases():
-    tb = TimingBreakdown()
-    with tb.time("a"):
-        pass
-    tb.add("b", 1.0)
-    assert tb.total > 1.0
-    assert tb.fraction("b") == pytest.approx(1.0 / tb.total)
-    assert "b=" in str(tb)
+    timings = {"b": 1.0}
+    with use_tracer(Tracer()) as tracer:
+        with phase(timings, "a", "a-span", n=3) as span:
+            span.set(late=True)
+        with phase(timings, "b"):
+            pass
+    (a, b) = tracer.events()
+    # One pair of clock reads feeds the timing and the span.
+    assert (a.name, a.args) == ("a-span", {"n": 3, "late": True})
+    assert timings["a"] == a.dur / 1e9
+    assert timings["b"] == 1.0 + b.dur / 1e9
+    assert b.name == "b"
 
 
 def test_timing_fraction_empty():
-    assert TimingBreakdown().fraction("x") == 0.0
+    from repro.core.result import APSPResult
+
+    # Nothing timed: the solve share of an empty timings dict is zero.
+    assert APSPResult(dist=np.zeros((1, 1)), method="x").solve_seconds() == 0.0
 
 
 def test_fill_statistics(grid_graph):

@@ -1,58 +1,73 @@
-"""Incremental APSP maintenance (edge improvements, Carré/SMW style)."""
+"""Incremental APSP maintenance (edge improvements, Carré/SMW style).
+
+Every single-edge update goes through ``APSPSession.update_edge``, a
+one-element commit: decreases (and brand-new edges) fold into the
+published epoch, increases re-solve on the cached plan.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.incremental import IncrementalAPSP, apply_edge_improvement
+from repro.core.incremental import apply_batch_improvements, quantize_weights
 from repro.core.superfw import superfw
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
+from repro.plan.session import APSPSession
 
 
-def test_rank1_update_matches_recompute(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    edges = mesh_graph.edge_array()
+@pytest.fixture
+def dyadic_mesh(mesh_graph):
+    # Dyadic weights: folds and from-scratch solves agree bit for bit.
+    return quantize_weights(mesh_graph)
+
+
+def _far_non_edge(session):
+    dist = np.asarray(session.dist)
+    far = np.unravel_index(np.argmax(np.where(np.isfinite(dist), dist, -1)), dist.shape)
+    return int(far[0]), int(far[1])
+
+
+def test_rank1_update_matches_recompute(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    edges = dyadic_mesh.edge_array()
     u, v, w = int(edges[3, 0]), int(edges[3, 1]), float(edges[3, 2])
-    improved = inc.update_edge(u, v, w / 10)
+    improved = sess.update_edge(u, v, w / 8)
     assert improved > 0
-    assert np.allclose(inc.dist, superfw(inc.graph, seed=0).dist)
+    assert sess.fast_updates == 1
+    assert np.array_equal(sess.dist, superfw(sess.graph, seed=0).dist)
 
 
-def test_new_edge_fast_path(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    # Find a non-edge between distant vertices.
-    dist0 = inc.dist.copy()
-    far = np.unravel_index(
-        np.argmax(np.where(np.isfinite(dist0), dist0, -1)), dist0.shape
-    )
-    u, v = int(far[0]), int(far[1])
-    assert not mesh_graph.has_edge(u, v)
-    improved = inc.update_edge(u, v, 1e-3)
+def test_new_edge_fast_path(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    u, v = _far_non_edge(sess)
+    assert not dyadic_mesh.has_edge(u, v)
+    improved = sess.update_edge(u, v, 2.0**-10)
     assert improved > 0
-    assert inc.dist[u, v] == pytest.approx(1e-3)
-    assert np.allclose(inc.dist, superfw(inc.graph, seed=0).dist)
-    assert inc.recomputes == 1  # only the constructor solve
+    assert sess.dist[u, v] == 2.0**-10
+    assert np.array_equal(sess.dist, superfw(sess.graph, seed=0).dist)
+    assert sess.fast_updates == 1 and sess.recomputes == 0
+    assert sess.plan is None  # the pattern changed; re-analyzed lazily
 
 
-def test_weight_increase_triggers_recompute(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    edges = mesh_graph.edge_array()
+def test_weight_increase_triggers_recompute(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    edges = dyadic_mesh.edge_array()
     u, v, w = int(edges[0, 0]), int(edges[0, 1]), float(edges[0, 2])
-    out = inc.update_edge(u, v, w * 50)
+    out = sess.update_edge(u, v, w * 64)
     assert out == -1
-    assert inc.recomputes == 2
-    assert np.allclose(inc.dist, superfw(inc.graph, seed=0).dist)
+    assert sess.recomputes == 1 and sess.fast_updates == 0
+    assert np.array_equal(sess.dist, superfw(sess.graph, seed=0).dist)
 
 
-def test_sequence_of_updates_stays_consistent(mesh_graph):
+def test_sequence_of_updates_stays_consistent(dyadic_mesh):
     rng = np.random.default_rng(0)
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    edges = mesh_graph.edge_array()
-    for k in range(5):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    for _ in range(5):
+        edges = sess.graph.edge_array()
         e = edges[rng.integers(0, edges.shape[0])]
-        inc.update_edge(int(e[0]), int(e[1]), float(e[2]) * 0.5)
-    assert np.allclose(inc.dist, superfw(inc.graph, seed=0).dist)
-    assert inc.fast_updates >= 4  # re-halving an already-halved edge still fast
+        sess.update_edge(int(e[0]), int(e[1]), float(e[2]) * 0.5)
+    assert np.array_equal(sess.dist, superfw(sess.graph, seed=0).dist)
+    assert sess.fast_updates == 5 and sess.recomputes == 0
 
 
 def test_directed_incremental():
@@ -61,118 +76,106 @@ def test_directed_incremental():
     for _ in range(200):
         u, v = rng.integers(0, 60, 2)
         if u != v:
-            arcs.append((int(u), int(v), float(rng.uniform(0.5, 2.0))))
+            arcs.append((int(u), int(v), float(rng.integers(32, 128)) / 64))
     dg = DiGraph.from_edges(60, arcs)
-    inc = IncrementalAPSP(dg, seed=0)
+    sess = APSPSession(dg, seed=0)
     a = dg.arc_array()[0]
-    improved = inc.update_edge(int(a[0]), int(a[1]), float(a[2]) / 100)
+    improved = sess.update_edge(int(a[0]), int(a[1]), float(a[2]) / 128)
     assert improved >= 1
-    assert np.allclose(inc.dist, superfw(inc.graph, seed=0).dist)
-    # Directed update must not improve the reverse direction implicitly.
-    assert isinstance(inc.graph, DiGraph)
+    assert isinstance(sess.graph, DiGraph)
+    # A directed update reweights the one arc u→v, never its reverse.
+    assert np.count_nonzero(sess.graph.weights != dg.weights) == 1
+    assert np.array_equal(sess.dist, superfw(sess.graph, seed=0).dist)
 
 
-def test_negative_undirected_rejected(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
+def test_negative_undirected_rejected(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
     with pytest.raises(ValueError):
-        inc.update_edge(0, 1, -1.0)
+        sess.update_edge(0, 1, -1.0)
 
 
-def test_prebuilt_dist_accepted(mesh_graph):
-    dist = superfw(mesh_graph, seed=0).dist
-    inc = IncrementalAPSP(mesh_graph, dist=dist, seed=0)
-    assert inc.recomputes == 0
-    assert inc.distance(0, 1) == pytest.approx(dist[0, 1])
-    with pytest.raises(ValueError):
-        IncrementalAPSP(mesh_graph, dist=np.zeros((2, 2)))
-
-
-def test_apply_edge_improvement_primitive():
+def test_single_arc_fold_primitive():
     g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     dist = superfw(g, seed=0).dist.copy()
     # Shortcut 0-3 with weight 0.5.
-    count = apply_edge_improvement(dist, 0, 3, 0.5)
+    count = apply_batch_improvements(dist, [(0, 3, 0.5)])
     assert count > 0
     assert dist[0, 3] == 0.5
     assert dist[1, 3] == 1.5  # 1 -> 0 -> 3 through the shortcut
     assert dist[3, 1] == 1.5  # symmetric (undirected mode)
 
 
-def test_apply_edge_improvement_directed_only_one_way():
+def test_single_arc_fold_directed_only_one_way():
     dg = DiGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     dist = superfw(dg, seed=0).dist.copy()
-    apply_edge_improvement(dist, 2, 0, 0.1, directed=True)
-    assert dist[2, 0] == pytest.approx(0.1)
-    assert np.isinf(dist[0, 0]) == False
+    apply_batch_improvements(dist, [(2, 0, 0.125)], directed=True)
+    assert dist[2, 0] == 0.125
+    assert dist[0, 0] == 0.0
     # Reverse arc 0->2 unchanged by the directed update beyond real paths.
-    assert dist[0, 2] == pytest.approx(2.0)
+    assert dist[0, 2] == 2.0
 
 
-def test_apply_edge_improvement_validates():
+def test_single_arc_fold_validates():
     dist = np.zeros((3, 3))
     with pytest.raises(ValueError):
-        apply_edge_improvement(dist, 0, 0, 1.0)
+        apply_batch_improvements(dist, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
-        apply_edge_improvement(dist, 0, 5, 1.0)
+        apply_batch_improvements(dist, [(0, 5, 1.0)])
     with pytest.raises(ValueError):
-        apply_edge_improvement(np.zeros((2, 3)), 0, 1, 1.0)
+        apply_batch_improvements(np.zeros((2, 3)), [(0, 1, 1.0)])
 
 
-def test_noop_update_improves_nothing(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    edges = mesh_graph.edge_array()
+def test_noop_update_improves_nothing(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    edges = dyadic_mesh.edge_array()
     u, v, w = int(edges[0, 0]), int(edges[0, 1]), float(edges[0, 2])
-    assert inc.update_edge(u, v, w) == 0  # same weight: fast path, no change
+    assert sess.update_edge(u, v, w) == 0  # same weight: a net no-op commit
+    assert sess.fast_updates == 0 and sess.recomputes == 0
 
 
 # ----------------------------------------------------------------------
-# In-place reweighting (no O(m) graph reconstruction per update)
+# Structure: reweights keep the plan, inserts change the pattern
 # ----------------------------------------------------------------------
-def test_update_edge_reweights_in_place(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    graph_before = inc.graph
-    weights_buffer = inc.graph.weights
-    edges = mesh_graph.edge_array()
+def test_update_edge_reweight_keeps_structure(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    sess.solve()
+    graph_before, plan_before = sess.graph, sess.plan
+    edges = dyadic_mesh.edge_array()
     u, v, w = int(edges[2, 0]), int(edges[2, 1]), float(edges[2, 2])
-    inc.update_edge(u, v, w / 2)
-    # Reweighting an existing edge mutates the arc slots directly —
-    # same graph object, same weight buffer, no rebuild.
-    assert inc.graph is graph_before
-    assert inc.graph.weights is weights_buffer
-    assert inc.graph.weights[inc.graph.indptr[u]:inc.graph.indptr[u + 1]][
-        inc.graph.indices[inc.graph.indptr[u]:inc.graph.indptr[u + 1]] == v
-    ] == pytest.approx(w / 2)
+    sess.update_edge(u, v, w / 2)
+    # A reweight keeps the pattern, hence the plan; the new weights are
+    # a copy-on-write array, so the previous epoch's graph is untouched.
+    assert sess.plan is plan_before
+    assert np.array_equal(sess.graph.indptr, graph_before.indptr)
+    assert np.array_equal(sess.graph.indices, graph_before.indices)
+    lo, hi = sess.graph.indptr[u], sess.graph.indptr[u + 1]
+    assert sess.graph.weights[lo:hi][sess.graph.indices[lo:hi] == v] == w / 2
+    assert np.array_equal(graph_before.weights, dyadic_mesh.weights)
 
 
-def test_insert_still_rebuilds_structure(mesh_graph):
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    graph_before = inc.graph
-    dist0 = inc.dist.copy()
-    far = np.unravel_index(
-        np.argmax(np.where(np.isfinite(dist0), dist0, -1)), dist0.shape
-    )
-    u, v = int(far[0]), int(far[1])
-    inc.update_edge(u, v, 1e-3)
-    assert inc.graph is not graph_before  # a new edge changes the pattern
-    assert inc.graph.has_edge(u, v)
+def test_insert_still_rebuilds_structure(dyadic_mesh):
+    sess = APSPSession(dyadic_mesh, seed=0)
+    graph_before = sess.graph
+    u, v = _far_non_edge(sess)
+    sess.update_edge(u, v, 2.0**-10)
+    assert sess.graph is not graph_before  # a new edge changes the pattern
+    assert sess.graph.has_edge(u, v)
 
 
-def test_caller_graph_never_mutated(mesh_graph):
-    snapshot = mesh_graph.weights.copy()
-    inc = IncrementalAPSP(mesh_graph, seed=0)
-    edges = mesh_graph.edge_array()
+def test_caller_graph_never_mutated(dyadic_mesh):
+    snapshot = dyadic_mesh.weights.copy()
+    sess = APSPSession(dyadic_mesh, seed=0)
+    edges = dyadic_mesh.edge_array()
     u, v, w = int(edges[1, 0]), int(edges[1, 1]), float(edges[1, 2])
-    inc.update_edge(u, v, w / 4)
-    inc.update_edge(u, v, w * 4)  # recompute path
-    assert np.array_equal(mesh_graph.weights, snapshot)
+    sess.update_edge(u, v, w / 4)
+    sess.update_edge(u, v, w * 4)  # recompute path
+    assert np.array_equal(dyadic_mesh.weights, snapshot)
 
 
 # ----------------------------------------------------------------------
 # Rank-k batch fold and the synthetic reweight stream
 # ----------------------------------------------------------------------
 def test_apply_batch_improvements_matches_recompute(mesh_graph):
-    from repro.core.incremental import apply_batch_improvements
-
     dist = superfw(mesh_graph, seed=0).dist.copy()
     edges = mesh_graph.edge_array()
     updates = [
@@ -192,8 +195,6 @@ def test_apply_batch_improvements_matches_recompute(mesh_graph):
 
 
 def test_apply_batch_improvements_empty_is_noop():
-    from repro.core.incremental import apply_batch_improvements
-
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
     before = dist.copy()
     assert apply_batch_improvements(dist, []) == 0
@@ -201,11 +202,7 @@ def test_apply_batch_improvements_empty_is_noop():
 
 
 def test_reweight_stream_deterministic_and_dyadic():
-    from repro.core.incremental import (
-        WEIGHT_QUANTUM,
-        quantize_weights,
-        reweight_stream,
-    )
+    from repro.core.incremental import WEIGHT_QUANTUM, reweight_stream
     from repro.graphs.generators import grid2d
 
     g = quantize_weights(grid2d(6, 6, seed=0))

@@ -227,6 +227,44 @@ def test_apsp_trace_true_attaches_obs_and_tracer():
     assert traced.meta["tracer"].event_count == obs["events"]
 
 
+#: Phase key -> the spans that time it.  A key is its span's name, except
+#: analyze's trail build (historically ``ordering.reduce.analyze``).
+PHASE_SPANS = {"reduce": ("ordering.reduce.analyze", "reduce")}
+
+
+def test_timings_are_the_phase_spans_durations():
+    g = gen.road_network_like(120, seed=1)
+    with use_tracer(Tracer()) as tracer:
+        cold = superfw(g, seed=0, reduce=True)
+    assert cold.meta["plan"].trail is not None
+    assert {"plan-key", "reduce", "ordering", "symbolic", "permute", "solve",
+            "unreduce"} <= set(cold.timings)
+    events = [e for e in tracer.events() if e.ph == "X"]
+    for key, seconds in cold.timings.items():
+        names = PHASE_SPANS.get(key, (key,))
+        total = 0.0
+        for e in events:
+            if e.name in names:
+                total += e.dur / 1e9  # accumulated as the phase does
+        assert total == seconds, key
+    # Permute runs twice (in and out): one timing, two spans.
+    assert sum(e.name == "permute" for e in events) == 2
+    warm = superfw(g, plan=cold.meta["plan"])
+    assert "ordering" not in warm.timings and "symbolic" not in warm.timings
+    assert np.array_equal(warm.dist, cold.dist)
+
+
+@pytest.mark.parametrize("method", ["dijkstra", "boost-dijkstra",
+                                    "delta-stepping", "johnson", "dense-fw"])
+def test_every_method_timing_has_a_span(method):
+    g = gen.grid2d(5, 5, seed=0)
+    with use_tracer(Tracer()) as tracer:
+        result = apsp(g, method=method)
+    names = {e.name for e in tracer.events()}
+    spans = {"autotune": "delta-autotune"}
+    assert result.timings and all(spans.get(k, k) in names for k in result.timings)
+
+
 def test_apsp_trace_has_ordering_sub_spans():
     g = gen.delaunay_mesh(200, seed=2)
     plain = apsp(g)

@@ -57,7 +57,8 @@ def test_process_backend_merges_worker_engine_stats(mesh_graph):
 def test_process_backend_rejects_non_minplus(grid_graph):
     from repro.semiring import MAX_PLUS
 
-    with pytest.raises(ValueError, match="min-plus"):
+    # The sweep is min-plus only; it has no semiring parameter to pass.
+    with pytest.raises(TypeError, match="semiring"):
         parallel_superfw(grid_graph, backend="process", semiring=MAX_PLUS)
 
 

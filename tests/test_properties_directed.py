@@ -115,5 +115,6 @@ def test_superfw_rejects_non_tropical_semiring():
     from repro.semiring import BOOLEAN
 
     g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(ValueError, match="min-plus"):
+    # The sweep is min-plus only; it has no semiring parameter to pass.
+    with pytest.raises(TypeError, match="semiring"):
         superfw(g, semiring=BOOLEAN)

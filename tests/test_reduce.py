@@ -174,6 +174,24 @@ def test_negative_cycle_on_pendant_chain_caught():
         superfw(g, seed=0, reduce=True)
 
 
+def test_directed_auto_analyze_symmetrizes_once(monkeypatch):
+    # The trail and the analyzed pattern share one symmetrization, kept
+    # trail or not.
+    calls = []
+    original = DiGraph.symmetrized
+
+    def counted(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(DiGraph, "symmetrized", counted)
+    for g in (orient_randomly(delaunay_mesh(120, seed=0), seed=0),
+              orient_randomly(road_network_like(150, seed=0), seed=0)):
+        calls.clear()
+        analyze(g, reduce="auto")
+        assert len(calls) == 1
+
+
 # ----------------------------------------------------------------------
 # Plan schema v2: trail round-trips through save/load and the cache.
 # ----------------------------------------------------------------------

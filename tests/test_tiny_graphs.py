@@ -49,9 +49,9 @@ def test_treewidth_on_tiny():
 
 
 def test_incremental_on_tiny():
-    from repro.core.incremental import IncrementalAPSP
+    from repro.plan.session import APSPSession
 
     g = Graph.from_edges(2, [(0, 1, 3.0)])
-    inc = IncrementalAPSP(g, seed=0)
-    inc.update_edge(0, 1, 1.0)
-    assert inc.distance(0, 1) == 1.0
+    sess = APSPSession(g, seed=0)
+    sess.update_edge(0, 1, 1.0)
+    assert sess.distance(0, 1) == 1.0
