@@ -1,8 +1,9 @@
-"""SemiringGemm engine benchmark: strategies vs the seed kernel.
+"""SemiringGemm engine benchmark: kernels vs the seed kernel.
 
 Standalone script (not pytest-benchmark) emitting ``BENCH_engine.json``:
 
-* ``gemm`` — every engine strategy against ``seed_rank1``, a faithful
+* ``gemm`` — every engine kernel, called directly through
+  :data:`repro.semiring.engine.KERNELS`, against ``seed_rank1``, a faithful
   reimplementation of the pre-engine kernel (fresh ``(m, n)`` temporary
   per contraction step **and** an unconditional float64 output — the
   dtype bug fixed in :func:`repro.semiring.minplus.result_dtype`).  The
@@ -43,7 +44,7 @@ import numpy as np
 from repro.core.parallel_superfw import parallel_superfw
 from repro.core.superfw import superfw
 from repro.graphs.generators import delaunay_mesh
-from repro.semiring.engine import STRATEGIES, SemiringGemmEngine
+from repro.semiring.engine import KERNELS, STRATEGIES, WorkspacePool
 from repro.semiring.kernels import floyd_warshall_kernel
 from repro.resilience.faults import kernel_site
 
@@ -112,15 +113,20 @@ def _operands(m, k, n, dtype, seed=0):
 
 
 def bench_gemm(shapes, repeats):
-    """Per-shape strategy timings and speedups over the seed kernel."""
+    """Per-shape kernel timings and speedups over the seed kernel."""
     rows = []
+    pool = WorkspacePool()
     for (m, k, n), dtype in shapes:
         a, b = _operands(m, k, n, dtype)
-        engines = {s: SemiringGemmEngine(s) for s in STRATEGIES}
         out = np.empty((m, n), dtype=np.dtype(dtype))
+
+        def run(kernel):
+            out.fill(np.inf)
+            kernel(pool, a, b, out)
+
         thunks = {"seed": lambda: seed_rank1(a, b)}
-        for s, engine in engines.items():
-            thunks[s] = lambda engine=engine: engine.gemm(a, b, out=out)
+        for s in STRATEGIES:
+            thunks[s] = lambda kernel=KERNELS[s]: run(kernel)
         secs = _time_interleaved(thunks, repeats)
         base = secs.pop("seed")
         row = {

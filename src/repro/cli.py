@@ -113,11 +113,14 @@ def _cmd_solve(args) -> int:
     plan_methods = ("superfw", "superbfs", "parallel-superfw", "auto")
     if args.plan_cache and args.method in plan_methods:
         from repro.plan import PlanCache
+        from repro.plan.keys import PLAN_PARAM_DEFAULTS
 
         cache = PlanCache(directory=args.plan_cache)
-        params = {"seed": args.seed}
+        # The cached plan is analyzed with the same options the solve
+        # passes beside it, which must agree with the plan's own.
+        params = {k: v for k, v in options.items() if k in PLAN_PARAM_DEFAULTS}
         if args.method == "superbfs":
-            params["ordering"] = "bfs"
+            params.setdefault("ordering", "bfs")
         options["plan"] = cache.get_or_analyze(graph, **params)
         stats = cache.stats()
         source = "disk" if stats["disk_hits"] else "analyzed"
@@ -157,7 +160,7 @@ def _cmd_solve(args) -> int:
             f"{v['seconds'] * 1e3:.1f} ms"
             for name, v in engine_stats["strategies"].items()
         )
-        print(f"engine[{engine_stats['strategy']}]: {parts}")
+        print(f"engine: {parts}")
     if offdiag.any():
         print(f"reachable pairs: {int(offdiag.sum())}")
         print(f"mean distance: {result.dist[offdiag].mean():.6g}")
@@ -170,8 +173,6 @@ def _cmd_solve(args) -> int:
 
 def _solver_options(args) -> dict:
     """Backend options shared by the ``solve`` and ``trace`` subcommands."""
-    from repro.semiring.engine import SemiringGemmEngine
-
     options = {}
     if getattr(args, "reduce", False):
         # Passed through unconditionally so reduce-unaware methods get the
@@ -181,14 +182,6 @@ def _solver_options(args) -> dict:
         options["seed"] = args.seed
         if getattr(args, "ordering", None) is not None:
             options["ordering"] = args.ordering
-    engine_methods = (
-        "superfw", "superbfs", "parallel-superfw", "blocked-fw", "auto"
-    )
-    if args.method in engine_methods and (
-        args.engine != "auto" or args.kc is not None
-    ):
-        kwargs = {} if args.kc is None else {"kc": args.kc}
-        options["engine"] = SemiringGemmEngine(args.engine, **kwargs)
     if args.method in ("parallel-superfw", "auto"):
         if args.backend != "thread":
             options["backend"] = args.backend
@@ -613,18 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nd vs amd from the symbolic structure and keeps the cheaper one",
     )
     solve.add_argument(
-        "--engine",
-        default="auto",
-        choices=["auto", "rank1", "ktiled", "outtiled"],
-        help="min-plus GEMM strategy for the FW-family methods",
-    )
-    solve.add_argument(
-        "--kc",
-        type=int,
-        default=None,
-        help="contraction tile for the ktiled/outtiled engine strategies",
-    )
-    solve.add_argument(
         "--backend",
         default="thread",
         choices=["thread", "process"],
@@ -760,18 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nd vs amd from the symbolic structure and keeps the cheaper one",
     )
     trace.add_argument(
-        "--engine",
-        default="auto",
-        choices=["auto", "rank1", "ktiled", "outtiled"],
-        help="min-plus GEMM strategy for the FW-family methods",
-    )
-    trace.add_argument(
-        "--kc",
-        type=int,
-        default=None,
-        help="contraction tile for the ktiled/outtiled engine strategies",
-    )
-    trace.add_argument(
         "--backend",
         default="thread",
         choices=["thread", "process"],
@@ -895,18 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="superfw",
         help="session solve method for re-solve commits",
-    )
-    update.add_argument(
-        "--engine",
-        default="auto",
-        choices=["auto", "rank1", "ktiled", "outtiled"],
-        help="min-plus GEMM strategy for the FW-family methods",
-    )
-    update.add_argument(
-        "--kc",
-        type=int,
-        default=None,
-        help="contraction tile for the ktiled/outtiled engine strategies",
     )
     update.add_argument(
         "--backend",

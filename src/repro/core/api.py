@@ -219,7 +219,7 @@ def apsp(
         Forwarded to the selected backend (e.g. ``leaf_size=...`` for
         SuperFW planning, ``delta=...`` for Δ-stepping,
         ``num_workers=...`` / ``backend="process"`` for the parallel
-        variant, ``engine="ktiled"`` for the FW family's GEMM strategy).
+        variant).
         The supervised process backend adds ``supervise=`` (a
         :class:`~repro.resilience.supervisor.SupervisorPolicy`, dict,
         seconds, or ``False``), ``checkpoint=`` (a snapshot directory or

@@ -19,7 +19,7 @@ from repro.plan.plan import Plan, TilingPlan, make_tiling
 from repro.resilience.budget import BudgetTracker, SolveBudget, as_tracker
 from repro.resilience.errors import NegativeCycleError
 from repro.semiring.base import MIN_PLUS, Semiring
-from repro.semiring.engine import SemiringGemmEngine, use_engine
+from repro.semiring.engine import get_engine
 from repro.semiring.kernels import (
     diag_update,
     outer_update,
@@ -105,16 +105,13 @@ def blocked_floyd_warshall(
     block_size: int = 64,
     semiring: Semiring = MIN_PLUS,
     budget: SolveBudget | BudgetTracker | float | None = None,
-    engine: str | SemiringGemmEngine | None = None,
     plan: Plan | TilingPlan | None = None,
 ) -> APSPResult:
     """APSP by blocked Floyd-Warshall (the dense *BlockedFw* baseline).
 
-    ``engine`` selects the min-plus GEMM strategy for the solve: a
-    strategy name (``"auto"``/``"rank1"``/``"ktiled"``/``"outtiled"``),
-    a prebuilt :class:`~repro.semiring.engine.SemiringGemmEngine`, or
-    ``None`` for the ambient engine.  Per-strategy call/op/time counters
-    land in ``meta["engine"]``.
+    The min-plus products run on the ambient
+    :class:`~repro.semiring.engine.SemiringGemmEngine`; its per-kernel
+    call/op/time counters for this solve land in ``meta["engine"]``.
 
     ``plan`` accepts either a :class:`~repro.plan.plan.TilingPlan` or a
     supernodal :class:`~repro.plan.plan.Plan` (its vertex count seeds
@@ -139,8 +136,9 @@ def blocked_floyd_warshall(
         dist = graph.to_dense_dist()
     else:
         dist = np.array(graph, dtype=np.float64, copy=True)
-    with phase(timings, "solve", method="blocked-fw"), use_engine(engine) as eng:
-        engine_before = eng.stats_snapshot()
+    eng = get_engine()
+    engine_before = eng.stats_snapshot()
+    with phase(timings, "solve", method="blocked-fw"):
         blocked_floyd_warshall_inplace(
             dist,
             block_size=block_size,

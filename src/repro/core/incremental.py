@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
+from repro.semiring.engine import get_engine
 
 
 def apply_batch_improvements(
@@ -36,7 +37,6 @@ def apply_batch_improvements(
     *,
     directed: bool = False,
     atol: float = 1e-12,
-    engine=None,
 ) -> int:
     """Fold a batch of improved arcs into ``dist`` in one rank-k pass.
 
@@ -55,7 +55,7 @@ def apply_batch_improvements(
     hops, so ``T`` holds the *new* terminal distances exactly.  The
     rank-k sandwich ``dist ⊕ (dist[:, P] ⊗ T) ⊗ dist[P, :]`` then
     updates every pair at once; the two rectangular products route
-    through the :class:`~repro.semiring.engine.SemiringGemmEngine`.
+    through the ambient :class:`~repro.semiring.engine.SemiringGemmEngine`.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -90,10 +90,7 @@ def apply_batch_improvements(
         np.minimum(
             closure, closure[:, t : t + 1] + closure[t, :], out=closure
         )
-    if engine is None:
-        from repro.semiring.engine import get_engine
-
-        engine = get_engine()
+    engine = get_engine()
     left = engine.gemm(dist[:, terminals], closure)
     candidate = engine.gemm(left, dist[terminals, :])
     improved = int(np.count_nonzero(candidate < dist - atol))

@@ -25,10 +25,11 @@ two parallel executors, each of which only implements ``run_group``:
     matrix through :mod:`multiprocessing.shared_memory` — true OS
     processes, no GIL.  Workers write their private D×D/D×A/A×D regions
     and panels directly into the shared segment and *return* the ``A×A``
-    contribution for the coordinator to apply.  Fault injection and the
-    GEMM engine configuration are replicated into each worker by the
-    pool initializer, so injected failures, retries, and engine counters
-    behave identically to the other backends.
+    contribution for the coordinator to apply.  The pool initializer
+    replicates fault injection into each worker and installs a fresh
+    GEMM engine there, whose per-kernel counters come back with every
+    task, so injected failures, retries, and engine counters behave
+    identically to the other backends.
 
 Recovery rests on **transactional tasks, and a barrier rewind only for
 killed workers**.  A supernode task computes on private copies and
@@ -91,7 +92,7 @@ from repro.resilience.supervisor import (
     coerce_policy,
     start_worker_watchdog,
 )
-from repro.semiring.engine import SemiringGemmEngine, set_engine, use_engine
+from repro.semiring.engine import SemiringGemmEngine, get_engine, set_engine
 
 #: Per-process state of a pool worker, populated by :func:`_process_init`.
 _WORKER: dict[str, Any] = {}
@@ -102,13 +103,11 @@ def _process_init(
     shape: tuple[int, int],
     dtype_str: str,
     structure,
-    exact_panels: bool,
-    engine_config: dict,
     fault_state: tuple,
     interval: float,
     heartbeat: tuple | None = None,
 ) -> None:
-    """Pool initializer: attach shared memory, replicate engine + faults.
+    """Pool initializer: attach shared memory, install an engine + faults.
 
     Every worker starts a watchdog thread that exits the process once
     its coordinator is gone.  ``heartbeat`` (when supervision is on) is
@@ -124,13 +123,12 @@ def _process_init(
     # a set no-op — the coordinator's unlink stays the sole destroyer.
     shm = shared_memory.SharedMemory(name=shm_name)
     install_worker_faults(*fault_state)
-    engine = SemiringGemmEngine(**engine_config)
-    set_engine(engine)
+    # A fresh engine: the forked copy of the coordinator's carries its
+    # counters (and possibly a lock held at fork time).
+    set_engine(SemiringGemmEngine())
     _WORKER["shm"] = shm
     _WORKER["dist"] = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
     _WORKER["structure"] = structure
-    _WORKER["exact_panels"] = bool(exact_panels)
-    _WORKER["engine"] = engine
     board = slot = None
     if heartbeat is not None:
         board_name, slots, claim_lock = heartbeat
@@ -174,12 +172,11 @@ def _process_eliminate(
     comparable across processes on Linux) enforces the solve's wall
     budget cooperatively inside the worker, between kernel ops.
     """
-    engine = _WORKER["engine"]
+    engine = get_engine()
     before = engine.stats_snapshot()
     run = partial(
         run_task, _WORKER["dist"], s,
         structure=_WORKER["structure"], retry=retry,
-        exact_panels=_WORKER["exact_panels"],
         attempt_base=attempt_base, defer_aa=True,
         check=partial(_deadline_check, s, deadline),
     )
@@ -227,15 +224,12 @@ class SharedPlanPool:
         plan: Plan,
         *,
         num_workers: int = 4,
-        exact_panels: bool = True,
         dtype=np.float64,
-        engine: str | SemiringGemmEngine | None = None,
         heartbeat: bool = True,
         heartbeat_interval: float = 0.2,
     ):
         self.plan = plan
         self.num_workers = max(1, num_workers)
-        self.exact_panels = bool(exact_panels)
         self.dtype = np.dtype(dtype)
         self.solves = 0
         self.rebuilds = 0
@@ -246,8 +240,6 @@ class SharedPlanPool:
             max(1, n * n * self.dtype.itemsize)
         )
         self.shared = np.ndarray((n, n), dtype=self.dtype, buffer=self._shm.buf)
-        with use_engine(engine) as eng:
-            self._engine_config = eng.spawn_config()
         self.heartbeats = (
             HeartbeatBoard.create(self.num_workers) if heartbeat else None
         )
@@ -276,8 +268,6 @@ class SharedPlanPool:
                 (n, n),
                 self.dtype.str,
                 self.plan.structure,
-                self.exact_panels,
-                self._engine_config,
                 export_fault_state(),
                 self._hb_interval,
                 heartbeat,
@@ -387,10 +377,8 @@ def parallel_superfw(
     num_workers: int = 4,
     backend: str = "thread",
     etree_parallel: bool = True,
-    exact_panels: bool = True,
     budget: SolveBudget | BudgetTracker | float | None = None,
     retry: RetryPolicy = DEFAULT_TASK_RETRY,
-    engine: str | SemiringGemmEngine | None = None,
     pool: SharedPlanPool | None = None,
     supervise: SupervisorPolicy | bool | dict | float | None = True,
     checkpoint: CheckpointManager | str | os.PathLike | None = None,
@@ -420,11 +408,8 @@ def parallel_superfw(
         Per-task retry policy.  A task that exhausts its pooled retries
         is re-run once on the coordinating thread before the solve gives
         up; tasks are transactional, so every re-run is bit-exact.
-    engine:
-        Min-plus GEMM engine: a strategy name, an engine instance, or
-        ``None`` for the ambient engine.  Process workers rebuild an
-        equivalent engine from its configuration; their per-strategy
-        counters are folded back into ``meta["engine"]``.
+        Process workers' per-kernel engine counters are folded back
+        into ``meta["engine"]``.
     pool:
         Optional :class:`SharedPlanPool` for the process backend.  When
         given, the solve reuses its warm workers and shared segment
@@ -472,7 +457,6 @@ def parallel_superfw(
     if backend == "process":
         make_executor = partial(
             _Process, workers=workers, pool=pool, policy=policy,
-            exact_panels=exact_panels,
         )
     else:
         make_executor = lambda dist, task, **_: _Threaded(dist, task, workers)
@@ -481,11 +465,9 @@ def parallel_superfw(
         name="parallel-superfw",
         backend=backend,
         by_level=etree_parallel,
-        exact_panels=exact_panels,
         dtype=np.float64,
         budget=budget,
         retry=retry,
-        engine=engine,
         checkpoint=ckpt,
         resume=resume,
         meta={
@@ -602,16 +584,14 @@ class _Process(_Sequential):
 
     def __init__(
         self, dist, task, *, plan, eng, tracker, recovery, retry,
-        workers, pool, policy, exact_panels,
+        workers, pool, policy,
     ) -> None:
         self.transient = pool is None
         if pool is None:
             pool = SharedPlanPool(
                 plan,
                 num_workers=workers,
-                exact_panels=exact_panels,
                 dtype=dist.dtype,
-                engine=eng,
                 heartbeat_interval=(
                     policy.heartbeat_interval if policy is not None else 0.2
                 ),

@@ -50,7 +50,7 @@ from repro.resilience.errors import (
 )
 from repro.resilience.faults import task_kernel_epoch, task_site
 from repro.resilience.retry import DEFAULT_TASK_RETRY, RetryPolicy, call_with_retry
-from repro.semiring.engine import SemiringGemmEngine, use_engine
+from repro.semiring.engine import get_engine
 from repro.semiring.kernels import (
     diag_update,
     outer_update,
@@ -73,7 +73,6 @@ def eliminate_supernode(
     structure: SupernodalStructure,
     s: int,
     *,
-    exact_panels: bool = True,
     counter: OpCounter | None = None,
     aa_lock=None,
     defer_aa: bool = False,
@@ -83,6 +82,9 @@ def eliminate_supernode(
 
     Performs DiagUpdate, the two PanelUpdates restricted to
     ``A(s) ∪ D(s)``, and the four-region MinPlus outer product of §3.4.
+    ``A(s)`` is clipped to the symbolic fill block rows: the ancestors
+    that actually receive finite values, a subset of Algorithm 3's
+    literal ancestor chain.
     Every kernel runs on a private copy of its block, and nothing is
     written back to ``dist`` until the last kernel and the last
     ``check()`` have returned.  An attempt that raises — an injected
@@ -112,7 +114,7 @@ def eliminate_supernode(
             counter.add("diag", diag_update(diag))
         check()
         desc = structure.descendant_vertices(s)
-        anc = structure.ancestor_vertices(s, exact=exact_panels)
+        anc = structure.ancestor_vertices(s)
         rows = np.concatenate([desc, anc]) if desc.size or anc.size else desc
         writes = [(np.s_[lo:hi, lo:hi], diag)]
         update = None
@@ -176,7 +178,6 @@ def run_task(
     *,
     structure: SupernodalStructure,
     retry: RetryPolicy,
-    exact_panels: bool,
     attempt_base: int = 0,
     **eliminate_options,
 ) -> tuple[int, OpCounter, tuple | None]:
@@ -198,8 +199,7 @@ def run_task(
         task_site(s, attempt_base + number)
         ops = OpCounter()
         payload = eliminate_supernode(
-            dist, structure, s, exact_panels=exact_panels,
-            counter=ops, **eliminate_options,
+            dist, structure, s, counter=ops, **eliminate_options
         )
         return payload, ops
 
@@ -259,11 +259,9 @@ def _sweep(
     name: str,
     backend: str,
     by_level: bool,
-    exact_panels: bool,
     dtype,
     budget,
     retry: RetryPolicy,
-    engine,
     checkpoint: CheckpointManager | None = None,
     resume: bool = False,
     meta: dict | None = None,
@@ -272,7 +270,7 @@ def _sweep(
 
     Owns every solve-level step: plan resolution (folding a cold
     analyze's timings into this solve), budget, reduction trail,
-    permutation, engine scope, the ``solve`` span, checkpoint/resume,
+    permutation, engine stats, the ``solve`` span, checkpoint/resume,
     the negative-cycle witness, unpermute, unreduce and ``meta``.  The
     supernodes run in barrier groups — etree levels when ``by_level``,
     else one supernode per group in ascending order — through the
@@ -336,89 +334,86 @@ def _sweep(
             recovery["resumed_from_group"] = start
     tracer = get_tracer()
     ops = OpCounter()
-    task = partial(
-        run_task, structure=structure, retry=retry,
-        exact_panels=exact_panels,
+    task = partial(run_task, structure=structure, retry=retry)
+    eng = get_engine()
+    engine_before = eng.stats_snapshot()
+    executor = make_executor(
+        dist, task, plan=plan, eng=eng, tracker=tracker,
+        recovery=recovery, retry=retry,
     )
-    with use_engine(engine) as eng:
-        engine_before = eng.stats_snapshot()
-        executor = make_executor(
-            dist, task, plan=plan, eng=eng, tracker=tracker,
-            recovery=recovery, retry=retry,
-        )
-        opened = [executor]
-        dist = executor.dist  # escalated executors share this matrix
+    opened = [executor]
+    dist = executor.dist  # escalated executors share this matrix
 
-        def apply(s: int, value) -> None:
-            used, local, payload = value
-            recovery["task_retries"] += used - 1
-            ops.merge(local)
-            if payload is not None:
-                anc, update = payload
-                with tracer.span("aa-apply", snode=s):
-                    aa = dist[np.ix_(anc, anc)]
-                    np.minimum(aa, update, out=aa)
-                    dist[np.ix_(anc, anc)] = aa
-            if tracker is not None:
-                tracker.charge(local.total, units=1, where=f"{name}:supernode {s}")
+    def apply(s: int, value) -> None:
+        used, local, payload = value
+        recovery["task_retries"] += used - 1
+        ops.merge(local)
+        if payload is not None:
+            anc, update = payload
+            with tracer.span("aa-apply", snode=s):
+                aa = dist[np.ix_(anc, anc)]
+                np.minimum(aa, update, out=aa)
+                dist[np.ix_(anc, anc)] = aa
+        if tracker is not None:
+            tracker.charge(local.total, units=1, where=f"{name}:supernode {s}")
 
-        def rerun(s: int, cause: ReproError) -> None:
-            recovery["sequential_reruns"].append(s)
-            try:
-                value = task(dist, s, retry=_ONCE, attempt_base=retry.max_attempts)
-            except BudgetExceededError:
-                raise
-            except ReproError as exc:
-                raise TaskFailedError(
-                    f"supernode {s} failed {retry.max_attempts} attempts "
-                    f"and the coordinator re-run: {exc}",
-                    supernode=s,
-                    attempts=retry.max_attempts + 1,
-                ) from cause
-            apply(s, value)
-
+    def rerun(s: int, cause: ReproError) -> None:
+        recovery["sequential_reruns"].append(s)
         try:
-            with phase(
-                timings, "solve", method=name, backend=backend, ns=structure.ns
-            ):
-                index = start
-                while index < len(groups):
-                    group = groups[index]
-                    span = (
-                        tracer.span("level", index=index, size=len(group))
-                        if by_level
-                        else nullcontext()
-                    )
-                    try:
-                        with span:
-                            failures = executor.run_group(group, apply)
-                    except WorkerCrashError as exc:
-                        executor = executor.escalate(exc)
-                        opened.append(executor)
-                        groups[index] = sorted(int(s) for s in exc.pending)
-                        continue
-                    for s, cause in failures:
-                        rerun(s, cause)
-                    index += 1
-                    if checkpoint is not None and checkpoint.due(index) and (
-                        index < len(groups) or checkpoint.keep
-                    ):
-                        with tracer.span("checkpoint.write", groups_done=index):
-                            checkpoint.write(
-                                ckpt_key, dist, groups_done=index, meta=ckpt_meta
-                            )
-            engine_stats = eng.stats_dict(since=engine_before)
-            if np.any(np.diag(dist) < 0):
-                kept = int(perm[int(np.argmin(np.diag(dist)))])
-                if applied is not None:
-                    kept = int(applied.trail.kept[kept])
-                raise NegativeCycleError(witness=kept)
-            iperm = invert_permutation(perm)
-            with phase(timings, "permute", n=iperm.shape[0]):
-                out = dist[np.ix_(iperm, iperm)]
-        finally:
-            for opened_executor in opened:
-                opened_executor.close()
+            value = task(dist, s, retry=_ONCE, attempt_base=retry.max_attempts)
+        except BudgetExceededError:
+            raise
+        except ReproError as exc:
+            raise TaskFailedError(
+                f"supernode {s} failed {retry.max_attempts} attempts "
+                f"and the coordinator re-run: {exc}",
+                supernode=s,
+                attempts=retry.max_attempts + 1,
+            ) from cause
+        apply(s, value)
+
+    try:
+        with phase(
+            timings, "solve", method=name, backend=backend, ns=structure.ns
+        ):
+            index = start
+            while index < len(groups):
+                group = groups[index]
+                span = (
+                    tracer.span("level", index=index, size=len(group))
+                    if by_level
+                    else nullcontext()
+                )
+                try:
+                    with span:
+                        failures = executor.run_group(group, apply)
+                except WorkerCrashError as exc:
+                    executor = executor.escalate(exc)
+                    opened.append(executor)
+                    groups[index] = sorted(int(s) for s in exc.pending)
+                    continue
+                for s, cause in failures:
+                    rerun(s, cause)
+                index += 1
+                if checkpoint is not None and checkpoint.due(index) and (
+                    index < len(groups) or checkpoint.keep
+                ):
+                    with tracer.span("checkpoint.write", groups_done=index):
+                        checkpoint.write(
+                            ckpt_key, dist, groups_done=index, meta=ckpt_meta
+                        )
+        engine_stats = eng.stats_dict(since=engine_before)
+        if np.any(np.diag(dist) < 0):
+            kept = int(perm[int(np.argmin(np.diag(dist)))])
+            if applied is not None:
+                kept = int(applied.trail.kept[kept])
+            raise NegativeCycleError(witness=kept)
+        iperm = invert_permutation(perm)
+        with phase(timings, "permute", n=iperm.shape[0]):
+            out = dist[np.ix_(iperm, iperm)]
+    finally:
+        for opened_executor in opened:
+            opened_executor.close()
     if checkpoint is not None and not checkpoint.keep:
         checkpoint.clear(ckpt_key)
     if applied is not None:
@@ -456,11 +451,9 @@ def superfw(
     graph: Graph | DiGraph,
     *,
     plan: Plan | None = None,
-    exact_panels: bool = True,
     dtype=np.float64,
     budget: SolveBudget | BudgetTracker | float | None = None,
     retry: RetryPolicy = DEFAULT_TASK_RETRY,
-    engine: str | SemiringGemmEngine | None = None,
     **plan_options,
 ) -> APSPResult:
     """APSP by the sequential supernodal Floyd-Warshall (Algorithm 3).
@@ -474,10 +467,9 @@ def superfw(
     plan:
         Optional pre-built :class:`~repro.plan.plan.Plan`; built on the
         fly (and timed separately) otherwise, with ``plan_options``
-        forwarded to :func:`repro.plan.analyze`.
-    exact_panels:
-        Clip ancestor panels to the symbolic fill structure (never changes
-        the result; saves work versus the literal ``A(k)`` of Algorithm 3).
+        forwarded to :func:`repro.plan.analyze`.  With a plan, any
+        ``plan_options`` must equal the plan's own parameters
+        (:func:`~repro.plan.plan.ensure_plan`).
     dtype:
         Distance-matrix dtype.  ``numpy.float32`` halves the ``8n²`` bytes
         at ~1e-7 relative accuracy — the same trade sparse direct solvers
@@ -492,18 +484,13 @@ def superfw(
         more run before :class:`~repro.resilience.errors.TaskFailedError`.
         Tasks are transactional — a failed attempt writes nothing — so
         every retry is bit-exact.
-    engine:
-        Min-plus GEMM engine for the sweep: a strategy name
-        (``"auto"``/``"rank1"``/``"ktiled"``/``"outtiled"``), a prebuilt
-        :class:`~repro.semiring.engine.SemiringGemmEngine`, or ``None``
-        for the ambient engine.  Per-strategy counters land in
-        ``meta["engine"]``.
 
     Returns
     -------
     APSPResult
         Distances in the original numbering; ``meta["plan"]`` carries the
-        plan for inspection and reuse.
+        plan for inspection and reuse, ``meta["engine"]`` the ambient
+        engine's per-kernel counters for this solve.
     """
     return _sweep(
         graph, plan, plan_options,
@@ -511,10 +498,7 @@ def superfw(
         name="superfw",
         backend="sequential",
         by_level=False,
-        exact_panels=exact_panels,
         dtype=dtype,
         budget=budget,
         retry=retry,
-        engine=engine,
-        meta={"exact_panels": exact_panels},
     )

@@ -1,9 +1,10 @@
 """SemiringGemm kernel-rate measurement (paper §5.1.2).
 
 The paper reports its C/OpenMP SemiringGemm at 10.2 Gflop/s per core (28%
-of peak).  This runner measures the NumPy rank-1-loop kernel across
-operand sizes, giving the per-op constant the simulator and EXPERIMENTS.md
-use — the single number that converts the paper's absolute times to this
+of peak).  This runner measures the solver's own min-plus kernel
+(:func:`~repro.semiring.minplus.minplus_gemm`) across square operand
+sizes, giving the per-op constant the simulator and EXPERIMENTS.md use —
+the single number that converts the paper's absolute times to this
 substrate.
 """
 

@@ -44,9 +44,9 @@ class CostModel:
 def calibrate_cost_model(*, size: int = 256, repeats: int = 3) -> CostModel:
     """Measure the host's min-plus kernel constants.
 
-    ``seconds_per_op`` comes from a dense rank-1-loop min-plus product of
-    ``size x size`` operands; ``seconds_per_step`` from tiny updates where
-    dispatch latency dominates.
+    ``seconds_per_op`` comes from a dense min-plus product of
+    ``size x size`` operands on the solver's own kernel; ``seconds_per_step``
+    from tiny updates where dispatch latency dominates.
     """
     from repro.semiring.minplus import minplus_gemm
 

@@ -66,20 +66,28 @@ def structure_hash(graph) -> str:
     return h.hexdigest()
 
 
-def params_digest(params: dict[str, Any]) -> str:
-    """Digest of the analyze parameters, defaults filled in.
+def canonical_param(key: str, value: Any) -> Any:
+    """An analyze parameter in the form ``Plan.params`` records it.
 
-    A prebuilt :class:`~repro.ordering.base.Ordering` is keyed by its
-    method name plus its permutation bytes, so two distinct custom
-    orderings never collide.
+    A prebuilt :class:`~repro.ordering.base.Ordering` becomes
+    ``"method:digest"`` (a prefix of its permutation's sha256), so two
+    distinct custom orderings never collide, params stay
+    JSON-serializable and plan ids survive save/load round trips.
+    ``reduce`` is ``"auto"`` or a bool.
     """
+    if key == "ordering" and not isinstance(value, str):
+        perm = np.asarray(value.perm, dtype=np.int64)
+        return f"{value.method}:{hashlib.sha256(perm.tobytes()).hexdigest()[:16]}"
+    if key == "reduce":
+        return value if value == "auto" else bool(value)
+    return value
+
+
+def params_digest(params: dict[str, Any]) -> str:
+    """Digest of the analyze parameters, defaults filled in."""
     full = dict(PLAN_PARAM_DEFAULTS)
-    full.update({k: v for k, v in params.items() if k in PLAN_PARAM_DEFAULTS})
-    ordering = full["ordering"]
-    if not isinstance(ordering, str):
-        perm = np.asarray(ordering.perm, dtype=np.int64)
-        tag = hashlib.sha256(perm.tobytes()).hexdigest()[:16]
-        full["ordering"] = f"{ordering.method}:{tag}"
+    full.update({k: canonical_param(k, v) for k, v in params.items()
+                 if k in PLAN_PARAM_DEFAULTS})
     payload = json.dumps(full, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -35,6 +35,7 @@ from repro.ordering.nested_dissection import NDResult, nested_dissection
 from repro.ordering.reduce import ReductionTrail, auto_keeps, build_trail
 from repro.plan.keys import (
     PLAN_PARAM_DEFAULTS,
+    canonical_param,
     plan_id as _plan_id,
     structure_hash,
 )
@@ -563,27 +564,18 @@ def analyze(
                 max_snode=max_snode,
                 small_snode=small_snode,
             )
-    params = dict(PLAN_PARAM_DEFAULTS)
-    if isinstance(ordering, str):
-        params["ordering"] = ordering
-    else:
-        # Key prebuilt orderings by method + permutation digest (the same
-        # canonical form params_digest would derive), so params stay
-        # JSON-serializable and plan ids survive save/load round trips.
-        import hashlib
-
-        tag = hashlib.sha256(
-            np.asarray(ordering.perm, dtype=np.int64).tobytes()
-        ).hexdigest()[:16]
-        params["ordering"] = f"{ordering.method}:{tag}"
-    params.update(
-        leaf_size=leaf_size,
-        relax=relax,
-        max_snode=max_snode,
-        small_snode=small_snode,
-        seed=seed,
-        reduce=reduce if reduce == "auto" else bool(reduce),
-    )
+    params = {
+        key: canonical_param(key, value)
+        for key, value in (
+            ("ordering", ordering),
+            ("leaf_size", leaf_size),
+            ("relax", relax),
+            ("max_snode", max_snode),
+            ("small_snode", small_snode),
+            ("seed", seed),
+            ("reduce", reduce),
+        )
+    }
     return Plan(
         key=key,
         ordering=ordr,
@@ -615,10 +607,29 @@ def ensure_plan(
     session front-end uses it because ``Graph.with_weights`` preserves
     structure by construction, making the warm-solve path zero
     preprocessing *and* zero re-hashing.
+
+    Beside a plan, ``plan_options`` must agree with it: a name
+    :func:`analyze` does not take raises :class:`TypeError` (as
+    ``analyze`` would), and a value other than the one recorded in
+    ``plan.params`` raises :class:`ValueError` naming it — a prebuilt
+    :class:`~repro.ordering.base.Ordering` compares by the
+    ``method:digest`` tag ``analyze`` records.  Equal values pass.
     """
     trust = bool(plan_options.pop("trust_plan", False))
     if plan is None:
         return analyze(graph, **plan_options), False
+    for key, value in plan_options.items():
+        if key not in PLAN_PARAM_DEFAULTS:
+            raise TypeError(
+                f"ensure_plan() got an unexpected keyword argument {key!r}"
+            )
+        recorded = plan.params.get(key, PLAN_PARAM_DEFAULTS[key])
+        if canonical_param(key, value) != recorded:
+            raise ValueError(
+                f"{key}={value!r} disagrees with the supplied plan, which "
+                f"was analyzed with {key}={recorded!r}; drop the option or "
+                "re-analyze"
+            )
     if not trust:
         plan.ensure(graph)
     return plan, True

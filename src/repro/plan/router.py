@@ -18,12 +18,11 @@ picks the cheapest.  Solve cost is the plan's exact SuperFW op count
 (:func:`~repro.symbolic.structure.superfw_snode_ops`), and fold cost
 comes from the rank-k shape ``2(p³ + np² + pn²)``.  Ops convert to
 seconds through :func:`sweep_seconds`, the formula ``ordering="auto"``
-ranks by too, with per-path rates seeded from the
-:class:`~repro.semiring.engine.SemiringGemmEngine` AutoTuner counters
-(measured min-plus throughput) and then EWMA-calibrated from each
-commit's measured ops and seconds, so predictions track the machine the
-session is actually running on.  Decisions and predicted/actual costs
-land in ``APSPResult.meta["router"]`` and the ``router.*`` obs metrics.
+ranks by too.  Every path starts at :data:`DEFAULT_OPS_PER_SECOND` and
+is then EWMA-calibrated from each commit's measured ops and seconds, so
+predictions track the machine the session is actually running on.
+Decisions and predicted/actual costs land in ``APSPResult.meta["router"]``
+and the ``router.*`` obs metrics.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from typing import Any
 from repro.obs import get_tracer
 from repro.symbolic.structure import superfw_snode_ops
 
-#: Fallback min-plus throughput (scalar semiring ops / second) before
-#: any engine counters or observed commits exist to calibrate against.
+#: Starting min-plus throughput (scalar semiring ops / second) of every
+#: path, before observed commits exist to calibrate against.
 #: With :data:`SNODE_OVERHEAD_SECONDS`, a least-squares fit of
 #: :func:`sweep_seconds` to 56 warm ``superfw`` solves (7 suite graphs at
 #: size factors 0.25 and 0.5, ND and AMD, with and without reductions)
@@ -96,7 +95,7 @@ def fold_ops_estimate(n: int, p: int) -> float:
 class UpdateRouter:
     """Prices commit strategies and learns the machine's actual rates."""
 
-    def __init__(self, plan=None, *, engine=None) -> None:
+    def __init__(self, plan=None) -> None:
         self._rates: dict[str, float] = {}
         self.decisions: dict[str, int] = {}
         self._solve_ops: float | None = None
@@ -104,8 +103,6 @@ class UpdateRouter:
         self._analyze_seconds = 0.0
         if plan is not None:
             self.bind_plan(plan)
-        if engine is not None:
-            self.seed_from_engine(engine)
 
     # -- calibration ---------------------------------------------------
     def bind_plan(self, plan) -> None:
@@ -115,19 +112,6 @@ class UpdateRouter:
         measured = plan.preprocessing_seconds()
         if measured > 0:
             self._analyze_seconds = measured
-
-    def seed_from_engine(self, engine) -> None:
-        """Seed the op→seconds rates from engine AutoTuner counters."""
-        try:
-            stats = engine.stats_dict()
-        except AttributeError:
-            return
-        ops = sum(v["ops"] for v in stats.get("strategies", {}).values())
-        secs = sum(v["seconds"] for v in stats.get("strategies", {}).values())
-        if ops > 0 and secs > 0:
-            rate = ops / secs
-            self._rates.setdefault("fold", rate)
-            self._rates.setdefault("resolve", rate)
 
     def rate(self, action: str) -> float:
         """Current ops/second estimate for one execution path."""

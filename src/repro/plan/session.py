@@ -90,7 +90,7 @@ class APSPSession:
     options:
         Analyze parameters (``ordering``, ``leaf_size``, ...) are split
         off and frozen into the plan; the rest (``backend``,
-        ``num_workers``, ``engine``, ``exact_panels``, ``dtype``, ...)
+        ``num_workers``, ``dtype``, ...)
         become per-solve defaults that :meth:`solve` can override.
     """
 
@@ -140,10 +140,7 @@ class APSPSession:
             self.plan = plan
         else:
             self.plan = self._acquire_plan(graph)
-        engine = options.get("engine")
-        self.router = UpdateRouter(
-            self.plan, engine=engine if hasattr(engine, "stats_dict") else None
-        )
+        self.router = UpdateRouter(self.plan)
 
     # ------------------------------------------------------------------
     def _acquire_plan(self, graph: Graph | DiGraph) -> Plan:
@@ -168,8 +165,6 @@ class APSPSession:
             self._pool = SharedPlanPool(
                 self.plan,
                 num_workers=opts.get("num_workers", 4),
-                exact_panels=opts.get("exact_panels", True),
-                engine=opts.get("engine"),
             )
         return self._pool
 
@@ -426,12 +421,8 @@ class APSPSession:
                 self._invalidate_plan()
             base = self._epoch
             new_dist = np.array(base.dist)  # writable copy-on-write
-            engine = self.solve_options.get("engine")
             info.improved = apply_batch_improvements(
-                new_dist,
-                effective,
-                directed=self.directed,
-                engine=engine if hasattr(engine, "gemm") else None,
+                new_dist, effective, directed=self.directed
             )
             self.fast_updates += 1
             self._publish(

@@ -50,19 +50,18 @@ DEFAULT_CHAIN: tuple[str, ...] = ("superfw", "dijkstra", "blocked-fw", "dense-fw
 #: SuperFW-specific knob does not crash the dense fallback.
 _METHOD_OPTIONS: dict[str, frozenset[str]] = {
     "superfw": frozenset(
-        {"plan", "exact_panels", "dtype", "ordering", "leaf_size",
-         "relax", "max_snode", "small_snode", "seed", "engine", "reduce"}
+        {"plan", "dtype", "ordering", "leaf_size", "relax", "max_snode",
+         "small_snode", "seed", "reduce"}
     ),
     "superbfs": frozenset(
-        {"plan", "exact_panels", "dtype", "leaf_size", "relax",
-         "max_snode", "small_snode", "seed", "engine", "reduce"}
+        {"plan", "dtype", "leaf_size", "relax", "max_snode", "small_snode",
+         "seed", "reduce"}
     ),
     "parallel-superfw": frozenset(
-        {"plan", "num_workers", "backend", "etree_parallel",
-         "exact_panels", "ordering", "leaf_size", "relax", "max_snode",
-         "small_snode", "seed", "engine", "reduce"}
+        {"plan", "num_workers", "backend", "etree_parallel", "ordering",
+         "leaf_size", "relax", "max_snode", "small_snode", "seed", "reduce"}
     ),
-    "blocked-fw": frozenset({"plan", "block_size", "engine"}),
+    "blocked-fw": frozenset({"plan", "block_size"}),
     "dense-fw": frozenset({"track_via", "check_negative_cycle"}),
     "dijkstra": frozenset(),
     "boost-dijkstra": frozenset(),

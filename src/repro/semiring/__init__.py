@@ -19,7 +19,6 @@ from repro.semiring.minplus import (
     minplus_gemm,
     minplus_gemm_flops,
     minplus_inner,
-    result_dtype,
     semiring_gemm,
 )
 from repro.semiring.engine import (
@@ -27,9 +26,8 @@ from repro.semiring.engine import (
     SemiringGemmEngine,
     WorkspacePool,
     get_engine,
-    make_engine,
+    result_dtype,
     set_engine,
-    use_engine,
 )
 from repro.semiring.kernels import (
     diag_update,
@@ -51,7 +49,6 @@ __all__ = [
     "diag_update",
     "floyd_warshall_kernel",
     "get_engine",
-    "make_engine",
     "minplus_closure_scalarcount",
     "minplus_gemm",
     "minplus_gemm_flops",
@@ -62,5 +59,4 @@ __all__ = [
     "result_dtype",
     "semiring_gemm",
     "set_engine",
-    "use_engine",
 ]

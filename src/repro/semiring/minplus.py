@@ -1,14 +1,16 @@
-"""Min-plus (and generic semiring) matrix-multiply kernels.
+"""Min-plus (and generic semiring) matrix-multiply entry points.
 
 This is the ``SemiringGemm`` of the paper (§5.1.2): the single dense kernel
 shared by BlockedFW, SuperBFS and SuperFW.  The paper implements it in
 C/OpenMP with SIMD; here the within-kernel vectorization comes from NumPy.
 
-The product is computed as a loop of rank-1 "broadcast + in-place ⊕" updates
-over the contraction dimension.  This is the standard NumPy idiom: it avoids
-materializing the ``m x n x k`` tensor a full broadcast would create (guide:
-*be easy on the memory*), keeps all traffic on contiguous ``m x n`` panels,
-and performs exactly ``2·m·n·k`` scalar semiring ops.
+:func:`minplus_gemm` is the functional form of the ambient
+:class:`~repro.semiring.engine.SemiringGemmEngine`, so every min-plus
+product runs the same shape-picked kernel and lands in the same
+counters.  :func:`semiring_gemm` keeps a rank-1 "broadcast ⊕" loop for
+the other semirings: each step is a fully vectorized ``(m, n)`` update,
+so the Python-level cost is ``O(k)`` and the product performs exactly
+``2·m·n·k`` scalar semiring ops.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.semiring.base import MIN_PLUS, Semiring
+from repro.semiring.engine import get_engine, result_dtype  # noqa: F401 (re-exported)
 
 
 def minplus_gemm_flops(m: int, n: int, k: int) -> int:
@@ -25,21 +28,6 @@ def minplus_gemm_flops(m: int, n: int, k: int) -> int:
     the ``2mnk`` convention the paper uses to quote Gflop/s rates.
     """
     return 2 * m * n * k
-
-
-def result_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
-    """Output dtype of a min-plus product: the operands' common *float* type.
-
-    Floating operands keep their precision — float32 inputs produce a
-    float32 product, halving memory traffic (and roughly doubling SIMD
-    throughput) versus an unconditional float64 upcast.  Integer and
-    boolean operands still widen to float64, because a min-plus matrix
-    needs ``+inf`` as its structural zero.
-    """
-    dt = np.result_type(a, b)
-    if not np.issubdtype(dt, np.floating):
-        dt = np.result_type(dt, np.float64)
-    return dt
 
 
 def minplus_gemm(
@@ -73,25 +61,7 @@ def minplus_gemm(
     cannot appear because edge weights are finite and ``-inf`` is never
     stored in a min-plus matrix.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    m, kdim = a.shape
-    n = b.shape[1]
-    if out is None:
-        out = np.full((m, n), np.inf, dtype=result_dtype(a, b))
-    elif out.shape != (m, n):
-        raise ValueError(f"out has shape {out.shape}, expected {(m, n)}")
-    elif not accumulate:
-        out.fill(np.inf)
-    if kdim == 0:
-        return out
-    # Rank-1 update loop over the contraction dimension: each iteration is a
-    # fully vectorized (m, n) broadcast; Python-level cost is O(k) only.
-    for t in range(kdim):
-        np.minimum(out, a[:, t : t + 1] + b[t, :], out=out)
-    return out
+    return get_engine().gemm(a, b, out=out, accumulate=accumulate)
 
 
 def semiring_gemm(

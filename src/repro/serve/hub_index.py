@@ -82,16 +82,13 @@ array is sorted ascending.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.obs import get_tracer
+from repro.obs import get_tracer, phase
 from repro.obs.metrics import OpCounter
 from repro.plan.session import APSPSession
 from repro.resilience.checkpoint import weights_sha
 from repro.resilience.errors import NegativeCycleError
-from repro.semiring.engine import use_engine
 from repro.serve.factor import chain_lengths, factor_chain_blocks
 
 #: Pairs per :meth:`HubLabelIndex.all_pairs` block.
@@ -397,23 +394,24 @@ class HubLabelIndex:
         weights).  Reported under the ``hub-index-build`` span, whose
         ``source`` is ``"factor"`` or ``"epoch"``, ``trail_events``
         counts the labelled eliminated vertices and ``ops`` the semiring
-        ops the build ran, with per-phase children.
+        ops the build ran, with per-phase children.  ``build_seconds``
+        and ``solve_seconds`` are the durations of the
+        ``hub-index-build`` and ``hub-index-solve`` phases
+        (:func:`repro.obs.phase`).
         """
         tracer = get_tracer()
-        t0 = time.perf_counter()
+        timings: dict[str, float] = {}
         with session._write_lock:  # one consistent (graph, plan, epoch)
             graph, plan, epoch = session.graph, session.plan, session._epoch
         from_factor = epoch is None and plan is not None
         source = "factor" if from_factor else "epoch"
-        with tracer.span("hub-index-build", n=graph.n,
-                         source=source) as build_span:
-            solve_s = 0.0
+        with phase(timings, "build", "hub-index-build", n=graph.n,
+                   source=source) as build_span:
             ops = OpCounter()
             if from_factor:
                 dtype = np.dtype(session.solve_options.get("dtype", np.float64))
                 st = plan.structure
-                with tracer.span("hub-index-factor", ns=st.ns), \
-                        use_engine(session.solve_options.get("engine")):
+                with tracer.span("hub-index-factor", ns=st.ns):
                     try:
                         applied = (None if plan.trail is None
                                    else plan.trail.apply(graph))
@@ -430,11 +428,9 @@ class HubLabelIndex:
                 epoch_index = -1
                 weights_digest = weights_sha(graph.weights)
             else:
-                with tracer.span("hub-index-solve"):
+                with phase(timings, "solve", "hub-index-solve"):
                     if session.plan is None or session._epoch is None:
-                        t1 = time.perf_counter()
                         ops.merge(session.solve().ops)
-                        solve_s = time.perf_counter() - t1
                 epoch = session.epoch
                 graph, plan = session.graph, session.plan
                 st = plan.structure
@@ -534,10 +530,9 @@ class HubLabelIndex:
                 span = _span_table(order, depth)
             build_span.set(ops=ops.total, trail_events=ne)
 
-        build_s = time.perf_counter() - t0
         if tracer.enabled:
             tracer.metric_inc("serve.index_builds")
-            tracer.metrics.observe("serve.index_build_s", build_s)
+            tracer.metrics.observe("serve.index_build_s", timings["build"])
             tracer.metrics.observe("serve.label_entries", float(hubs.size))
         return cls(
             n=n, directed=session.directed, ptr=ptr, hubs=hubs, dto=dto,
@@ -546,7 +541,8 @@ class HubLabelIndex:
             chain_len=chain_len,
             trail_events=ne, epoch_index=epoch_index,
             weights_digest=weights_digest, plan_id=plan.plan_id,
-            source=source, build_seconds=build_s, solve_seconds=solve_s,
+            source=source, build_seconds=timings["build"],
+            solve_seconds=timings.get("solve", 0.0),
         )
 
     # ------------------------------------------------------------------

@@ -113,7 +113,10 @@ def test_size_sweep_runner():
 
     out = run_size_sweep(sizes=[96, 192], verbose=False)
     assert len(out["rows"]) == 2
-    assert out["superfw_growth"] > 1.0  # §5.2.1's growing gap, small scale
+    # §5.2.1's growing gap, small scale.  Asserted on op counts, which
+    # are deterministic, rather than on the wall-clock superfw_growth.
+    assert out["superfw_ops_growth"] > 1.0
+    assert out["superfw_growth"] > 0
 
 
 def test_hierarchy_runner():

@@ -254,6 +254,24 @@ def test_timings_are_the_phase_spans_durations():
     assert np.array_equal(warm.dist, cold.dist)
 
 
+def test_hub_index_seconds_are_the_build_spans_durations():
+    from repro.serve import HubLabelIndex
+
+    g = gen.road_network_like(120, seed=1)
+    for solved in (False, True):  # a factor build, then an epoch build
+        with APSPSession(g) as session:
+            if solved:
+                session.solve()
+            with use_tracer(Tracer()) as tracer:
+                index = HubLabelIndex.build(session)
+        spans = {e.name: e for e in tracer.events() if e.ph == "X"}
+        assert index.source == ("epoch" if solved else "factor")
+        assert index.build_seconds == spans["hub-index-build"].dur / 1e9
+        solve = spans.get("hub-index-solve")
+        assert index.solve_seconds == (solve.dur / 1e9 if solve else 0.0)
+        assert (solve is None) == (not solved)
+
+
 @pytest.mark.parametrize("method", ["dijkstra", "boost-dijkstra",
                                     "delta-stepping", "johnson", "dense-fw"])
 def test_every_method_timing_has_a_span(method):
@@ -401,23 +419,6 @@ def test_fallback_spans_carry_status():
     assert len(spans) == 1
     assert spans[0].args["method"] == "superfw"
     assert spans[0].args["status"] == "ok"
-
-
-def test_autotune_instants_once_per_bucket():
-    from repro.semiring.engine import SemiringGemmEngine
-
-    eng = SemiringGemmEngine("auto")
-    rng = np.random.default_rng(0)
-    a = rng.uniform(0.1, 1.0, (32, 32))
-    b = rng.uniform(0.1, 1.0, (32, 32))
-    tracer = Tracer()
-    with use_tracer(tracer):
-        eng.gemm(a, b)
-        eng.gemm(a, b)  # same bucket: no second instant
-    instants = [e for e in tracer.events() if e.name == "autotune"]
-    assert len(instants) == 1
-    assert instants[0].args["strategy"] in ("rank1", "ktiled", "outtiled")
-    assert len([e for e in tracer.events() if e.name == "gemm"]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -291,3 +291,64 @@ def test_fallback_chain_accepts_plan(grid_graph):
     plan = analyze(grid_graph)
     result = apsp(grid_graph, method="auto", plan=plan)
     np.testing.assert_allclose(result.dist, scipy_apsp(grid_graph))
+
+
+# ---------------------------------------------------------------------------
+# Analyze options beside a supplied plan
+# ---------------------------------------------------------------------------
+def test_plan_rejects_unknown_analyze_option():
+    g = gen.delaunay_mesh(40, seed=0)
+    with pytest.raises(TypeError, match="leaf_sise"):
+        superfw(g, plan=analyze(g), leaf_sise=7)
+
+
+@pytest.mark.parametrize(
+    "option", [{"leaf_size": 3}, {"ordering": "amd"}, {"reduce": True},
+               {"seed": 1}]
+)
+def test_plan_rejects_disagreeing_analyze_option(option):
+    g = gen.delaunay_mesh(40, seed=0)
+    (key,) = option
+    with pytest.raises(ValueError, match=key):
+        superfw(g, plan=analyze(g), **option)
+    with pytest.raises(ValueError, match=key):
+        parallel_superfw(g, plan=analyze(g), **option)
+
+
+def test_plan_accepts_equal_analyze_options():
+    from repro.ordering.amd import amd_ordering
+    from repro.ordering.base import Ordering
+
+    g = gen.delaunay_mesh(40, seed=0)
+    plan = analyze(g, ordering="amd", leaf_size=3, seed=2)
+    base = superfw(g, plan=plan)
+    same = superfw(g, plan=plan, ordering="amd", leaf_size=3, seed=2,
+                   reduce=False)
+    assert np.array_equal(base.dist, same.dist)
+    # A prebuilt ordering compares by the method:digest tag analyze records.
+    order = amd_ordering(plan.pattern, seed=0)
+    custom = analyze(g, ordering=order)
+    assert np.array_equal(
+        superfw(g, plan=custom, ordering=order).dist, superfw(g, plan=custom).dist
+    )
+    other = Ordering(perm=order.perm[::-1].copy(), method="amd")
+    with pytest.raises(ValueError, match="ordering"):
+        superfw(g, plan=custom, ordering=other)
+
+
+def test_cli_plan_cache_keeps_reduce(tmp_path, capsys):
+    from repro.cli import main
+
+    args = ["solve", "--generate", "road_network_like:300", "--reduce"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--plan-cache", str(tmp_path)]) == 0
+    cached = capsys.readouterr().out
+
+    def ops(out):
+        return next(line for line in out.splitlines()
+                    if line.startswith("semiring ops:"))
+
+    # The cached plan is the reduced one, so the solve does the same work.
+    assert ops(cached) == ops(plain)
+    assert "(analyzed, cache dir" in cached

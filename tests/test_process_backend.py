@@ -45,13 +45,22 @@ def test_process_backend_without_etree_parallelism(grid_graph):
 
 
 def test_process_backend_merges_worker_engine_stats(mesh_graph):
-    r = parallel_superfw(
-        mesh_graph, backend="process", num_workers=2, engine="rank1"
-    )
-    stats = r.meta["engine"]["strategies"]
-    assert stats["rank1"]["calls"] > 0
-    # Worker ops folded back must cover the counted outer/panel gemm work.
-    assert stats["rank1"]["ops"] > 0
+    seq = superfw(mesh_graph)
+    thr = parallel_superfw(mesh_graph, num_workers=2)
+    r = parallel_superfw(mesh_graph, backend="process", num_workers=2)
+
+    def counts(result):
+        return {name: (v["calls"], v["ops"])
+                for name, v in result.meta["engine"]["strategies"].items()}
+
+    # Every worker gemm is folded back: per-kernel calls and ops equal
+    # the thread executor's, which splits each outer update into the
+    # same regions, and the ops equal the sequential sweep's.
+    assert counts(r) == counts(thr)
+    assert {k: ops for k, (_, ops) in counts(r).items()} == {
+        k: ops for k, (_, ops) in counts(seq).items()
+    }
+    assert counts(r)
 
 
 def test_process_backend_rejects_non_minplus(grid_graph):

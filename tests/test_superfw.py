@@ -22,18 +22,6 @@ def test_every_ordering_is_correct(mesh_graph, ordering):
     assert np.allclose(r.dist, scipy_apsp(mesh_graph))
 
 
-@pytest.mark.parametrize("exact_panels", [True, False])
-def test_exact_and_etree_panels_agree(mesh_graph, exact_panels):
-    r = superfw(mesh_graph, exact_panels=exact_panels, seed=0)
-    assert np.allclose(r.dist, scipy_apsp(mesh_graph))
-
-
-def test_exact_panels_never_do_more_work(mesh_graph):
-    exact = superfw(mesh_graph, exact_panels=True, seed=0)
-    literal = superfw(mesh_graph, exact_panels=False, seed=0)
-    assert exact.ops.total <= literal.ops.total
-
-
 def test_plan_reuse(mesh_graph):
     plan = analyze(mesh_graph, seed=0)
     a = superfw(mesh_graph, plan=plan)
