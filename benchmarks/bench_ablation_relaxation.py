@@ -3,8 +3,10 @@
 DESIGN.md calls out relaxed supernodes as a design choice: merging small
 supernodes into parents trades extra logical work (operating on a few
 provably-∞ entries) for larger blocks with less per-kernel dispatch
-overhead.  This bench sweeps the relaxation knobs and records both the op
-count (work paid) and the wall-clock (overhead saved).
+overhead.  This bench sweeps the relaxation knobs and records the op
+count (work paid), the wall-clock (overhead saved) and the factor-built
+hub-label entries, which relaxation leaves unchanged because it merges
+only along etree chains.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import pytest
 
 from repro.core.superfw import superfw
 
-from repro.plan import analyze
+from repro.plan import APSPSession, analyze
+from repro.serve import HubLabelIndex
 from repro.experiments.common import format_table, save_table
 from repro.graphs.suite import get_entry
 
@@ -44,6 +47,9 @@ def test_relaxation_table(benchmark, mesh, bench_seed):
                     "max_block": plan.structure.stats()["max_snode"],
                     "ops": float(result.ops.total),
                     "solve_ms": result.solve_seconds() * 1e3,
+                    "label_entries": HubLabelIndex.build(
+                        APSPSession(mesh, plan=plan)
+                    ).entries,
                 }
             )
         return rows
@@ -53,8 +59,10 @@ def test_relaxation_table(benchmark, mesh, bench_seed):
     by = {r["relaxation"]: r for r in rows}
     # Relaxation must reduce supernode count (bigger blocks)...
     assert by["default"]["supernodes"] <= by["none"]["supernodes"]
-    # ...at a bounded logical-work premium.
+    # ...at a bounded logical-work premium...
     assert by["default"]["ops"] <= 2.0 * by["none"]["ops"]
+    # ...and chain-only merges never lengthen a hub label.
+    assert all(r["label_entries"] <= by["none"]["label_entries"] for r in rows)
 
 
 @pytest.mark.parametrize("setting", [s for s, _ in SETTINGS])

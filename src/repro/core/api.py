@@ -164,7 +164,7 @@ def apsp(
     detect_negative_cycles: bool = False,
     budget: SolveBudget | BudgetTracker | float | None = None,
     plan=None,
-    reduce: bool | None = None,
+    reduce: bool | str | None = None,
     trace=None,
     **options,
 ) -> APSPResult:
@@ -204,8 +204,9 @@ def apsp(
         twin, simplicial elimination): the sweep solves the contracted
         graph and the eliminated vertices are reconstituted exactly —
         the returned distances are bit-identical to an unreduced solve.
-        Plan-consuming SuperFW-family methods only; see
-        ``docs/ORDERING.md``.
+        ``"auto"`` keeps the trail only when it pays off, exactly as
+        :func:`repro.plan.analyze` decides it.  Plan-consuming
+        SuperFW-family methods only; see ``docs/ORDERING.md``.
     trace:
         Structured-tracing control (see :mod:`repro.obs` and
         ``docs/OBSERVABILITY.md``).  ``True`` records spans into a fresh
@@ -276,7 +277,7 @@ def apsp(
                 f"method {method!r} cannot solve through a reduction "
                 f"trail; supported: {sorted(_REDUCE_AWARE)}"
             )
-        options["reduce"] = bool(reduce)
+        options["reduce"] = reduce if reduce == "auto" else bool(reduce)
     from repro.resilience.checkpoint import weights_sha
 
     tracer, trace_path = coerce_tracer(trace)

@@ -535,23 +535,23 @@ class _BarrierSnapshot:
         self.shared = shared
         self.structure = structure
         self.snap = np.empty_like(shared)
-        self._strips: dict[int, np.ndarray] = {}
 
     def capture(self) -> None:
         """Record the barrier state of the current level."""
         np.copyto(self.snap, self.shared)
 
-    def _strip(self, s: int) -> np.ndarray:
-        strip = self._strips.get(s)
-        if strip is None:
-            lo, hi = self.structure.col_range(s)
-            strip = np.concatenate(
-                [
-                    self.structure.descendant_vertices(s),
-                    np.arange(lo, hi, dtype=np.int64),
-                ]
-            )
-            self._strips[s] = strip
+    def _strip(self, s: int) -> list[tuple[int, int]]:
+        """Column runs of ``s``'s subtree: ``D(s)`` then its own columns.
+
+        One range ``[snode_ptr[first_desc[s]], hi)`` on a postordered
+        plan.
+        """
+        lo, hi = self.structure.col_range(s)
+        strip = [(a, b) for _, a, b in self.structure.row_runs(s).desc]
+        if strip and strip[-1][1] == lo:
+            strip[-1] = (strip[-1][0], hi)
+        else:
+            strip.append((lo, hi))
         return strip
 
     def restore(self, s: int) -> None:
@@ -563,9 +563,9 @@ class _BarrierSnapshot:
         least one axis), so restoring those two strips is exactly an
         undo of any partial first attempt.
         """
-        strip = self._strip(s)
-        self.shared[strip, :] = self.snap[strip, :]
-        self.shared[:, strip] = self.snap[:, strip]
+        for lo, hi in self._strip(s):
+            self.shared[lo:hi, :] = self.snap[lo:hi, :]
+            self.shared[:, lo:hi] = self.snap[:, lo:hi]
 
 
 class _Process(_Sequential):

@@ -68,6 +68,35 @@ def _no_check() -> None:
     """Default (free) cooperative-abort hook for :func:`eliminate_supernode`."""
 
 
+def _gather(dist: np.ndarray, row_runs, col_runs, shape) -> np.ndarray:
+    """A private copy of the block ``row_runs × col_runs`` of ``dist``.
+
+    Each run is ``(offset, start, stop)``: block rows (or columns)
+    ``[offset, offset + stop - start)`` are matrix indices
+    ``[start, stop)``, so the block is a handful of slice copies.
+    """
+    block = np.empty(shape, dtype=dist.dtype)
+    for ro, r0, r1 in row_runs:
+        for co, c0, c1 in col_runs:
+            block[ro:ro + r1 - r0, co:co + c1 - c0] = dist[r0:r1, c0:c1]
+    return block
+
+
+def _scatter(dist: np.ndarray, row_runs, col_runs, block: np.ndarray) -> None:
+    """Write ``block`` back where :func:`_gather` read it."""
+    for ro, r0, r1 in row_runs:
+        for co, c0, c1 in col_runs:
+            dist[r0:r1, c0:c1] = block[ro:ro + r1 - r0, co:co + c1 - c0]
+
+
+def _accumulate_aa(dist: np.ndarray, anc_runs, update: np.ndarray) -> None:
+    """⊕-accumulate a deferred ``A(s) × A(s)`` update into ``dist`` in place."""
+    for ro, r0, r1 in anc_runs:
+        for co, c0, c1 in anc_runs:
+            view = dist[r0:r1, c0:c1]
+            np.minimum(view, update[ro:ro + r1 - r0, co:co + c1 - c0], out=view)
+
+
 def eliminate_supernode(
     dist: np.ndarray,
     structure: SupernodalStructure,
@@ -77,14 +106,18 @@ def eliminate_supernode(
     aa_lock=None,
     defer_aa: bool = False,
     check=None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> np.ndarray | None:
     """Eliminate one supernode of the permuted distance matrix, as a transaction.
 
     Performs DiagUpdate, the two PanelUpdates restricted to
     ``A(s) ∪ D(s)``, and the four-region MinPlus outer product of §3.4.
     ``A(s)`` is clipped to the symbolic fill block rows: the ancestors
     that actually receive finite values, a subset of Algorithm 3's
-    literal ancestor chain.
+    literal ancestor chain.  Both sets are read and written as the
+    contiguous column runs of
+    :meth:`~repro.symbolic.structure.SupernodalStructure.row_runs` — on
+    a postordered plan ``D(s)`` is one run and ``A(s)`` a few — so every
+    gather and scatter is a handful of slice copies.
     Every kernel runs on a private copy of its block, and nothing is
     written back to ``dist`` until the last kernel and the last
     ``check()`` have returned.  An attempt that raises — an injected
@@ -95,14 +128,13 @@ def eliminate_supernode(
     ``aa_lock`` (when given) serializes the ``A(s) x A(s)`` trailing
     accumulation, which is the only region two cousin supernodes can share
     (§3.5) — pass it from the threaded executor.  ``defer_aa`` instead
-    *returns* the ``A×A`` contribution as ``(anc, update)`` without
-    touching that region — the process-pool backend's workers hand it to
-    the coordinator, which applies the ⊕-accumulations itself (the
-    paper's "those blocks are updated sequentially").  ``check`` (when
-    given) is a no-arg callable invoked between the kernels — a
-    cooperative abort point for deadlines enforced inside process
-    workers.  Returns ``None`` when the region was applied here or is
-    empty.
+    *returns* the ``A×A`` contribution, an ``|A(s)| × |A(s)|`` update,
+    without touching that region — the process-pool backend's workers
+    hand it to the coordinator, which applies the ⊕-accumulations itself,
+    run by run (the paper's "those blocks are updated sequentially").  ``check`` (when given) is a no-arg callable invoked
+    between the kernels — a cooperative abort point for deadlines
+    enforced inside process workers.  Returns ``None`` when the region
+    was applied here or is empty.
     """
     counter = counter if counter is not None else OpCounter()
     check = check if check is not None else _no_check
@@ -113,62 +145,54 @@ def eliminate_supernode(
         with tracer.span("diag", snode=s):
             counter.add("diag", diag_update(diag))
         check()
-        desc = structure.descendant_vertices(s)
-        anc = structure.ancestor_vertices(s)
-        rows = np.concatenate([desc, anc]) if desc.size or anc.size else desc
-        writes = [(np.s_[lo:hi, lo:hi], diag)]
+        runs = structure.row_runs(s)
+        own = ((0, lo, hi),)
+        writes = [(own, own, diag)]
         update = None
-        if rows.size:
-            col_panel = dist[rows, lo:hi]
-            row_panel = dist[lo:hi, rows]
+        nd, na = runs.nd, runs.na
+        if nd or na:
+            b = hi - lo
+            col_panel = _gather(dist, runs.rows, own, (nd + na, b))
+            row_panel = _gather(dist, own, runs.rows, (b, nd + na))
             with tracer.span("panel", snode=s):
                 counter.add("panel", panel_update_cols(col_panel, diag))
                 counter.add("panel", panel_update_rows(row_panel, diag))
             check()
-            writes += [(np.s_[rows, lo:hi], col_panel), (np.s_[lo:hi, rows], row_panel)]
-            nd = desc.shape[0]
+            writes += [(runs.rows, own, col_panel), (own, runs.rows, row_panel)]
             shared = aa_lock is not None or defer_aa
+            d, a = slice(None, nd), slice(nd, None)
             if not shared:
-                regions = [(rows, rows, slice(None), slice(None))]
+                regions = [(runs.rows, runs.rows, slice(None), slice(None))]
             else:
                 # Parallel path: the D×D, D×A and A×D regions are private
                 # to this supernode within an etree level; only A×A is
                 # shared between cousins.
-                regions = [(desc, desc, slice(None, nd), slice(None, nd))] if nd else []
-                if nd and anc.size:
-                    regions += [
-                        (desc, anc, slice(None, nd), slice(nd, None)),
-                        (anc, desc, slice(nd, None), slice(None, nd)),
-                    ]
+                regions = [(runs.desc, runs.desc, d, d)] if nd else []
+                if nd and na:
+                    regions += [(runs.desc, runs.anc, d, a),
+                                (runs.anc, runs.desc, a, d)]
             with tracer.span("outer", snode=s) if regions else nullcontext():
-                for r, c, rs, cs in regions:
-                    where = np.ix_(r, c)
-                    block = dist[where]
-                    counter.add(
-                        "outer",
-                        outer_update(block, col_panel[rs], row_panel[:, cs]),
-                    )
-                    writes.append((where, block))
+                for rr, cr, rs, cs in regions:
+                    lhs, rhs = col_panel[rs], row_panel[:, cs]
+                    block = _gather(dist, rr, cr, (lhs.shape[0], rhs.shape[1]))
+                    counter.add("outer", outer_update(block, lhs, rhs))
+                    writes.append((rr, cr, block))
                     check()
-            if shared and anc.size:
+            if shared and na:
                 with tracer.span("aa", snode=s, deferred=defer_aa):
-                    update = np.full((anc.shape[0], anc.shape[0]), np.inf)
+                    update = np.full((na, na), np.inf)
                     counter.add(
                         "outer",
-                        outer_update(update, col_panel[nd:], row_panel[:, nd:]),
+                        outer_update(update, col_panel[a], row_panel[:, a]),
                     )
         # Commit: every kernel has returned, so the writes cannot be torn
         # by a fault; cousins only share the A×A region.
-        for where, block in writes:
-            dist[where] = block
-        if update is None:
-            return None
-        if defer_aa:
-            return anc, update
+        for rr, cr, block in writes:
+            _scatter(dist, rr, cr, block)
+        if update is None or defer_aa:
+            return update
         with aa_lock:
-            aa = dist[np.ix_(anc, anc)]
-            np.minimum(aa, update, out=aa)
-            dist[np.ix_(anc, anc)] = aa
+            _accumulate_aa(dist, runs.anc, update)
     return None
 
 
@@ -349,11 +373,8 @@ def _sweep(
         recovery["task_retries"] += used - 1
         ops.merge(local)
         if payload is not None:
-            anc, update = payload
             with tracer.span("aa-apply", snode=s):
-                aa = dist[np.ix_(anc, anc)]
-                np.minimum(aa, update, out=aa)
-                dist[np.ix_(anc, anc)] = aa
+                _accumulate_aa(dist, structure.row_runs(s).anc, payload)
         if tracker is not None:
             tracker.charge(local.total, units=1, where=f"{name}:supernode {s}")
 

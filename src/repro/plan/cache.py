@@ -21,7 +21,7 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.obs import get_tracer
 from repro.plan.keys import plan_cache_key, structure_hash
-from repro.plan.plan import Plan, analyze
+from repro.plan.plan import PLAN_FORMAT_VERSION, Plan, analyze
 
 
 class PlanCache:
@@ -83,9 +83,13 @@ class PlanCache:
             try:
                 plan = Plan.load(path)
             except ValueError:
-                # Unreadable or newer-format file under this key: treat
-                # it as a miss and evict it, so the fresh analyze below
-                # can overwrite it instead of shadowing the slot forever.
+                plan = None
+            if plan is None or plan.format_version < PLAN_FORMAT_VERSION:
+                # Unreadable, newer- or older-format file under this key:
+                # treat it as a miss and evict it, so the fresh analyze
+                # below can overwrite it instead of shadowing the slot
+                # forever.  An older plan would solve exactly, but it
+                # predates the postordered layout the sweep is fast on.
                 os.remove(path)
                 self.stale_evictions += 1
                 get_tracer().metric_inc("plan_cache.stale_evictions")

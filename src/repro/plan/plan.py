@@ -41,6 +41,7 @@ from repro.plan.keys import (
 )
 from repro.plan.router import DEFAULT_OPS_PER_SECOND, sweep_seconds
 from repro.resilience.errors import PlanMismatchError
+from repro.symbolic.etree import elimination_tree, postorder, relabel_etree
 from repro.symbolic.fill import symbolic_cholesky
 from repro.symbolic.structure import (
     SupernodalStructure,
@@ -51,10 +52,13 @@ from repro.symbolic.structure import (
 #: On-disk format version of :meth:`Plan.save`.  v2 added the reduction
 #: trail, the original vertex count, and the ordering score report; v3
 #: stores one neighbor list per trail event, read off the symmetric
-#: pattern.  v1 files load with ``trail=None``, v2 files with an
-#: undirected trail load as they are, and a v2 directed trail (built on
-#: arc directions) raises ``ValueError``.
-PLAN_FORMAT_VERSION = 3
+#: pattern; v4 plans are postordered and relaxed along etree chains
+#: only (same arrays, different ordering and supernodes).  v1 files load
+#: with ``trail=None``, v2 files with an undirected trail load as they
+#: are, and a v2 directed trail (built on arc directions) raises
+#: ``ValueError``.  Every older file still solves exactly;
+#: :class:`~repro.plan.cache.PlanCache` re-analyzes it instead.
+PLAN_FORMAT_VERSION = 4
 
 
 @dataclass
@@ -90,8 +94,8 @@ class Plan:
     """Weight-independent product of the analyze phase.
 
     Holds everything the numeric sweeps need that does *not* depend on
-    edge weights: the ordering, the supernodal structure (which embeds
-    the elimination-tree task schedule via
+    edge weights: the postordered ordering, the supernodal structure
+    (which embeds the elimination-tree task schedule via
     :meth:`~repro.symbolic.structure.SupernodalStructure.level_order`),
     the symmetrized unit-weight ``pattern`` the symbolic analysis ran
     on, and the per-supernode vertex-level fill rows the multifrontal
@@ -130,6 +134,9 @@ class Plan:
     score_report:
         JSON-able record of the ``ordering="auto"`` candidate scoring
         (fill, modeled solve ops/seconds per candidate, and the pick).
+    format_version:
+        :data:`PLAN_FORMAT_VERSION` of a fresh plan, or the version of
+        the file a loaded plan came from.
     """
 
     key: str
@@ -143,6 +150,7 @@ class Plan:
     timings: dict[str, float] = field(default_factory=dict)
     trail: ReductionTrail | None = None
     score_report: dict[str, Any] | None = None
+    format_version: int = PLAN_FORMAT_VERSION
 
     # ------------------------------------------------------------------
     @property
@@ -313,6 +321,7 @@ class Plan:
                 snode_rows=_unpack_ragged(data["rows_concat"], data["rows_ptr"]),
                 trail=trail,
                 score_report=header.get("score_report"),
+                format_version=int(header["version"]),
             )
 
 
@@ -362,25 +371,37 @@ def _unit_pattern(graph: Graph | DiGraph) -> Graph:
 
 def _symbolic_bundle(
     pattern: Graph,
-    perm: np.ndarray,
+    ordering: Ordering,
     *,
     relax: bool,
     max_snode: int,
     small_snode: int,
-) -> tuple[SupernodalStructure, list[np.ndarray]]:
-    """Symbolic analysis for one candidate ordering.
+) -> tuple[Ordering, SupernodalStructure, list[np.ndarray]]:
+    """Postorder one candidate ordering and run its symbolic analysis.
 
-    Returns the supernodal structure plus the per-supernode vertex-level
-    fill rows (union over member columns, restricted above the supernode
-    — the multifrontal frontal index sets), derived while the symbolic
-    factor is in hand so no backend ever recomputes them.
+    The etree is computed once, relabelled by its postorder and handed
+    to the symbolic factorization, and the ordering is composed with the
+    same postorder: an equivalent ordering with the same fill, under
+    which every subtree is one column range.  Returns that ordering, the
+    supernodal structure, and the per-supernode vertex-level fill rows
+    (union over member columns, restricted above the supernode — the
+    multifrontal frontal index sets), derived while the symbolic factor
+    is in hand so no backend ever recomputes them.
     """
-    return supernodal_analysis(
-        symbolic_cholesky(pattern, perm),
+    parent = elimination_tree(pattern, ordering.perm)
+    order = postorder(parent)
+    ordering = Ordering(
+        perm=ordering.perm[order], method=ordering.method, stats=ordering.stats
+    )
+    structure, snode_rows = supernodal_analysis(
+        symbolic_cholesky(
+            pattern, ordering.perm, parent=relabel_etree(parent, order)
+        ),
         relax=relax,
         max_snode=max_snode,
         small_snode=small_snode,
     )
+    return ordering, structure, snode_rows
 
 
 def _modeled_cost(
@@ -440,11 +461,15 @@ def analyze(
         baseline), ``"natural"`` (identity), or a prebuilt
         :class:`~repro.ordering.base.Ordering` — *any* permutation
         works, since the etree's parents are higher-numbered by
-        construction.
+        construction.  Every ordering is composed with its etree
+        postorder (same fill, every subtree one column range), so
+        ``Plan.ordering`` is that postordered permutation while
+        ``Plan.params["ordering"]`` keeps the caller's tag.
     leaf_size:
         ND recursion cut-off.
     relax / max_snode / small_snode:
-        Supernode amalgamation controls
+        Supernode amalgamation controls: chain-only merges of small
+        supernodes into their only-child parents
         (see :func:`repro.symbolic.supernodes.relax_supernodes`).
     seed:
         Seeds the ND partitioner.
@@ -537,17 +562,17 @@ def analyze(
                     cand_nd,
                     bundle := _symbolic_bundle(
                         pattern,
-                        cand.perm,
+                        cand,
                         relax=relax,
                         max_snode=max_snode,
                         small_snode=small_snode,
                     ),
-                    _modeled_cost(*bundle),
+                    _modeled_cost(*bundle[1:]),
                 )
                 for name, cand, cand_nd in candidates
             ]
             # min() is stable and "nd" is listed first, so ties keep ND.
-            name, ordr, nd, (structure, snode_rows), _cost = min(
+            name, _, nd, (ordr, structure, snode_rows), _cost = min(
                 scored, key=lambda t: t[4]["modeled_seconds"]
             )
             score_report = {
@@ -557,9 +582,9 @@ def analyze(
             if tracer.enabled:
                 tracer.metric_inc(f"ordering.auto.pick.{name}")
         else:
-            structure, snode_rows = _symbolic_bundle(
+            ordr, structure, snode_rows = _symbolic_bundle(
                 pattern,
-                ordr.perm,
+                ordr,
                 relax=relax,
                 max_snode=max_snode,
                 small_snode=small_snode,

@@ -510,7 +510,7 @@ class HubLabelIndex:
 
             with tracer.span("hub-index-shards"):
                 # Each extended etree tree is one (weak) component of the
-                # graph — supernode relaxation merges only into the etree
+                # graph — supernode relaxation merges only into an etree
                 # parent, and a trail vertex hangs below a neighbor in
                 # the symmetric pattern — so the shard is the vertex's
                 # tree root, numbered in order of each tree's smallest

@@ -5,6 +5,11 @@ column dependency of the elimination process: column ``j``'s parent is the
 smallest row index below the diagonal in column ``j`` of the Cholesky
 factor.  For SuperFW it encodes which (super)nodes may be eliminated
 concurrently (paper §3.3, Fig. 4c).
+
+``analyze`` computes the etree once per candidate ordering, relabels it
+by its :func:`postorder` (:func:`relabel_etree`) and composes the
+ordering with that postorder, so every subtree of every plan is one
+contiguous column range ending at its root.
 """
 
 from __future__ import annotations
@@ -56,16 +61,21 @@ def elimination_tree(graph: Graph, perm: np.ndarray | None = None) -> np.ndarray
 def etree_children(parent: np.ndarray) -> list[list[int]]:
     """Children lists for an etree parent array."""
     children: list[list[int]] = [[] for _ in range(parent.shape[0])]
-    for v, p in enumerate(parent):
+    for v, p in enumerate(parent.tolist()):
         if p >= 0:
             children[p].append(v)
     return children
 
 
 def postorder(parent: np.ndarray) -> np.ndarray:
-    """A postorder of the etree (children before parents).
+    """A postorder of the etree: children before parents, subtrees contiguous.
 
-    Returns ``order`` with ``order[k]`` the k-th column visited.
+    Returns ``order`` with ``order[k]`` the k-th column visited by a
+    depth-first walk that takes roots and children in ascending index
+    order.  Relabelling column ``order[k]`` as ``k`` is an *equivalent*
+    ordering — same etree up to relabelling (:func:`relabel_etree`),
+    same fill (Liu, SIAM J. Matrix Anal. Appl. 1990) — in which every
+    subtree is one index range ending at its root.
     """
     n = parent.shape[0]
     children = etree_children(parent)
@@ -88,13 +98,22 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return order
 
 
+def relabel_etree(parent: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The etree ``parent`` after relabelling column ``order[k]`` as ``k``."""
+    rank = invert_permutation(order)
+    old = parent[order]
+    return np.where(old >= 0, rank[np.maximum(old, 0)], -1)
+
+
 def is_postordered(parent: np.ndarray) -> bool:
     """True when every parent index exceeds its child (topological order).
 
     Every etree produced by :func:`elimination_tree` has this property *by
     construction* (``parent[j]`` is the smallest below-diagonal row of
     column ``j``, hence ``> j``), so the supernodal pipeline accepts any
-    vertex permutation.  The check matters for hand-built parent arrays,
+    vertex permutation.  It is weaker than a :func:`postorder`, which
+    also keeps every subtree contiguous; ``analyze`` composes each
+    ordering with one.  The check matters for hand-built parent arrays,
     e.g. in :func:`etree_levels`.
     """
     idx = np.flatnonzero(parent >= 0)

@@ -51,12 +51,19 @@ class SymbolicFactor:
         return self.parent.shape[0]
 
 
-def symbolic_cholesky(graph: Graph, perm: np.ndarray | None = None) -> SymbolicFactor:
+def symbolic_cholesky(
+    graph: Graph,
+    perm: np.ndarray | None = None,
+    *,
+    parent: np.ndarray | None = None,
+) -> SymbolicFactor:
     """Compute the exact fill structure of ``graph`` under ``perm``.
 
     Works for *any* permutation: the etree's parents are higher-numbered
     than their children by construction, so the ascending column sweep
-    always sees children before parents.
+    always sees children before parents.  ``parent`` is the etree of
+    ``graph`` under ``perm`` when the caller already has it — ``analyze``
+    relabels one etree by its postorder instead of computing a second.
     """
     n = graph.n
     if perm is None:
@@ -65,7 +72,8 @@ def symbolic_cholesky(graph: Graph, perm: np.ndarray | None = None) -> SymbolicF
         check_permutation(perm, n)
         perm = np.asarray(perm, dtype=np.int64)
     iperm = invert_permutation(perm)
-    parent = elimination_tree(graph, perm)
+    if parent is None:
+        parent = elimination_tree(graph, perm)
     children = etree_children(parent)
     col_struct: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
     col_counts = np.zeros(n, dtype=np.int64)

@@ -2,21 +2,48 @@
 
 :class:`SupernodalStructure` is the object the SuperFW sweep walks: for each
 supernode it serves the column range, the descendant set ``D(k)``, and the
-ancestor set ``A(k)`` — either the full etree ancestor path (as Algorithm 3
-is written) or clipped to the exact symbolic fill rows (never larger, often
-much smaller, and provably sufficient because a finite ``Dist[i,k]`` at
-step ``k`` with ``i > k`` implies ``(i,k)`` is in the filled pattern).
+ancestor set ``A(k)``, clipped to the exact symbolic fill rows (never
+larger than Algorithm 3's literal etree ancestor chain, often much
+smaller, and provably sufficient because a finite ``Dist[i,k]`` at step
+``k`` with ``i > k`` implies ``(i,k)`` is in the filled pattern).
+
+Every plan ``analyze`` builds is postordered, so ``D(s)`` is the one
+supernode range ``[first_desc[s], s)`` and ``A(s)`` a few ancestor
+ranges.  :meth:`SupernodalStructure.row_runs` serves ``D(s) ++ A(s)`` as
+contiguous column runs, which the sweep moves with slice copies.  A
+structure that is not postordered (an older plan file, a hand-built
+structure) gets exact runs too — more of them, so it solves slower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.symbolic.etree import etree_levels
 from repro.symbolic.fill import SymbolicFactor
 from repro.symbolic.supernodes import find_supernodes, relax_supernodes, supernode_parents
+
+#: One contiguous piece of a supernode's update rows: block rows
+#: ``[offset, offset + stop - start)`` are matrix columns ``[start, stop)``.
+Run = tuple[int, int, int]
+
+
+class RowRuns(NamedTuple):
+    """``D(s) ++ A(s)`` of one supernode as contiguous column runs.
+
+    ``desc`` and ``anc`` carry offsets within ``D(s)`` and ``A(s)``;
+    ``rows`` is both, with ``anc`` shifted by ``nd``, in the panel order
+    the sweep uses (``D(s)`` first).
+    """
+
+    desc: tuple[Run, ...]
+    anc: tuple[Run, ...]
+    rows: tuple[Run, ...]
+    nd: int
+    na: int
 
 
 @dataclass
@@ -39,6 +66,12 @@ class SupernodalStructure:
         For each supernode, the sorted ancestor supernodes that contain at
         least one exact fill row of its columns (the supernodal factor's
         block-column structure).
+    first_desc:
+        Lowest supernode of each supernode's subtree (itself for a
+        leaf), from one ascending pass over ``parent``.
+    postordered:
+        Every subtree is one supernode range, so ``D(s)`` is exactly
+        ``[first_desc[s], s)`` — true of every plan ``analyze`` builds.
     """
 
     snode_ptr: np.ndarray
@@ -49,7 +82,24 @@ class SupernodalStructure:
     fill_block_rows: list[np.ndarray]
     nnz_factor: int = 0
     fill_in: int = 0
-    _subtree_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    first_desc: np.ndarray = field(init=False, repr=False)
+    postordered: bool = field(init=False, repr=False)
+    _runs: list[RowRuns] | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # One ascending pass (parents outnumber their children): each
+        # subtree's lowest supernode and its size.  The structure is
+        # postordered iff every subtree fills its range [first, s].
+        first = list(range(self.ns))
+        size = [1] * self.ns
+        for s, p in enumerate(self.parent.tolist()):
+            if p >= 0:
+                size[p] += size[s]
+                first[p] = min(first[p], first[s])
+        self.first_desc = np.asarray(first, dtype=np.int64)
+        self.postordered = all(
+            f == s - k + 1 for s, (f, k) in enumerate(zip(first, size))
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -73,7 +123,7 @@ class SupernodalStructure:
 
     # ------------------------------------------------------------------
     def ancestor_snodes(self, s: int) -> np.ndarray:
-        """``A(s)``: the parent chain of ``s`` up to its root (ascending)."""
+        """The parent chain of ``s`` up to its root (ascending)."""
         out = []
         p = self.parent[s]
         while p >= 0:
@@ -82,19 +132,23 @@ class SupernodalStructure:
         return np.asarray(out, dtype=np.int64)
 
     def descendant_snodes(self, s: int) -> np.ndarray:
-        """``D(s)``: every supernode strictly below ``s`` (sorted)."""
-        cached = self._subtree_cache.get(s)
-        if cached is not None:
-            return cached
-        out: list[int] = []
-        stack = list(self.children[s])
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        arr = np.asarray(sorted(out), dtype=np.int64)
-        self._subtree_cache[s] = arr
-        return arr
+        """``D(s)``: every supernode strictly below ``s`` (sorted).
+
+        ``[first_desc[s], s)`` on a postordered structure; otherwise the
+        members of that range whose root path meets ``s``.
+        """
+        lo = int(self.first_desc[s])
+        cand = np.arange(lo, s, dtype=np.int64)
+        if self.postordered or not cand.size:
+            return cand
+        # Parents exceed children: a descending pass settles membership.
+        below = np.zeros(s - lo + 1, dtype=bool)
+        below[-1] = True
+        parent = self.parent
+        for t in range(s - 1, lo - 1, -1):
+            p = int(parent[t])
+            below[t - lo] = lo <= p <= s and below[p - lo]
+        return cand[below[:-1]]
 
     def _vertices_of(self, snodes: np.ndarray) -> np.ndarray:
         if snodes.size == 0:
@@ -106,18 +160,49 @@ class SupernodalStructure:
         return np.concatenate(parts)
 
     def descendant_vertices(self, s: int) -> np.ndarray:
-        """Columns of every supernode in ``D(s)`` (ascending)."""
+        """Columns of every supernode in ``D(s)`` (ascending).
+
+        The range ``[snode_ptr[first_desc[s]], snode_ptr[s])`` on a
+        postordered structure.
+        """
         return self._vertices_of(self.descendant_snodes(s))
 
-    def ancestor_vertices(self, s: int, *, exact: bool = True) -> np.ndarray:
-        """Columns of ``A(s)`` — exact fill block rows or the full chain.
+    def ancestor_vertices(self, s: int) -> np.ndarray:
+        """Columns of ``A(s)``: the exact fill block rows of ``s``.
 
-        ``exact=True`` uses the supernodal factor's block structure (the
-        ancestors that actually receive finite values); ``exact=False``
-        reproduces Algorithm 3 literally.
+        These are the ancestors that actually receive finite values, a
+        subset of the columns of :meth:`ancestor_snodes`.
         """
-        snodes = self.fill_block_rows[s] if exact else self.ancestor_snodes(s)
-        return self._vertices_of(snodes)
+        return self._vertices_of(self.fill_block_rows[s])
+
+    def row_runs(self, s: int) -> RowRuns:
+        """``D(s) ++ A(s)`` of supernode ``s`` as contiguous column runs.
+
+        Computed for every supernode on the first call and kept on the
+        structure.  Runs coalesce any consecutive supernodes, so a
+        postordered ``D(s)`` is one run and ``A(s)`` a few.
+        """
+        if self._runs is None:
+            self._runs = self._build_runs()
+        return self._runs[s]
+
+    def _build_runs(self) -> list[RowRuns]:
+        ptr = self.snode_ptr
+        if self.postordered:
+            desc = [[(lo, hi)] if lo < hi else []
+                    for lo, hi in zip(ptr[self.first_desc].tolist(),
+                                      ptr[:-1].tolist())]
+        else:
+            desc = _coalesce(
+                [self.descendant_snodes(s) for s in range(self.ns)], ptr
+            )
+        out = []
+        for d, a in zip(desc, _coalesce(self.fill_block_rows, ptr)):
+            d, nd = _offsets(d)
+            a, na = _offsets(a)
+            rows = d + tuple((off + nd, lo, hi) for off, lo, hi in a)
+            out.append(RowRuns(d, a, rows, nd, na))
+        return out
 
     # ------------------------------------------------------------------
     def level_order(self) -> list[np.ndarray]:
@@ -146,25 +231,64 @@ class SupernodalStructure:
         }
 
 
+def _coalesce(
+    snode_lists: list[np.ndarray], snode_ptr: np.ndarray
+) -> list[list[tuple[int, int]]]:
+    """Column runs ``(start, stop)`` of each ascending supernode list.
+
+    Consecutive supernodes of one list share a run; one vectorized pass
+    over every list at once.
+    """
+    ns = len(snode_lists)
+    owner = np.repeat(np.arange(ns, dtype=np.int64),
+                      [a.shape[0] for a in snode_lists])
+    if not owner.size:
+        return [[] for _ in range(ns)]
+    snodes = np.concatenate(snode_lists)
+    new = np.ones(snodes.shape[0], dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (snodes[1:] != snodes[:-1] + 1)
+    first = np.flatnonzero(new)
+    last = np.append(first[1:], snodes.shape[0]) - 1
+    pairs = list(zip(snode_ptr[snodes[first]].tolist(),
+                     snode_ptr[snodes[last] + 1].tolist()))
+    bounds = np.cumsum(np.bincount(owner[first], minlength=ns)).tolist()
+    return [pairs[i:j] for i, j in zip([0] + bounds[:-1], bounds)]
+
+
+def _offsets(pairs: list[tuple[int, int]]) -> tuple[tuple[Run, ...], int]:
+    """``(start, stop)`` pairs as runs with block offsets, and their rows."""
+    runs, at = [], 0
+    for lo, hi in pairs:
+        runs.append((at, lo, hi))
+        at += hi - lo
+    return tuple(runs), at
+
+
 def panel_rows(structure: SupernodalStructure) -> np.ndarray:
     """Per-supernode panel height ``|D(s)| + |A(s)|`` of the exact sweep.
 
-    ``D(s)`` counts every vertex below ``s`` in the supernodal etree — one
-    ascending pass of subtree sums, since parents outnumber their
-    children — and ``A(s)`` the vertices of the exact fill block rows
-    (:meth:`SupernodalStructure.ancestor_vertices` with ``exact=True``).
-    No row arrays are built.
+    On a postordered structure ``D(s)`` is the column range
+    ``[snode_ptr[first_desc[s]], snode_ptr[s])``; otherwise its width is
+    an ascending pass of subtree sums, since parents outnumber their
+    children.  ``A(s)`` counts the vertices of the exact fill block rows
+    (:meth:`SupernodalStructure.ancestor_vertices`).  No row arrays are
+    built.
     """
-    widths = np.diff(structure.snode_ptr)
-    subtree = widths.tolist()
-    for s, p in enumerate(structure.parent.tolist()):
-        if p >= 0:
-            subtree[p] += subtree[s]
+    ptr = structure.snode_ptr
+    widths = np.diff(ptr)
+    if structure.postordered:
+        desc = ptr[:-1] - ptr[structure.first_desc]
+    else:
+        subtree = widths.tolist()
+        for s, p in enumerate(structure.parent.tolist()):
+            if p >= 0:
+                subtree[p] += subtree[s]
+        desc = np.asarray(subtree, dtype=np.int64) - widths
     blocks = structure.fill_block_rows
     owner = np.repeat(np.arange(structure.ns), [blk.shape[0] for blk in blocks])
     flat = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
     anc = np.bincount(owner, weights=widths[flat], minlength=structure.ns)
-    return np.asarray(subtree, dtype=np.int64) - widths + anc.astype(np.int64)
+    return desc + anc.astype(np.int64)
 
 
 def superfw_snode_ops(structure: SupernodalStructure) -> np.ndarray:
@@ -255,8 +379,9 @@ def build_structure(
     sym:
         Output of :func:`repro.symbolic.fill.symbolic_cholesky`.
     relax:
-        Amalgamate small supernodes into parents (bigger blocks, slightly
-        more logical work) — the supernodal analogue of relaxed supernodes.
+        Amalgamate small supernodes up etree chains (bigger blocks,
+        slightly more logical work, no longer hub labels) — the
+        supernodal analogue of relaxed supernodes.
     max_snode / small_snode:
         Relaxation thresholds (see :func:`repro.symbolic.supernodes.relax_supernodes`).
     """

@@ -8,8 +8,9 @@ supernodes instead of columns turns every kernel into a blocked
 
 :func:`relax_supernodes` additionally amalgamates small supernodes into
 their parents — trading a bounded amount of extra (logically-∞) work for
-larger, better-performing blocks, exactly as relaxed supernodes do in
-sparse direct solvers.
+larger, better-performing blocks, as relaxed supernodes do in sparse
+direct solvers.  It merges only along etree chains (a parent with one
+child), so no sibling's ancestor chain, and no hub label, grows.
 """
 
 from __future__ import annotations
@@ -66,44 +67,34 @@ def relax_supernodes(
     max_size: int = 64,
     small: int = 8,
 ) -> np.ndarray:
-    """Amalgamate small supernodes into their parents.
+    """Amalgamate small supernodes up their etree chains.
 
-    A supernode of at most ``small`` columns merges into its parent when
-    the parent is the *next* contiguous supernode and the merged size stays
-    within ``max_size``.  Keeps block ranges contiguous, so the rest of the
-    pipeline is oblivious to relaxation.
+    A range of at most ``small`` columns merges into the *next*
+    supernode when that supernode is its etree parent (the parent of its
+    last column is the next column), it is that parent's **only** child,
+    and the merged size stays within ``max_size``; a merged range can
+    merge again.  Only a chain merges, so no other supernode's ancestor
+    chain — and no hub label — gains a column.  The only-child test is
+    O(1): the parent is a chain whose every column has exactly one etree
+    child.  Keeps block ranges contiguous, so the rest of the pipeline
+    is oblivious to relaxation.
     """
-    if sym.n == 0:
+    n = sym.n
+    if n == 0:
         return snode_ptr
-    parent = supernode_parents(sym, snode_ptr)
-    ns = snode_ptr.shape[0] - 1
-    starts = list(snode_ptr[:-1])
-    ends = list(snode_ptr[1:])
-    merged = True
-    while merged:
-        merged = False
-        s = 0
-        while s < len(starts) - 1:
-            size = ends[s] - starts[s]
-            nxt = s + 1
-            # Contiguity + parenthood: parent's first column must be the
-            # column right after this supernode's last.
-            if (
-                size <= small
-                and starts[nxt] == ends[s]
-                and _parent_of_range(sym, starts[s], ends[s]) == starts[nxt]
-                and (ends[nxt] - starts[s]) <= max_size
-            ):
-                ends[s] = ends[nxt]
-                del starts[nxt], ends[nxt]
-                merged = True
-            else:
-                s += 1
-    del parent, ns
-    return np.asarray(starts + [ends[-1]], dtype=np.int64)
-
-
-def _parent_of_range(sym: SymbolicFactor, lo: int, hi: int) -> int:
-    """Etree parent column of the supernode spanning ``[lo, hi)``."""
-    p = sym.parent[hi - 1]
-    return int(p) if p >= 0 else -1
+    parent = sym.parent
+    # multi[j]: columns before j whose child count is not exactly one.
+    nchild = np.bincount(parent[parent >= 0], minlength=n)
+    multi = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(nchild != 1, out=multi[1:])
+    multi = multi.tolist()
+    par = parent.tolist()
+    bounds = snode_ptr.tolist()
+    starts = [0]
+    for b, c in zip(bounds[1:-1], bounds[2:]):
+        a = starts[-1]
+        chain = par[b - 1] == b and multi[c] == multi[b]
+        if chain and b - a <= small and c - a <= max_size:
+            continue
+        starts.append(b)
+    return np.asarray(starts + [n], dtype=np.int64)

@@ -256,7 +256,7 @@ def _save_as_v2(plan, path) -> None:
 
 
 def test_plan_v2_loads_undirected_trails_and_rejects_directed(tmp_path):
-    assert PLAN_FORMAT_VERSION == 3
+    assert PLAN_FORMAT_VERSION == 4
     g = _graph("undirected", 7)
     plan = analyze(g, reduce=True)
     path = tmp_path / "u.plan.npz"
@@ -421,6 +421,19 @@ def test_hub_labels_exact_under_reduce(kind):
     got = index.query_many(i.ravel(), j.ravel()).reshape(g.n, g.n)
     assert np.array_equal(got, np.asarray(session.dist))
     session.close()
+
+
+def test_apsp_reduce_auto_is_analyze_reduce_auto():
+    # analyze(reduce="auto") drops this mesh's small simplicial trail;
+    # apsp must decide the same way, and accept the plan it describes.
+    g = delaunay_mesh(300, seed=0)
+    plan = analyze(g, reduce="auto")
+    assert plan.trail is None and build_trail(g).n_eliminated > 0
+    result = apsp(g, reduce="auto")
+    assert result.meta["plan"].plan_id == plan.plan_id
+    assert result.meta["plan"].trail is None
+    again = apsp(g, plan=plan, reduce="auto")
+    assert np.array_equal(again.dist, result.dist)
 
 
 def test_apsp_reduce_guard():

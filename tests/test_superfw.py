@@ -114,7 +114,7 @@ def test_eliminate_supernode_zero_is_noop_on_distances_outside_sets(mesh_graph):
         [
             np.arange(lo, hi),
             st.descendant_vertices(s),
-            st.ancestor_vertices(s, exact=True),
+            st.ancestor_vertices(s),
         ]
     )
     untouched = np.setdiff1d(np.arange(st.n), touched)

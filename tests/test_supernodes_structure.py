@@ -93,8 +93,9 @@ def test_fill_block_rows_subset_of_ancestors(sym):
 def test_exact_vertices_subset_of_etree_vertices(sym):
     st = build_structure(sym)
     for s in range(st.ns):
-        exact = set(st.ancestor_vertices(s, exact=True).tolist())
-        full = set(st.ancestor_vertices(s, exact=False).tolist())
+        exact = set(st.ancestor_vertices(s).tolist())
+        full = {v for a in st.ancestor_snodes(s)
+                for v in range(*st.col_range(int(a)))}
         assert exact <= full
 
 
