@@ -7,9 +7,8 @@ Standalone script (not pytest-benchmark) emitting ``BENCH_dynamic.json``:
   :meth:`~repro.plan.session.APSPSession.commit` (one router decision
   per tick) and one edge at a time through ``update_edge`` (every
   increase pays a full warm re-solve).  Each path replays the stream
-  ``--samples`` times (default 5), interleaved with the other, and the
-  ratio of the two median times must clear ``--check-min-speedup``
-  (default 10x).
+  ``CHECK_SAMPLES`` times, interleaved with the other, and the ratio of
+  the two median times must clear ``--check-min-speedup`` (default 10x).
 * ``exactness`` — every published epoch is compared bit-for-bit against
   a from-scratch SuperFW solve at that epoch's weights (weights are
   dyadic multiples of ``WEIGHT_QUANTUM``, so fold and re-solve agree to
@@ -48,6 +47,8 @@ from repro.resilience.faults import FaultSpec, inject_faults
 
 #: Batched commit throughput must beat the per-edge loop by this factor.
 CHECK_MIN_SPEEDUP = 10.0
+#: Interleaved replays per path; the speedup gate reads their medians.
+CHECK_SAMPLES = 5
 
 
 def _replay_batched(graph, stream) -> tuple[float, APSPSession, list, dict]:
@@ -78,12 +79,10 @@ def _replay_per_edge(graph, stream) -> tuple[float, APSPSession]:
     return time.perf_counter() - t0, session
 
 
-def bench_throughput(
-    n_side: int, ticks: int, per_tick: int, samples: int = 5
-) -> tuple[dict, list]:
+def bench_throughput(n_side: int, ticks: int, per_tick: int) -> tuple[dict, list]:
     """Batched commits vs a per-edge ``update_edge`` loop, same stream.
 
-    Each path replays the stream ``samples`` times from a fresh session,
+    Each path replays the stream ``CHECK_SAMPLES`` times from a fresh session,
     the two interleaved, and the speedup is the ratio of their median
     times, so one slow replay cannot fail the gate on its own.
     """
@@ -98,7 +97,7 @@ def bench_throughput(
     batched_times, per_edge_times = [], []
     identical_final = True
     epochs = decisions = None
-    for _ in range(samples):
+    for _ in range(CHECK_SAMPLES):
         seconds, batched, run_epochs, run_decisions = _replay_batched(graph, stream)
         batched_times.append(seconds)
         if epochs is None:
@@ -118,7 +117,7 @@ def bench_throughput(
         "per_tick": per_tick,
         "updates": n_updates,
         "decisions": decisions,
-        "samples": samples,
+        "samples": CHECK_SAMPLES,
         "batched_s": round(batched_s, 6),
         "batched_samples_s": [round(t, 6) for t in batched_times],
         "batched_updates_per_s": round(n_updates / max(batched_s, 1e-12), 1),
@@ -132,7 +131,7 @@ def bench_throughput(
     }
     print(
         f"throughput grid2d({n_side}): {n_updates} updates, median of "
-        f"{samples} | batched {batched_s * 1e3:7.1f} ms "
+        f"{CHECK_SAMPLES} | batched {batched_s * 1e3:7.1f} ms "
         f"({batched.recomputes} re-solves) | per-edge "
         f"{per_edge_s * 1e3:7.1f} ms ({per_edge.recomputes} re-solves) "
         f"| x{speedup:.1f}"
@@ -274,10 +273,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-min-speedup", type=float, default=CHECK_MIN_SPEEDUP
     )
-    parser.add_argument(
-        "--samples", type=int, default=5,
-        help="interleaved replays per path; the gate reads their medians",
-    )
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -289,7 +284,7 @@ def main(argv=None) -> int:
         exact_side, exact_ticks, exact_per_tick = 16, 6, 16
         router_side, chaos_side = 16, 12
 
-    throughput, _ = bench_throughput(side, ticks, per_tick, args.samples)
+    throughput, _ = bench_throughput(side, ticks, per_tick)
     exactness = bench_exactness(exact_side, exact_ticks, exact_per_tick)
     router = bench_router(router_side)
     chaos = bench_chaos(chaos_side)
@@ -315,7 +310,7 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(
-        f"batched/per-edge speedup (median of {args.samples}): "
+        f"batched/per-edge speedup (median of {CHECK_SAMPLES}): "
         f"x{throughput['speedup']:.1f}"
     )
     print(f"wrote {args.out}")

@@ -217,7 +217,9 @@ class Plan:
         """Persist the plan (npz arrays + JSON header) for warm starts.
 
         Everything weight-independent round-trips; the diagnostic
-        separator tree (``nd``) and timings do not.
+        separator tree (``nd``) and timings do not.  The header keeps
+        ``format_version``, so a plan loaded from an older file is saved
+        as that older version and a :class:`PlanCache` still evicts it.
         """
         import json
 
@@ -226,7 +228,7 @@ class Plan:
         rows_concat, rows_ptr = _pack_ragged(self.snode_rows)
         header = {
             "format": "repro-plan",
-            "version": PLAN_FORMAT_VERSION,
+            "version": self.format_version,
             "key": self.key,
             "plan_id": self.plan_id,
             "n": self.n,

@@ -188,14 +188,7 @@ class SupernodalStructure:
 
     def _build_runs(self) -> list[RowRuns]:
         ptr = self.snode_ptr
-        if self.postordered:
-            desc = [[(lo, hi)] if lo < hi else []
-                    for lo, hi in zip(ptr[self.first_desc].tolist(),
-                                      ptr[:-1].tolist())]
-        else:
-            desc = _coalesce(
-                [self.descendant_snodes(s) for s in range(self.ns)], ptr
-            )
+        desc = _coalesce([self.descendant_snodes(s) for s in range(self.ns)], ptr)
         out = []
         for d, a in zip(desc, _coalesce(self.fill_block_rows, ptr)):
             d, nd = _offsets(d)
@@ -267,28 +260,22 @@ def _offsets(pairs: list[tuple[int, int]]) -> tuple[tuple[Run, ...], int]:
 def panel_rows(structure: SupernodalStructure) -> np.ndarray:
     """Per-supernode panel height ``|D(s)| + |A(s)|`` of the exact sweep.
 
-    On a postordered structure ``D(s)`` is the column range
-    ``[snode_ptr[first_desc[s]], snode_ptr[s])``; otherwise its width is
-    an ascending pass of subtree sums, since parents outnumber their
-    children.  ``A(s)`` counts the vertices of the exact fill block rows
+    ``D(s)`` counts every vertex below ``s`` in the supernodal etree — one
+    ascending pass of subtree sums, since parents outnumber their
+    children — and ``A(s)`` the vertices of the exact fill block rows
     (:meth:`SupernodalStructure.ancestor_vertices`).  No row arrays are
     built.
     """
-    ptr = structure.snode_ptr
-    widths = np.diff(ptr)
-    if structure.postordered:
-        desc = ptr[:-1] - ptr[structure.first_desc]
-    else:
-        subtree = widths.tolist()
-        for s, p in enumerate(structure.parent.tolist()):
-            if p >= 0:
-                subtree[p] += subtree[s]
-        desc = np.asarray(subtree, dtype=np.int64) - widths
+    widths = np.diff(structure.snode_ptr)
+    subtree = widths.tolist()
+    for s, p in enumerate(structure.parent.tolist()):
+        if p >= 0:
+            subtree[p] += subtree[s]
     blocks = structure.fill_block_rows
     owner = np.repeat(np.arange(structure.ns), [blk.shape[0] for blk in blocks])
     flat = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
     anc = np.bincount(owner, weights=widths[flat], minlength=structure.ns)
-    return desc + anc.astype(np.int64)
+    return np.asarray(subtree, dtype=np.int64) - widths + anc.astype(np.int64)
 
 
 def superfw_snode_ops(structure: SupernodalStructure) -> np.ndarray:

@@ -176,3 +176,20 @@ def test_plan_cache_reanalyzes_an_older_format_file(tmp_path):
     fresh = PlanCache(directory=str(tmp_path))
     assert fresh.get_or_analyze(g).plan_id == plan.plan_id
     assert fresh.disk_hits == 1 and fresh.stale_evictions == 0
+
+
+def test_loaded_v3_plan_put_into_a_cache_is_still_evicted(tmp_path):
+    g = delaunay_mesh(120, seed=7)
+    old = tmp_path / "old.plan.npz"
+    _scattered_plan(g, 7).save(old)
+    _rewrite_version(old, 3)
+    cache = PlanCache(directory=str(tmp_path / "cache"))
+    key = cache.key_for(g)
+    # Saving a loaded v3 plan keeps its v3 header.
+    cache.put(Plan.load(old), key=key)
+    assert Plan.load(cache._path_for(key)).format_version == 3
+    fresh = PlanCache(directory=str(tmp_path / "cache"))
+    plan = fresh.get_or_analyze(g)
+    assert fresh.stale_evictions == 1 and fresh.disk_hits == 0
+    assert plan.format_version == PLAN_FORMAT_VERSION
+    assert plan.structure.postordered
