@@ -240,17 +240,28 @@ class Graph:
         return Graph.from_edges(self.n, edges)
 
     def subgraph(self, vertices: np.ndarray) -> "Graph":
-        """Induced subgraph on ``vertices`` (relabelled ``0..len-1``)."""
+        """Induced subgraph on ``vertices`` (relabelled ``0..len-1``).
+
+        One vectorised CSR slice with rows sorted by new neighbour id: it
+        equals ``Graph.from_edges`` on the induced edge list whenever the
+        arc weights are symmetric.  An induced subgraph of a symmetric
+        graph is symmetric, so the constructor's check is skipped.
+        """
         vertices = np.asarray(vertices, dtype=np.int64)
+        k = vertices.shape[0]
         local = np.full(self.n, -1, dtype=np.int64)
-        local[vertices] = np.arange(vertices.shape[0])
-        edges = self.edge_array()
-        if edges.size:
-            u = edges[:, 0].astype(np.int64)
-            v = edges[:, 1].astype(np.int64)
-            mask = (local[u] >= 0) & (local[v] >= 0)
-            edges = np.column_stack([local[u[mask]], local[v[mask]], edges[mask, 2]])
-        return Graph.from_edges(vertices.shape[0], edges)
+        local[vertices] = np.arange(k)
+        row = np.repeat(local, np.diff(self.indptr))
+        nbr = local[self.indices]
+        arcs = np.flatnonzero((row >= 0) & (nbr >= 0))
+        arcs = arcs[np.argsort(row[arcs] * k + nbr[arcs], kind="stable")]
+        sub = Graph.__new__(Graph)
+        sub.indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[arcs], minlength=k), out=sub.indptr[1:])
+        sub.indices = nbr[arcs]
+        sub.weights = self.weights[arcs]
+        sub.n = k
+        return sub
 
     def with_weights(self, weights: np.ndarray) -> "Graph":
         """Return a structurally identical graph with new arc weights."""

@@ -4,7 +4,8 @@ Pipeline (paper §3.2 relies on METIS/Scotch for exactly this):
 
 1. *Coarsen* by heavy-edge matching until the graph is small;
 2. *Initial partition* on the coarsest graph by BFS region growing from
-   several random seeds (plus a spectral attempt when cheap);
+   several random seeds, each grown side FM-refined, keeping the least
+   cut (METIS seeds its bisections the same way, with no eigensolver);
 3. *Uncoarsen*, projecting the bisection up and running FM refinement at
    every level.
 """
@@ -53,48 +54,16 @@ def _bfs_grow(graph: LevelGraph, start: int) -> np.ndarray:
     return side
 
 
-def _spectral_side(graph: LevelGraph) -> np.ndarray | None:
-    """Fiedler-vector bisection of the coarsest graph (best effort)."""
-    n = graph.n
-    if n < 8:
-        return None
-    try:
-        from scipy import sparse
-        from scipy.sparse.linalg import eigsh
-
-        w = graph.eweights.astype(np.float64)
-        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-        adj = sparse.coo_matrix((w, (rows, graph.indices)), shape=(n, n)).tocsr()
-        deg = np.asarray(adj.sum(axis=1)).ravel()
-        lap = sparse.diags(deg) - adj
-        vals, vecs = eigsh(
-            lap.astype(np.float64),
-            k=2,
-            sigma=-1e-6,
-            which="LM",
-            v0=np.ones(n),  # fixed start vector keeps the pipeline deterministic
-        )
-        fiedler = vecs[:, np.argsort(vals)[1]]
-        median = np.median(fiedler)
-        return (fiedler > median).astype(np.int8)
-    except Exception:
-        return None
-
-
 def _initial_partition(
     graph: LevelGraph, rng: np.random.Generator, *, tries: int, balance_tol: float
 ) -> np.ndarray:
     best_side: np.ndarray | None = None
     best_cut = np.iinfo(np.int64).max
-    candidates = []
     n = graph.n
-    starts = rng.choice(n, size=min(tries, n), replace=False)
-    candidates.extend(_bfs_grow(graph, int(s)) for s in starts)
-    spectral = _spectral_side(graph)
-    if spectral is not None:
-        candidates.append(spectral)
-    for side in candidates:
-        refined = fm_refine(graph, side, balance_tol=balance_tol)
+    for start in rng.choice(n, size=min(tries, n), replace=False):
+        refined = fm_refine(
+            graph, _bfs_grow(graph, int(start)), balance_tol=balance_tol
+        )
         cut = cut_weight(graph, refined)
         if cut < best_cut:
             best_cut = cut

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs.generators import barabasi_albert, delaunay_mesh
 from repro.graphs.graph import Graph
 
 
@@ -115,6 +116,71 @@ def test_subgraph_induced():
     assert sub.n == 3
     # Edges (0,1) and (0,3) survive; (1,2), (2,3) die with vertex 2.
     assert sub.num_edges == 2
+
+
+def edge_list_subgraph(g: Graph, vertices: np.ndarray) -> Graph:
+    """The edge-list round trip ``Graph.subgraph`` replaced (the oracle)."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[vertices] = np.arange(vertices.shape[0])
+    edges = g.edge_array()
+    if edges.size:
+        u = edges[:, 0].astype(np.int64)
+        v = edges[:, 1].astype(np.int64)
+        mask = (local[u] >= 0) & (local[v] >= 0)
+        edges = np.column_stack([local[u[mask]], local[v[mask]], edges[mask, 2]])
+    return Graph.from_edges(vertices.shape[0], edges)
+
+
+def _same_csr(a: Graph, b: Graph) -> bool:
+    return a.n == b.n and all(
+        getattr(a, f).dtype == getattr(b, f).dtype
+        and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("indptr", "indices", "weights")
+    )
+
+
+def _weighted_mesh() -> Graph:
+    rng = np.random.default_rng(5)
+    edges = delaunay_mesh(90, seed=2).edge_array()
+    edges[:, 2] = rng.integers(1, 50, edges.shape[0]) / 8.0
+    return Graph.from_edges(90, edges)
+
+
+#: name -> (graph builder, selection) for the byte-equality check.
+SUBGRAPH_CASES = {
+    "empty-selection": (small, []),
+    "isolated-vertex": (small, [2]),
+    # 0 and 2 share no edge: two components with no arc between them.
+    "disconnected": (small, [0, 2]),
+    "unsorted": (small, [3, 0, 1]),
+    "all": (small, [0, 1, 2, 3]),
+    "isolated-in-graph": (
+        lambda: Graph.from_edges(5, [(0, 1, 2.5), (3, 4, 0.25)]), [4, 2, 0, 1]
+    ),
+    "weighted-mesh-half": (_weighted_mesh, list(range(0, 90, 2))),
+    "weighted-mesh-shuffled": (
+        _weighted_mesh, np.random.default_rng(1).permutation(90)[:60]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBGRAPH_CASES))
+def test_subgraph_equals_edge_list_round_trip(name):
+    build, vertices = SUBGRAPH_CASES[name]
+    g = build()
+    vertices = np.asarray(vertices, dtype=np.int64)
+    assert _same_csr(g.subgraph(vertices), edge_list_subgraph(g, vertices))
+
+
+def test_subgraph_equals_edge_list_round_trip_on_random_selections():
+    rng = np.random.default_rng(0)
+    for g in (_weighted_mesh(), barabasi_albert(120, 3, seed=0)):
+        for _ in range(40):
+            vertices = rng.choice(g.n, size=int(rng.integers(0, g.n + 1)),
+                                  replace=False)
+            assert _same_csr(g.subgraph(vertices),
+                             edge_list_subgraph(g, vertices))
 
 
 def test_edge_array_canonical():

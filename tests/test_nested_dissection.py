@@ -1,5 +1,10 @@
 """Nested dissection: permutation validity, tree structure, separator sizes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +13,18 @@ from repro.graphs.generators import (
     delaunay_mesh,
     grid2d,
     power_grid_like,
+    road_network_like,
 )
+from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.ordering.nested_dissection import nested_dissection
+from repro.ordering.reduce import build_trail
+from repro.plan import analyze
+from repro.symbolic.structure import superfw_snode_ops
 from repro.util.perm import check_permutation
+
+from test_cost_law import FIXTURES as COST_LAW_FIXTURES
+from test_graph import edge_list_subgraph
 
 
 def test_perm_is_valid(any_graph):
@@ -132,3 +145,60 @@ def test_custom_bisector_used():
     g = grid2d(8, 8, seed=0)
     nested_dissection(g, leaf_size=8, seed=0, bisector=silly_bisector)
     assert calls and calls[0] == 64
+
+
+def _nd_pattern(build, options) -> Graph:
+    """The graph ``analyze`` hands to nested dissection for a fixture."""
+    g = build()
+    if options.get("reduce"):
+        trail = build_trail(g)
+        if trail.n_eliminated:
+            return trail.reduced_pattern(g)
+    return g.symmetrized() if isinstance(g, DiGraph) else g
+
+
+@pytest.mark.parametrize("name", sorted(COST_LAW_FIXTURES))
+def test_permutations_identical_with_edge_list_subgraph(name, monkeypatch):
+    pattern = _nd_pattern(*COST_LAW_FIXTURES[name])
+    new = nested_dissection(pattern, seed=0)
+    monkeypatch.setattr(Graph, "subgraph", edge_list_subgraph)
+    old = nested_dissection(pattern, seed=0)
+    assert new.perm.dtype == old.perm.dtype
+    assert new.perm.tobytes() == old.perm.tobytes()
+    assert new.separator_sizes_by_level() == old.separator_sizes_by_level()
+
+
+#: Exact-law sweep ops of each default plan when the initial partition
+#: still carried a spectral (Fiedler-vector) try; without it the ops read
+#: 1,396,460 / 11,369,200 / 1,942,892 / 657,376 / 4,845,808.  A
+#: partitioner change that worsens nested dissection fails here.
+ND_OPS_CEILING = {
+    "mesh": (lambda: delaunay_mesh(160, seed=1), 1_396_460),
+    "social": (lambda: barabasi_albert(256, 3, seed=0), 11_569_496),
+    "power-grid": (lambda: power_grid_like(300, seed=4), 1_952_132),
+    "road": (lambda: road_network_like(300, seed=2), 831_302),
+    "grid": (lambda: grid2d(16, 16, seed=0), 4_845_808),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ND_OPS_CEILING))
+def test_nd_plan_ops_do_not_exceed_ceiling(name):
+    build, ceiling = ND_OPS_CEILING[name]
+    ops = superfw_snode_ops(analyze(build(), seed=0).structure)
+    assert int(ops.sum()) <= ceiling
+
+
+def test_analyze_runs_no_eigensolver():
+    # The initial partition is BFS region growing plus FM only: a cold
+    # analyze never imports an eigensolver.
+    code = (
+        "import sys\n"
+        "from repro.graphs.generators import grid2d\n"
+        "from repro.plan import analyze\n"
+        "analyze(grid2d(24, 24, seed=0), ordering='auto', reduce=True)\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                   timeout=120)
