@@ -6,7 +6,7 @@ U-shape (tiny tiles pay loop overhead, huge tiles lose cache reuse); on
 this NumPy substrate per-kernel dispatch dominates instead, so larger
 tiles win monotonically up to the dense limit — a substrate contrast
 worth recording (EXPERIMENTS.md) because it explains why supernode
-*relaxation* pays here too.
+*amalgamation* pays here too.
 """
 
 from __future__ import annotations

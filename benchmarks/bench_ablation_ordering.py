@@ -93,7 +93,7 @@ def _run_config(graph, params: dict, repeats: int):
         "total_s": round(best[2], 4),
         "n_reduced": int(plan.n_reduced),
         "fill_in": int(stats["fill_in"]),
-        "max_snode": int(stats["max_snode"]),
+        "max_block": int(stats["max_block"]),
         "supernodes": int(stats["num_supernodes"]),
         "nnz_factor": int(stats["nnz_factor"]),
     }
@@ -133,18 +133,18 @@ def bench_graph(entry, graph, repeats: int) -> dict:
             if row["total_s"]
             else float("inf"),
             "fill_in": base["fill_in"] - row["fill_in"],
-            "max_snode": base["max_snode"] - row["max_snode"],
+            "max_block": base["max_block"] - row["max_block"],
             "n_removed": graph.n - row["n_reduced"],
         }
     auto = rows["auto"]
     improved = (
-        auto["max_snode"] < base["max_snode"]
+        auto["max_block"] < base["max_block"]
         or auto["fill_in"] < base["fill_in"]
     )
     slowdown = auto["total_s"] / base["total_s"] if base["total_s"] else 1.0
     print(
         f"{entry.name:>16}  n={graph.n:>6}  ->  nr={auto['n_reduced']:>6}"
-        f"  |S|max {base['max_snode']:>4}->{auto['max_snode']:>4}"
+        f"  |S|max {base['max_block']:>4}->{auto['max_block']:>4}"
         f"  fill {base['fill_in']:>8}->{auto['fill_in']:>8}"
         f"  auto/none x{slowdown:.2f}  pick={auto.get('picked', '?')}"
     )

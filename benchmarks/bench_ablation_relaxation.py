@@ -1,72 +1,91 @@
-"""Ablation bench: supernode relaxation (amalgamation) parameters.
+"""Ablation bench: cost-law supernode amalgamation against none.
 
-DESIGN.md calls out relaxed supernodes as a design choice: merging small
-supernodes into parents trades extra logical work (operating on a few
-provably-∞ entries) for larger blocks with less per-kernel dispatch
-overhead.  This bench sweeps the relaxation knobs and records the op
-count (work paid), the wall-clock (overhead saved) and the factor-built
-hub-label entries, which relaxation leaves unchanged because it merges
-only along etree chains.
+``analyze`` collapses whole etree subtrees into one block wherever the
+sweep's cost law — ops at the router's GEMM rate plus a fixed cost per
+block (:func:`repro.plan.router.sweep_seconds`) — prices the merged
+block below its parts (:func:`repro.symbolic.supernodes.amalgamate`).
+This bench compares that plan with the merge-free plan of the same
+ordering (fundamental supernodes) on five suite graphs: blocks, exact
+sweep ops (the work the merge adds), warm solve time (the dispatch it
+saves), hub-label entries (unchanged: labels follow the column etree,
+not the blocks) and the factor-built index's build time.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.superfw import superfw
-
-from repro.plan import APSPSession, analyze
-from repro.serve import HubLabelIndex
 from repro.experiments.common import format_table, save_table
 from repro.graphs.suite import get_entry
+from repro.plan import APSPSession, analyze
+from repro.serve import HubLabelIndex
+from repro.symbolic.fill import symbolic_cholesky
+from repro.symbolic.structure import supernodal_analysis
+
+#: A mesh, a power grid, a social graph, a road network and a sparse
+#: finite-element graph.
+GRAPHS = ["delaunay_n14", "USpowerGrid", "email-Enron", "luxembourg_osm", "wing"]
+
+#: Best-of repeats of each timed quantity.
+REPEATS = 3
 
 
-@pytest.fixture(scope="module")
-def mesh(bench_size_factor, bench_seed):
-    return get_entry("delaunay_n14").build(size_factor=bench_size_factor, seed=bench_seed)
+def merge_free(plan):
+    """``plan`` with its fundamental supernodes instead of merged blocks."""
+    sym = symbolic_cholesky(plan.pattern, plan.ordering.perm)
+    structure, rows = supernodal_analysis(sym)
+    return dataclasses.replace(plan, structure=structure, snode_rows=rows)
 
 
-SETTINGS = [
-    ("none", dict(relax=False)),
-    ("small", dict(relax=True, max_snode=24, small_snode=4)),
-    ("default", dict(relax=True, max_snode=64, small_snode=8)),
-    ("aggressive", dict(relax=True, max_snode=160, small_snode=24)),
-]
+def _row(graph, name, setting, plan) -> dict:
+    solves = [superfw(graph, plan=plan) for _ in range(REPEATS)]
+    builds = [
+        HubLabelIndex.build(APSPSession(graph, plan=plan))
+        for _ in range(REPEATS)
+    ]
+    return {
+        "graph": name,
+        "amalgamation": setting,
+        "blocks": plan.structure.ns,
+        "max_block": plan.structure.stats()["max_block"],
+        "ops": float(solves[0].ops.total),
+        "solve_ms": min(r.solve_seconds() for r in solves) * 1e3,
+        "label_entries": builds[0].entries,
+        "factor_build_ms": min(b.build_seconds for b in builds) * 1e3,
+    }
 
 
-def test_relaxation_table(benchmark, mesh, bench_seed):
+def test_relaxation_table(benchmark, bench_size_factor, bench_seed):
     def run():
         rows = []
-        for name, opts in SETTINGS:
-            plan = analyze(mesh, seed=bench_seed, **opts)
-            result = superfw(mesh, plan=plan)
-            rows.append(
-                {
-                    "relaxation": name,
-                    "supernodes": plan.structure.ns,
-                    "max_block": plan.structure.stats()["max_snode"],
-                    "ops": float(result.ops.total),
-                    "solve_ms": result.solve_seconds() * 1e3,
-                    "label_entries": HubLabelIndex.build(
-                        APSPSession(mesh, plan=plan)
-                    ).entries,
-                }
+        for name in GRAPHS:
+            graph = get_entry(name).build(
+                size_factor=bench_size_factor, seed=bench_seed
             )
+            plan = analyze(graph, seed=bench_seed)
+            rows.append(_row(graph, name, "none", merge_free(plan)))
+            rows.append(_row(graph, name, "cost law", plan))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     save_table("ablation_relaxation", format_table(rows))
-    by = {r["relaxation"]: r for r in rows}
-    # Relaxation must reduce supernode count (bigger blocks)...
-    assert by["default"]["supernodes"] <= by["none"]["supernodes"]
-    # ...at a bounded logical-work premium...
-    assert by["default"]["ops"] <= 2.0 * by["none"]["ops"]
-    # ...and chain-only merges never lengthen a hub label.
-    assert all(r["label_entries"] <= by["none"]["label_entries"] for r in rows)
+    for none, law in zip(rows[::2], rows[1::2]):
+        # The law only merges: fewer blocks, never fewer ops...
+        assert law["blocks"] <= none["blocks"]
+        assert law["ops"] >= none["ops"]
+        # ...and never touches a hub label.
+        assert law["label_entries"] == none["label_entries"]
 
 
-@pytest.mark.parametrize("setting", [s for s, _ in SETTINGS])
-def test_superfw_per_relaxation(benchmark, mesh, setting, bench_seed):
-    opts = dict(SETTINGS)[setting]
-    plan = analyze(mesh, seed=bench_seed, **opts)
-    benchmark.pedantic(lambda: superfw(mesh, plan=plan), rounds=2, iterations=1)
+@pytest.mark.parametrize("setting", ["none", "cost law"])
+def test_superfw_per_relaxation(benchmark, bench_size_factor, setting, bench_seed):
+    graph = get_entry("delaunay_n14").build(
+        size_factor=bench_size_factor, seed=bench_seed
+    )
+    plan = analyze(graph, seed=bench_seed)
+    if setting == "none":
+        plan = merge_free(plan)
+    benchmark.pedantic(lambda: superfw(graph, plan=plan), rounds=2, iterations=1)

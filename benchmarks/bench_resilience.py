@@ -3,20 +3,22 @@
 Standalone script (not pytest-benchmark) emitting ``BENCH_resilience.json``:
 
 * ``clean`` — the headline gate.  Supervision adds exactly two things to
-  a fault-free process solve: one barrier-snapshot copy of the shared
-  matrix per elimination level (what makes crash recovery bit-exact)
-  and the supervisor's per-task future bookkeeping.  Both components
-  are measured directly — the copy on a real ``n²`` buffer, the
-  bookkeeping by driving ``Supervisor.run_group`` over pre-completed
-  futures — and scored as a projected fraction of the unsupervised
+  a fault-free process solve: a barrier snapshot of every task's write
+  footprint at each elimination level (what makes crash recovery
+  bit-exact) and the supervisor's per-task future bookkeeping.  Both
+  components are measured directly — the snapshots by capturing every
+  level of the plan from a real ``n²`` matrix, the bookkeeping by
+  driving ``Supervisor.run_group`` over pre-completed futures — and
+  scored as a projected fraction of the unsupervised
   solve's wall time, the same stable-gate design as
   ``bench_obs.py``.  (A bare ratio of two ~100 ms process-pool wall
   times cannot resolve a few-percent gate on a busy host; the paired
   wall-time comparison is still reported, as ``wall``, for the
   curious.)
-* ``recovery`` — informational.  One solve through a deterministic
-  injected worker kill: wall time, pool rebuilds, and whether the
-  recovered result is bit-identical to the clean one (it must be).
+* ``recovery`` — one solve through a deterministic injected worker
+  kill: wall time, pool rebuilds (at least one — a run that killed
+  nothing would test nothing), and whether the recovered result is
+  bit-identical to the clean one (it must be).
 * ``checkpoint`` — informational.  One supervised solve snapshotting at
   every level barrier: wall time and bytes written per snapshot.
 
@@ -26,8 +28,8 @@ Usage::
     python benchmarks/bench_resilience.py --out results/BENCH_resilience.json
 
 ``--check`` exits non-zero when the projected clean-solve supervision
-overhead exceeds 3% (the CI chaos-smoke gate) or a recovered solve is
-not bit-identical.
+overhead exceeds 3% (the CI chaos-smoke gate), or the recovery run
+rebuilt no pool or is not bit-identical.
 """
 
 from __future__ import annotations
@@ -43,14 +45,21 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.parallel_superfw import SharedPlanPool, parallel_superfw
+from repro.core.parallel_superfw import (
+    SharedPlanPool,
+    _BarrierSnapshot,
+    parallel_superfw,
+)
 from repro.graphs.generators import grid2d
 from repro.plan.plan import analyze
-from repro.resilience.faults import FaultSpec, inject_faults
+from repro.resilience.faults import FaultSpec, _draw, inject_faults
 from repro.resilience.supervisor import Supervisor, SupervisorPolicy
 
 #: --check fails when projected supervision overhead exceeds this.
 CHECK_MAX_SUPERVISION_OVERHEAD = 0.03
+
+#: Per-attempt worker-kill probability of the recovery run.
+KILL_RATE = 0.1
 
 
 def _best_of(fn, repeats):
@@ -62,11 +71,14 @@ def _best_of(fn, repeats):
     return best
 
 
-def _capture_cost(n, repeats=20):
-    """Seconds for one level-barrier snapshot copy of an ``n²`` matrix."""
-    src = np.random.default_rng(0).random((n, n))
-    buf = np.empty_like(src)
-    return _best_of(lambda: np.copyto(buf, src), repeats)
+def _capture_cost(plan, repeats=20):
+    """Seconds of one solve's barrier snapshots: every level's capture."""
+    n = plan.n_reduced
+    barrier = _BarrierSnapshot(
+        np.random.default_rng(0).random((n, n)), plan.structure
+    )
+    groups = plan.structure.level_order()
+    return _best_of(lambda: [barrier.capture(g) for g in groups], repeats)
 
 
 class _IdlePool:
@@ -125,14 +137,14 @@ def bench_clean(graph, plan, pool, repeats):
         sup.append(time.perf_counter() - t1)
     assert np.array_equal(last["unsupervised"].dist, last["supervised"].dist)
 
-    per_capture = _capture_cost(plan.n)
+    captures = _capture_cost(plan)
     per_task = _supervision_site_cost()
     baseline = min(unsup)
-    projected = (levels * per_capture + structure.ns * per_task) / baseline
+    projected = (captures + structure.ns * per_task) / baseline
     return {
         "levels": levels,
         "tasks": structure.ns,
-        "per_capture_ms": per_capture * 1e3,
+        "captures_ms": captures * 1e3,
         "per_task_us": per_task * 1e6,
         "unsupervised_solve_s": baseline,
         "overhead_fraction": projected,
@@ -143,9 +155,25 @@ def bench_clean(graph, plan, pool, repeats):
     }
 
 
+def kill_spec(plan, rate: float = KILL_RATE) -> FaultSpec:
+    """The first-seeded worker-kill spec that kills a first attempt.
+
+    Chaos draws hash ``(seed, supernode, attempt)``, so whether a spec
+    kills anything follows from the plan alone.  A fixed seed may kill
+    nothing once amalgamation leaves few tasks: at rate 0.1, all 25
+    first attempts survive with probability 0.9^25 ≈ 7%.
+    """
+    seed = 0
+    while not any(
+        _draw(seed, "worker-kill", s, 1) < rate for s in range(plan.structure.ns)
+    ):
+        seed += 1
+    return FaultSpec(seed=seed, worker_kill_rate=rate)
+
+
 def bench_recovery(graph, plan, clean_dist):
     """One supervised solve through a deterministic worker kill."""
-    spec = FaultSpec(seed=0, worker_kill_rate=0.1)
+    spec = kill_spec(plan)
     t0 = time.perf_counter()
     with inject_faults(spec):
         # Transient pool: the workers must inherit the fault injector.
@@ -154,6 +182,7 @@ def bench_recovery(graph, plan, clean_dist):
     recovery = result.meta["recovery"]
     return {
         "wall_s": elapsed,
+        "fault_seed": spec.seed,
         "pool_rebuilds": recovery.get("pool_rebuilds", 0),
         "recoveries": len(recovery.get("recoveries", [])),
         "bit_identical": bool(np.array_equal(clean_dist, result.dist)),
@@ -218,8 +247,9 @@ def main(argv=None) -> int:
     }
 
     print(
-        f"clean solve: {clean['levels']} x {clean['per_capture_ms']:.2f} ms "
-        f"barrier copies + {clean['tasks']} x {clean['per_task_us']:.1f} us "
+        f"clean solve: {clean['captures_ms']:.2f} ms barrier snapshots "
+        f"({clean['levels']} levels) + {clean['tasks']} x "
+        f"{clean['per_task_us']:.1f} us "
         f"bookkeeping = {clean['overhead_fraction']:.3%} of a "
         f"{clean['unsupervised_solve_s'] * 1e3:.1f} ms solve"
     )
@@ -244,6 +274,12 @@ def main(argv=None) -> int:
                 f"CHECK FAILED: projected supervision overhead "
                 f"{clean['overhead_fraction']:.3%} > "
                 f"{CHECK_MAX_SUPERVISION_OVERHEAD:.0%}",
+                file=sys.stderr,
+            )
+            failed = True
+        if recovery["pool_rebuilds"] < 1:
+            print(
+                "CHECK FAILED: the recovery run killed no worker",
                 file=sys.stderr,
             )
             failed = True

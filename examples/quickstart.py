@@ -42,7 +42,7 @@ def superfw_tour() -> None:
     plan = result.meta["plan"]
     print(f"ordering: {plan.ordering.method}")
     print(f"supernodes: {plan.structure.ns} "
-          f"(largest {plan.structure.stats()['max_snode']} columns)")
+          f"(largest {plan.structure.stats()['max_block']} columns)")
     print(f"etree levels: {plan.structure.stats()['tree_levels']}")
     print(f"scalar semiring ops: {result.ops.total:.3g} "
           f"(dense FW would need {2 * g.n**3:.3g})")

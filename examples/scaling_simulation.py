@@ -5,7 +5,7 @@ Run:  python examples/scaling_simulation.py
 The simulator behind Figs. 7-8 is exposed as a library: extract an
 algorithm's task DAG, calibrate the machine constants on *this* host, and
 ask "how would this scale on p cores?"  Useful for sizing supernode
-relaxation and for seeing why etree parallelism matters most on small
+amalgamation and for seeing why etree parallelism matters most on small
 problems.
 """
 

@@ -41,7 +41,7 @@ its write-back; the process backend is therefore **supervised** by
 default (:mod:`repro.resilience.supervisor`): workers heartbeat a
 shared-memory board, the coordinator watches for broken pools / missed
 beats / stalled groups, and recovery rebuilds the pool against the same
-shared segment, rewinds each unfinished task's strips to a
+shared segment, rewinds each unfinished task's footprint to a
 :class:`_BarrierSnapshot` taken at the level barrier, and re-dispatches
 it.  Once ``max_pool_rebuilds`` is spent, the remaining groups continue
 in-process on the policy's ``escalate`` executor (the thread executor by
@@ -514,58 +514,62 @@ class _Threaded(_Sequential):
 
 
 class _BarrierSnapshot:
-    """Level-start copy of the shared matrix, for killed workers only.
+    """Level-start copy of each task's write footprint, for killed workers only.
 
     Tasks are transactional, so a task that *fails* writes nothing and
     needs no undo.  A worker SIGKILLed during its write-back is the one
     exception: it can leave some of its blocks written and others not,
     and re-running over its own half-relaxed strips can round one ULP
     below the undisturbed answer.  The supervised executor therefore
-    copies the matrix at each level barrier and, before any re-dispatch
-    or escalation, restores the strips a task may have touched — its
-    subtree rows and columns.  Cousin subtrees are disjoint and the
-    deferred ``A×A`` region lies outside every cousin strip, so a
-    restore never disturbs finished or still-running siblings.
+    copies, at each level barrier, every task's footprint — its
+    subtree's rows against its subtree and ``A(s)`` columns, and the
+    ``A(s)`` rows against its subtree columns, everything
+    ``eliminate_supernode`` reads or writes but the deferred ``A×A``
+    region — and restores it before any re-dispatch or escalation.  No
+    cousin writes inside it (cousin subtrees are disjoint, and no
+    cousin's ancestors lie in this subtree), and the coordinator's
+    ``A×A`` accumulations lie outside it, so a restore never disturbs
+    finished or still-running siblings.
 
-    Costs one extra ``n²`` buffer plus an ``n²`` copy per level —
-    supervised process solves only.
+    Costs a copy of each level's footprints (on the gate's grids about
+    2.5 ``n²`` per solve, against one ``n²`` per level for a whole-matrix
+    copy) — supervised process solves only.
     """
 
     def __init__(self, shared: np.ndarray, structure) -> None:
         self.shared = shared
         self.structure = structure
-        self.snap = np.empty_like(shared)
+        self.saved: dict[int, list] = {}
 
-    def capture(self) -> None:
-        """Record the barrier state of the current level."""
-        np.copyto(self.snap, self.shared)
-
-    def _strip(self, s: int) -> list[tuple[int, int]]:
-        """Column runs of ``s``'s subtree: ``D(s)`` then its own columns.
-
-        One range ``[snode_ptr[first_desc[s]], hi)`` on a postordered
-        plan.
-        """
+    def _footprint(self, s: int) -> list[tuple[slice, slice]]:
+        """Row and column slices covering ``s``'s footprint, ``A×A`` aside."""
         lo, hi = self.structure.col_range(s)
-        strip = [(a, b) for _, a, b in self.structure.row_runs(s).desc]
-        if strip and strip[-1][1] == lo:
-            strip[-1] = (strip[-1][0], hi)
+        sub = [(a, b) for _, a, b in self.structure.row_runs(s).desc]
+        if sub and sub[-1][1] == lo:
+            sub[-1] = (sub[-1][0], hi)
         else:
-            strip.append((lo, hi))
-        return strip
+            sub.append((lo, hi))
+        sub = [slice(a, b) for a, b in sub]
+        anc = [slice(a, b) for _, a, b in self.structure.row_runs(s).anc]
+        return ([(r, c) for r in sub for c in sub + anc]
+                + [(r, c) for r in anc for c in sub])
+
+    def capture(self, group) -> None:
+        """Record the barrier state of the footprints of ``group``'s tasks."""
+        self.saved = {
+            int(s): [(r, c, self.shared[r, c].copy())
+                     for r, c in self._footprint(int(s))]
+            for s in group
+        }
 
     def restore(self, s: int) -> None:
-        """Rewind supernode ``s``'s read/write footprint to the barrier.
+        """Rewind supernode ``s``'s footprint to the level barrier.
 
-        ``eliminate_supernode`` reads and writes only within the union
-        of its subtree's rows and columns (diag, both panels, and the
-        D×D/D×A/A×D trailing regions all carry a subtree index on at
-        least one axis), so restoring those two strips is exactly an
-        undo of any partial first attempt.
+        Exactly an undo of any partial first attempt: every block
+        ``eliminate_supernode`` writes in a worker lies inside it.
         """
-        for lo, hi in self._strip(s):
-            self.shared[lo:hi, :] = self.snap[lo:hi, :]
-            self.shared[:, lo:hi] = self.snap[:, lo:hi]
+        for r, c, block in self.saved[s]:
+            self.shared[r, c] = block
 
 
 class _Process(_Sequential):
@@ -641,7 +645,7 @@ class _Process(_Sequential):
     def run_group(self, group, apply):
         on_result = partial(self._on_result, apply)
         if self.supervisor is not None:
-            self.barrier.capture()
+            self.barrier.capture(group)
             return self.supervisor.run_group(
                 group, submit=self._submit, on_result=on_result
             )

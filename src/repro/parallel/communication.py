@@ -14,8 +14,10 @@ owner-computes / panel-broadcast accounting:
 * **SuperFW** with subtree-to-subcube mapping: a supernode at etree depth
   ``d`` (from the root) is owned by a subcube of ``p/2^d`` processors;
   eliminations inside a single-processor subtree are communication-free,
-  and a communicated elimination broadcasts its two panels
-  (``2·|R_k|·b_k`` words) across its subcube grid.
+  and a communicated elimination closes its ``b_k x b_k`` diagonal block
+  and broadcasts its two panels across its subcube grid
+  (``2·(|R_k| + b_k)·b_k`` words) — so a plan that is one block prices
+  exactly as BlockedFW.
 
 The models quantify the paper's qualitative claim: the same separator
 structure that cuts computation also cuts communication, because only the
@@ -55,13 +57,14 @@ def _panel_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subcube size ``p_k`` and per-processor panel words of each supernode.
 
-    A supernode at depth ``d`` owns ``p_k = max(1, p / 2^d)`` processors
-    and broadcasts its ``|R_k| x b_k`` column and row panels across their
-    grid: ``2 |R_k| b_k / √p_k`` words per processor.
+    A supernode at depth ``d`` owns ``p_k = max(1, p / 2^d)`` processors.
+    Its dense diagonal closure moves ``2 b_k² / √p_k`` words per
+    processor (the BlockedFW bound on a ``b_k``-vertex block), and its
+    ``|R_k| x b_k`` column and row panels ``2 |R_k| b_k / √p_k``.
     """
     procs = np.maximum(p / 2.0 ** _depths_from_root(structure), 1.0)
     widths = np.diff(structure.snode_ptr)
-    words = 2.0 * panel_rows(structure) * widths / np.sqrt(procs)
+    words = 2.0 * (panel_rows(structure) + widths) * widths / np.sqrt(procs)
     return procs, words
 
 

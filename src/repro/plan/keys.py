@@ -8,7 +8,7 @@ excludes the weights: reweighting a graph keeps its key, while adding or
 removing a single edge changes it.
 
 The full cache key additionally folds in the analyze parameters
-(ordering method, leaf size, relaxation thresholds, seed), because two
+(ordering method, leaf size, seed, reduce), because two
 plans over the same pattern with different orderings are different
 objects.
 """
@@ -25,9 +25,6 @@ import numpy as np
 PLAN_PARAM_DEFAULTS: dict[str, Any] = {
     "ordering": "nd",
     "leaf_size": 32,
-    "relax": True,
-    "max_snode": 64,
-    "small_snode": 8,
     "seed": 0,
     "reduce": False,
 }

@@ -21,6 +21,7 @@ key in :class:`repro.plan.cache.PlanCache`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -48,17 +49,21 @@ from repro.symbolic.structure import (
     superfw_snode_ops,
     supernodal_analysis,
 )
+from repro.symbolic.supernodes import amalgamate, find_supernodes
 
 #: On-disk format version of :meth:`Plan.save`.  v2 added the reduction
 #: trail, the original vertex count, and the ordering score report; v3
 #: stores one neighbor list per trail event, read off the symmetric
 #: pattern; v4 plans are postordered and relaxed along etree chains
-#: only (same arrays, different ordering and supernodes).  v1 files load
+#: only (same arrays, different ordering and supernodes); v5 plans
+#: amalgamate supernodes by the sweep's cost law and store the column
+#: etree and column counts the hub labels are built from.  v1 files load
 #: with ``trail=None``, v2 files with an undirected trail load as they
 #: are, and a v2 directed trail (built on arc directions) raises
-#: ``ValueError``.  Every older file still solves exactly;
+#: ``ValueError``.  Every older file still solves exactly, and its hub
+#: labels follow its supernodes;
 #: :class:`~repro.plan.cache.PlanCache` re-analyzes it instead.
-PLAN_FORMAT_VERSION = 4
+PLAN_FORMAT_VERSION = 5
 
 
 @dataclass
@@ -111,7 +116,7 @@ class Plan:
         additions/removals change it.
     params:
         Analyze parameters the plan was built with (ordering method,
-        leaf size, relaxation thresholds, seed).
+        leaf size, seed, reduce).
     pattern:
         Unit-weight undirected pattern the symbolic analysis ran on —
         the graph's own structure, or ``A + Aᵀ`` for a directed input
@@ -121,6 +126,12 @@ class Plan:
         Per-supernode sorted vertex-level fill rows strictly above the
         supernode — the multifrontal frontal-matrix index sets, computed
         once during analysis.
+    etree, col_counts:
+        The postordered column etree (parent array) and the factor's
+        column counts.  The hub labels follow this etree's fundamental
+        supernodes, not the amalgamated blocks of ``structure``
+        (:mod:`repro.serve.hub_index`).  ``None`` on a plan loaded from
+        a file older than v5, whose labels follow its supernodes.
     nd:
         Separator tree when nested dissection produced the ordering
         (diagnostic only; not serialized).
@@ -151,6 +162,8 @@ class Plan:
     trail: ReductionTrail | None = None
     score_report: dict[str, Any] | None = None
     format_version: int = PLAN_FORMAT_VERSION
+    etree: np.ndarray | None = None
+    col_counts: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -258,6 +271,8 @@ class Plan:
         }
         if self.trail is not None:
             arrays.update(self.trail.to_arrays())
+        if self.etree is not None:
+            arrays.update(etree=self.etree, col_counts=self.col_counts)
         with open(path, "wb") as fh:
             np.savez(
                 fh,
@@ -324,6 +339,9 @@ class Plan:
                 trail=trail,
                 score_report=header.get("score_report"),
                 format_version=int(header["version"]),
+                etree=data["etree"] if "etree" in data.files else None,
+                col_counts=(data["col_counts"] if "col_counts" in data.files
+                            else None),
             )
 
 
@@ -371,39 +389,37 @@ def _unit_pattern(graph: Graph | DiGraph) -> Graph:
     )
 
 
-def _symbolic_bundle(
-    pattern: Graph,
-    ordering: Ordering,
-    *,
-    relax: bool,
-    max_snode: int,
-    small_snode: int,
-) -> tuple[Ordering, SupernodalStructure, list[np.ndarray]]:
+def _symbolic_bundle(pattern: Graph, ordering: Ordering):
     """Postorder one candidate ordering and run its symbolic analysis.
 
     The etree is computed once, relabelled by its postorder and handed
     to the symbolic factorization, and the ordering is composed with the
     same postorder: an equivalent ordering with the same fill, under
-    which every subtree is one column range.  Returns that ordering, the
-    supernodal structure, and the per-supernode vertex-level fill rows
-    (union over member columns, restricted above the supernode — the
-    multifrontal frontal index sets), derived while the symbolic factor
-    is in hand so no backend ever recomputes them.
+    which every subtree is one column range.  The fundamental supernodes
+    are then amalgamated by the sweep's cost law
+    (:func:`~repro.symbolic.supernodes.amalgamate`, priced by
+    :func:`~repro.plan.router.sweep_seconds` at the router's default
+    rate).  Returns that ordering, the supernodal structure, the
+    per-supernode vertex-level fill rows (union over member columns,
+    restricted above the supernode — the multifrontal frontal index
+    sets), derived while the symbolic factor is in hand so no backend
+    ever recomputes them, and the postordered column etree and column
+    counts the hub labels are built from.
     """
     parent = elimination_tree(pattern, ordering.perm)
     order = postorder(parent)
     ordering = Ordering(
         perm=ordering.perm[order], method=ordering.method, stats=ordering.stats
     )
-    structure, snode_rows = supernodal_analysis(
-        symbolic_cholesky(
-            pattern, ordering.perm, parent=relabel_etree(parent, order)
-        ),
-        relax=relax,
-        max_snode=max_snode,
-        small_snode=small_snode,
+    sym = symbolic_cholesky(
+        pattern, ordering.perm, parent=relabel_etree(parent, order)
     )
-    return ordering, structure, snode_rows
+    blocks = amalgamate(
+        sym, find_supernodes(sym),
+        partial(sweep_seconds, rate=DEFAULT_OPS_PER_SECOND),
+    )
+    structure, snode_rows = supernodal_analysis(sym, blocks)
+    return ordering, structure, snode_rows, sym.parent, sym.col_counts
 
 
 def _modeled_cost(
@@ -425,7 +441,7 @@ def _modeled_cost(
         "fill_in": int(structure.fill_in),
         "nnz_factor": int(structure.nnz_factor),
         "supernodes": int(structure.ns),
-        "max_snode": int(widths.max()) if widths.size else 0,
+        "max_block": int(widths.max()) if widths.size else 0,
         "max_front": int(fronts.max()) if fronts.size else 0,
         "modeled_ops": ops,
         "modeled_seconds": sweep_seconds(
@@ -439,9 +455,6 @@ def analyze(
     *,
     ordering: str | Ordering = "nd",
     leaf_size: int = 32,
-    relax: bool = True,
-    max_snode: int = 64,
-    small_snode: int = 8,
     seed: int = 0,
     reduce: bool | str = False,
 ) -> Plan:
@@ -469,10 +482,6 @@ def analyze(
         ``Plan.params["ordering"]`` keeps the caller's tag.
     leaf_size:
         ND recursion cut-off.
-    relax / max_snode / small_snode:
-        Supernode amalgamation controls: chain-only merges of small
-        supernodes into their only-child parents
-        (see :func:`repro.symbolic.supernodes.relax_supernodes`).
     seed:
         Seeds the ND partitioner.
     reduce:
@@ -562,21 +571,16 @@ def analyze(
                     name,
                     cand,
                     cand_nd,
-                    bundle := _symbolic_bundle(
-                        pattern,
-                        cand,
-                        relax=relax,
-                        max_snode=max_snode,
-                        small_snode=small_snode,
-                    ),
-                    _modeled_cost(*bundle[1:]),
+                    bundle := _symbolic_bundle(pattern, cand),
+                    _modeled_cost(*bundle[1:3]),
                 )
                 for name, cand, cand_nd in candidates
             ]
             # min() is stable and "nd" is listed first, so ties keep ND.
-            name, _, nd, (ordr, structure, snode_rows), _cost = min(
+            name, _, nd, bundle, _cost = min(
                 scored, key=lambda t: t[4]["modeled_seconds"]
             )
+            ordr, structure, snode_rows, etree, col_counts = bundle
             score_report = {
                 "picked": name,
                 "candidates": {t[0]: t[4] for t in scored},
@@ -584,21 +588,14 @@ def analyze(
             if tracer.enabled:
                 tracer.metric_inc(f"ordering.auto.pick.{name}")
         else:
-            ordr, structure, snode_rows = _symbolic_bundle(
-                pattern,
-                ordr,
-                relax=relax,
-                max_snode=max_snode,
-                small_snode=small_snode,
+            ordr, structure, snode_rows, etree, col_counts = (
+                _symbolic_bundle(pattern, ordr)
             )
     params = {
         key: canonical_param(key, value)
         for key, value in (
             ("ordering", ordering),
             ("leaf_size", leaf_size),
-            ("relax", relax),
-            ("max_snode", max_snode),
-            ("small_snode", small_snode),
             ("seed", seed),
             ("reduce", reduce),
         )
@@ -615,6 +612,8 @@ def analyze(
         timings=timings,
         trail=trail,
         score_report=score_report,
+        etree=etree,
+        col_counts=col_counts,
     )
 
 

@@ -50,16 +50,14 @@ DEFAULT_CHAIN: tuple[str, ...] = ("superfw", "dijkstra", "blocked-fw", "dense-fw
 #: SuperFW-specific knob does not crash the dense fallback.
 _METHOD_OPTIONS: dict[str, frozenset[str]] = {
     "superfw": frozenset(
-        {"plan", "dtype", "ordering", "leaf_size", "relax", "max_snode",
-         "small_snode", "seed", "reduce"}
+        {"plan", "dtype", "ordering", "leaf_size", "seed", "reduce"}
     ),
     "superbfs": frozenset(
-        {"plan", "dtype", "leaf_size", "relax", "max_snode", "small_snode",
-         "seed", "reduce"}
+        {"plan", "dtype", "leaf_size", "seed", "reduce"}
     ),
     "parallel-superfw": frozenset(
         {"plan", "num_workers", "backend", "etree_parallel", "ordering",
-         "leaf_size", "relax", "max_snode", "small_snode", "seed", "reduce"}
+         "leaf_size", "seed", "reduce"}
     ),
     "blocked-fw": frozenset({"plan", "block_size"}),
     "dense-fw": frozenset({"track_via", "check_negative_cycle"}),

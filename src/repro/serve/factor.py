@@ -1,9 +1,11 @@
 """Hub-label distances straight from the min-plus factor, no ``n²`` matrix.
 
-A vertex's hub label is the suffix of its supernode's ancestor chain
-(:mod:`repro.serve.hub_index`), so the index needs exactly the
-distances ``D[s, chain(s)]`` and ``D[chain(s), s]`` of every supernode
-``s`` — the *chain blocks* — and nothing else of the dense matrix.
+A vertex's hub label lies inside its block's ancestor chain — its hubs
+come from its own fundamental supernode and that supernode's etree
+ancestors, all in the vertex's block or an ancestor block
+(:mod:`repro.serve.hub_index`) — so the index needs only the distances
+``D[s, chain(s)]`` and ``D[chain(s), s]`` of every supernode ``s`` —
+the *chain blocks* — and nothing else of the dense matrix.
 Following DPC (Planken et al., the paper's ref [33]) and H2H (Ouyang et
 al., SIGMOD 2018), two passes over the plan's supernodal etree compute
 them from the filled entries of the factor alone:
@@ -59,6 +61,7 @@ from repro.semiring.kernels import (
     panel_update_rows,
 )
 from repro.symbolic.structure import SupernodalStructure
+from repro.symbolic.supernodes import sweep_ops
 from repro.util.perm import invert_permutation
 
 
@@ -89,7 +92,7 @@ def factor_pass_ops(
     b = np.diff(structure.snode_ptr).astype(np.int64)
     r = np.array([rows.shape[0] for rows in snode_rows], dtype=np.int64)
     c = chain_lengths(structure) - b
-    return 2 * b**3 + 4 * b * b * r + 2 * b * r * r, 4 * b * r * c + 2 * b * b * r
+    return sweep_ops(b, r), 4 * b * r * c + 2 * b * b * r
 
 
 def factor_chain_blocks(

@@ -29,6 +29,10 @@ vertices are harmless: every label distance is exact, so any hub only
 ever contributes ``d(u→h) + d(h→v) ≥ dist(u, v)`` by the triangle
 inequality.  Label sizes are bounded by the separator-chain length —
 the quantity small nested-dissection separators directly minimize.
+The supernodes here are the fundamental supernodes of the plan's
+column etree (:func:`_label_nodes`), not the blocks the sweep's cost
+law amalgamates: a block collapsing a subtree would put the whole
+subtree on every member's chain.
 
 **Why the join is a shared suffix.**  Written as a sequence, the chain
 of supernode ``s`` is ``chain(s) = [lo_s .. hi_s) ++ chain(parent(s))``
@@ -63,8 +67,10 @@ weak component of the graph, and one shard of the index.
 
 **Where the label distances come from.**  A session with no published
 epoch gets its labels from the factor (:mod:`repro.serve.factor`): an
-ascending supernodal DPC and a descending chain pass compute exactly
-the chain blocks the reduced vertices' labels need, on the weights
+ascending supernodal DPC and a descending chain pass compute the chain
+block of every amalgamated block, which holds each label distance of
+its vertices (their hubs lie in the block or its ancestor blocks), on
+the weights
 :meth:`~repro.ordering.reduce.ReductionTrail.apply` leaves on the
 reduced graph, and the trail is then unreduced in label space
 (:func:`_unreduce_labels`), with no solve and no ``n x n`` array.  Once
@@ -90,6 +96,7 @@ from repro.plan.session import APSPSession
 from repro.resilience.checkpoint import weights_sha
 from repro.resilience.errors import NegativeCycleError
 from repro.serve.factor import chain_lengths, factor_chain_blocks
+from repro.symbolic.supernodes import fundamental_ptr, supernode_parents
 
 #: Pairs per :meth:`HubLabelIndex.all_pairs` block.
 _ALL_PAIRS_BLOCK = 1 << 16
@@ -186,22 +193,43 @@ def _span_table(order: np.ndarray, depth: np.ndarray) -> np.ndarray:
     return np.stack(span)
 
 
-def _extended_etree(structure, trail, key_of: np.ndarray):
-    """Key runs and parents of the supernodal etree extended by the trail.
+def _label_nodes(plan) -> tuple[np.ndarray, np.ndarray]:
+    """Column runs and parents of the etree the hub labels follow.
 
-    Returns ``(node_ptr, parent)``: node ``x`` owns the hub keys
-    ``[node_ptr[x], node_ptr[x+1])`` and its chain is its own run
-    followed by its parent's chain.  Nodes ``0..ne-1`` are the trail's
-    events, one key each.  A trail vertex hangs below its lowest-keyed
-    quotient neighbor ``q``, so its label is ``[v] ++ H(q)``; it is a
-    root when it had no neighbor.  The remaining nodes cover the reduced
-    keys supernode by supernode; a supernode below which a trail vertex
-    hangs at offset ``t > 0`` is split at ``t`` into a chain of pieces,
-    so that every node's chain is a whole suffix of its parent's and the
-    join's ``|chain(lca)|`` stays the shared length.
+    The fundamental supernodes of the plan's postordered column etree
+    (:func:`~repro.symbolic.supernodes.fundamental_ptr`), not the
+    amalgamated blocks of ``plan.structure``: a block that collapses a
+    subtree would put every column of the subtree on each member's
+    chain.  A plan loaded from a file older than v5 stores no column
+    etree, and its labels follow its supernodes.
+    """
+    if plan.etree is None:
+        st = plan.structure
+        return st.snode_ptr, st.parent
+    ptr = fundamental_ptr(plan.etree, plan.col_counts)
+    return ptr, supernode_parents(plan.etree, ptr)
+
+
+def _extended_etree(snode_ptr, snode_parent, trail, key_of: np.ndarray):
+    """Key runs and parents of the label etree extended by the trail.
+
+    ``snode_ptr`` and ``snode_parent`` are the label etree's supernodes
+    (:func:`_label_nodes`).  Returns ``(node_ptr, parent)``: node ``x``
+    owns the hub keys ``[node_ptr[x], node_ptr[x+1])`` and its chain is
+    its own run followed by its parent's chain.  Nodes ``0..ne-1`` are
+    the trail's events, one key each.  A trail vertex hangs below its
+    lowest-keyed quotient neighbor ``q``, so its label is ``[v] ++
+    H(q)``; it is a root when it had no neighbor.  The remaining nodes
+    cover the reduced keys supernode by supernode; a supernode below
+    which a trail vertex hangs at offset ``t > 0`` is split at ``t``
+    into a chain of pieces, so that every node's chain is a whole
+    suffix of its parent's and the join's ``|chain(lca)|`` stays the
+    shared length.
     """
     ne = 0 if trail is None else trail.n_events
-    snode_ptr = ne + structure.snode_ptr
+    snode_of = np.repeat(np.arange(snode_ptr.shape[0] - 1, dtype=np.int64),
+                         np.diff(snode_ptr))
+    snode_ptr = ne + snode_ptr
     hang = np.full(ne, -1, dtype=np.int64)
     if ne:
         sizes = [nbrs.shape[0] for nbrs in trail.nbrs]
@@ -221,8 +249,8 @@ def _extended_etree(structure, trail, key_of: np.ndarray):
     parent[:ne] = np.where(hang >= 0, node_of_key[hang], -1)
     # A piece's parent is the next piece of its supernode; the top piece
     # continues at the bottom piece of the supernode's etree parent.
-    s = structure.snode_of[node_ptr[ne:-1] - ne]
-    up = structure.parent[s]
+    s = snode_of[node_ptr[ne:-1] - ne]
+    up = snode_parent[s]
     top = node_ptr[ne + 1:] == snode_ptr[s + 1]
     parent[ne:] = np.where(
         top,
@@ -452,7 +480,9 @@ class HubLabelIndex:
             key_of[hub_orig] = np.arange(n, dtype=np.int64)
 
             with tracer.span("hub-index-labels"):
-                node_ptr, parent = _extended_etree(st, trail, key_of)
+                node_ptr, parent = _extended_etree(
+                    *_label_nodes(plan), trail, key_of
+                )
                 # Chain table: node x's chain is the key runs of x,
                 # parent(x), parent²(x), ... — its k-th node is x's k-th
                 # ancestor, read off the binary-lifting table bit by bit
@@ -483,17 +513,20 @@ class HubLabelIndex:
                     chain_pos[_ranges(pos_start, pos_count)]
                 )
                 if from_factor:
-                    # Row t of supernode s's chain block starts at
-                    # block_ptr[s] + t·|chain(s)|; the label of the
-                    # reduced vertex there is the suffix from column t.
+                    # Row t of block s's chain block starts at
+                    # block_ptr[s] + t·|chain(s)|.  A hub h of block s'
+                    # (s itself or an etree ancestor, whose chain is a
+                    # suffix of chain(s)) sits at its column
+                    # |chain(s)| − |chain(s')| + (h − lo(s')).
                     to_flat, from_flat, block_ptr = blocks
-                    s = st.snode_of
-                    t = np.arange(st.n, dtype=np.int64) - st.snode_ptr[s]
                     count = pos_count[ne:]
-                    at = _ranges(
-                        block_ptr[s] + t * (chain_lengths(st)[s] + 1), count
-                    )
                     dest = _ranges(ptr[hub_orig[ne:]], count)
+                    clen = chain_lengths(st)
+                    v = np.repeat(np.arange(st.n, dtype=np.int64), count)
+                    h = hubs[dest] - ne
+                    s, s_h = st.snode_of[v], st.snode_of[h]
+                    at = (block_ptr[s] + (v - st.snode_ptr[s] + 1) * clen[s]
+                          - clen[s_h] + h - st.snode_ptr[s_h])
                     dto = np.empty(hubs.shape[0], dtype=to_flat.dtype)
                     dfrom = np.empty_like(dto)
                     dto[dest] = to_flat[at]
@@ -510,9 +543,9 @@ class HubLabelIndex:
 
             with tracer.span("hub-index-shards"):
                 # Each extended etree tree is one (weak) component of the
-                # graph — supernode relaxation merges only into an etree
-                # parent, and a trail vertex hangs below a neighbor in
-                # the symmetric pattern — so the shard is the vertex's
+                # graph — a supernode is a run of the column etree, and a
+                # trail vertex hangs below a neighbor in the symmetric
+                # pattern — so the shard is the vertex's
                 # tree root, numbered in order of each tree's smallest
                 # vertex.
                 node = np.empty(n, dtype=np.int64)

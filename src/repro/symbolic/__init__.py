@@ -2,9 +2,10 @@
 
 Everything sparse Cholesky computes before touching numbers, retargeted at
 the min-plus distance matrix: the elimination tree, the exact fill pattern
-("which ∞ entries become finite, and when"), fundamental supernodes, the
-supernodal block structure with ancestor/descendant sets, and the etree
-level schedule that drives parallelism.
+("which ∞ entries become finite, and when"), fundamental supernodes and
+their cost-law amalgamation, the supernodal block structure with
+ancestor/descendant sets, and the etree level schedule that drives
+parallelism.
 """
 
 from repro.symbolic.etree import (
@@ -15,10 +16,11 @@ from repro.symbolic.etree import (
     postorder,
 )
 from repro.symbolic.fill import SymbolicFactor, symbolic_cholesky
-from repro.symbolic.supernodes import find_supernodes, relax_supernodes
+from repro.symbolic.supernodes import amalgamate, find_supernodes
 from repro.symbolic.structure import SupernodalStructure, build_structure
 
 __all__ = [
+    "amalgamate",
     "SupernodalStructure",
     "SymbolicFactor",
     "build_structure",
@@ -28,6 +30,5 @@ __all__ = [
     "find_supernodes",
     "is_postordered",
     "postorder",
-    "relax_supernodes",
     "symbolic_cholesky",
 ]

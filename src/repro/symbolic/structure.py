@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.symbolic.etree import etree_levels
 from repro.symbolic.fill import SymbolicFactor
-from repro.symbolic.supernodes import find_supernodes, relax_supernodes, supernode_parents
+from repro.symbolic.supernodes import (
+    find_supernodes,
+    supernode_parents,
+    sweep_ops,
+)
 
 #: One contiguous piece of a supernode's update rows: block rows
 #: ``[offset, offset + stop - start)`` are matrix columns ``[start, stop)``.
@@ -216,7 +220,7 @@ class SupernodalStructure:
         return {
             "n": self.n,
             "num_supernodes": self.ns,
-            "max_snode": int(sizes.max()) if self.ns else 0,
+            "max_block": int(sizes.max()) if self.ns else 0,
             "mean_snode": float(sizes.mean()) if self.ns else 0.0,
             "tree_levels": int(self.levels.max()) + 1 if self.ns else 0,
             "nnz_factor": self.nnz_factor,
@@ -288,9 +292,9 @@ def superfw_snode_ops(structure: SupernodalStructure) -> np.ndarray:
     This is the one cost law behind the update router, ``ordering="auto"``
     and the scaling simulator.
     """
-    b = np.diff(structure.snode_ptr).astype(np.int64)
-    r = panel_rows(structure)
-    return 2 * b**3 + 4 * b * b * r + 2 * b * r * r
+    return sweep_ops(
+        np.diff(structure.snode_ptr).astype(np.int64), panel_rows(structure)
+    )
 
 
 def _split_keys(keys: np.ndarray, width: int, groups: int) -> list[np.ndarray]:
@@ -302,29 +306,26 @@ def _split_keys(keys: np.ndarray, width: int, groups: int) -> list[np.ndarray]:
 
 
 def supernodal_analysis(
-    sym: SymbolicFactor,
-    *,
-    relax: bool = True,
-    max_snode: int = 64,
-    small_snode: int = 8,
+    sym: SymbolicFactor, snode_ptr: np.ndarray | None = None
 ) -> tuple[SupernodalStructure, list[np.ndarray]]:
     """Supernodal structure plus each supernode's vertex-level fill rows.
 
+    ``snode_ptr`` partitions the columns into contiguous blocks — the
+    fundamental supernodes (:func:`~repro.symbolic.supernodes.find_supernodes`)
+    when omitted, or an amalgamation of them
+    (:func:`~repro.symbolic.supernodes.amalgamate`).
     ``snode_rows[s]`` is the sorted union of the column structures of
     ``s`` restricted to rows above the supernode (the multifrontal
     frontal index set); the structure's ``fill_block_rows`` are the
     supernodes those rows fall in.  Both come from one vectorized union
-    over every factor entry.  Parameters as for :func:`build_structure`.
+    over every factor entry.
     """
-    snode_ptr = find_supernodes(sym)
-    if relax:
-        snode_ptr = relax_supernodes(
-            sym, snode_ptr, max_size=max_snode, small=small_snode
-        )
+    if snode_ptr is None:
+        snode_ptr = find_supernodes(sym)
     ns = snode_ptr.shape[0] - 1
     n = sym.n
     snode_of = np.repeat(np.arange(ns, dtype=np.int64), np.diff(snode_ptr))
-    parent = supernode_parents(sym, snode_ptr)
+    parent = supernode_parents(sym.parent, snode_ptr)
     children: list[list[int]] = [[] for _ in range(ns)]
     for s in range(ns):
         if parent[s] >= 0:
@@ -352,26 +353,10 @@ def supernodal_analysis(
     return structure, snode_rows
 
 
-def build_structure(
-    sym: SymbolicFactor,
-    *,
-    relax: bool = True,
-    max_snode: int = 64,
-    small_snode: int = 8,
-) -> SupernodalStructure:
-    """Assemble the supernodal structure from a symbolic factorization.
+def build_structure(sym: SymbolicFactor) -> SupernodalStructure:
+    """The fundamental-supernode structure of a symbolic factorization.
 
-    Parameters
-    ----------
-    sym:
-        Output of :func:`repro.symbolic.fill.symbolic_cholesky`.
-    relax:
-        Amalgamate small supernodes up etree chains (bigger blocks,
-        slightly more logical work, no longer hub labels) — the
-        supernodal analogue of relaxed supernodes.
-    max_snode / small_snode:
-        Relaxation thresholds (see :func:`repro.symbolic.supernodes.relax_supernodes`).
+    No amalgamation: :func:`repro.plan.analyze` is where blocks merge, by
+    the sweep's cost law.
     """
-    return supernodal_analysis(
-        sym, relax=relax, max_snode=max_snode, small_snode=small_snode
-    )[0]
+    return supernodal_analysis(sym)[0]

@@ -219,8 +219,11 @@ def test_solvers_report_engine_meta():
     from repro.core.superfw import superfw
     from repro.graphs.generators import grid2d
 
-    g = grid2d(6, 6, seed=0)
+    # A 6x6 grid's plan is one block (a diagonal closure, no product);
+    # a 10x10 grid keeps several, whose panels run the rank-1 kernel.
+    g = grid2d(10, 10, seed=0)
     r1 = superfw(g)
+    assert r1.meta["plan"].structure.ns > 1
     assert set(r1.meta["engine"]) == {"strategies", "workspace"}
     assert r1.meta["engine"]["strategies"]["rank1"]["calls"] > 0
     r2 = blocked_floyd_warshall(g, block_size=12)

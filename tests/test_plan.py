@@ -193,6 +193,8 @@ def test_save_load_round_trip(tmp_path, grid_graph):
         loaded.structure.snode_ptr, plan.structure.snode_ptr
     )
     assert np.array_equal(loaded.structure.parent, plan.structure.parent)
+    assert np.array_equal(loaded.etree, plan.etree)
+    assert np.array_equal(loaded.col_counts, plan.col_counts)
     assert len(loaded.snode_rows) == len(plan.snode_rows)
     for a, b in zip(loaded.snode_rows, plan.snode_rows):
         assert np.array_equal(a, b)

@@ -1,4 +1,4 @@
-"""Postordered plans: contiguous subtrees, column runs, chain-only relaxation.
+"""Postordered plans: contiguous subtrees, column runs, label-stable merges.
 
 ``analyze`` composes every ordering with its etree postorder, so each
 supernode's descendants ``D(s)`` are the one range ``[first_desc, lo)``
@@ -7,6 +7,7 @@ structure that is not postordered (an older plan file, a hand-built
 structure) still solves exactly through the general runs.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -95,13 +96,56 @@ def test_runs_rebuild_descendants_then_ancestors(fixture_plan):
         assert len(st.row_runs(s).desc) == (1 if st.first_desc[s] < s else 0)
 
 
-def test_relaxation_adds_no_label_entries(fixture_plan):
-    g, plan, options = fixture_plan
-    plain = analyze(g, seed=0, **{**options, "relax": False})
-    relaxed = HubLabelIndex.build(APSPSession(g, plan=plan))
-    unrelaxed = HubLabelIndex.build(APSPSession(g, plan=plain))
-    assert relaxed.source == unrelaxed.source == "factor"
-    assert relaxed.entries <= unrelaxed.entries
+#: Per fixture: sha256 prefix of the bytes of ``ptr``, ``hubs``, ``dto``
+#: and ``dfrom`` of its index on weights rounded to multiples of 1/8, and
+#: the label entries — recorded from plans whose supernodes were relaxed
+#: along etree chains only, before the cost-law amalgamation.  The
+#: factor-built and the epoch-sliced index matched them both.
+LABEL_DIGESTS = {
+    "digraph": ("d3fc0d4c0bbcb214", 1168),
+    "empty": ("af5570f5a1810b7a", 0),
+    "forest": ("d46846de43096ef2", 799),
+    "mesh-amd": ("3c813589ec11eaba", 5168),
+    "mesh-nd": ("d071bf334951ee17", 4661),
+    "no-relax": ("a1ba77777bad63a8", 2270),
+    "reduce": ("309ca5af8303a79c", 2815),
+    "reduce-digraph": ("ca00cf88d903b18e", 1058),
+    "reduce-directed-0": ("b3b97fa700f569b7", 560),
+    "reduce-directed-1": ("99fd758a7adde5ad", 610),
+    "reduce-directed-2": ("d0ab2dd0a93bdf1d", 540),
+    "reduce-directed-disconnected-0": ("2f8e6d3991b7fcd4", 428),
+    "reduce-directed-disconnected-1": ("1ca93ca28cb71579", 484),
+    "reduce-directed-disconnected-2": ("86c622f06dd325f2", 374),
+    "reduce-directed-negative-0": ("b71a13e091f7fec2", 560),
+    "reduce-directed-negative-1": ("3450e3c9f6ff96eb", 610),
+    "reduce-directed-negative-2": ("b8ddc7c49ac7eeb1", 540),
+    "reduce-power-grid": ("1b39263f38c6c680", 22479),
+    "reduce-road": ("d56870beb28e9dad", 30218),
+}
+
+
+def _index_digest(index) -> str:
+    h = hashlib.sha256()
+    for arr in (index.ptr, index.hubs, index.dto, index.dfrom):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_relaxation_adds_no_label_entries(fixture_plan, request):
+    """Amalgamated blocks leave every label byte-identical: the labels
+    follow the column etree's fundamental supernodes, and the factor
+    source gathers them from the merged blocks' chain blocks."""
+    g, plan, _ = fixture_plan
+    digest, entries = LABEL_DIGESTS[request.node.callspec.params["fixture_plan"]]
+    g = g.with_weights(np.round(g.weights * 8) / 8)
+    factor = HubLabelIndex.build(APSPSession(g, plan=plan))
+    session = APSPSession(g, plan=plan)
+    session.solve()
+    epoch = HubLabelIndex.build(session)
+    assert (factor.source, epoch.source) == ("factor", "epoch")
+    for index in (factor, epoch):
+        assert index.entries == entries
+        assert _index_digest(index) == digest
 
 
 def test_relabelled_etree_is_the_postordered_etree():
@@ -147,7 +191,7 @@ def _rewrite_version(path, version: int) -> None:
 
 
 def test_v3_plan_file_loads_and_solves_exactly(tmp_path):
-    assert PLAN_FORMAT_VERSION == 4
+    assert PLAN_FORMAT_VERSION == 5
     g = quantize_weights(delaunay_mesh(120, seed=5))
     plan = _scattered_plan(g, 5)
     path = tmp_path / "old.plan.npz"
@@ -171,11 +215,38 @@ def test_plan_cache_reanalyzes_an_older_format_file(tmp_path):
     assert cache.stale_evictions == 1 and cache.disk_hits == 0
     assert plan.format_version == PLAN_FORMAT_VERSION
     assert plan.structure.postordered
-    # The evicted file was replaced by the fresh v4 plan.
+    # The evicted file was replaced by a fresh plan.
     assert Plan.load(path).format_version == PLAN_FORMAT_VERSION
     fresh = PlanCache(directory=str(tmp_path))
     assert fresh.get_or_analyze(g).plan_id == plan.plan_id
     assert fresh.disk_hits == 1 and fresh.stale_evictions == 0
+
+
+def test_v4_plan_file_keeps_its_labels_and_is_reanalyzed(tmp_path):
+    """A v4 file stores no column etree: its labels follow its (merge-free)
+    supernodes, byte-identical to a fresh plan's, and a cache evicts it."""
+    g = quantize_weights(delaunay_mesh(120, seed=8))
+    fresh = analyze(g, seed=0)
+    st, rows = supernodal_analysis(symbolic_cholesky(fresh.pattern,
+                                                     fresh.ordering.perm))
+    assert st.ns > fresh.structure.ns
+    cache = PlanCache(directory=str(tmp_path))
+    path = cache._path_for(cache.key_for(g))
+    Plan(key=fresh.key, ordering=fresh.ordering, structure=st,
+         pattern=fresh.pattern, params=fresh.params, snode_rows=rows).save(path)
+    _rewrite_version(path, 4)
+    old = Plan.load(path)
+    assert old.format_version == 4 and old.etree is None
+    assert np.array_equal(superfw(g, plan=old).dist, superfw(g, plan=fresh).dist)
+    for a, b in ((old, fresh), (fresh, old)):
+        index = HubLabelIndex.build(APSPSession(g, plan=a))
+        other = HubLabelIndex.build(APSPSession(g, plan=b))
+        assert _index_digest(index) == _index_digest(other)
+    plan = cache.get_or_analyze(g)
+    assert cache.stale_evictions == 1 and cache.disk_hits == 0
+    assert plan.format_version == PLAN_FORMAT_VERSION
+    assert plan.structure.ns == fresh.structure.ns
+    assert np.array_equal(Plan.load(path).etree, fresh.etree)
 
 
 def test_loaded_v3_plan_put_into_a_cache_is_still_evicted(tmp_path):

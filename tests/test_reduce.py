@@ -256,7 +256,7 @@ def _save_as_v2(plan, path) -> None:
 
 
 def test_plan_v2_loads_undirected_trails_and_rejects_directed(tmp_path):
-    assert PLAN_FORMAT_VERSION == 4
+    assert PLAN_FORMAT_VERSION == 5
     g = _graph("undirected", 7)
     plan = analyze(g, reduce=True)
     path = tmp_path / "u.plan.npz"

@@ -23,6 +23,7 @@ from repro.resilience.errors import (
     UnreachablePairError,
 )
 from repro.serve import DistanceServer, HubLabelIndex
+from repro.serve.hub_index import _label_nodes
 
 from conftest import scipy_apsp
 from test_reduce import _graph as reduce_fixture
@@ -171,17 +172,16 @@ JOIN_GRAPHS = {
     "float-weights": (_float_mesh, {}),
     "directed-negative": (_negative_digraph, {}),
     "forest": (_forest, {}),
-    # Eliminated from both ends inward, without relaxation: one
-    # supernode per vertex and an etree of two ~n/2-deep branches that
-    # meet at the middle vertex, so the LCA queries windows of every
-    # width up to the whole preorder.
+    # Eliminated from both ends inward: one fundamental supernode (the
+    # labels' etree node) per vertex and an etree of two ~n/2-deep
+    # branches that meet at the middle vertex, so the LCA queries
+    # windows of every width up to the whole preorder.
     "path": (
         lambda: Graph.from_edges(
             151, [(i, i + 1, 1.0 + (i % 7) / 3.0) for i in range(150)]
         ),
         {"ordering": Ordering(np.column_stack(
-            (np.arange(76), np.arange(150, 74, -1))).ravel()[:151]),
-         "relax": False},
+            (np.arange(76), np.arange(150, 74, -1))).ravel()[:151])},
     ),
 }
 
@@ -408,7 +408,11 @@ def test_closed_server_rejects_queries(grid_graph):
 def test_labels_sorted_and_bounded(mesh_graph):
     session = APSPSession(mesh_graph, seed=0)
     index = HubLabelIndex.build(session)
-    st = session.plan.structure
+    # Labels follow the column etree's fundamental supernodes, not the
+    # plan's amalgamated blocks.
+    ptr, up = _label_nodes(session.plan)
+    assert ptr.shape[0] - 1 > session.plan.structure.ns
+    snode_of = np.repeat(np.arange(ptr.shape[0] - 1), np.diff(ptr))
     sizes = index.label_sizes()
     assert sizes.min() >= 1
     assert sizes.max() <= mesh_graph.n
@@ -423,12 +427,13 @@ def test_labels_sorted_and_bounded(mesh_graph):
         assert index.dto[lo] == 0.0 and index.dfrom[lo] == 0.0
         # The label is the suffix of its supernode's ancestor chain from
         # the vertex's own position: the layout the chain join relies on.
-        s = int(st.snode_of[iperm[v]])
-        chain = np.concatenate([
-            np.arange(st.snode_ptr[a], st.snode_ptr[a + 1])
-            for a in (s, *st.ancestor_snodes(s))
-        ])
-        assert np.array_equal(hubs, chain[iperm[v] - st.snode_ptr[s]:])
+        s = a = int(snode_of[iperm[v]])
+        runs = []
+        while a >= 0:
+            runs.append(np.arange(ptr[a], ptr[a + 1]))
+            a = int(up[a])
+        chain = np.concatenate(runs)
+        assert np.array_equal(hubs, chain[iperm[v] - ptr[s]:])
         assert index.chain_len[s] == chain.size
     assert index.entries == int(sizes.sum())
     assert index.memory_bytes() > 0
@@ -670,7 +675,8 @@ def test_reduced_factor_labels_bit_identical_to_epoch_labels(kind):
     # A supernode split at a trail vertex's offset t > 0 adds an etree
     # node beyond one per trail vertex and one per supernode.
     nodes = factor.chain_len.shape[0]
-    assert (nodes > trail.n_events + cold.plan.structure.ns) == offset
+    label_snodes = _label_nodes(cold.plan)[0].shape[0] - 1
+    assert (nodes > trail.n_events + label_snodes) == offset
     # Every label is its own key followed by a chain suffix, so the
     # chain join answers all n² pairs exactly.
     n = g.n

@@ -1,13 +1,19 @@
 """SuperFW (Algorithm 3): correctness, planning, structure exploitation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.dense_fw import floyd_warshall
+from repro.core.incremental import quantize_weights
+from repro.core.parallel_superfw import parallel_superfw
 from repro.core.superfw import eliminate_supernode, superfw
 from repro.plan import analyze
 from repro.graphs.generators import barabasi_albert, delaunay_mesh, grid2d
 from repro.graphs.graph import Graph
+from repro.symbolic.fill import symbolic_cholesky
+from repro.symbolic.structure import supernodal_analysis
 
 from conftest import scipy_apsp
 
@@ -129,6 +135,18 @@ def test_superfw_on_expander_still_correct():
 
 
 def test_relaxation_settings_preserve_correctness(mesh_graph):
-    for relax, max_snode in ((False, 64), (True, 16), (True, 128)):
-        r = superfw(mesh_graph, seed=0, relax=relax, max_snode=max_snode)
-        assert np.allclose(r.dist, scipy_apsp(mesh_graph))
+    # The cost-law blocks and the merge-free fundamental supernodes of
+    # one ordering solve to the same bits on dyadic weights, on every
+    # executor.
+    g = quantize_weights(mesh_graph)
+    plan = analyze(g, seed=0)
+    sym = symbolic_cholesky(plan.pattern, plan.ordering.perm)
+    structure, rows = supernodal_analysis(sym)
+    assert structure.ns > plan.structure.ns
+    merge_free = dataclasses.replace(plan, structure=structure, snode_rows=rows)
+    expected = superfw(g, plan=merge_free).dist
+    assert np.allclose(expected, scipy_apsp(g))
+    assert np.array_equal(superfw(g, plan=plan).dist, expected)
+    for backend in ("thread", "process"):
+        r = parallel_superfw(g, plan=plan, backend=backend, num_workers=2)
+        assert np.array_equal(r.dist, expected)

@@ -1,4 +1,6 @@
-"""Supernode detection and the supernodal block structure."""
+"""Supernode detection, cost-law amalgamation and the block structure."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,20 +8,43 @@ import pytest
 from repro.graphs.generators import delaunay_mesh, grid2d
 from repro.ordering.nested_dissection import nested_dissection
 from repro.plan import analyze
+from repro.plan.router import DEFAULT_OPS_PER_SECOND, sweep_seconds
+from repro.symbolic.etree import postorder
 from repro.symbolic.fill import symbolic_cholesky
 from repro.symbolic.structure import build_structure, supernodal_analysis
 from repro.symbolic.supernodes import (
+    amalgamate,
     find_supernodes,
-    relax_supernodes,
     supernode_parents,
 )
 
 from test_cost_law import FIXTURES
 
 
+#: The router's sweep price, as ``analyze`` hands it to :func:`amalgamate`.
+PRICE = partial(sweep_seconds, rate=DEFAULT_OPS_PER_SECOND)
+
+
 @pytest.fixture
 def sym(mesh_graph):
     return symbolic_cholesky(mesh_graph, nested_dissection(mesh_graph, seed=0).perm)
+
+
+def _postordered_sym(graph):
+    perm = nested_dissection(graph, seed=0).perm
+    parent = symbolic_cholesky(graph, perm).parent
+    return symbolic_cholesky(graph, perm[postorder(parent)])
+
+
+def _subtree_ranges(sym, ptr):
+    """Per supernode of ``ptr``: lowest supernode of its subtree, size."""
+    parents = supernode_parents(sym.parent, ptr)
+    first, size = list(range(len(parents))), [1] * len(parents)
+    for s, p in enumerate(parents.tolist()):
+        if p >= 0:
+            first[p] = min(first[p], first[s])
+            size[p] += size[s]
+    return first, size
 
 
 def test_snode_ptr_partitions_columns(sym):
@@ -48,21 +73,39 @@ def test_supernodes_are_maximal(sym):
         assert not fundamental
 
 
-def test_relaxation_respects_max_size(sym):
-    ptr = relax_supernodes(sym, find_supernodes(sym), max_size=16, small=4)
-    assert np.all(np.diff(ptr) <= max(16, np.diff(find_supernodes(sym)).max()))
-    assert ptr[0] == 0 and ptr[-1] == sym.n
-
-
-def test_relaxation_reduces_count(sym):
+@pytest.mark.parametrize("postordered", [False, True])
+def test_amalgamation_collapses_whole_contiguous_subtrees(
+    sym, mesh_graph, postordered
+):
+    """Every block is one fundamental supernode or a whole subtree of
+    them that is one column range; an ND ordering that is not
+    postordered has scattered subtrees, which never collapse."""
+    if postordered:
+        sym = _postordered_sym(mesh_graph)
     base = find_supernodes(sym)
-    relaxed = relax_supernodes(sym, base, max_size=64, small=8)
-    assert relaxed.shape[0] <= base.shape[0]
+    ptr = amalgamate(sym, base, PRICE)
+    assert ptr[0] == 0 and ptr[-1] == sym.n
+    assert set(ptr.tolist()) <= set(base.tolist())
+    first, size = _subtree_ranges(sym, base)
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        top = int(np.searchsorted(base, hi)) - 1  # last supernode inside
+        bottom = int(np.searchsorted(base, lo))
+        if top > bottom:
+            assert first[top] == bottom and size[top] == top - bottom + 1
+
+
+def test_amalgamation_reduces_count(mesh_graph):
+    sym = _postordered_sym(mesh_graph)
+    base = find_supernodes(sym)
+    merged = amalgamate(sym, base, PRICE)
+    assert merged.shape[0] < base.shape[0]
+    # A price with no per-block cost never merges: the law only adds ops.
+    assert np.array_equal(amalgamate(sym, base, lambda ops, k: ops), base)
 
 
 def test_supernode_parents_topological(sym):
     ptr = find_supernodes(sym)
-    parents = supernode_parents(sym, ptr)
+    parents = supernode_parents(sym.parent, ptr)
     for s, p in enumerate(parents):
         if p >= 0:
             assert p > s
@@ -123,10 +166,10 @@ def test_stats_fields(sym):
     assert stats["nnz_factor"] == sym.nnz_factor
 
 
-def test_no_relaxation_option(sym):
-    st_plain = build_structure(sym, relax=False)
-    st_relaxed = build_structure(sym, relax=True)
-    assert st_plain.ns >= st_relaxed.ns
+def test_build_structure_is_merge_free(sym, mesh_graph):
+    assert np.array_equal(build_structure(sym).snode_ptr, find_supernodes(sym))
+    plan = analyze(mesh_graph, seed=0)
+    assert plan.structure.ns < build_structure(_postordered_sym(mesh_graph)).ns
 
 
 def test_snode_of_matches_ranges(sym):
@@ -136,11 +179,14 @@ def test_snode_of_matches_ranges(sym):
         assert np.all(st.snode_of[lo:hi] == s)
 
 
-@pytest.mark.parametrize("relax", [False, True])
-def test_one_union_pass_matches_per_supernode_unions(relax):
+@pytest.mark.parametrize("merged", [False, True])
+def test_one_union_pass_matches_per_supernode_unions(merged):
     for graph in (delaunay_mesh(160, seed=1), grid2d(9, 11, seed=0)):
-        sym = symbolic_cholesky(graph, nested_dissection(graph, seed=0).perm)
-        st, snode_rows = supernodal_analysis(sym, relax=relax)
+        sym = _postordered_sym(graph)
+        ptr = find_supernodes(sym)
+        if merged:
+            ptr = amalgamate(sym, ptr, PRICE)
+        st, snode_rows = supernodal_analysis(sym, ptr)
         for s in range(st.ns):
             lo, hi = st.col_range(s)
             rows = np.unique(np.concatenate(

@@ -21,9 +21,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import GRAPH_BUILDERS
+from test_cost_law import FIXTURES as COST_LAW_FIXTURES
 
-from repro.core.parallel_superfw import SharedPlanPool, parallel_superfw
-from repro.core.superfw import superfw
+from repro.core.parallel_superfw import (
+    SharedPlanPool,
+    _BarrierSnapshot,
+    parallel_superfw,
+)
+from repro.core.superfw import eliminate_supernode, superfw
+from repro.graphs.generators import grid2d
 from repro.plan import analyze
 from repro.resilience.budget import SolveBudget
 from repro.resilience.checkpoint import CheckpointManager, solve_key, weights_sha
@@ -40,6 +46,7 @@ from repro.resilience.supervisor import (
     SupervisorPolicy,
     coerce_policy,
 )
+from repro.symbolic.structure import superfw_snode_ops
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +340,36 @@ def test_rebuild_survives_a_worker_killed_mid_claim(grid_graph):
         assert np.array_equal(expected, r.dist)
 
 
+@pytest.mark.parametrize("name", ["digraph", "forest", "mesh-nd",
+                                  "reduce-power-grid"])
+def test_barrier_footprint_covers_every_worker_write(name):
+    # The barrier copies only each task's footprint: a worker's
+    # write-back must land inside it, no cousin's footprint or A×A
+    # accumulation may touch it, and a restore must rewind it exactly.
+    build, options = COST_LAW_FIXTURES[name]
+    st = analyze(build(), seed=0, **options).structure
+    dist = np.random.default_rng(0).integers(1, 9, (st.n, st.n)).astype(float)
+    np.fill_diagonal(dist, 0.0)
+    barrier = _BarrierSnapshot(dist, st)
+    for group in st.level_order():
+        barrier.capture(group)
+        masks = {}
+        for s in group.tolist():
+            masks[s] = np.zeros(dist.shape, dtype=bool)
+            for rows, cols in barrier._footprint(s):
+                masks[s][rows, cols] = True
+        for s in masks:
+            for c in masks:
+                anc = st.ancestor_vertices(c)
+                assert not masks[s][np.ix_(anc, anc)].any()
+                assert s == c or not (masks[s] & masks[c]).any()
+            before = dist.copy()
+            eliminate_supernode(dist, st, s, defer_aa=True)
+            assert not ((dist != before) & ~masks[s]).any()
+            barrier.restore(s)
+            assert np.array_equal(dist, before)
+
+
 # ---------------------------------------------------------------------------
 # Worker-side cooperative wall budget
 # ---------------------------------------------------------------------------
@@ -408,7 +445,14 @@ def test_weights_sha_distinguishes_instances(grid_graph, mesh_graph):
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_budget_abort_then_resume_is_bit_identical(backend, mesh_graph, tmp_path):
+def test_budget_abort_then_resume_is_bit_identical(backend, tmp_path):
+    # The abort must land past a barrier, so the first etree level of
+    # blocks must stay below the 30% budget (a 160-vertex mesh's plan
+    # spends 39% of its ops there).
+    mesh_graph = grid2d(20, 20, seed=0)
+    plan = analyze(mesh_graph, seed=0)
+    ops = superfw_snode_ops(plan.structure)
+    assert ops[plan.structure.level_order()[0]].sum() < 0.3 * ops.sum()
     scratch = parallel_superfw(mesh_graph, backend=backend, num_workers=2)
     total_ops = scratch.ops.total
     with pytest.raises(BudgetExceededError):
