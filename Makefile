@@ -27,7 +27,7 @@ chaos:
 bench:
 	REPRO_SIZE_FACTOR=$(SIZE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# SemiringGemm engine strategies vs the seed kernel -> BENCH_engine.json.
+# SemiringGemm engine kernel vs the seed kernel -> BENCH_engine.json.
 bench-engine:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine.py --check
 

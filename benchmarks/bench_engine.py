@@ -1,14 +1,17 @@
-"""SemiringGemm engine benchmark: kernels vs the seed kernel.
+"""SemiringGemm engine benchmark: the kernel vs the seed kernel.
 
 Standalone script (not pytest-benchmark) emitting ``BENCH_engine.json``:
 
-* ``gemm`` — every engine kernel, called directly through
-  :data:`repro.semiring.engine.KERNELS`, against ``seed_rank1``, a faithful
-  reimplementation of the pre-engine kernel (fresh ``(m, n)`` temporary
-  per contraction step **and** an unconditional float64 output — the
-  dtype bug fixed in :func:`repro.semiring.minplus.result_dtype`).  The
-  headline acceptance number is the best *tiled* strategy versus that
-  baseline on the separator-panel shapes (small output, long
+* ``gemm`` — the engine kernel, called directly through
+  :func:`repro.semiring.engine.minplus_kernel`, against two rank-1 loops:
+  ``seed_rank1``, a faithful reimplementation of the pre-engine kernel
+  (fresh ``(m, n)`` temporary per contraction step **and** an
+  unconditional float64 output — the dtype bug fixed in
+  :func:`repro.semiring.minplus.result_dtype`), and ``broadcast_rank1``,
+  the same loop with a pooled buffer, whose per-pivot broadcast add
+  ``np.add(a[:, t:t+1], b[t], out=tmp)`` is what the kernel's
+  copy-then-add replaces.  The headline acceptance number is the kernel
+  versus the seed on the separator-panel shapes (small output, long
   contraction — exactly the products the supernodal solve is made of).
 * ``diag`` — the DiagUpdate micro-benchmark: hoisted validation /
   fault-site plus a pooled broadcast buffer versus the old
@@ -27,7 +30,7 @@ Usage::
     python benchmarks/bench_engine.py --quick --check
     python benchmarks/bench_engine.py --out results/BENCH_engine.json
 
-``--check`` exits non-zero when ``ktiled`` is more than 1.5x slower than
+``--check`` exits non-zero when the kernel is more than 1.5x slower than
 the seed rank-1 baseline on the reference shape (the CI perf-smoke gate).
 """
 
@@ -44,14 +47,14 @@ import numpy as np
 from repro.core.parallel_superfw import parallel_superfw
 from repro.core.superfw import superfw
 from repro.graphs.generators import delaunay_mesh
-from repro.semiring.engine import KERNELS, STRATEGIES, WorkspacePool
+from repro.semiring.engine import WorkspacePool, minplus_kernel
 from repro.semiring.kernels import floyd_warshall_kernel
 from repro.resilience.faults import kernel_site
 
 #: CI reference shape for the --check gate: a separator-panel product
-#: (long contraction, small output) where the tiled kernel must win.
+#: (long contraction, small output) where the blocked kernel must win.
 REFERENCE_SHAPE = (32, 2048, 32)
-#: Ratio above which --check fails (tiled must not regress vs the seed).
+#: Ratio above which --check fails (the kernel must not regress vs the seed).
 CHECK_MAX_RATIO = 1.5
 
 #: A shape is "separator-like" when the contraction dimension dwarfs the
@@ -72,6 +75,19 @@ def seed_rank1(a, b):
     for t in range(k):
         np.minimum(out, a[:, t : t + 1] + b[t, :], out=out)
     return out
+
+
+def broadcast_rank1(pool, a, b, out):
+    """A pooled rank-1 loop with a broadcast add per pivot.
+
+    The engine's small-product kernel before the copy-then-add one:
+    ``np.add`` of an ``(m, 1)`` column and a length-``n`` row into one
+    reused ``(m, n)`` buffer.
+    """
+    tmp = pool.buffer("broadcast", out.shape, out.dtype)
+    for t in range(a.shape[1]):
+        np.add(a[:, t : t + 1], b[t, :], out=tmp)
+        np.minimum(out, tmp, out=out)
 
 
 def seed_diag(dist):
@@ -113,7 +129,7 @@ def _operands(m, k, n, dtype, seed=0):
 
 
 def bench_gemm(shapes, repeats):
-    """Per-shape kernel timings and speedups over the seed kernel."""
+    """Per-shape kernel timings and speedups over the two rank-1 loops."""
     rows = []
     pool = WorkspacePool()
     for (m, k, n), dtype in shapes:
@@ -124,32 +140,31 @@ def bench_gemm(shapes, repeats):
             out.fill(np.inf)
             kernel(pool, a, b, out)
 
-        thunks = {"seed": lambda: seed_rank1(a, b)}
-        for s in STRATEGIES:
-            thunks[s] = lambda kernel=KERNELS[s]: run(kernel)
-        secs = _time_interleaved(thunks, repeats)
-        base = secs.pop("seed")
+        secs = _time_interleaved(
+            {
+                "seed": lambda: seed_rank1(a, b),
+                "broadcast": lambda: run(broadcast_rank1),
+                "kernel": lambda: run(minplus_kernel),
+            },
+            repeats,
+        )
+        base, kernel = secs["seed"], secs["kernel"]
         row = {
             "shape": [m, k, n],
             "dtype": np.dtype(dtype).name,
             "ops": 2 * m * k * n,
             "separator": _is_separator(m, k, n),
             "seed_rank1_s": round(base, 6),
-            "strategies": {
-                s: {
-                    "seconds": round(t, 6),
-                    "speedup_vs_seed": round(base / t, 3),
-                }
-                for s, t in secs.items()
-            },
+            "broadcast_rank1_s": round(secs["broadcast"], 6),
+            "kernel_s": round(kernel, 6),
+            "speedup_vs_seed": round(base / kernel, 3),
+            "speedup_vs_broadcast": round(secs["broadcast"] / kernel, 3),
         }
         rows.append(row)
-        fastest = min(
-            row["strategies"], key=lambda s: row["strategies"][s]["seconds"]
-        )
         print(
-            f"gemm {m}x{k}x{n}/{np.dtype(dtype).name}: seed {base * 1e3:7.1f} ms"
-            f" | best {fastest} x{row['strategies'][fastest]['speedup_vs_seed']:.2f}"
+            f"gemm {m}x{k}x{n}/{np.dtype(dtype).name}: seed {base * 1e3:7.2f} ms"
+            f" | broadcast {secs['broadcast'] * 1e3:7.2f} ms"
+            f" | kernel {kernel * 1e3:7.2f} ms (x{row['speedup_vs_seed']:.2f})"
         )
     return rows
 
@@ -230,7 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"fail if ktiled/seed > {CHECK_MAX_RATIO} on {REFERENCE_SHAPE}",
+        help=f"fail if kernel/seed > {CHECK_MAX_RATIO} on {REFERENCE_SHAPE}",
     )
     args = parser.parse_args(argv)
 
@@ -241,6 +256,8 @@ def main(argv=None) -> int:
     ]
     if not args.quick:
         shapes += [
+            ((32, 32, 18), np.float64),
+            ((199, 57, 199), np.float64),
             ((32, 4096, 32), np.float64),
             ((32, 4096, 32), np.float32),
             ((16, 4096, 16), np.float64),
@@ -255,27 +272,19 @@ def main(argv=None) -> int:
         160 if args.quick else 400, workers=4, repeats=1 if args.quick else 2
     )
 
-    tiled = ("ktiled", "outtiled")
-    best_tiled_separator = max(
-        (
-            row["strategies"][s]["speedup_vs_seed"]
-            for row in gemm
-            if row["separator"]
-            for s in tiled
-        ),
+    best_separator = max(
+        (row["speedup_vs_seed"] for row in gemm if row["separator"]),
         default=0.0,
     )
-    best_speedup = max(
-        s["speedup_vs_seed"] for row in gemm for s in row["strategies"].values()
-    )
+    best_speedup = max(row["speedup_vs_seed"] for row in gemm)
     reference = next(
         row
         for row in gemm
         if tuple(row["shape"]) == REFERENCE_SHAPE and row["dtype"] == "float64"
     )
-    ratio = reference["strategies"]["ktiled"]["seconds"] / reference["seed_rank1_s"]
+    ratio = reference["kernel_s"] / reference["seed_rank1_s"]
     payload = {
-        "version": "bench-engine/v1",
+        "version": "bench-engine/v2",
         "quick": bool(args.quick),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
@@ -284,24 +293,19 @@ def main(argv=None) -> int:
         "backends": backends,
         "check": {
             "reference_shape": list(REFERENCE_SHAPE),
-            "ktiled_over_seed": round(ratio, 3),
+            "kernel_over_seed": round(ratio, 3),
             "max_ratio": CHECK_MAX_RATIO,
-            "best_tiled_vs_seed_on_separator_shapes": round(
-                best_tiled_separator, 3
-            ),
+            "best_vs_seed_on_separator_shapes": round(best_separator, 3),
             "best_speedup_vs_seed": round(best_speedup, 3),
         },
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
-    print(
-        "best tiled speedup vs seed on separator shapes: "
-        f"x{best_tiled_separator:.2f}"
-    )
+    print(f"best kernel speedup vs seed on separator shapes: x{best_separator:.2f}")
     print(f"wrote {args.out}")
     if args.check and ratio > CHECK_MAX_RATIO:
         print(
-            f"CHECK FAILED: ktiled is x{ratio:.2f} of the seed baseline on "
+            f"CHECK FAILED: the kernel is x{ratio:.2f} of the seed baseline on "
             f"{REFERENCE_SHAPE} (limit {CHECK_MAX_RATIO})",
             file=sys.stderr,
         )

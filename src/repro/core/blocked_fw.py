@@ -78,7 +78,8 @@ def blocked_floyd_warshall_inplace(
             counter.add(
                 "panel", panel_update_cols(dist[j0:j1, k0:k1], diag, semiring)
             )
-        # Trailing outer-product updates.
+        # Trailing outer-product updates, counted once per pivot block.
+        outer = 0
         for i in range(nb):
             if i == k:
                 continue
@@ -88,15 +89,11 @@ def blocked_floyd_warshall_inplace(
                 if j == k:
                     continue
                 j0, j1 = bounds[j], bounds[j + 1]
-                counter.add(
-                    "outer",
-                    outer_update(
-                        dist[i0:i1, j0:j1],
-                        col_panel,
-                        dist[k0:k1, j0:j1],
-                        semiring,
-                    ),
+                outer += outer_update(
+                    dist[i0:i1, j0:j1], col_panel, dist[k0:k1, j0:j1], semiring
                 )
+        if outer:
+            counter.add("outer", outer)
 
 
 def blocked_floyd_warshall(

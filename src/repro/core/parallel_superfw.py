@@ -154,6 +154,7 @@ def _process_eliminate(
     traced: bool = False,
     attempt_base: int = 0,
     deadline: float | None = None,
+    mirror: bool = False,
 ):
     """Worker task: :func:`~repro.core.superfw.run_task` on the shared matrix.
 
@@ -171,6 +172,8 @@ def _process_eliminate(
     task forever.  ``deadline`` (absolute ``time.monotonic()``,
     comparable across processes on Linux) enforces the solve's wall
     budget cooperatively inside the worker, between kernel ops.
+    ``mirror`` is the solve's symmetry flag (see
+    :func:`~repro.core.superfw.eliminate_supernode`).
     """
     engine = get_engine()
     before = engine.stats_snapshot()
@@ -178,7 +181,7 @@ def _process_eliminate(
         run_task, _WORKER["dist"], s,
         structure=_WORKER["structure"], retry=retry,
         attempt_base=attempt_base, defer_aa=True,
-        check=partial(_deadline_check, s, deadline),
+        check=partial(_deadline_check, s, deadline), mirror=mirror,
     )
     events: list = []
     metrics = None
@@ -281,10 +284,11 @@ class SharedPlanPool:
         traced: bool = False,
         attempt_base: int = 0,
         deadline: float | None = None,
+        mirror: bool = False,
     ):
         """Submit supernode ``s`` to the warm workers."""
         return self._pool.submit(
-            _process_eliminate, s, retry, traced, attempt_base, deadline
+            _process_eliminate, s, retry, traced, attempt_base, deadline, mirror
         )
 
     def stale_workers(self, timeout: float) -> list[int]:
@@ -587,7 +591,7 @@ class _Process(_Sequential):
     """
 
     def __init__(
-        self, dist, task, *, plan, eng, tracker, recovery, retry,
+        self, dist, task, *, plan, eng, tracker, recovery, retry, mirror,
         workers, pool, policy,
     ) -> None:
         self.transient = pool is None
@@ -609,6 +613,7 @@ class _Process(_Sequential):
         self.workers = workers
         self.eng = eng
         self.retry = retry
+        self.mirror = mirror
         self.recovery = recovery
         self.policy = policy
         self.supervisor = self.barrier = None
@@ -629,7 +634,7 @@ class _Process(_Sequential):
             deadline = time.monotonic() + max(0.0, self.wall - self.tracker.elapsed())
         return self.pool.submit(
             s, self.retry, get_tracer().enabled,
-            attempt_base=attempt_base, deadline=deadline,
+            attempt_base=attempt_base, deadline=deadline, mirror=self.mirror,
         )
 
     def _on_result(self, apply, s: int, value) -> None:

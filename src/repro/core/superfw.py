@@ -97,6 +97,21 @@ def _accumulate_aa(dist: np.ndarray, anc_runs, update: np.ndarray) -> None:
             np.minimum(view, update[ro:ro + r1 - r0, co:co + c1 - c0], out=view)
 
 
+def _symmetric(dist: np.ndarray, tile: int = 128) -> bool:
+    """Whether ``dist`` equals its transpose bit for bit.
+
+    Compares the upper triangle against the lower in strips of ``tile``
+    rows, so the transposed read stays cache-sized and a mismatch stops
+    the scan: about half the cost of ``np.array_equal(dist, dist.T)``.
+    """
+    n = dist.shape[0]
+    for i0 in range(0, n, tile):
+        i1 = min(i0 + tile, n)
+        if not np.array_equal(dist[i0:i1, i0:], dist[i0:, i0:i1].T):
+            return False
+    return True
+
+
 def eliminate_supernode(
     dist: np.ndarray,
     structure: SupernodalStructure,
@@ -106,6 +121,7 @@ def eliminate_supernode(
     aa_lock=None,
     defer_aa: bool = False,
     check=None,
+    mirror: bool = False,
 ) -> np.ndarray | None:
     """Eliminate one supernode of the permuted distance matrix, as a transaction.
 
@@ -133,8 +149,12 @@ def eliminate_supernode(
     hand it to the coordinator, which applies the ⊕-accumulations itself,
     run by run (the paper's "those blocks are updated sequentially").  ``check`` (when given) is a no-arg callable invoked
     between the kernels — a cooperative abort point for deadlines
-    enforced inside process workers.  Returns ``None`` when the region
-    was applied here or is empty.
+    enforced inside process workers.  ``mirror`` says ``dist`` is
+    symmetric bit for bit, as it stays through a sweep that starts
+    symmetric: then the row panel is the closed column panel's
+    transpose, and only the column PanelUpdate runs (the op counter
+    still charges both, as the op law does).  Returns ``None`` when the
+    region was applied here or is empty.
     """
     counter = counter if counter is not None else OpCounter()
     check = check if check is not None else _no_check
@@ -153,10 +173,14 @@ def eliminate_supernode(
         if nd or na:
             b = hi - lo
             col_panel = _gather(dist, runs.rows, own, (nd + na, b))
-            row_panel = _gather(dist, own, runs.rows, (b, nd + na))
             with tracer.span("panel", snode=s):
                 counter.add("panel", panel_update_cols(col_panel, diag))
-                counter.add("panel", panel_update_rows(row_panel, diag))
+                if mirror:
+                    row_panel = np.ascontiguousarray(col_panel.T)
+                    counter.add("panel", 2 * b * b * (nd + na))
+                else:
+                    row_panel = _gather(dist, own, runs.rows, (b, nd + na))
+                    counter.add("panel", panel_update_rows(row_panel, diag))
             check()
             writes += [(runs.rows, own, col_panel), (own, runs.rows, row_panel)]
             shared = aa_lock is not None or defer_aa
@@ -211,7 +235,8 @@ def run_task(
     thread, or inside a process worker — so kernel- and task-fault draws
     are keyed on ``(s, attempt_base + attempt)`` on all of them, and a
     failed attempt leaves ``dist`` untouched for the next.
-    ``eliminate_options`` (``aa_lock`` / ``defer_aa`` / ``check``) pass
+    ``eliminate_options`` (``aa_lock`` / ``defer_aa`` / ``check`` /
+    ``mirror``) pass
     through to :func:`eliminate_supernode`; ``check`` also runs before
     each attempt.  Returns ``(attempts_used, ops, aa_payload)``.
     """
@@ -327,6 +352,9 @@ def _sweep(
             solve_graph = applied.graph
     with phase(timings, "permute", n=solve_graph.n):
         dist = solve_graph.to_dense_dist(dtype=dtype)[np.ix_(perm, perm)]
+        # A symmetric start matrix stays symmetric bit for bit, so every
+        # supernode can mirror its panel.
+        mirror = _symmetric(dist)
     levels = structure.level_order()
     if by_level:
         groups = [[int(s) for s in g.tolist()] for g in levels]
@@ -358,12 +386,12 @@ def _sweep(
             recovery["resumed_from_group"] = start
     tracer = get_tracer()
     ops = OpCounter()
-    task = partial(run_task, structure=structure, retry=retry)
+    task = partial(run_task, structure=structure, retry=retry, mirror=mirror)
     eng = get_engine()
     engine_before = eng.stats_snapshot()
     executor = make_executor(
         dist, task, plan=plan, eng=eng, tracker=tracker,
-        recovery=recovery, retry=retry,
+        recovery=recovery, retry=retry, mirror=mirror,
     )
     opened = [executor]
     dist = executor.dist  # escalated executors share this matrix

@@ -3,7 +3,7 @@
 ``repro.obs`` is the zero-dependency instrumentation layer threaded
 through every stage of a solve — plan analysis (:mod:`repro.plan`),
 per-supernode elimination in the SuperFW solvers (:mod:`repro.core`),
-engine strategy dispatch (:mod:`repro.semiring.engine`), and the
+min-plus GEMM calls (:mod:`repro.semiring.engine`), and the
 retry/fallback machinery (:mod:`repro.resilience`).  It deliberately
 imports nothing else from ``repro`` so any layer can import it without
 cycles.

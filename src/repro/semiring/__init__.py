@@ -22,10 +22,11 @@ from repro.semiring.minplus import (
     semiring_gemm,
 )
 from repro.semiring.engine import (
-    STRATEGIES,
+    KERNEL,
     SemiringGemmEngine,
     WorkspacePool,
     get_engine,
+    minplus_kernel,
     result_dtype,
     set_engine,
 )
@@ -39,10 +40,10 @@ from repro.semiring.kernels import (
 
 __all__ = [
     "BOOLEAN",
+    "KERNEL",
     "MAX_PLUS",
     "MIN_MAX",
     "MIN_PLUS",
-    "STRATEGIES",
     "Semiring",
     "SemiringGemmEngine",
     "WorkspacePool",
@@ -53,6 +54,7 @@ __all__ = [
     "minplus_gemm",
     "minplus_gemm_flops",
     "minplus_inner",
+    "minplus_kernel",
     "outer_update",
     "panel_update_cols",
     "panel_update_rows",

@@ -1,39 +1,28 @@
-"""The tiled min-plus SemiringGemm engine (paper §5.1.2).
+"""The min-plus SemiringGemm engine (paper §5.1.2).
 
 The paper's speedup story rests on one dense kernel — ``SemiringGemm`` —
 shared by every blocked algorithm in the library.  This module is that
-kernel: three tiled implementations behind one shape rule, plus a
-reusable workspace:
+kernel, plus a reusable workspace.
 
-``rank1``
-    The classic loop of rank-1 "broadcast ⊕" updates, writing its
-    per-iteration broadcast into a pooled scratch buffer instead of a
-    fresh allocation.  Lowest memory footprint; best for small operands
-    where NumPy call overhead dominates.
-``ktiled``
-    Contraction-tiled: processes ``kc`` pivots at once through a bounded
-    ``(kc, m, n)`` broadcast followed by one plane-contiguous
-    ``min``-reduction over the leading axis.  Replaces ``kc`` NumPy
-    call/temporary round-trips with one, which wins by 2--9x on
-    separator-panel products — a small ``(m, n)`` output contracted over
-    a long ``k`` — where per-pivot interpreter overhead dominates the
-    rank-1 loop.
-``outtiled``
-    Output-tiled: splits the ``(m, n)`` output into :data:`TILE`-square
-    tiles and runs the k-tiled kernel per tile, bounding every
-    intermediate by ``kc x TILE x TILE``.  For very large trailing
-    updates where the full ``(kc, m, n)`` broadcast would not fit
-    :data:`WORKSPACE_LIMIT`.
+:func:`minplus_kernel` ⊕-accumulates ``a ⊗ b`` into ``out`` in steps of
+``kc = max(1, min(k, B // (m·n)))`` pivots, where :data:`B` bounds the
+``(kc, m, n)`` step buffer.  Each step *copies* the ``kc`` rows of ``b``
+into the buffer, adds the ``kc`` columns of ``a`` in place, reduces the
+planes with ``min`` and ⊕-folds the result into ``out``; with ``kc == 1``
+it copies and adds one pivot at a time.  Copy-then-add is the point: a
+broadcast add ``np.add(a[:, t:t+1], b[t], out=tmp)`` costs about five
+contiguous copies of the buffer, a row copy plus an in-place column add
+about four (``docs/PERFORMANCE.md``).  Small fronts fit in one step, a
+separator panel (small ``(m, n)``, long ``k``) in a few, and a large
+trailing update runs one pivot per step on an ``(m, n)`` buffer.
 
-All three produce bit-identical results on non-aliased operands: the
-value of ``C[i, j]`` is ``min_t fl(A[i, t] + B[t, j])`` and both ``min``
-and IEEE ``+`` are deterministic regardless of tiling order.
+Results are bit-identical to the quadratic-memory oracle on non-aliased
+operands: ``C[i, j]`` is ``min_t fl(A[i, t] + B[t, j])`` and both
+``min`` and IEEE ``+`` are deterministic whatever the step size.
 
-:meth:`SemiringGemmEngine.gemm` picks the kernel with
-:func:`choose_kernel`, a pure function of the shape ``(m, k, n)``; there
-is no per-call override and no tuning state.  Engines keep per-kernel
-call/op/time counters which the solvers surface in
-``APSPResult.meta["engine"]``.
+Engines keep call/op/time counters, keyed by the kernel name
+:data:`KERNEL`, which the solvers surface in
+``APSPResult.meta["engine"]["strategies"]``.
 
 The module-level *ambient engine* (:func:`get_engine` /
 :func:`set_engine`) is what the blocked kernels in
@@ -43,7 +32,7 @@ the library — dense blocked, SuperFW on every executor, path doubling,
 the rank-k fold and the factor passes — runs the same kernel without
 plumbing an object through every call site.  (``docs/ARCHITECTURE.md``
 calls this the *kernel layer*.)  When the ambient tracer
-(:mod:`repro.obs`) is enabled, every dispatch records a ``gemm`` span
+(:mod:`repro.obs`) is enabled, every call records a ``gemm`` span
 plus an ``engine.dispatch.<kernel>`` counter — see
 ``docs/OBSERVABILITY.md``.
 """
@@ -59,23 +48,12 @@ import numpy as np
 
 from repro.obs import get_tracer
 
-#: Edge of the square output tile of ``outtiled``.
-TILE = 128
+#: Elements of the ``(kc, m, n)`` step buffer (256 KiB of float64): a
+#: product takes ``kc = max(1, min(k, B // (m·n)))`` pivots per step.
+B = 32_768
 
-#: Ceiling on the ``(kc, m, n)`` broadcast intermediate, in scalar
-#: elements; ``kc`` is clipped so the intermediate never exceeds it.
-WORKSPACE_LIMIT = 4_194_304
-
-#: Target byte size of the ``(kc, m, n)`` broadcast intermediate: roughly
-#: L2-resident so the plane reduction re-reads warm cache lines.  At
-#: least :data:`KC_AUTO_MIN` pivots per tile so interpreter overhead
-#: stays amortized.
-KC_AUTO_BYTES = 512 * 1024
-KC_AUTO_MIN = 64
-
-#: Contraction tile the shape rule assumes when it asks whether one
-#: whole-output k-tile would exceed :data:`WORKSPACE_LIMIT`.
-_RULE_KC = 16
+#: The kernel's name in the engine counters and trace attributes.
+KERNEL = "minplus"
 
 
 def result_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
@@ -93,31 +71,10 @@ def result_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
     return dt
 
 
-def choose_kernel(m: int, k: int, n: int) -> str:
-    """The kernel for an ``m x k x n`` product.
-
-    Derived from the measured machine model: every kernel moves the
-    same memory per pivot, so tiling wins exactly where per-pivot
-    *interpreter* overhead dominates — a small output panel contracted
-    over a long ``k`` (the separator-panel products of the supernodal
-    solve).  Large square products are bandwidth-bound and stay on the
-    pooled rank-1 loop; huge outputs whose k-tile intermediate would
-    exceed :data:`WORKSPACE_LIMIT` go output-tiled.
-    """
-    mn = m * n
-    if mn <= 4_096 and k >= 1_024:  # separator panel: long k, small out
-        return "ktiled"
-    if k < 64 or mn < 65_536:  # tiny contraction or in-cache output
-        return "rank1"
-    if mn > 4 * TILE * TILE and mn * _RULE_KC > WORKSPACE_LIMIT:
-        return "outtiled"
-    return "rank1"
-
-
 class WorkspacePool:
     """Thread-local pool of reusable scratch buffers.
 
-    Buffers are keyed by name and grown geometrically, so a solver that
+    Buffers are keyed by name and grown on demand, so a solver that
     calls the engine thousands of times with similar shapes performs a
     handful of allocations total.  Storage is per-thread: the threaded
     SuperFW executor's workers each get private scratch, which keeps the
@@ -130,7 +87,7 @@ class WorkspacePool:
         self.hits = 0
         self.misses = 0
 
-    def _store(self) -> dict[str, np.ndarray]:
+    def _store(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         store = getattr(self._local, "store", None)
         if store is None:
             store = {}
@@ -141,118 +98,79 @@ class WorkspacePool:
         """A scratch array of ``shape``/``dtype``, reused across calls.
 
         The returned array is a view into pooled storage; its contents
-        are arbitrary (callers must fully overwrite it).
+        are arbitrary (callers must fully overwrite it).  Each key keeps
+        its last view, so a repeated request costs one dict lookup.
         """
         store = self._store()
-        need = math.prod(shape)
-        flat = store.get(key)
-        if flat is None or flat.dtype != np.dtype(dtype) or flat.size < need:
-            store[key] = flat = np.empty(need, dtype=dtype)
-            with self._stats_lock:
-                self.misses += 1
-        else:
-            with self._stats_lock:
-                self.hits += 1
-        return flat[:need].reshape(shape)
+        entry = store.get(key)
+        if entry is not None:
+            flat, view = entry
+            if view.shape == shape and view.dtype == dtype:
+                with self._stats_lock:
+                    self.hits += 1
+                return view
+            need = math.prod(shape)
+            if flat.dtype == dtype and flat.size >= need:
+                view = flat[:need].reshape(shape)
+                store[key] = (flat, view)
+                with self._stats_lock:
+                    self.hits += 1
+                return view
+        flat = np.empty(math.prod(shape), dtype=dtype)
+        view = flat.reshape(shape)
+        store[key] = (flat, view)
+        with self._stats_lock:
+            self.misses += 1
+        return view
 
     def nbytes(self) -> int:
         """Bytes held by the calling thread's buffers."""
-        return sum(arr.nbytes for arr in self._store().values())
+        return sum(flat.nbytes for flat, _ in self._store().values())
 
 
-# ---------------------------------------------------------------------------
-# The kernels.  Each ⊕-accumulates ``a ⊗ b`` into ``out`` (already holding
-# ``inf`` or the prior values), drawing scratch from ``pool``.
-# ---------------------------------------------------------------------------
-def _rank1(
+def minplus_kernel(
     pool: WorkspacePool, a: np.ndarray, b: np.ndarray, out: np.ndarray
 ) -> None:
-    tmp = pool.buffer("rank1", out.shape, out.dtype)
-    for t in range(a.shape[1]):
-        np.add(a[:, t : t + 1], b[t, :], out=tmp)
-        np.minimum(out, tmp, out=out)
+    """⊕-accumulate ``a ⊗ b`` into ``out``, drawing scratch from ``pool``.
 
-
-def _kc(m: int, n: int, itemsize: int) -> int:
-    """Contraction tile for an ``(m, n)`` output: cache-sized, bounded."""
-    mn = max(1, m * n)
-    kc = max(KC_AUTO_MIN, KC_AUTO_BYTES // (itemsize * mn))
-    return max(1, min(kc, WORKSPACE_LIMIT // mn))
-
-
-def _ktiled(
-    pool: WorkspacePool, a: np.ndarray, b: np.ndarray, out: np.ndarray
-) -> None:
-    # The (kc, m, n) intermediate is reduced over its *leading* axis:
-    # NumPy streams the min over contiguous (m, n) planes, which is
-    # several times faster than reducing the strided middle axis of
-    # an (m, kc, n) layout.
+    ``out`` already holds ``inf`` or the prior values.  Each step reads
+    its ``kc`` pivots of ``a`` and ``b`` into the buffer before folding
+    into ``out``, so ``out`` may alias an operand under the contract of
+    :meth:`SemiringGemmEngine.gemm`.
+    """
     m, k = a.shape
     n = b.shape[1]
-    kc = _kc(m, n, out.dtype.itemsize)
+    kc = min(k, B // (m * n))
     if kc <= 1:
-        _rank1(pool, a, b, out)
+        tmp = pool.buffer("step", (m, n), out.dtype)
+        for t in range(k):
+            tmp[...] = b[t]
+            np.add(tmp, a[:, t : t + 1], out=tmp)
+            np.minimum(out, tmp, out=out)
         return
-    aT = a.T  # (k, m) view; broadcast reads are O(kc*m), negligible
-    tmp = pool.buffer("ktiled3d", (kc, m, n), out.dtype)
-    red = pool.buffer("ktiled2d", (m, n), out.dtype)
+    # The (kc, m, n) buffer is reduced over its *leading* axis: NumPy
+    # streams the min over contiguous (m, n) planes.
+    aT = a.T
+    steps = pool.buffer("steps", (kc, m, n), out.dtype)
+    red = pool.buffer("red", (m, n), out.dtype)
     for k0 in range(0, k, kc):
         k1 = min(k0 + kc, k)
-        if k1 - k0 == 1:
-            np.add(a[:, k0 : k0 + 1], b[k0, :], out=red)
-        else:
-            view = tmp[: k1 - k0]
-            np.add(aT[k0:k1, :, None], b[k0:k1, None, :], out=view)
-            np.minimum.reduce(view, axis=0, out=red)
+        v = steps[: k1 - k0]
+        v[...] = b[k0:k1, None, :]
+        np.add(v, aT[k0:k1, :, None], out=v)
+        np.minimum.reduce(v, axis=0, out=red)
         np.minimum(out, red, out=out)
 
 
-def _outtiled(
-    pool: WorkspacePool, a: np.ndarray, b: np.ndarray, out: np.ndarray
-) -> None:
-    m, k = a.shape
-    n = b.shape[1]
-    tm, tn = min(TILE, m), min(TILE, n)
-    kc = _kc(tm, tn, out.dtype.itemsize)
-    aT = a.T
-    tmp = pool.buffer("outtiled3d", (kc, tm, tn), out.dtype)
-    red = pool.buffer("outtiled2d", (tm, tn), out.dtype)
-    for i0 in range(0, m, tm):
-        i1 = min(i0 + tm, m)
-        for j0 in range(0, n, tn):
-            j1 = min(j0 + tn, n)
-            sub = out[i0:i1, j0:j1]
-            r = red[: i1 - i0, : j1 - j0]
-            for k0 in range(0, k, kc):
-                k1 = min(k0 + kc, k)
-                if k1 - k0 == 1:
-                    np.add(a[i0:i1, k0 : k0 + 1], b[k0, j0:j1], out=r)
-                else:
-                    view = tmp[: k1 - k0, : i1 - i0, : j1 - j0]
-                    np.add(
-                        aT[k0:k1, i0:i1, None], b[k0:k1, None, j0:j1], out=view
-                    )
-                    np.minimum.reduce(view, axis=0, out=r)
-                np.minimum(sub, r, out=sub)
-
-
-#: Kernel by name: ``KERNELS[name](pool, a, b, out)`` ⊕-accumulates
-#: ``a ⊗ b`` into ``out``.  :meth:`SemiringGemmEngine.gemm` dispatches
-#: through it; tests and ``benchmarks/bench_engine.py`` call a kernel
-#: directly.
-KERNELS = {"rank1": _rank1, "ktiled": _ktiled, "outtiled": _outtiled}
-
-#: The kernel names.
-STRATEGIES: tuple[str, ...] = tuple(KERNELS)
-
-
 class SemiringGemmEngine:
-    """Min-plus GEMM with shape dispatch, workspace reuse and counters."""
+    """Min-plus GEMM with workspace reuse and call/op/time counters."""
 
     def __init__(self) -> None:
         self.workspace = WorkspacePool()
         self._stats_lock = threading.Lock()
-        self._stats: dict[str, dict[str, float]] = {}
+        self._calls = 0
+        self._ops = 0
+        self._seconds = 0.0
 
     def gemm(
         self,
@@ -285,83 +203,62 @@ class SemiringGemmEngine:
             out.fill(np.inf)
         if kdim == 0 or m == 0 or n == 0:
             return out
-        name = choose_kernel(m, kdim, n)
-        kernel = KERNELS[name]
         tracer = get_tracer()
         if tracer.enabled:
             # Attribute dicts are built only on the traced path: gemm is
             # the hottest call site in the library.
-            tracer.metrics.inc("engine.dispatch." + name)
-            with tracer.span("gemm", strategy=name, m=m, k=kdim, n=n):
+            tracer.metrics.inc("engine.dispatch." + KERNEL)
+            with tracer.span("gemm", strategy=KERNEL, m=m, k=kdim, n=n):
                 t0 = time.perf_counter()
-                kernel(self.workspace, a, b, out)
+                minplus_kernel(self.workspace, a, b, out)
                 seconds = time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
-            kernel(self.workspace, a, b, out)
+            minplus_kernel(self.workspace, a, b, out)
             seconds = time.perf_counter() - t0
-        self._record(name, 2 * m * n * kdim, seconds)
+        with self._stats_lock:
+            self._calls += 1
+            self._ops += 2 * m * n * kdim
+            self._seconds += seconds
         return out
 
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
-    def _record(
-        self, strategy: str, ops: int, seconds: float, calls: int = 1
-    ) -> None:
-        with self._stats_lock:
-            entry = self._stats.setdefault(
-                strategy, {"calls": 0, "ops": 0, "seconds": 0.0}
-            )
-            entry["calls"] += calls
-            entry["ops"] += ops
-            entry["seconds"] += seconds
+    def stats_snapshot(self) -> dict[str, float]:
+        """The raw counters, for later delta reporting by :meth:`stats_dict`.
 
-    def stats_snapshot(self) -> dict[str, dict[str, float]]:
-        """Copy of the raw per-kernel counters, for later delta reporting.
-
-        Includes a ``"__workspace__"`` entry (never a kernel name) so
-        :meth:`stats_dict` can report workspace hits/misses as a delta.
+        Workspace hits/misses ride along so they are reported as a delta
+        too.
         """
         with self._stats_lock:
-            snap = {name: dict(v) for name, v in self._stats.items()}
-        snap["__workspace__"] = {
-            "hits": self.workspace.hits, "misses": self.workspace.misses,
-        }
+            snap = {"calls": self._calls, "ops": self._ops,
+                    "seconds": self._seconds}
+        snap["hits"] = self.workspace.hits
+        snap["misses"] = self.workspace.misses
         return snap
 
-    def stats_dict(
-        self, since: dict[str, dict[str, float]] | None = None
-    ) -> dict[str, Any]:
-        """JSON-friendly per-kernel counters (for ``APSPResult.meta``).
+    def stats_dict(self, since: dict[str, float] | None = None) -> dict[str, Any]:
+        """JSON-friendly counters (for ``APSPResult.meta["engine"]``).
 
-        ``since`` (a prior :meth:`stats_snapshot`) subtracts earlier
-        activity so a solver on the long-lived ambient engine reports
-        only its own calls.
+        ``strategies`` maps the kernel name :data:`KERNEL` to its calls,
+        ops and seconds (an empty dict when no product ran), so readers
+        can sum over it.  ``since`` (a prior :meth:`stats_snapshot`)
+        subtracts earlier activity so a solver on the long-lived ambient
+        engine reports only its own calls.
         """
-        since = since or {}
-        zero = {"calls": 0, "ops": 0, "seconds": 0.0}
-        with self._stats_lock:
-            strategies = {
-                name: {
-                    "calls": int(v["calls"] - since.get(name, zero)["calls"]),
-                    "ops": int(v["ops"] - since.get(name, zero)["ops"]),
-                    "seconds": round(
-                        float(v["seconds"] - since.get(name, zero)["seconds"]), 6
-                    ),
-                }
-                for name, v in sorted(self._stats.items())
+        now = self.stats_snapshot()
+        d = {key: now[key] - (since or {}).get(key, 0) for key in now}
+        strategies = {}
+        if d["calls"] > 0:
+            strategies[KERNEL] = {
+                "calls": int(d["calls"]),
+                "ops": int(d["ops"]),
+                "seconds": round(float(d["seconds"]), 6),
             }
-            strategies = {
-                name: v for name, v in strategies.items() if v["calls"] > 0
-            }
-        ws_since = since.get("__workspace__", {"hits": 0, "misses": 0})
         return {
             "strategies": strategies,
-            "workspace": {
-                "hits": int(self.workspace.hits - ws_since["hits"]),
-                "misses": int(self.workspace.misses - ws_since["misses"]),
-            },
+            "workspace": {"hits": int(d["hits"]), "misses": int(d["misses"])},
         }
 
     def merge_stats(
@@ -373,14 +270,17 @@ class SemiringGemmEngine:
 
         Used by the process-pool SuperFW backend, whose workers run their
         own per-process engines.  Calls, ops and seconds add up, so a
-        process solve reports the same per-kernel calls and ops as a
+        process solve reports the same calls and ops as a
         thread-executor one.  ``workspace`` (a worker's
         ``stats_dict()["workspace"]`` delta) folds the worker's pool
         hits/misses in as well — without it, process-backend solves
         under-report workspace reuse relative to the other backends.
         """
-        for name, v in strategies.items():
-            self._record(name, int(v["ops"]), float(v["seconds"]), int(v["calls"]))
+        with self._stats_lock:
+            for v in strategies.values():
+                self._calls += int(v["calls"])
+                self._ops += int(v["ops"])
+                self._seconds += float(v["seconds"])
         if workspace:
             with self.workspace._stats_lock:
                 self.workspace.hits += int(workspace.get("hits", 0))

@@ -14,8 +14,8 @@ scalar semiring operations performed, which feeds the operation counters of
 :class:`repro.obs.metrics.OpCounter`.
 
 Min-plus calls route through the ambient
-:class:`~repro.semiring.engine.SemiringGemmEngine`, which supplies tiled
-kernel strategies and pooled scratch buffers.  The PanelUpdates run fully
+:class:`~repro.semiring.engine.SemiringGemmEngine`, which supplies the
+blocked min-plus kernel and pooled scratch buffers.  The PanelUpdates run fully
 in place — no defensive copy of the panel.  That is legal because every
 caller closes the diagonal block (DiagUpdate) *before* any panel update:
 with ``diag`` transitively closed, a relaxation routed through an
@@ -130,7 +130,7 @@ def outer_update(
     ``(r, b)`` (the ``A(i,k)`` operand) and ``row_panel`` is ``(b, c)``.
     This is the semiring analogue of the Schur-complement (GEMM) update in
     Cholesky factorization and dominates the total work (paper §4.1) —
-    the engine's tiled strategies target exactly this call.
+    the engine's kernel is sized for exactly this call.
     """
     r, b = col_panel.shape
     if row_panel.shape[0] != b or trailing.shape != (r, row_panel.shape[1]):

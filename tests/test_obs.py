@@ -27,6 +27,7 @@ from repro.obs import (
 )
 from repro.plan.session import APSPSession
 from repro.resilience.faults import FaultSpec, inject_faults
+from repro.semiring.engine import KERNEL
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +351,7 @@ def test_traced_process_backend_multi_pid_schedule_and_identity():
     )
     assert sorted(e.args["snode"] for e in elim) == schedule
     # Worker metrics snapshots merged at the coordinator.
-    assert traced.meta["obs"]["counters"]["engine.dispatch.rank1"] > 0
+    assert traced.meta["obs"]["counters"]["engine.dispatch." + KERNEL] > 0
 
 
 def test_session_traces_one_solve_among_many():

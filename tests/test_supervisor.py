@@ -38,7 +38,7 @@ from repro.resilience.errors import (
     SolveTimeoutError,
     WorkerCrashError,
 )
-from repro.resilience.faults import FaultSpec, inject_faults
+from repro.resilience.faults import FaultSpec, _draw, inject_faults
 from repro.resilience.supervisor import (
     EPOCH_STRIDE,
     HeartbeatBoard,
@@ -205,23 +205,80 @@ def test_worker_crash_errors_survive_pickling():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+#: Chaos seeds, and each site's rate.  A kernel site fires per kernel
+#: call, so it gets a per-call rate that fails about as many attempts as
+#: the per-attempt process sites.  Every rate fires on at least one seed
+#: and draws nothing at the third redispatch epoch, so recovery stays
+#: within ``max_pool_rebuilds`` (``test_chaos_rates_exercise_recovery``).
+CHAOS_SEEDS = (0, 1, 2)
+CHAOS_RATES = {"worker_kill": 0.11, "shm_detach": 0.08, "kernel_error": 0.015}
+
+
+def _chaos_spec(seed: int, site: str) -> FaultSpec:
+    return FaultSpec(seed=seed, **{f"{site}_rate": CHAOS_RATES[site]})
+
+
+def _process_site_fires(seed: int, site: str, ns: int, epoch: int = 0) -> bool:
+    """Whether a first attempt of redispatch ``epoch`` draws ``site``.
+
+    Chaos draws are stateless, keyed on ``(supernode, attempt)``, so
+    this is known from the spec alone; the injector's own stats live in
+    the worker processes.
+    """
+    key = site.replace("_", "-")
+    attempt = epoch * EPOCH_STRIDE + 1
+    return any(
+        _draw(seed, key, s, attempt) < CHAOS_RATES[site] for s in range(ns)
+    )
+
+
+def _kernel_site_recovery(graph, seed: int) -> dict:
+    """The retries a kernel-fault spec causes, from an in-process solve.
+
+    Kernel draws are keyed per task attempt, and the thread executor runs
+    the same kernel calls per task as a process worker (both split the
+    outer update at A×A), so it retries exactly the same attempts.
+    """
+    with inject_faults(_chaos_spec(seed, "kernel_error")):
+        return parallel_superfw(graph, num_workers=2).meta["recovery"]
+
+
+@pytest.mark.parametrize("site", sorted(CHAOS_RATES))
+def test_chaos_rates_exercise_recovery(site):
+    g = GRAPH_BUILDERS["grid"]()
+    ns = analyze(g).structure.ns
+    if site == "kernel_error":
+        fired = [_kernel_site_recovery(g, seed)["task_retries"] > 0
+                 for seed in CHAOS_SEEDS]
+    else:
+        fired = [_process_site_fires(seed, site, ns) for seed in CHAOS_SEEDS]
+        limit = SupervisorPolicy().max_pool_rebuilds
+        assert not any(
+            _process_site_fires(seed, site, ns, epoch=limit)
+            for seed in CHAOS_SEEDS
+        )
+    assert any(fired), site
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
 @pytest.mark.parametrize("site", ["worker_kill", "shm_detach", "kernel_error"])
 def test_chaos_recovery_is_bit_identical(seed, site):
     g = GRAPH_BUILDERS["grid"]()
     expected = superfw(g).dist
-    # A task attempt makes several kernel calls, so kernel sites get a
-    # per-call rate that fails about as many attempts as the others.
-    rate = {"kernel_error": 0.015}.get(site, 0.08)
-    spec = FaultSpec(seed=seed, **{f"{site}_rate": rate})
-    with inject_faults(spec):
+    with inject_faults(_chaos_spec(seed, site)):
         r = parallel_superfw(g, backend="process", num_workers=2)
     assert np.array_equal(expected, r.dist)
     assert r.meta["supervised"]
-    # The sweep's job is coverage, not guaranteed carnage: some seeds
-    # never draw a fault, and that run must simply look undisturbed.
-    recovered = r.meta["recovery"].get("pool_rebuilds", 0)
-    assert recovered <= SupervisorPolicy().max_pool_rebuilds
+    recovery = r.meta["recovery"]
+    rebuilds = recovery.get("pool_rebuilds", 0)
+    assert rebuilds <= SupervisorPolicy().max_pool_rebuilds
+    if site == "kernel_error":
+        predicted = _kernel_site_recovery(g, seed)
+        assert recovery["task_retries"] == predicted["task_retries"]
+        assert recovery["sequential_reruns"] == predicted["sequential_reruns"]
+    elif _process_site_fires(seed, site, r.meta["plan"].structure.ns):
+        # A predicted first-attempt death must show as a recovery.
+        assert rebuilds >= 1 and recovery["recoveries"]
 
 
 def test_chaos_hang_detected_by_task_timeout(mesh_graph):
@@ -238,8 +295,6 @@ def test_chaos_hang_detected_by_task_timeout(mesh_graph):
     # Chaos draws are stateless, so whether any first-attempt hang fires
     # is predictable from the spec alone — the injector's own stats live
     # in the worker process and are invisible here.
-    from repro.resilience.faults import _draw
-
     ns = r.meta["plan"].structure.ns
     predicted = any(
         _draw(0, "worker-hang", s, 1) < spec.worker_hang_rate
