@@ -64,11 +64,11 @@ def test_distributed_time_model(benchmark, bench_size_factor, bench_seed):
         blockedfw_distributed_time,
         superfw_distributed_time,
     )
-    from repro.parallel.scheduler import DEFAULT_COST_MODEL
+    from repro.plan.router import DEFAULT_MACHINE
 
     graph = get_entry("delaunay_n14").build(size_factor=bench_size_factor, seed=bench_seed)
     structure = paper_structure(graph, bench_seed)
-    c = DEFAULT_COST_MODEL.seconds_per_op
+    c = 1 / DEFAULT_MACHINE.ops_per_second
 
     def run():
         rows = []

@@ -14,7 +14,7 @@ from repro.core.parallel_superfw import parallel_superfw
 from repro.plan import analyze
 from repro.experiments.fig7 import run_fig7
 from repro.graphs.suite import get_entry
-from repro.parallel.scheduler import DEFAULT_COST_MODEL, simulate_levels
+from repro.parallel.scheduler import simulate_levels
 from repro.parallel.tasks import superfw_levels
 
 
@@ -49,7 +49,7 @@ def levels(bench_size_factor, bench_seed):
 @pytest.mark.parametrize("procs", [1, 8, 64])
 def test_simulator_speed(benchmark, levels, procs):
     """The simulator itself must be cheap (pure scheduling arithmetic)."""
-    benchmark(lambda: simulate_levels(levels, procs, DEFAULT_COST_MODEL))
+    benchmark(lambda: simulate_levels(levels, procs))
 
 
 def test_threaded_executor(benchmark, bench_size_factor, bench_seed):

@@ -3,23 +3,24 @@
 Run:  python examples/scaling_simulation.py
 
 The simulator behind Figs. 7-8 is exposed as a library: extract an
-algorithm's task DAG, calibrate the machine constants on *this* host, and
-ask "how would this scale on p cores?"  Useful for sizing supernode
-amalgamation and for seeing why etree parallelism matters most on small
-problems.
+algorithm's task DAG, price it with the machine model the update router
+and the supernode amalgamation use, and ask "how would this scale on p
+cores?"  Useful for sizing supernode amalgamation and for seeing why
+etree parallelism matters most on small problems.
 """
 
 from __future__ import annotations
 
 from repro import analyze, generators
-from repro.parallel.scheduler import calibrate_cost_model, simulate_levels, simulate_sequence
+from repro.parallel.scheduler import simulate_levels, simulate_sequence
 from repro.parallel.tasks import superfw_levels
+from repro.plan.router import DEFAULT_MACHINE
 
 
 def main() -> None:
-    model = calibrate_cost_model()
-    print(f"calibrated host: {1.0 / model.seconds_per_op / 1e9:.2f} Gop/s per core, "
-          f"{model.seconds_per_step * 1e6:.1f} us per kernel step\n")
+    model = DEFAULT_MACHINE
+    print(f"machine model: {model.ops_per_second / 1e9:.2f} Gop/s per core, "
+          f"{model.seconds_per_task * 1e6:.0f} us per supernode task\n")
 
     for n, label in ((300, "small"), (1200, "large")):
         g = generators.delaunay_mesh(n, seed=0)

@@ -5,10 +5,9 @@ level are pairwise cousins, so their DiagUpdate, PanelUpdates, and the
 ``D×D`` / ``D×A`` / ``A×D`` outer regions touch disjoint parts of the
 distance matrix and run concurrently.  Only the trailing ``A×A``
 accumulations can collide between cousins; following the paper ("those
-blocks are updated sequentially") they are serialized — with a lock
-around the ⊕-accumulation in the threaded backend, and by the
-coordinator applying worker-returned update matrices in the process
-backend.  Any application order is legal because min-plus ``⊕`` is
+blocks are updated sequentially") they are serialized: in both backends
+each task returns its ``A×A`` update matrix and the coordinator applies
+it.  Any application order is legal because min-plus ``⊕`` is
 associative and commutative — which also makes all three execution
 modes (sequential, thread, process) produce *bit-identical* matrices.
 
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -501,12 +499,12 @@ class _Threaded(_Sequential):
     """Pool-thread executor: a group's cousins run concurrently.
 
     Results are applied on the coordinating thread as the futures
-    drain; the A×A accumulation, the one region cousins share, is
-    serialized by a lock inside each task.
+    drain, deferred A×A payloads included: the A×A region is the one
+    cousins share, and no running cousin reads another's.
     """
 
     def __init__(self, dist: np.ndarray, task, workers: int) -> None:
-        super().__init__(dist, partial(task, aa_lock=threading.Lock()))
+        super().__init__(dist, partial(task, defer_aa=True))
         self.pool = ThreadPoolExecutor(max_workers=workers)
 
     def run_group(self, group, apply):

@@ -118,7 +118,6 @@ def eliminate_supernode(
     s: int,
     *,
     counter: OpCounter | None = None,
-    aa_lock=None,
     defer_aa: bool = False,
     check=None,
     mirror: bool = False,
@@ -141,20 +140,20 @@ def eliminate_supernode(
     ``dist`` untouched, and a retry starts from exactly the inputs the
     first attempt saw: every retry is bit-exact, with no snapshot.
 
-    ``aa_lock`` (when given) serializes the ``A(s) x A(s)`` trailing
-    accumulation, which is the only region two cousin supernodes can share
-    (§3.5) — pass it from the threaded executor.  ``defer_aa`` instead
-    *returns* the ``A×A`` contribution, an ``|A(s)| × |A(s)|`` update,
-    without touching that region — the process-pool backend's workers
-    hand it to the coordinator, which applies the ⊕-accumulations itself,
-    run by run (the paper's "those blocks are updated sequentially").  ``check`` (when given) is a no-arg callable invoked
+    ``defer_aa`` *returns* the ``A×A`` contribution, an
+    ``|A(s)| × |A(s)|`` update, without touching that region, which is
+    the only one two cousin supernodes can share (§3.5).  Both parallel
+    executors pass it — pool threads and process workers alike hand the
+    update to the coordinator, which applies the ⊕-accumulations itself,
+    run by run (the paper's "those blocks are updated sequentially").
+    ``check`` (when given) is a no-arg callable invoked
     between the kernels — a cooperative abort point for deadlines
     enforced inside process workers.  ``mirror`` says ``dist`` is
     symmetric bit for bit, as it stays through a sweep that starts
     symmetric: then the row panel is the closed column panel's
     transpose, and only the column PanelUpdate runs (the op counter
-    still charges both, as the op law does).  Returns ``None`` when the
-    region was applied here or is empty.
+    still charges both, as the op law does).  Returns the deferred
+    update, or ``None`` when nothing was deferred.
     """
     counter = counter if counter is not None else OpCounter()
     check = check if check is not None else _no_check
@@ -183,9 +182,8 @@ def eliminate_supernode(
                     counter.add("panel", panel_update_rows(row_panel, diag))
             check()
             writes += [(runs.rows, own, col_panel), (own, runs.rows, row_panel)]
-            shared = aa_lock is not None or defer_aa
             d, a = slice(None, nd), slice(nd, None)
-            if not shared:
+            if not defer_aa:
                 regions = [(runs.rows, runs.rows, slice(None), slice(None))]
             else:
                 # Parallel path: the D×D, D×A and A×D regions are private
@@ -202,8 +200,8 @@ def eliminate_supernode(
                     counter.add("outer", outer_update(block, lhs, rhs))
                     writes.append((rr, cr, block))
                     check()
-            if shared and na:
-                with tracer.span("aa", snode=s, deferred=defer_aa):
+            if defer_aa and na:
+                with tracer.span("aa", snode=s):
                     update = np.full((na, na), np.inf)
                     counter.add(
                         "outer",
@@ -213,11 +211,7 @@ def eliminate_supernode(
         # by a fault; cousins only share the A×A region.
         for rr, cr, block in writes:
             _scatter(dist, rr, cr, block)
-        if update is None or defer_aa:
-            return update
-        with aa_lock:
-            _accumulate_aa(dist, runs.anc, update)
-    return None
+    return update
 
 
 def run_task(
@@ -235,8 +229,7 @@ def run_task(
     thread, or inside a process worker — so kernel- and task-fault draws
     are keyed on ``(s, attempt_base + attempt)`` on all of them, and a
     failed attempt leaves ``dist`` untouched for the next.
-    ``eliminate_options`` (``aa_lock`` / ``defer_aa`` / ``check`` /
-    ``mirror``) pass
+    ``eliminate_options`` (``defer_aa`` / ``check`` / ``mirror``) pass
     through to :func:`eliminate_supernode`; ``check`` also runs before
     each attempt.  Returns ``(attempts_used, ops, aa_payload)``.
     """

@@ -3,9 +3,11 @@
 The paper scales four large graphs from 1 to 64 threads on a 32-core
 Haswell.  This host has one core, so the curves are produced by the
 work-depth simulator (see DESIGN.md): each algorithm's task DAG is
-extracted with calibrated machine constants and list-scheduled onto ``p``
-virtual processors.  Expected shapes: SuperFW near-linear to 32, the
-Dijkstra family embarrassingly parallel, Δ-stepping flat.
+extracted, priced by a :class:`~repro.plan.router.MachineModel` (SuperFW
+by the router's own, :data:`~repro.plan.router.DEFAULT_MACHINE`) and
+list-scheduled onto ``p`` virtual processors.  Expected shapes: SuperFW
+near-linear to 32, the Dijkstra family embarrassingly parallel,
+Δ-stepping flat.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import numpy as np
 
 from repro.core.delta_stepping import autotune_delta, sssp_delta_stepping
 from repro.plan import analyze
+from repro.plan.router import MachineModel
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import SCALING_NAMES, build_suite
 from repro.parallel.scheduler import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    calibrate_cost_model,
+    lpt_makespan,
     simulate_levels,
     simulate_sequence,
+    task_seconds,
 )
 from repro.parallel.tasks import (
     delta_stepping_tasks,
@@ -30,6 +32,15 @@ from repro.parallel.tasks import (
 )
 
 DEFAULT_PROCS = [1, 2, 4, 8, 16, 32, 64]
+
+#: Dijkstra-family tasks are pure-Python heap work, orders of magnitude
+#: more expensive per "op" than the NumPy kernels, and each SSSP runs on
+#: one processor with no dispatch of its own to pay.
+SSSP_MACHINE = MachineModel(ops_per_second=1 / 1.2e-7, seconds_per_task=0.0)
+
+#: Δ-stepping pays the same per-op cost plus one synchronization per
+#: bucket round (a task of its DAG's depth).
+DELTA_MACHINE = MachineModel(ops_per_second=1 / 1.2e-7, seconds_per_task=2e-4)
 
 
 def _delta_rounds(graph, *, sample: int = 8, seed: int = 0) -> np.ndarray:
@@ -48,7 +59,6 @@ def run_fig7(
     seed: int = 0,
     procs: list[int] | None = None,
     names: list[str] | None = None,
-    calibrate: bool = False,
     verbose: bool = True,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Simulated speedup curves for the Fig. 7 graphs.
@@ -56,17 +66,6 @@ def run_fig7(
     Returns ``{graph: {algorithm: {p: speedup}}}``.
     """
     procs = procs or DEFAULT_PROCS
-    model: CostModel = calibrate_cost_model() if calibrate else DEFAULT_COST_MODEL
-    # Dijkstra-family tasks are pure-Python heap work, orders of magnitude
-    # more expensive per "op" than the NumPy kernels; model that with a
-    # separate per-op constant so relative curve *shapes* stay faithful.
-    dijkstra_model = CostModel(
-        seconds_per_op=200 * model.seconds_per_op, seconds_per_step=0.0
-    )
-    delta_model = CostModel(
-        seconds_per_op=200 * model.seconds_per_op,
-        seconds_per_step=50 * model.seconds_per_step,
-    )
     out: dict[str, dict[str, dict[int, float]]] = {}
     for entry, graph in build_suite(
         names or SCALING_NAMES, size_factor=size_factor, seed=seed
@@ -82,15 +81,11 @@ def run_fig7(
             return {p: t1 / run(p) for p in procs}
 
         algo_curves = {
-            "superfw": curves(lambda p: simulate_levels(fw_levels, p, model)),
-            "dijkstra": curves(
-                lambda p: _lpt_seconds(dij_tasks, p, dijkstra_model)
-            ),
-            "boost-dijkstra": curves(
-                lambda p: _lpt_seconds(boost_tasks, p, dijkstra_model)
-            ),
+            "superfw": curves(lambda p: simulate_levels(fw_levels, p)),
+            "dijkstra": curves(lambda p: _lpt_seconds(dij_tasks, p)),
+            "boost-dijkstra": curves(lambda p: _lpt_seconds(boost_tasks, p)),
             "delta-stepping": curves(
-                lambda p: simulate_sequence(delta_tasks, p, delta_model)
+                lambda p: simulate_sequence(delta_tasks, p, DELTA_MACHINE)
             ),
         }
         out[entry.name] = algo_curves
@@ -104,8 +99,6 @@ def run_fig7(
     return out
 
 
-def _lpt_seconds(tasks, p: int, model: CostModel) -> float:
+def _lpt_seconds(tasks, p: int) -> float:
     """Rigid-task LPT schedule (each SSSP runs on one processor)."""
-    from repro.parallel.scheduler import lpt_makespan
-
-    return lpt_makespan([model.task_time(t, 1) for t in tasks], p)
+    return lpt_makespan([task_seconds(SSSP_MACHINE, t, 1) for t in tasks], p)

@@ -3,9 +3,10 @@
 The paper compares SuperFW speedup at 32 cores with and without etree
 parallelism and finds up to ~2x benefit, strongest on small graphs where
 per-iteration work is tiny.  The same comparison is produced here by the
-work-depth simulator: the *with* variant level-schedules cousin
-supernodes, the *without* variant runs supernodes one after another and
-parallelizes only within each elimination.
+work-depth simulator on the router's machine model
+(:data:`~repro.plan.router.DEFAULT_MACHINE`): the *with* variant
+level-schedules cousin supernodes, the *without* variant runs supernodes
+one after another and parallelizes only within each elimination.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from typing import Any
 from repro.plan import analyze
 from repro.experiments.common import format_table, print_header
 from repro.graphs.suite import build_suite
-from repro.parallel.scheduler import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    calibrate_cost_model,
-    simulate_levels,
-    simulate_sequence,
-)
+from repro.parallel.scheduler import simulate_levels, simulate_sequence
 from repro.parallel.tasks import superfw_levels
 
 DEFAULT_FIG8_NAMES = [
@@ -40,7 +35,6 @@ def run_fig8(
     seed: int = 0,
     procs: int = 32,
     names: list[str] | None = None,
-    calibrate: bool = False,
     verbose: bool = True,
 ) -> list[dict[str, Any]]:
     """Speedup at ``procs`` cores with vs without etree parallelism.
@@ -48,7 +42,6 @@ def run_fig8(
     Returns rows with both speedups and their ratio (the etree benefit);
     the paper reports ratios up to ~2x, largest on small graphs.
     """
-    model: CostModel = calibrate_cost_model() if calibrate else DEFAULT_COST_MODEL
     rows: list[dict[str, Any]] = []
     for entry, graph in build_suite(
         names or DEFAULT_FIG8_NAMES, size_factor=size_factor, seed=seed
@@ -56,9 +49,9 @@ def run_fig8(
         plan = analyze(graph, seed=seed)
         levels = superfw_levels(plan.structure)
         flat = [task for level in levels for task in level]
-        t1 = simulate_sequence(flat, 1, model)
-        t_with = simulate_levels(levels, procs, model)
-        t_without = simulate_sequence(flat, procs, model)
+        t1 = simulate_sequence(flat, 1)
+        t_with = simulate_levels(levels, procs)
+        t_without = simulate_sequence(flat, procs)
         rows.append(
             {
                 "graph": entry.name,

@@ -2,8 +2,9 @@
 
 The machine running this reproduction has a single physical core, so the
 paper's strong-scaling experiments (Figs. 7-8) are replayed on a simulated
-PRAM: every algorithm exposes its task DAG with per-task *work* (measured
-sequential seconds) and *depth* (irreducible critical path), and the
+PRAM: every algorithm exposes its task DAG with per-task *work* (scalar
+ops) and *depth* (sequential dispatches), the one machine model
+(:class:`repro.plan.router.MachineModel`) prices each task, and the
 scheduler computes the p-processor makespan by level-synchronous Brent/LPT
 scheduling.  The threaded SuperFW backend in
 :mod:`repro.core.parallel_superfw` proves the same DAG executes correctly
@@ -24,8 +25,6 @@ from repro.parallel.communication import (
     superfw_distributed_time,
 )
 from repro.parallel.scheduler import (
-    CostModel,
-    calibrate_cost_model,
     lpt_makespan,
     simulate_levels,
     simulate_sequence,
@@ -41,7 +40,6 @@ from repro.parallel.workdepth import (
 
 __all__ = [
     "AlgoModel",
-    "CostModel",
     "blockedfw_comm_volume",
     "blockedfw_distributed_time",
     "communication_table",
@@ -49,7 +47,6 @@ __all__ = [
     "superfw_distributed_time",
     "SimTask",
     "TABLE2_MODELS",
-    "calibrate_cost_model",
     "concurrency",
     "delta_stepping_tasks",
     "lpt_makespan",

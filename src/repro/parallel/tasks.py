@@ -2,9 +2,9 @@
 
 Each algorithm is reduced to *malleable tasks*: a task has ``work`` (total
 scalar operations, divisible over processors) and ``depth`` (the number of
-inherently sequential kernel steps — the rank-1 pivots of a Floyd-Warshall
-sweep, or the bucket rounds of Δ-stepping — each of which costs at least
-one kernel dispatch regardless of processor count).
+inherently sequential dispatches, each charged the machine model's
+``seconds_per_task`` regardless of processor count — one per SuperFW
+supernode elimination, one per bucket round of Δ-stepping).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class SimTask:
     work:
         Total scalar operations (parallelizable).
     depth:
-        Sequential kernel steps on the task's critical path.
+        Sequential dispatches on the task's critical path.
     """
 
     work: float
@@ -34,18 +34,17 @@ class SimTask:
 
 
 def supernode_costs(structure: SupernodalStructure) -> list[SimTask]:
-    """Work/depth of eliminating each supernode, indexed by supernode.
+    """One task per supernode elimination, indexed by supernode.
 
     Work is the exact kernel op count of
     :func:`repro.core.superfw.eliminate_supernode`
-    (:func:`~repro.symbolic.structure.superfw_snode_ops`); depth is
-    ``3 b`` rank-1 steps (DiagUpdate, PanelUpdate and OuterUpdate each
-    pivot ``b`` times; the two panels run concurrently).
+    (:func:`~repro.symbolic.structure.superfw_snode_ops`); depth is one
+    dispatch, so one processor runs the DAG in exactly the router's
+    sweep price (:func:`~repro.plan.router.sweep_seconds`).
     """
-    widths = np.diff(structure.snode_ptr).tolist()
     return [
-        SimTask(work=float(w), depth=float(3 * b))
-        for w, b in zip(superfw_snode_ops(structure).tolist(), widths)
+        SimTask(work=float(w), depth=1.0)
+        for w in superfw_snode_ops(structure).tolist()
     ]
 
 

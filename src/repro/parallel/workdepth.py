@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.parallel.tasks import superfw_levels
 from repro.symbolic.structure import SupernodalStructure, superfw_snode_ops
 
 
@@ -68,9 +67,15 @@ def superfw_measured_work(structure: SupernodalStructure) -> float:
 def superfw_measured_depth(structure: SupernodalStructure) -> float:
     """Critical path of the level-synchronous SuperFW DAG, in kernel steps.
 
-    Per level the depth is the maximum supernode depth (cousins run in
-    parallel); levels are barriers, so depths add — the empirical
-    counterpart of Eq. (4)'s ``Σ_i i · S(n/2^i) = O(|S| log^2 n)``.
+    A supernode of width ``b`` takes ``3 b`` steps (DiagUpdate,
+    PanelUpdate and OuterUpdate each pivot ``b`` times; the two panels
+    run concurrently).  Per level the depth is the maximum supernode
+    depth (cousins run in parallel); levels are barriers, so depths add —
+    the empirical counterpart of Eq. (4)'s
+    ``Σ_i i · S(n/2^i) = O(|S| log^2 n)``.
     """
-    levels = superfw_levels(structure)
-    return sum((max(t.depth for t in level) for level in levels if level), 0.0)
+    widths = np.diff(structure.snode_ptr)
+    return float(
+        sum(3 * int(widths[group].max()) for group in structure.level_order()
+            if group.size)
+    )

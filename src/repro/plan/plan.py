@@ -21,7 +21,6 @@ key in :class:`repro.plan.cache.PlanCache`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.plan.keys import (
     plan_id as _plan_id,
     structure_hash,
 )
-from repro.plan.router import DEFAULT_OPS_PER_SECOND, sweep_seconds
+from repro.plan.router import sweep_seconds
 from repro.resilience.errors import PlanMismatchError
 from repro.symbolic.etree import elimination_tree, postorder, relabel_etree
 from repro.symbolic.fill import symbolic_cholesky
@@ -414,10 +413,7 @@ def _symbolic_bundle(pattern: Graph, ordering: Ordering):
     sym = symbolic_cholesky(
         pattern, ordering.perm, parent=relabel_etree(parent, order)
     )
-    blocks = amalgamate(
-        sym, find_supernodes(sym),
-        partial(sweep_seconds, rate=DEFAULT_OPS_PER_SECOND),
-    )
+    blocks = amalgamate(sym, find_supernodes(sym), sweep_seconds)
     structure, snode_rows = supernodal_analysis(sym, blocks)
     return ordering, structure, snode_rows, sym.parent, sym.col_counts
 
@@ -444,9 +440,7 @@ def _modeled_cost(
         "max_block": int(widths.max()) if widths.size else 0,
         "max_front": int(fronts.max()) if fronts.size else 0,
         "modeled_ops": ops,
-        "modeled_seconds": sweep_seconds(
-            ops, structure.ns, DEFAULT_OPS_PER_SECOND
-        ),
+        "modeled_seconds": sweep_seconds(ops, structure.ns),
     }
 
 

@@ -13,42 +13,61 @@ reach the next epoch:
 * **reanalyze** — re-analysis plus a solve (only an insert can force
   this, because only an insert changes the pattern).
 
-The router prices the legal candidates with a calibrated cost model and
+The router prices the legal candidates with a calibrated machine model and
 picks the cheapest.  Solve cost is the plan's exact SuperFW op count
 (:func:`~repro.symbolic.structure.superfw_snode_ops`), and fold cost
 comes from the rank-k shape ``2(p³ + np² + pn²)``.  Ops convert to
-seconds through :func:`sweep_seconds`, the formula ``ordering="auto"``
-ranks by too.  Every path starts at :data:`DEFAULT_OPS_PER_SECOND` and
-is then EWMA-calibrated from each commit's measured ops and seconds, so
-predictions track the machine the session is actually running on.
+seconds through the one :class:`MachineModel` — the formula
+``ordering="auto"``, the supernode amalgamation and the Figs. 7–8
+scaling simulator price supernodes by too.  Every path starts at
+:data:`DEFAULT_MACHINE`'s rate and is then EWMA-calibrated from each
+commit's measured ops and seconds, so predictions track the machine the
+session is actually running on.
 Decisions and predicted/actual costs land in ``APSPResult.meta["router"]``
 and the ``router.*`` obs metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.obs import get_tracer
 from repro.symbolic.structure import superfw_snode_ops
 
-#: Starting min-plus throughput (scalar semiring ops / second) of every
-#: path, before observed commits exist to calibrate against.
-#: With :data:`SNODE_OVERHEAD_SECONDS`, a least-squares fit of
+
+@dataclass(frozen=True)
+class MachineModel:
+    """The one machine model: a rate per scalar op and a cost per task.
+
+    A task is one unit of sequential dispatch — a supernode elimination
+    of the sweep, a rank-k fold, a bucket round of Δ-stepping — whose
+    fixed cost (Python and kernel dispatch) no processor count divides.
+    """
+
+    ops_per_second: float
+    seconds_per_task: float
+
+    def seconds(self, ops, tasks=1, procs=1):
+        """``tasks · seconds_per_task + ops / (ops_per_second · procs)``.
+
+        ``ops`` may be an array (one price per entry).  At ``procs=1``
+        this is ``ops / rate + tasks · overhead`` to the bit.
+        """
+        return tasks * self.seconds_per_task + ops / (self.ops_per_second * procs)
+
+
+#: Min-plus throughput (scalar semiring ops / second) and fixed
+#: dispatch cost per supernode of a sweep: a least-squares fit of
 #: :func:`sweep_seconds` to 56 warm ``superfw`` solves (7 suite graphs at
 #: size factors 0.25 and 0.5, ND and AMD, with and without reductions)
-#: on a 2-core Intel Xeon with NumPy 2.4.
-DEFAULT_OPS_PER_SECOND = 4.0e8
+#: on a 2-core Intel Xeon with NumPy 2.4.  The per-supernode cost is why
+#: a solve on tiny supernodes (planar separators) does not look as cheap
+#: as a rank-1 fold.  Every router path starts at this rate.
+DEFAULT_MACHINE = MachineModel(ops_per_second=4.0e8, seconds_per_task=2.5e-4)
 
 #: EWMA smoothing for observed rates (higher = adapt faster).
 EWMA_ALPHA = 0.5
-
-#: Fixed dispatch cost charged per supernode of a warm re-solve.  On
-#: structures with tiny supernodes (planar separators) the sweep's
-#: per-task Python overhead dominates its raw op count, so pricing a
-#: solve by ops alone would make it look as cheap as a rank-1 fold.
-SNODE_OVERHEAD_SECONDS = 2.5e-4
 
 #: Fixed cost of one rank-k fold (terminal gather + three GEMM calls).
 FOLD_OVERHEAD_SECONDS = 2e-4
@@ -81,9 +100,9 @@ class RouterDecision:
         }
 
 
-def sweep_seconds(ops: float, snodes: int, rate: float) -> float:
-    """Seconds of one sweep: ``ops / rate`` plus per-supernode dispatch."""
-    return ops / rate + snodes * SNODE_OVERHEAD_SECONDS
+def sweep_seconds(ops, snodes: int, rate: float = DEFAULT_MACHINE.ops_per_second):
+    """Seconds of one sequential sweep of ``snodes`` supernodes at ``rate``."""
+    return replace(DEFAULT_MACHINE, ops_per_second=rate).seconds(ops, snodes)
 
 
 def fold_ops_estimate(n: int, p: int) -> float:
@@ -115,7 +134,7 @@ class UpdateRouter:
 
     def rate(self, action: str) -> float:
         """Current ops/second estimate for one execution path."""
-        return self._rates.get(action, DEFAULT_OPS_PER_SECOND)
+        return self._rates.get(action, DEFAULT_MACHINE.ops_per_second)
 
     def observe(self, action: str, ops: float, seconds: float) -> None:
         """Fold a measured commit back into the rate for its path."""
@@ -147,7 +166,9 @@ class UpdateRouter:
             "resolve": self._solve_ops if self._solve_ops else 2.0 * n**3,
         }
         secs = {
-            "fold": ops["fold"] / self.rate("fold") + FOLD_OVERHEAD_SECONDS,
+            "fold": MachineModel(
+                self.rate("fold"), FOLD_OVERHEAD_SECONDS
+            ).seconds(ops["fold"]),
             "resolve": sweep_seconds(
                 ops["resolve"], self._snodes, self.rate("resolve")
             ),

@@ -6,13 +6,11 @@ import pytest
 from repro.plan import analyze
 from repro.graphs.generators import grid2d
 from repro.parallel.scheduler import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    calibrate_cost_model,
     lpt_makespan,
     simulate_levels,
     simulate_sequence,
     speedup_curve,
+    task_seconds,
 )
 from repro.parallel.tasks import (
     SimTask,
@@ -21,9 +19,10 @@ from repro.parallel.tasks import (
     superfw_levels,
     supernode_costs,
 )
+from repro.plan.router import MachineModel
 
 
-MODEL = CostModel(seconds_per_op=1e-9, seconds_per_step=1e-6)
+MODEL = MachineModel(ops_per_second=1e9, seconds_per_task=1e-6)
 
 
 def test_lpt_single_processor_sums():
@@ -44,12 +43,12 @@ def test_lpt_empty():
 
 def test_task_time_brent_form():
     task = SimTask(work=1e6, depth=10)
-    t1 = MODEL.task_time(task, 1)
-    t4 = MODEL.task_time(task, 4)
+    t1 = task_seconds(MODEL, task, 1)
+    t4 = task_seconds(MODEL, task, 4)
     assert t1 == pytest.approx(10 * 1e-6 + 1e6 * 1e-9)
     assert t4 == pytest.approx(10 * 1e-6 + 1e6 * 1e-9 / 4)
     # Depth never parallelizes away.
-    assert MODEL.task_time(task, 10**9) >= 10 * 1e-6
+    assert task_seconds(MODEL, task, 10**9) >= 10 * 1e-6
 
 
 def test_simulate_levels_monotone_in_p(mesh_graph):
@@ -60,32 +59,25 @@ def test_simulate_levels_monotone_in_p(mesh_graph):
 
 
 def test_simulate_sequence_ge_levels(mesh_graph):
-    """Removing etree parallelism can only slow things down (p > 1)."""
+    """Removing etree parallelism can only slow things down (p > 1).
+
+    Priced on the router's machine, as Fig. 8 is: LPT runs a level's
+    tasks rigidly while the sequence splits each one perfectly, so where
+    dispatch costs next to nothing the sequence can win by LPT's
+    imbalance.
+    """
     plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     flat = [t for lv in levels for t in lv]
     for p in (2, 8, 32):
-        assert simulate_sequence(flat, p, MODEL) >= simulate_levels(levels, p, MODEL) * 0.999
+        assert simulate_sequence(flat, p) >= simulate_levels(levels, p) * 0.999
 
 
 def test_sequential_equals_levels_at_p1(mesh_graph):
     plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     flat = [t for lv in levels for t in lv]
-    assert simulate_sequence(flat, 1, MODEL) == pytest.approx(
-        simulate_levels(levels, 1, MODEL), rel=1e-9
-    )
-
-
-def test_default_cost_model_positive():
-    assert DEFAULT_COST_MODEL.seconds_per_op > 0
-    assert DEFAULT_COST_MODEL.seconds_per_step > 0
-
-
-def test_calibration_measures_host():
-    model = calibrate_cost_model(size=64, repeats=1)
-    assert 0 < model.seconds_per_op < 1e-6
-    assert 0 < model.seconds_per_step < 1e-2
+    assert simulate_sequence(flat, 1, MODEL) == simulate_levels(levels, 1, MODEL)
 
 
 def test_speedup_curve_shape():
@@ -103,9 +95,8 @@ def test_supernode_costs_positive(mesh_graph):
     tasks = supernode_costs(plan.structure)
     assert len(tasks) == plan.structure.ns
     for s, task in enumerate(tasks):
-        assert task.work > 0 and task.depth > 0
-        lo, hi = plan.structure.col_range(s)
-        assert task.depth == 3 * (hi - lo)
+        # One dispatch per elimination, as the router prices a sweep.
+        assert task.work > 0 and task.depth == 1
 
 
 def test_superfw_levels_cover_all_supernodes(mesh_graph):
@@ -141,7 +132,7 @@ def test_proportional_share_when_tasks_fewer_than_procs():
     """With p > #tasks, processors split proportionally to work."""
     from repro.parallel.scheduler import simulate_level
 
-    model = CostModel(seconds_per_op=1e-9, seconds_per_step=0.0)
+    model = MachineModel(ops_per_second=1e9, seconds_per_task=0.0)
     tasks = [SimTask(work=9e6, depth=1), SimTask(work=1e6, depth=1)]
     t = simulate_level(tasks, 10, model)
     # Proportional shares: 9 and 1 processors -> both finish at 1e6*1e-9.
@@ -151,7 +142,7 @@ def test_proportional_share_when_tasks_fewer_than_procs():
 def test_level_with_single_huge_task_uses_all_procs():
     from repro.parallel.scheduler import simulate_level
 
-    model = CostModel(seconds_per_op=1e-9, seconds_per_step=1e-6)
+    model = MachineModel(ops_per_second=1e9, seconds_per_task=1e-6)
     task = SimTask(work=1e8, depth=100)
     t1 = simulate_level([task], 1, model)
     t16 = simulate_level([task], 16, model)
@@ -168,9 +159,9 @@ def test_empty_level_costs_nothing():
 def test_dijkstra_scales_linearly_delta_does_not(grid_graph):
     dij = sssp_family_tasks(grid_graph)
     delta = delta_stepping_tasks(grid_graph, np.full(grid_graph.n, 200.0))
-    model = CostModel(seconds_per_op=1e-7, seconds_per_step=1e-5)
-    dij_speedup = lpt_makespan([model.task_time(t, 1) for t in dij], 1) / lpt_makespan(
-        [model.task_time(t, 1) for t in dij], 16
+    model = MachineModel(ops_per_second=1e7, seconds_per_task=1e-5)
+    dij_speedup = lpt_makespan([task_seconds(model, t, 1) for t in dij], 1) / lpt_makespan(
+        [task_seconds(model, t, 1) for t in dij], 16
     )
     delta_speedup = simulate_sequence(delta, 1, model) / simulate_sequence(delta, 16, model)
     assert dij_speedup > 10

@@ -1,14 +1,12 @@
 """Supernode detection, cost-law amalgamation and the block structure."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
 from repro.graphs.generators import delaunay_mesh, grid2d
 from repro.ordering.nested_dissection import nested_dissection
 from repro.plan import analyze
-from repro.plan.router import DEFAULT_OPS_PER_SECOND, sweep_seconds
+from repro.plan.router import sweep_seconds
 from repro.symbolic.etree import postorder
 from repro.symbolic.fill import symbolic_cholesky
 from repro.symbolic.structure import build_structure, supernodal_analysis
@@ -22,7 +20,7 @@ from test_cost_law import FIXTURES
 
 
 #: The router's sweep price, as ``analyze`` hands it to :func:`amalgamate`.
-PRICE = partial(sweep_seconds, rate=DEFAULT_OPS_PER_SECOND)
+PRICE = sweep_seconds
 
 
 @pytest.fixture
