@@ -18,7 +18,9 @@ Standalone script (not pytest-benchmark) emitting ``BENCH_engine.json``:
   per-iteration-allocating loop.
 * ``backends`` — sequential vs thread-pool vs shared-memory process-pool
   SuperFW on the largest suite graph, asserting all three matrices are
-  bit-identical.
+  bit-identical, with each sweep's task count (the sequential sweep runs
+  a group of sibling leaves that share ``A(s)`` as one task) and GEMM
+  calls.
 
 All candidates for a given comparison are timed **interleaved** (one
 round-robin pass per repeat, best-of over rounds): the host's throughput
@@ -45,7 +47,7 @@ import time
 import numpy as np
 
 from repro.core.parallel_superfw import parallel_superfw
-from repro.core.superfw import superfw
+from repro.core.superfw import leaf_tasks, superfw
 from repro.graphs.generators import delaunay_mesh
 from repro.semiring.engine import WorkspacePool, minplus_kernel
 from repro.semiring.kernels import floyd_warshall_kernel
@@ -223,12 +225,27 @@ def bench_backends(n, workers, repeats):
         np.array_equal(seq.dist, thr.dist) and np.array_equal(seq.dist, prc.dist)
     )
     assert identical, "backends disagree — correctness bug"
+    # The sequential sweep runs each leaf group as one task; the pools
+    # run one task per supernode.
+    structure = seq.meta["plan"].structure
+    tasks = {
+        "sequential": len(leaf_tasks(structure, range(structure.ns))),
+        "thread": structure.ns,
+        "process": structure.ns,
+    }
+    calls = {
+        name: sum(v["calls"] for v in r.meta["engine"]["strategies"].values())
+        for name, r in (("sequential", seq), ("thread", thr), ("process", prc))
+    }
     for name, secs in results.items():
-        print(f"backend {name:>10}: {secs * 1e3:8.1f} ms")
+        print(f"backend {name:>10}: {secs * 1e3:8.1f} ms, "
+              f"{tasks[name]} tasks, {calls[name]} GEMM calls")
     return {
         "graph": f"delaunay_mesh({n})",
         "workers": workers,
         "seconds": {k: round(v, 6) for k, v in results.items()},
+        "tasks": tasks,
+        "gemm_calls": calls,
         "identical_matrices": identical,
         "cpu_count": os.cpu_count(),
         "note": (

@@ -681,7 +681,7 @@ class _Process(_Sequential):
         self.recovery.setdefault("escalations", []).append(to)
         if to == "thread":
             return _Threaded(self.dist, self.task, self.workers)
-        return _Sequential(self.dist, self.task)
+        return _Sequential(self.dist, self.task, self.barrier.structure)
 
     def close(self) -> None:
         if self.transient:

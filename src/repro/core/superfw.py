@@ -23,7 +23,10 @@ and share one sweep function, :func:`_sweep`: it owns every solve-level
 step and hands barrier groups of supernodes to an *executor*, whose only job is
 ``run_group``.  Each supernode runs as one :func:`run_task` — fault
 sites, retries and the transactional :func:`eliminate_supernode` — on
-every executor alike, so a retried task is bit-exact everywhere.
+every executor alike, so a retried task is bit-exact everywhere.  The
+sequential executor runs each group of sibling leaves that share their
+ancestor rows as one task with one outer GEMM, bit-identical to
+eliminating them one by one (:func:`leaf_tasks`).
 """
 
 from __future__ import annotations
@@ -97,25 +100,59 @@ def _accumulate_aa(dist: np.ndarray, anc_runs, update: np.ndarray) -> None:
             np.minimum(view, update[ro:ro + r1 - r0, co:co + c1 - c0], out=view)
 
 
-def _symmetric(dist: np.ndarray, tile: int = 128) -> bool:
-    """Whether ``dist`` equals its transpose bit for bit.
+def _start_matrix(graph, iperm: np.ndarray, dtype) -> tuple[np.ndarray, bool]:
+    """The permuted start matrix, and whether it is symmetric bit for bit.
 
-    Compares the upper triangle against the lower in strips of ``tile``
-    rows, so the transposed read stays cache-sized and a mismatch stops
-    the scan: about half the cost of ``np.array_equal(dist, dist.T)``.
+    One ``inf`` fill, then each arc written at its relabelled position
+    and a zero diagonal: ``graph.to_dense_dist()[np.ix_(perm, perm)]``
+    without the ``n²`` gather.  An entry no arc writes is ``inf`` (or
+    the diagonal's 0), so the matrix is symmetric exactly when every
+    arc's entry has the bits of its mirror entry — an ``O(nnz)`` check.
     """
-    n = dist.shape[0]
-    for i0 in range(0, n, tile):
-        i1 = min(i0 + tile, n)
-        if not np.array_equal(dist[i0:i1, i0:], dist[i0:, i0:i1].T):
-            return False
-    return True
+    n = graph.n
+    dist = np.full((n, n), np.inf, dtype=dtype)
+    rows = iperm[np.repeat(np.arange(n), np.diff(graph.indptr))]
+    cols = iperm[graph.indices]
+    dist[rows, cols] = graph.weights
+    np.fill_diagonal(dist, 0.0)
+    bits = f"u{dist.itemsize}"
+    mirror = np.array_equal(
+        dist[rows, cols].view(bits), dist[cols, rows].view(bits)
+    )
+    return dist, mirror
+
+
+def _members(task: int | tuple[int, ...]) -> tuple[int, ...]:
+    """The supernodes of a task: one supernode, or a tuple of them."""
+    return tuple(task) if isinstance(task, tuple) else (int(task),)
+
+
+def leaf_tasks(
+    structure: SupernodalStructure, snodes
+) -> list[int | tuple[int, ...]]:
+    """``snodes`` as the sequential sweep's tasks, in order.
+
+    The members of each :meth:`~repro.symbolic.structure.SupernodalStructure.leaf_groups`
+    group that ``snodes`` holds become one task, a tuple, in the slot of
+    the last of them; every other supernode is a task of its own.
+    """
+    owner = {s: g for g in structure.leaf_groups() for s in g}
+    present: dict[tuple, list[int]] = {}
+    for s in snodes:
+        if s in owner:
+            present.setdefault(owner[s], []).append(s)
+    tasks = []
+    for s in snodes:
+        members = present.get(owner.get(s), [s])
+        if s == members[-1]:
+            tasks.append(tuple(members) if len(members) > 1 else s)
+    return tasks
 
 
 def eliminate_supernode(
     dist: np.ndarray,
     structure: SupernodalStructure,
-    s: int,
+    s: int | tuple[int, ...],
     *,
     counter: OpCounter | None = None,
     defer_aa: bool = False,
@@ -140,6 +177,16 @@ def eliminate_supernode(
     ``dist`` untouched, and a retry starts from exactly the inputs the
     first attempt saw: every retry is bit-exact, with no snapshot.
 
+    ``s`` is one supernode or a tuple of the members of a leaf group
+    (:meth:`~repro.symbolic.structure.SupernodalStructure.leaf_groups`).
+    Each member runs its own DiagUpdate and PanelUpdates into its slice
+    of one stacked panel ``[P₁ … P_K]`` (and ``[Q₁ … Q_K]``), and one
+    outer GEMM of inner size ``Σ b`` updates the shared ``A×A`` block.
+    The bits are those of eliminating the members one by one: no member
+    writes another's diagonal block or panels, ``min`` is exact, and
+    the stacked product takes the min over exactly the candidates the
+    members' products form.
+
     ``defer_aa`` *returns* the ``A×A`` contribution, an
     ``|A(s)| × |A(s)|`` update, without touching that region, which is
     the only one two cousin supernodes can share (§3.5).  Both parallel
@@ -158,30 +205,54 @@ def eliminate_supernode(
     counter = counter if counter is not None else OpCounter()
     check = check if check is not None else _no_check
     tracer = get_tracer()
-    with tracer.span("eliminate", snode=s):
-        lo, hi = structure.col_range(s)
-        diag = dist[lo:hi, lo:hi].copy()
-        with tracer.span("diag", snode=s):
-            counter.add("diag", diag_update(diag))
-        check()
-        runs = structure.row_runs(s)
-        own = ((0, lo, hi),)
-        writes = [(own, own, diag)]
-        update = None
+    members = _members(s)
+    last = members[-1]
+    size = {"members": len(members)} if len(members) > 1 else {}
+    with tracer.span("eliminate", snode=last, **size):
+        runs = structure.row_runs(last)
         nd, na = runs.nd, runs.na
-        if nd or na:
-            b = hi - lo
-            col_panel = _gather(dist, runs.rows, own, (nd + na, b))
-            with tracer.span("panel", snode=s):
-                counter.add("panel", panel_update_cols(col_panel, diag))
-                if mirror:
-                    row_panel = np.ascontiguousarray(col_panel.T)
-                    counter.add("panel", 2 * b * b * (nd + na))
-                else:
-                    row_panel = _gather(dist, own, runs.rows, (b, nd + na))
-                    counter.add("panel", panel_update_rows(row_panel, diag))
+        # The members' columns as runs of the stacked panels: sibling
+        # leaves are often adjacent, so a group's panels move in a few
+        # slice copies.
+        cols, k = [], 0
+        writes, diags = [], []
+        for m in members:
+            lo, hi = structure.col_range(m)
+            if cols and cols[-1][2] == lo:
+                cols[-1] = (cols[-1][0], cols[-1][1], hi)
+            else:
+                cols.append((k, lo, hi))
+            k += hi - lo
+            diag = dist[lo:hi, lo:hi].copy()
+            with tracer.span("diag", snode=m):
+                counter.add("diag", diag_update(diag))
             check()
-            writes += [(runs.rows, own, col_panel), (own, runs.rows, row_panel)]
+            own = ((0, lo, hi),)
+            writes.append((own, own, diag))
+            diags.append(diag)
+        update = None
+        if nd or na:
+            col_panel = _gather(dist, runs.rows, cols, (nd + na, k))
+            if not mirror:
+                row_panel = _gather(dist, cols, runs.rows, (k, nd + na))
+            at = 0
+            for m, diag in zip(members, diags):
+                b = diag.shape[0]
+                with tracer.span("panel", snode=m):
+                    counter.add(
+                        "panel", panel_update_cols(col_panel[:, at:at + b], diag)
+                    )
+                    if mirror:
+                        counter.add("panel", 2 * b * b * (nd + na))
+                    else:
+                        counter.add(
+                            "panel", panel_update_rows(row_panel[at:at + b], diag)
+                        )
+                check()
+                at += b
+            if mirror:
+                row_panel = np.ascontiguousarray(col_panel.T)
+            writes += [(runs.rows, cols, col_panel), (cols, runs.rows, row_panel)]
             d, a = slice(None, nd), slice(nd, None)
             if not defer_aa:
                 regions = [(runs.rows, runs.rows, slice(None), slice(None))]
@@ -193,7 +264,7 @@ def eliminate_supernode(
                 if nd and na:
                     regions += [(runs.desc, runs.anc, d, a),
                                 (runs.anc, runs.desc, a, d)]
-            with tracer.span("outer", snode=s) if regions else nullcontext():
+            with tracer.span("outer", snode=last) if regions else nullcontext():
                 for rr, cr, rs, cs in regions:
                     lhs, rhs = col_panel[rs], row_panel[:, cs]
                     block = _gather(dist, rr, cr, (lhs.shape[0], rhs.shape[1]))
@@ -201,7 +272,7 @@ def eliminate_supernode(
                     writes.append((rr, cr, block))
                     check()
             if defer_aa and na:
-                with tracer.span("aa", snode=s):
+                with tracer.span("aa", snode=last):
                     update = np.full((na, na), np.inf)
                     counter.add(
                         "outer",
@@ -216,29 +287,32 @@ def eliminate_supernode(
 
 def run_task(
     dist: np.ndarray,
-    s: int,
+    s: int | tuple[int, ...],
     *,
     structure: SupernodalStructure,
     retry: RetryPolicy,
     attempt_base: int = 0,
     **eliminate_options,
 ) -> tuple[int, OpCounter, tuple | None]:
-    """One supernode task: fault sites, retries, transactional elimination.
+    """One task: fault sites, retries, transactional elimination.
 
-    Every executor runs supernodes through here — inline, on a pool
-    thread, or inside a process worker — so kernel- and task-fault draws
-    are keyed on ``(s, attempt_base + attempt)`` on all of them, and a
-    failed attempt leaves ``dist`` untouched for the next.
+    ``s`` is a supernode, or a tuple of leaf-group members
+    (:func:`leaf_tasks`).  Every executor runs supernodes through here —
+    inline, on a pool thread, or inside a process worker — so kernel-
+    and task-fault draws are keyed on ``(s, attempt_base + attempt)`` on
+    all of them (a group's draws on its last member), and a failed
+    attempt leaves ``dist`` untouched for the next.
     ``eliminate_options`` (``defer_aa`` / ``check`` / ``mirror``) pass
     through to :func:`eliminate_supernode`; ``check`` also runs before
     each attempt.  Returns ``(attempts_used, ops, aa_payload)``.
     """
     check = eliminate_options.get("check") or _no_check
+    key = _members(s)[-1]
 
     def attempt(number: int):
         check()
-        task_kernel_epoch(s, attempt_base + number)
-        task_site(s, attempt_base + number)
+        task_kernel_epoch(key, attempt_base + number)
+        task_site(key, attempt_base + number)
         ops = OpCounter()
         payload = eliminate_supernode(
             dist, structure, s, counter=ops, **eliminate_options
@@ -275,15 +349,21 @@ class _Sequential:
     The base of every executor: ``dist`` is the working matrix the sweep
     reads and checkpoints, ``run_group(group, apply) -> failures`` is the
     only required operation, and ``escalate`` / ``close`` default to
-    "no successor" and "nothing to release".
+    "no successor" and "nothing to release".  Given the ``structure``,
+    the members of a leaf group that one group holds run as one task
+    (:func:`leaf_tasks`); the parallel executors pass none.
     """
 
-    def __init__(self, dist: np.ndarray, task) -> None:
+    def __init__(self, dist: np.ndarray, task, structure=None) -> None:
         self.dist = dist
         self.task = task
+        self.structure = structure
 
     def run_group(self, group, apply):
-        return _collect(((s, partial(self.task, self.dist, s)) for s in group), apply)
+        tasks = group
+        if self.structure is not None and len(group) > 1:
+            tasks = leaf_tasks(self.structure, group)
+        return _collect(((t, partial(self.task, self.dist, t)) for t in tasks), apply)
 
     def escalate(self, exc: WorkerCrashError) -> "_Sequential":
         raise exc
@@ -315,12 +395,14 @@ def _sweep(
     permutation, engine stats, the ``solve`` span, checkpoint/resume,
     the negative-cycle witness, unpermute, unreduce and ``meta``.  The
     supernodes run in barrier groups — etree levels when ``by_level``,
-    else one supernode per group in ascending order — through the
-    executor ``make_executor(dist, task, ...)`` returns.  A task whose
-    retries ran out gets one coordinator re-run after its group, then
-    raises :class:`TaskFailedError`; an executor that gives up with
-    :class:`WorkerCrashError` hands the rest of the solve to its
-    ``escalate`` successor.
+    else one task per group in ascending order, with a leaf group's
+    members in one task on the sequential backend (:func:`leaf_tasks`)
+    — through the executor ``make_executor(dist, task, ...)`` returns.
+    A task whose retries ran out gets one coordinator re-run after its
+    group (a leaf group's is member by member, each with the full
+    ``retry``), then raises :class:`TaskFailedError`; an executor that
+    gives up with :class:`WorkerCrashError` hands the rest of the solve
+    to its ``escalate`` successor.
     """
     plan, plan_reused = ensure_plan(plan, graph, **plan_options)
     # A cold (inline) plan's analyze cost belongs to this solve; a reused
@@ -343,14 +425,18 @@ def _sweep(
         with phase(timings, "reduce", n=graph.n):
             applied = plan.trail.apply(graph)
             solve_graph = applied.graph
+    iperm = invert_permutation(perm)
     with phase(timings, "permute", n=solve_graph.n):
-        dist = solve_graph.to_dense_dist(dtype=dtype)[np.ix_(perm, perm)]
         # A symmetric start matrix stays symmetric bit for bit, so every
         # supernode can mirror its panel.
-        mirror = _symmetric(dist)
+        dist, mirror = _start_matrix(solve_graph, iperm, dtype)
     levels = structure.level_order()
     if by_level:
         groups = [[int(s) for s in g.tolist()] for g in levels]
+    elif backend == "sequential":
+        # One task per group; a leaf group's members run as one task, in
+        # the slot of the last of them.
+        groups = [[t] for t in leaf_tasks(structure, range(structure.ns))]
     else:
         groups = [[s] for s in range(structure.ns)]
     recovery: dict = {"task_retries": 0, "sequential_reruns": []}
@@ -389,7 +475,7 @@ def _sweep(
     opened = [executor]
     dist = executor.dist  # escalated executors share this matrix
 
-    def apply(s: int, value) -> None:
+    def apply(s, value) -> None:
         used, local, payload = value
         recovery["task_retries"] += used - 1
         ops.merge(local)
@@ -397,22 +483,31 @@ def _sweep(
             with tracer.span("aa-apply", snode=s):
                 _accumulate_aa(dist, structure.row_runs(s).anc, payload)
         if tracker is not None:
-            tracker.charge(local.total, units=1, where=f"{name}:supernode {s}")
+            tracker.charge(
+                local.total, units=len(_members(s)), where=f"{name}:supernode {s}"
+            )
 
-    def rerun(s: int, cause: ReproError) -> None:
-        recovery["sequential_reruns"].append(s)
-        try:
-            value = task(dist, s, retry=_ONCE, attempt_base=retry.max_attempts)
-        except BudgetExceededError:
-            raise
-        except ReproError as exc:
-            raise TaskFailedError(
-                f"supernode {s} failed {retry.max_attempts} attempts "
-                f"and the coordinator re-run: {exc}",
-                supernode=s,
-                attempts=retry.max_attempts + 1,
-            ) from cause
-        apply(s, value)
+    def rerun(s, cause: ReproError) -> None:
+        members = _members(s)
+        recovery["sequential_reruns"].extend(members)
+        # A leaf group's attempts each run every member's kernels, so its
+        # re-run splits it: each member runs as its own task with the full
+        # policy, as likely to finish as it was before grouping.
+        policy = _ONCE if len(members) == 1 else retry
+        for m in members:
+            try:
+                value = task(dist, m, retry=policy, attempt_base=retry.max_attempts)
+            except BudgetExceededError:
+                raise
+            except ReproError as exc:
+                attempts = retry.max_attempts + policy.max_attempts
+                raise TaskFailedError(
+                    f"supernode {m} failed {attempts} attempts, "
+                    f"the coordinator re-run included: {exc}",
+                    supernode=m,
+                    attempts=attempts,
+                ) from cause
+            apply(m, value)
 
     try:
         with phase(
@@ -450,7 +545,6 @@ def _sweep(
             if applied is not None:
                 kept = int(applied.trail.kept[kept])
             raise NegativeCycleError(witness=kept)
-        iperm = invert_permutation(perm)
         with phase(timings, "permute", n=iperm.shape[0]):
             out = dist[np.ix_(iperm, iperm)]
     finally:
@@ -536,7 +630,7 @@ def superfw(
     """
     return _sweep(
         graph, plan, plan_options,
-        lambda dist, task, **_: _Sequential(dist, task),
+        lambda dist, task, plan, **_: _Sequential(dist, task, plan.structure),
         name="superfw",
         backend="sequential",
         by_level=False,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.delta_stepping import autotune_delta, sssp_delta_stepping
+from repro.core.delta_stepping import sssp_delta_stepping
 from repro.plan import analyze
 from repro.plan.router import MachineModel
 from repro.experiments.common import format_table, print_header
@@ -44,9 +44,16 @@ DELTA_MACHINE = MachineModel(ops_per_second=1 / 1.2e-7, seconds_per_task=2e-4)
 
 
 def _delta_rounds(graph, *, sample: int = 8, seed: int = 0) -> np.ndarray:
-    """Measure bucket-round counts on a sample of sources, extrapolated."""
+    """Measure bucket-round counts on a sample of sources, extrapolated.
+
+    Δ is Meyer and Sanders' ``Θ(1/d)`` rule scaled to the weights: the
+    heaviest edge over the mean degree.  The rule reads no clock, so two
+    runs write the same rows (timing candidate Δs picked a different one
+    from run to run).
+    """
     rng = np.random.default_rng(seed)
-    delta = autotune_delta(graph, sources=2)
+    degree = max(2.0 * graph.num_edges / max(graph.n, 1), 1.0)
+    delta = float(graph.weights.max()) / degree
     srcs = rng.choice(graph.n, size=min(sample, graph.n), replace=False)
     rounds = [sssp_delta_stepping(graph, int(s), delta)[1] for s in srcs]
     mean = float(np.mean(rounds))

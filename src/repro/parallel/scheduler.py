@@ -9,13 +9,16 @@ ops and ``depth`` sequential dispatches runs on ``q`` processors in
 bound with a fixed cost per dispatch, the reason small supernodes stop
 scaling.  Within an etree level, tasks are either list-scheduled (LPT)
 when tasks outnumber processors, or granted proportional processor
-shares otherwise; levels are barriers, matching the level-synchronous
-executor in :mod:`repro.core.parallel_superfw`.  On one processor a
+shares otherwise, unless running them in turn on all processors is
+faster; levels are barriers, matching the level-synchronous executor in
+:mod:`repro.core.parallel_superfw`.  On one processor a
 SuperFW DAG's makespan is the router's sweep price,
 :func:`~repro.plan.router.sweep_seconds`, to the bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,22 +43,36 @@ def lpt_makespan(durations: list[float], p: int) -> float:
     return float(loads.max())
 
 
-def simulate_level(tasks: list[SimTask], p: int, model: MachineModel) -> float:
-    """Makespan of one barrier-synchronized level of malleable tasks."""
+def _level_terms(tasks: list[SimTask], p: int, model: MachineModel) -> list[float]:
+    """One level's makespan as the terms of a sum.
+
+    The better of two schedules: the level's tasks side by side (LPT
+    list scheduling, one processor each, when they are at least ``p``;
+    processor shares proportional to work otherwise) as one term, or
+    each task on all ``p`` in turn, one term per task.  The second is
+    what a chain of one-task levels runs, and summing the same terms
+    keeps a level from ever pricing above its tasks in sequence.
+    """
     if not tasks:
-        return 0.0
+        return []
     p = max(1, p)
+    in_turn = [task_seconds(model, t, p) for t in tasks]
     if len(tasks) >= p:
         # Enough tasks to keep every processor busy: run each on one
         # processor and list-schedule.
-        return lpt_makespan([task_seconds(model, t, 1) for t in tasks], p)
-    # Fewer tasks than processors: split processors proportionally to work
-    # (at least one each), then the level finishes with the slowest task.
-    works = np.array([max(t.work, 1.0) for t in tasks])
-    shares = np.maximum(works / works.sum() * p, 1.0)
-    return max(
-        task_seconds(model, t, float(q)) for t, q in zip(tasks, shares)
-    )
+        side = lpt_makespan([task_seconds(model, t, 1) for t in tasks], p)
+    else:
+        # Fewer tasks than processors: split processors proportionally
+        # to work (at least one each); the slowest task ends the level.
+        works = np.array([max(t.work, 1.0) for t in tasks])
+        shares = np.maximum(works / works.sum() * p, 1.0)
+        side = max(task_seconds(model, t, float(q)) for t, q in zip(tasks, shares))
+    return [side] if side < math.fsum(in_turn) else in_turn
+
+
+def simulate_level(tasks: list[SimTask], p: int, model: MachineModel) -> float:
+    """Makespan of one barrier-synchronized level of malleable tasks."""
+    return math.fsum(_level_terms(tasks, p, model))
 
 
 def simulate_levels(
@@ -68,7 +85,9 @@ def simulate_levels(
         return model.seconds(
             sum(t.work for t in tasks), sum(t.depth for t in tasks)
         )
-    return sum(simulate_level(level, p, model) for level in levels)
+    return math.fsum(
+        term for level in levels for term in _level_terms(level, p, model)
+    )
 
 
 def simulate_sequence(

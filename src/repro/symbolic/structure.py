@@ -89,6 +89,9 @@ class SupernodalStructure:
     first_desc: np.ndarray = field(init=False, repr=False)
     postordered: bool = field(init=False, repr=False)
     _runs: list[RowRuns] | None = field(init=False, default=None, repr=False)
+    _leaf_groups: list[tuple[int, ...]] | None = field(
+        init=False, default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
         # One ascending pass (parents outnumber their children): each
@@ -189,6 +192,29 @@ class SupernodalStructure:
         if self._runs is None:
             self._runs = self._build_runs()
         return self._runs[s]
+
+    def leaf_groups(self) -> list[tuple[int, ...]]:
+        """Sibling leaves that share their ``A(s)``, as ascending tuples.
+
+        Each group holds two or more leaf supernodes (``nd == 0``) whose
+        :meth:`row_runs` ``anc`` are identical; groups are ordered by
+        their last member.  A leaf is nobody's ancestor, so eliminating a
+        group's members writes none of each other's blocks, and their
+        ``A×A`` updates are ⊕-accumulations into one shared block: the
+        sequential sweep runs a group as one task with one outer GEMM.
+        Computed on the first call and kept on the structure.
+        """
+        if self._leaf_groups is None:
+            by_anc: dict[tuple, list[int]] = {}
+            for s in range(self.ns):
+                runs = self.row_runs(s)
+                if not runs.nd:
+                    by_anc.setdefault(runs.anc, []).append(s)
+            self._leaf_groups = sorted(
+                (tuple(g) for g in by_anc.values() if len(g) > 1),
+                key=lambda g: g[-1],
+            )
+        return self._leaf_groups
 
     def _build_runs(self) -> list[RowRuns]:
         ptr = self.snode_ptr

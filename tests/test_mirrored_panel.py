@@ -14,13 +14,16 @@ import pytest
 from repro.core.dense_fw import floyd_warshall
 from repro.core.incremental import quantize_weights
 from repro.core.parallel_superfw import parallel_superfw
-from repro.core.superfw import eliminate_supernode, superfw
+from repro.core.superfw import _start_matrix, eliminate_supernode, superfw
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import delaunay_mesh
 from repro.graphs.graph import Graph
 from repro.plan import analyze
 from repro.resilience.errors import NegativeCycleError
 from repro.symbolic.structure import superfw_snode_ops
+from repro.util.perm import invert_permutation
+
+from conftest import GRAPH_BUILDERS
 
 SOLVERS = {
     "sequential": superfw,
@@ -44,6 +47,27 @@ def _nudged(graph: Graph) -> Graph:
     dense = nudged.to_dense_dist()
     assert np.allclose(dense, dense.T) and not np.array_equal(dense, dense.T)
     return nudged
+
+
+def _symmetric(dist: np.ndarray, tile: int = 128) -> bool:
+    """Dense oracle of the mirror decision: ``dist`` equals its transpose.
+
+    Compares the upper triangle against the lower in strips of ``tile``
+    rows.
+    """
+    n = dist.shape[0]
+    for i0 in range(0, n, tile):
+        i1 = min(i0 + tile, n)
+        if not np.array_equal(dist[i0:i1, i0:], dist[i0:, i0:i1].T):
+            return False
+    return True
+
+
+def _digraph(graph: Graph) -> DiGraph:
+    rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+    return DiGraph.from_edges(
+        graph.n, np.column_stack([rows, graph.indices, graph.weights])
+    )
 
 
 def _two_panel_sweep(graph, plan) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +124,32 @@ def test_symmetric_digraph_equals_its_graph(mesh):
     w[0] += 2.0**-30
     asym = superfw(dg.with_weights(w), plan=plan)
     assert _calls(asym) - _calls(r) == _panel_snodes(plan) > 0
+
+
+def _reweighted(graph: DiGraph) -> DiGraph:
+    rng = np.random.default_rng(1)
+    return graph.with_weights(rng.uniform(0.1, 1.0, graph.weights.size))
+
+
+START_KINDS = {
+    **GRAPH_BUILDERS,
+    "nudged": lambda: _nudged(quantize_weights(delaunay_mesh(160, seed=3))),
+    "symmetric-digraph": lambda: _digraph(GRAPH_BUILDERS["ba"]()),
+    "asymmetric-digraph": lambda: _reweighted(_digraph(GRAPH_BUILDERS["ba"]())),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", sorted(START_KINDS))
+def test_start_matrix_and_mirror_decision_match_the_dense_oracle(kind, dtype):
+    g = START_KINDS[kind]()
+    perm = np.random.default_rng(0).permutation(g.n)
+    dense = g.to_dense_dist(dtype=dtype)[np.ix_(perm, perm)]
+    dist, mirror = _start_matrix(g, invert_permutation(perm), dtype)
+    assert dist.dtype == dense.dtype and np.array_equal(dist, dense)
+    assert mirror == _symmetric(dense)
+    if dtype is np.float64:
+        assert mirror == (kind not in ("nudged", "asymmetric-digraph"))
 
 
 @pytest.mark.parametrize("executor", sorted(SOLVERS))

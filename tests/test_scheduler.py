@@ -61,16 +61,25 @@ def test_simulate_levels_monotone_in_p(mesh_graph):
 def test_simulate_sequence_ge_levels(mesh_graph):
     """Removing etree parallelism can only slow things down (p > 1).
 
-    Priced on the router's machine, as Fig. 8 is: LPT runs a level's
-    tasks rigidly while the sequence splits each one perfectly, so where
-    dispatch costs next to nothing the sequence can win by LPT's
-    imbalance.
+    Priced on the router's machine, as Fig. 8 is: a level takes the
+    better of LPT and running its tasks in turn on all ``p``, and the
+    sequence is exactly the second, so the bound holds with no slack.
     """
     plan = analyze(mesh_graph, seed=0)
     levels = superfw_levels(plan.structure)
     flat = [t for lv in levels for t in lv]
     for p in (2, 8, 32):
-        assert simulate_sequence(flat, p) >= simulate_levels(levels, p) * 0.999
+        assert simulate_sequence(flat, p) >= simulate_levels(levels, p)
+
+
+def test_cheap_dispatch_levels_never_lose_to_the_sequence(mesh_graph):
+    # At 1e-6 s per task LPT's imbalance used to price this mesh's
+    # levels above the sequence at p = 2 (0.000805 s vs 0.000780 s).
+    plan = analyze(mesh_graph, seed=0)
+    levels = superfw_levels(plan.structure)
+    flat = [t for lv in levels for t in lv]
+    for p in (2, 4, 8):
+        assert simulate_levels(levels, p, MODEL) <= simulate_sequence(flat, p, MODEL)
 
 
 def test_sequential_equals_levels_at_p1(mesh_graph):
