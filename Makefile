@@ -3,7 +3,7 @@
 PYTHON ?= python
 SIZE   ?= 0.5
 
-.PHONY: install test faults chaos bench bench-engine bench-plan bench-obs bench-resilience bench-dynamic bench-query bench-ordering trace docs-check experiments examples clean all
+.PHONY: install test faults chaos bench bench-engine bench-plan bench-obs bench-resilience bench-dynamic bench-query bench-ordering results-check trace docs-check experiments examples clean all
 
 install:
 	$(PYTHON) setup.py develop
@@ -57,6 +57,19 @@ bench-query:
 # {none, reduce+nd, reduce+amd, auto} -> BENCH_ordering.json.
 bench-ordering:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_ablation_ordering.py --check
+
+# The deterministic results tables (work/depth, the Figs 7-8 simulator,
+# the alpha-beta model) must regenerate byte for byte; tables that hold
+# wall-clock timings are left out by name.
+RESULTS_CHECKED = results/table2_work_depth.txt results/fig7_strong_scaling.txt \
+	results/fig8_etree_parallelism.txt results/communication_alpha_beta.txt
+
+results-check:
+	PYTHONPATH=src REPRO_SIZE_FACTOR=$(SIZE) $(PYTHON) -m pytest -q --benchmark-only \
+		benchmarks/bench_table2_workdepth.py::test_table2 \
+		benchmarks/bench_fig7_scaling.py benchmarks/bench_fig8_etree.py \
+		benchmarks/bench_communication.py
+	git diff --exit-code -- $(RESULTS_CHECKED)
 
 # One traced process-backend solve -> trace.json (open in ui.perfetto.dev).
 trace:

@@ -16,11 +16,17 @@ Standalone script (not pytest-benchmark) emitting ``BENCH_engine.json``:
 * ``diag`` — the DiagUpdate micro-benchmark: hoisted validation /
   fault-site plus a pooled broadcast buffer versus the old
   per-iteration-allocating loop.
+* ``outer`` — the symmetric outer update: the full product ``a ⊗ aᵀ``
+  against the engine's symmetric mode
+  (:func:`repro.semiring.engine.minplus_symmetric_kernel`, a staircase
+  of row strips and a mirror copy) on root-separator shapes, with the
+  ops each executes and whether the two results agree in every bit.
 * ``backends`` — sequential vs thread-pool vs shared-memory process-pool
   SuperFW on the largest suite graph, asserting all three matrices are
   bit-identical, with each sweep's task count (the sequential sweep runs
-  a group of sibling leaves that share ``A(s)`` as one task) and GEMM
-  calls.
+  a group of sibling leaves that share ``A(s)`` as one task), GEMM
+  calls, and the outer-update time of one traced sequential sweep (the
+  sum of its ``outer`` spans).
 
 All candidates for a given comparison are timed **interleaved** (one
 round-robin pass per repeat, best-of over rounds): the host's throughput
@@ -33,7 +39,8 @@ Usage::
     python benchmarks/bench_engine.py --out results/BENCH_engine.json
 
 ``--check`` exits non-zero when the kernel is more than 1.5x slower than
-the seed rank-1 baseline on the reference shape (the CI perf-smoke gate).
+the seed rank-1 baseline on the reference shape (the CI perf-smoke gate),
+or when the symmetric mode differs from the full product in any bit.
 """
 
 from __future__ import annotations
@@ -49,7 +56,12 @@ import numpy as np
 from repro.core.parallel_superfw import parallel_superfw
 from repro.core.superfw import leaf_tasks, superfw
 from repro.graphs.generators import delaunay_mesh
-from repro.semiring.engine import WorkspacePool, minplus_kernel
+from repro.obs import Tracer, use_tracer
+from repro.semiring.engine import (
+    WorkspacePool,
+    minplus_kernel,
+    minplus_symmetric_kernel,
+)
 from repro.semiring.kernels import floyd_warshall_kernel
 from repro.resilience.faults import kernel_site
 
@@ -58,6 +70,11 @@ from repro.resilience.faults import kernel_site
 REFERENCE_SHAPE = (32, 2048, 32)
 #: Ratio above which --check fails (the kernel must not regress vs the seed).
 CHECK_MAX_RATIO = 1.5
+
+#: Symmetric outer-update shapes ``(r, k)`` for ``r × k × r`` products:
+#: the root supernodes of preferential-attachment graphs (180–199 rows)
+#: and two larger separators.
+OUTER_SHAPES = [(180, 76), (199, 57), (400, 40), (800, 64)]
 
 #: A shape is "separator-like" when the contraction dimension dwarfs the
 #: output panel — the regime the acceptance headline is scored on.
@@ -171,6 +188,50 @@ def bench_gemm(shapes, repeats):
     return rows
 
 
+def bench_outer(shapes, repeats):
+    """Full product vs symmetric mode on ``r × k × r`` outer updates."""
+    rows = []
+    pool = WorkspacePool()
+    for r, k in shapes:
+        a, _ = _operands(r, k, r, np.float64)
+        b = np.ascontiguousarray(a.T)
+        out = {"full": np.empty((r, r)), "symmetric": np.empty((r, r))}
+
+        def run(name, kernel):
+            out[name].fill(np.inf)
+            kernel(pool, a, b, out[name])
+
+        secs = _time_interleaved(
+            {
+                "full": lambda: run("full", minplus_kernel),
+                "symmetric": lambda: run("symmetric", minplus_symmetric_kernel),
+            },
+            repeats,
+        )
+        identical = bool(np.array_equal(
+            out["full"].view(np.uint64), out["symmetric"].view(np.uint64)
+        ))
+        row = {
+            "shape": [r, k, r],
+            "full_ops": 2 * r * k * r,
+            "symmetric_ops": minplus_symmetric_kernel(
+                pool, a, b, np.full((r, r), np.inf)
+            ),
+            "full_s": round(secs["full"], 6),
+            "symmetric_s": round(secs["symmetric"], 6),
+            "speedup": round(secs["full"] / secs["symmetric"], 3),
+            "identical": identical,
+        }
+        rows.append(row)
+        print(
+            f"outer {r}x{k}x{r}: full {secs['full'] * 1e3:7.2f} ms"
+            f" | symmetric {secs['symmetric'] * 1e3:7.2f} ms"
+            f" (x{row['speedup']:.2f}, {row['symmetric_ops'] / row['full_ops']:.0%}"
+            f" of the ops){'' if identical else ' BITS DIFFER'}"
+        )
+    return rows
+
+
 def bench_diag(size, repeats):
     """DiagUpdate micro-benchmark: hoisted + pooled vs the seed loop.
 
@@ -237,15 +298,21 @@ def bench_backends(n, workers, repeats):
         name: sum(v["calls"] for v in r.meta["engine"]["strategies"].values())
         for name, r in (("sequential", seq), ("thread", thr), ("process", prc))
     }
+    tracer = Tracer()
+    with use_tracer(tracer):
+        superfw(graph)
+    outer_s = sum(e.dur for e in tracer.events() if e.name == "outer") / 1e9
     for name, secs in results.items():
         print(f"backend {name:>10}: {secs * 1e3:8.1f} ms, "
               f"{tasks[name]} tasks, {calls[name]} GEMM calls")
+    print(f"outer update of one traced sequential sweep: {outer_s * 1e3:.1f} ms")
     return {
         "graph": f"delaunay_mesh({n})",
         "workers": workers,
         "seconds": {k: round(v, 6) for k, v in results.items()},
         "tasks": tasks,
         "gemm_calls": calls,
+        "sequential_outer_s": round(outer_s, 6),
         "identical_matrices": identical,
         "cpu_count": os.cpu_count(),
         "note": (
@@ -284,6 +351,7 @@ def main(argv=None) -> int:
             ((512, 512, 512), np.float32),
         ]
     gemm = bench_gemm(shapes, repeats)
+    outer = bench_outer(OUTER_SHAPES, repeats)
     diag = bench_diag(128 if args.quick else 256, repeats)
     backends = bench_backends(
         160 if args.quick else 400, workers=4, repeats=1 if args.quick else 2
@@ -301,11 +369,12 @@ def main(argv=None) -> int:
     )
     ratio = reference["kernel_s"] / reference["seed_rank1_s"]
     payload = {
-        "version": "bench-engine/v2",
+        "version": "bench-engine/v3",
         "quick": bool(args.quick),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "gemm": gemm,
+        "outer": outer,
         "diag": diag,
         "backends": backends,
         "check": {
@@ -314,20 +383,29 @@ def main(argv=None) -> int:
             "max_ratio": CHECK_MAX_RATIO,
             "best_vs_seed_on_separator_shapes": round(best_separator, 3),
             "best_speedup_vs_seed": round(best_speedup, 3),
+            "outer_identical": all(row["identical"] for row in outer),
         },
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"best kernel speedup vs seed on separator shapes: x{best_separator:.2f}")
     print(f"wrote {args.out}")
+    failed = False
     if args.check and ratio > CHECK_MAX_RATIO:
         print(
             f"CHECK FAILED: the kernel is x{ratio:.2f} of the seed baseline on "
             f"{REFERENCE_SHAPE} (limit {CHECK_MAX_RATIO})",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    if args.check and not payload["check"]["outer_identical"]:
+        print(
+            "CHECK FAILED: the symmetric outer update differs from the full "
+            "product",
+            file=sys.stderr,
+        )
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

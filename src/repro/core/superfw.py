@@ -198,9 +198,13 @@ def eliminate_supernode(
     enforced inside process workers.  ``mirror`` says ``dist`` is
     symmetric bit for bit, as it stays through a sweep that starts
     symmetric: then the row panel is the closed column panel's
-    transpose, and only the column PanelUpdate runs (the op counter
-    still charges both, as the op law does).  Returns the deferred
-    update, or ``None`` when nothing was deferred.
+    transpose, and only the column PanelUpdate runs.  Each diagonal
+    outer region (``rows × rows``, or ``D×D`` and the deferred ``A×A``)
+    runs the engine's symmetric mode, which computes its lower staircase
+    and mirrors the rest, and a deferred sweep writes ``A×D`` as the
+    transpose of its ``D×A`` block.  The op counter still charges every
+    skipped product, as the op law does.  Returns the deferred update,
+    or ``None`` when nothing was deferred.
     """
     counter = counter if counter is not None else OpCounter()
     check = check if check is not None else _no_check
@@ -259,25 +263,35 @@ def eliminate_supernode(
             else:
                 # Parallel path: the D×D, D×A and A×D regions are private
                 # to this supernode within an etree level; only A×A is
-                # shared between cousins.
+                # shared between cousins.  A mirrored A×D is D×A's
+                # transpose, written below without a product.
                 regions = [(runs.desc, runs.desc, d, d)] if nd else []
                 if nd and na:
-                    regions += [(runs.desc, runs.anc, d, a),
-                                (runs.anc, runs.desc, a, d)]
+                    regions.append((runs.desc, runs.anc, d, a))
+                    if not mirror:
+                        regions.append((runs.anc, runs.desc, a, d))
             with tracer.span("outer", snode=last) if regions else nullcontext():
                 for rr, cr, rs, cs in regions:
                     lhs, rhs = col_panel[rs], row_panel[:, cs]
                     block = _gather(dist, rr, cr, (lhs.shape[0], rhs.shape[1]))
-                    counter.add("outer", outer_update(block, lhs, rhs))
+                    # On a mirrored sweep a diagonal region's rhs is its
+                    # lhs transposed: the engine computes the lower
+                    # staircase only.
+                    counter.add("outer", outer_update(
+                        block, lhs, rhs, symmetric=mirror and rs == cs
+                    ))
                     writes.append((rr, cr, block))
                     check()
+                if defer_aa and mirror and nd and na:
+                    # ``block`` is D×A, the last region.
+                    counter.add("outer", 2 * na * k * nd)
+                    writes.append((runs.anc, runs.desc, block.T))
             if defer_aa and na:
                 with tracer.span("aa", snode=last):
                     update = np.full((na, na), np.inf)
-                    counter.add(
-                        "outer",
-                        outer_update(update, col_panel[a], row_panel[:, a]),
-                    )
+                    counter.add("outer", outer_update(
+                        update, col_panel[a], row_panel[:, a], symmetric=mirror
+                    ))
         # Commit: every kernel has returned, so the writes cannot be torn
         # by a fault; cousins only share the A×A region.
         for rr, cr, block in writes:

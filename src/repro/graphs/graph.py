@@ -26,9 +26,13 @@ class Graph:
         symmetric (an exception is raised otherwise); self-loops are
         rejected because distance-matrix diagonals are identically the
         semiring one (0).
+
+    The constructor also records each arc's mirror slot (the index of
+    arc ``v → u`` for arc ``u → v``), so :meth:`with_weights` checks new
+    weights in ``O(nnz)`` without re-sorting the structure.
     """
 
-    __slots__ = ("indptr", "indices", "weights", "n")
+    __slots__ = ("indptr", "indices", "weights", "n", "_mirror")
 
     def __init__(
         self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
@@ -50,17 +54,29 @@ class Graph:
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         if np.any(rows == self.indices):
             raise ValueError("self-loops are not allowed")
-        self._check_symmetric(rows)
+        self._mirror = self._mirror_slots(rows)
+        self._check_symmetric_weights()
 
-    def _check_symmetric(self, rows: np.ndarray) -> None:
+    def _mirror_slots(self, rows: np.ndarray) -> np.ndarray:
+        """Each arc's mirror slot; raises unless the structure is symmetric.
+
+        Sorting the arcs by ``(row, col)`` and by ``(col, row)`` lines
+        every arc up with its reverse.
+        """
         order_fwd = np.lexsort((self.indices, rows))
         order_rev = np.lexsort((rows, self.indices))
         if not (
             np.array_equal(rows[order_fwd], self.indices[order_rev])
             and np.array_equal(self.indices[order_fwd], rows[order_rev])
-            and np.allclose(
-                self.weights[order_fwd], self.weights[order_rev], equal_nan=True
-            )
+        ):
+            raise ValueError("graph structure/weights are not symmetric")
+        mirror = np.empty_like(order_fwd)
+        mirror[order_fwd] = order_rev
+        return mirror
+
+    def _check_symmetric_weights(self) -> None:
+        if not np.allclose(
+            self.weights, self.weights[self._mirror], equal_nan=True
         ):
             raise ValueError("graph structure/weights are not symmetric")
 
@@ -261,11 +277,28 @@ class Graph:
         sub.indices = nbr[arcs]
         sub.weights = self.weights[arcs]
         sub.n = k
+        sub._mirror = None
         return sub
 
     def with_weights(self, weights: np.ndarray) -> "Graph":
-        """Return a structurally identical graph with new arc weights."""
-        return Graph(self.indptr.copy(), self.indices.copy(), np.asarray(weights, dtype=np.float64))
+        """Return a structurally identical graph with new arc weights.
+
+        The new graph shares this one's ``indptr``, ``indices`` and
+        mirror slots; only the weights are checked, each arc's against
+        its mirror's (``O(nnz)``, the constructor's ``allclose`` rule).
+        """
+        graph = Graph.__new__(Graph)
+        graph.indptr, graph.indices, graph.n = self.indptr, self.indices, self.n
+        graph.weights = np.asarray(weights, dtype=np.float64)
+        if graph.weights.shape != graph.indices.shape:
+            raise ValueError("indices and weights must have equal length")
+        if self._mirror is None:
+            self._mirror = self._mirror_slots(
+                np.repeat(np.arange(self.n), np.diff(self.indptr))
+            )
+        graph._mirror = self._mirror
+        graph._check_symmetric_weights()
+        return graph
 
     def adjacency_lists(self) -> list[list[tuple[int, float]]]:
         """Pointer-chasing adjacency-list representation.

@@ -27,6 +27,7 @@ from repro.semiring.engine import (
     WorkspacePool,
     get_engine,
     minplus_kernel,
+    minplus_symmetric_kernel,
     result_dtype,
     set_engine,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "minplus_gemm_flops",
     "minplus_inner",
     "minplus_kernel",
+    "minplus_symmetric_kernel",
     "outer_update",
     "panel_update_cols",
     "panel_update_rows",

@@ -20,6 +20,14 @@ Results are bit-identical to the quadratic-memory oracle on non-aliased
 operands: ``C[i, j]`` is ``min_t fl(A[i, t] + B[t, j])`` and both
 ``min`` and IEEE ``+`` are deterministic whatever the step size.
 
+:func:`minplus_symmetric_kernel` is the symmetric mode, the min-plus
+``SYRK``: when ``B = Aᵀ`` and the accumulator is symmetric bit for bit,
+it runs the kernel on a staircase of row strips on and below the
+diagonal and copies the strict upper part from the lower part's
+transpose.  Entry ``(j, i)``'s candidates ``fl(A[j, t] + A[i, t])`` are
+entry ``(i, j)``'s with the operands swapped, and IEEE ``+`` is
+commutative, so the mirror is exact on any weights.
+
 Engines keep call/op/time counters, keyed by the kernel name
 :data:`KERNEL`, which the solvers surface in
 ``APSPResult.meta["engine"]["strategies"]``.
@@ -42,6 +50,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
@@ -54,6 +63,12 @@ B = 32_768
 
 #: The kernel's name in the engine counters and trace attributes.
 KERNEL = "minplus"
+
+#: Row strips of a symmetric ``r × r`` product: ``max(1, min(MAX_STRIPS,
+#: r // STRIP_ROWS))``, a function of the shape alone.  ``s`` equal
+#: strips compute ``(s + 1) / 2s`` of the full product.
+MAX_STRIPS = 8
+STRIP_ROWS = 32
 
 
 def result_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
@@ -162,6 +177,35 @@ def minplus_kernel(
         np.minimum(out, red, out=out)
 
 
+def symmetric_strips(r: int) -> int:
+    """Row strips :func:`minplus_symmetric_kernel` cuts an ``r × r`` product into."""
+    return max(1, min(MAX_STRIPS, r // STRIP_ROWS))
+
+
+def minplus_symmetric_kernel(
+    pool: WorkspacePool, a: np.ndarray, b: np.ndarray, out: np.ndarray
+) -> int:
+    """:func:`minplus_kernel` for ``b = aᵀ`` and a symmetric ``out``.
+
+    Both conditions must hold bit for bit; then so does the result's
+    symmetry.  Strip ``i`` of :func:`symmetric_strips` equal row strips
+    ``[r0, r1)`` is updated against columns ``[0, r1)``, and each strip's
+    columns right of ``r1`` are then copied from the transpose of the
+    rows below it, which later strips computed.  Returns the scalar ops
+    executed (the full product's ``2·r·k·r`` when one strip).
+    """
+    r, k = a.shape
+    strips = symmetric_strips(r)
+    bounds = [r * i // strips for i in range(strips + 1)]
+    ops = 0
+    for r0, r1 in zip(bounds, bounds[1:]):
+        minplus_kernel(pool, a[r0:r1], b[:, :r1], out[r0:r1, :r1])
+        ops += 2 * (r1 - r0) * k * r1
+    for r0, r1 in zip(bounds, bounds[1:-1]):
+        out[r0:r1, r1:] = out[r1:, r0:r1].T
+    return ops
+
+
 class SemiringGemmEngine:
     """Min-plus GEMM with workspace reuse and call/op/time counters."""
 
@@ -178,6 +222,7 @@ class SemiringGemmEngine:
         b: np.ndarray,
         out: np.ndarray | None = None,
         accumulate: bool = False,
+        symmetric: bool = False,
     ) -> np.ndarray:
         """Min-plus product ``C[i,j] = min_t (A[i,t] + B[t,j])``.
 
@@ -188,6 +233,11 @@ class SemiringGemmEngine:
         blocked-FW PanelUpdate case — where extra relaxations through
         already-updated rows are dominated by direct candidates and the
         result is unchanged.
+
+        ``symmetric`` promises that ``b`` is ``aᵀ`` and that an
+        accumulated ``out`` is symmetric, both bit for bit, and runs
+        :func:`minplus_symmetric_kernel`: one call, whose ``ops`` counter
+        records the staircase actually computed.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -201,24 +251,30 @@ class SemiringGemmEngine:
             raise ValueError(f"out has shape {out.shape}, expected {(m, n)}")
         elif not accumulate:
             out.fill(np.inf)
+        if symmetric and m != n:
+            raise ValueError(f"a symmetric product is square, not {(m, n)}")
         if kdim == 0 or m == 0 or n == 0:
             return out
         tracer = get_tracer()
-        if tracer.enabled:
+        span = (
             # Attribute dicts are built only on the traced path: gemm is
             # the hottest call site in the library.
+            tracer.span("gemm", strategy=KERNEL, m=m, k=kdim, n=n)
+            if tracer.enabled else nullcontext()
+        )
+        if tracer.enabled:
             tracer.metrics.inc("engine.dispatch." + KERNEL)
-            with tracer.span("gemm", strategy=KERNEL, m=m, k=kdim, n=n):
-                t0 = time.perf_counter()
-                minplus_kernel(self.workspace, a, b, out)
-                seconds = time.perf_counter() - t0
-        else:
+        with span:
             t0 = time.perf_counter()
-            minplus_kernel(self.workspace, a, b, out)
+            if symmetric:
+                ops = minplus_symmetric_kernel(self.workspace, a, b, out)
+            else:
+                minplus_kernel(self.workspace, a, b, out)
+                ops = 2 * m * n * kdim
             seconds = time.perf_counter() - t0
         with self._stats_lock:
             self._calls += 1
-            self._ops += 2 * m * n * kdim
+            self._ops += ops
             self._seconds += seconds
         return out
 

@@ -123,6 +123,7 @@ def outer_update(
     col_panel: np.ndarray,
     row_panel: np.ndarray,
     semiring: Semiring = MIN_PLUS,
+    symmetric: bool = False,
 ) -> int:
     """MinPlus outer product: ``A(i,j) ← A(i,j) ⊕ A(i,k) ⊗ A(k,j)``.
 
@@ -130,13 +131,21 @@ def outer_update(
     ``(r, b)`` (the ``A(i,k)`` operand) and ``row_panel`` is ``(b, c)``.
     This is the semiring analogue of the Schur-complement (GEMM) update in
     Cholesky factorization and dominates the total work (paper §4.1) —
-    the engine's kernel is sized for exactly this call.
+    the engine's kernel is sized for exactly this call.  ``symmetric``
+    (min-plus only) promises ``row_panel = col_panelᵀ`` and a symmetric
+    ``trailing``, bit for bit, and runs the engine's staircase product
+    (:func:`~repro.semiring.engine.minplus_symmetric_kernel`).  The
+    returned count is the full product's either way, as the op law
+    charges it.
     """
     r, b = col_panel.shape
     if row_panel.shape[0] != b or trailing.shape != (r, row_panel.shape[1]):
         raise ValueError("outer-update shapes incompatible")
     if semiring is MIN_PLUS:
-        get_engine().gemm(col_panel, row_panel, out=trailing, accumulate=True)
+        get_engine().gemm(
+            col_panel, row_panel, out=trailing, accumulate=True,
+            symmetric=symmetric,
+        )
     else:
         semiring_gemm(
             semiring, col_panel, row_panel, out=trailing, accumulate=True

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.generators import barabasi_albert, delaunay_mesh
+from repro.graphs.generators import barabasi_albert, delaunay_mesh, grid2d
 from repro.graphs.graph import Graph
 
 
@@ -214,6 +214,30 @@ def test_with_weights_must_stay_symmetric():
     bad[0] += 1.0  # breaks the mirror arc
     with pytest.raises(ValueError):
         g.with_weights(bad)
+
+
+def test_with_weights_shares_the_structure_and_keeps_the_allclose_rule():
+    g = grid2d(4, 4, seed=0)
+    w = g.weights.copy()
+    w[0] += 1e-12  # within allclose of its mirror: accepted, as before
+    g2 = g.with_weights(w)
+    assert g2.indptr is g.indptr and g2.indices is g.indices
+    assert g2.with_weights(g.weights).indices is g.indices
+    w[0] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        g2.with_weights(w)
+    with pytest.raises(ValueError):
+        g.with_weights(g.weights[:-1])
+
+
+def test_subgraph_with_weights_checks_its_mirror():
+    g = grid2d(5, 5, seed=0)
+    sub = g.subgraph(np.arange(12))
+    assert np.array_equal(sub.with_weights(sub.weights * 2).weights, sub.weights * 2)
+    bad = sub.weights.copy()
+    bad[3] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        sub.with_weights(bad)
 
 
 def test_adjacency_lists_match_csr():

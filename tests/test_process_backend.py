@@ -14,6 +14,7 @@ from repro.resilience.faults import (
     inject_faults,
     install_worker_faults,
 )
+from repro.semiring.engine import symmetric_strips
 
 
 def test_process_backend_matches_sequential_and_thread(mesh_graph):
@@ -44,23 +45,52 @@ def test_process_backend_without_etree_parallelism(grid_graph):
     assert not r.meta["etree_parallel"]
 
 
+def _staircase_ops(r: int, k: int) -> int:
+    """Engine ops of one symmetric ``r × k × r`` outer product."""
+    strips = symmetric_strips(r)
+    bounds = [r * i // strips for i in range(strips + 1)]
+    return sum(2 * (r1 - r0) * k * r1 for r0, r1 in zip(bounds, bounds[1:]))
+
+
+def _mirrored_deferred_ops(structure) -> int:
+    """Engine ops of a mirrored deferred sweep: one panel GEMM, D×D and
+    A×A staircased, D×A in full and A×D not at all."""
+    total = 0
+    for s in range(structure.ns):
+        lo, hi = structure.col_range(s)
+        b, runs = hi - lo, structure.row_runs(s)
+        total += (2 * b * b * (runs.nd + runs.na) + _staircase_ops(runs.nd, b)
+                  + 2 * runs.nd * b * runs.na + _staircase_ops(runs.na, b))
+    return total
+
+
+def _counts(result):
+    return {name: (v["calls"], v["ops"])
+            for name, v in result.meta["engine"]["strategies"].items()}
+
+
 def test_process_backend_merges_worker_engine_stats(mesh_graph):
     seq = superfw(mesh_graph)
     thr = parallel_superfw(mesh_graph, num_workers=2)
     r = parallel_superfw(mesh_graph, backend="process", num_workers=2)
 
-    def counts(result):
-        return {name: (v["calls"], v["ops"])
-                for name, v in result.meta["engine"]["strategies"].items()}
-
     # Every worker gemm is folded back: per-kernel calls and ops equal
     # the thread executor's, which splits each outer update into the
-    # same regions, and the ops equal the sequential sweep's.
-    assert counts(r) == counts(thr)
-    assert {k: ops for k, (_, ops) in counts(r).items()} == {
-        k: ops for k, (_, ops) in counts(seq).items()
+    # same regions, and the ops are the products the mirrored sweep runs.
+    assert _counts(r) == _counts(thr)
+    structure = seq.meta["plan"].structure
+    assert {k: ops for k, (_, ops) in _counts(r).items()} == {
+        "minplus": _mirrored_deferred_ops(structure)
     }
-    assert counts(r)
+    # Without the mirror every product runs in full, and the deferred
+    # regions tile the sequential sweep's rows × rows product.
+    w = mesh_graph.weights.copy()
+    w[0] += 2.0**-30
+    nudged = mesh_graph.with_weights(w)
+    full = parallel_superfw(nudged, backend="process", num_workers=2)
+    assert {k: ops for k, (_, ops) in _counts(full).items()} == {
+        k: ops for k, (_, ops) in _counts(superfw(nudged)).items()
+    }
 
 
 def test_process_backend_rejects_non_minplus(grid_graph):

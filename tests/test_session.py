@@ -83,6 +83,29 @@ def test_session_per_solve_weight_validation(grid_graph):
         sess.solve(np.ones(3))  # wrong arc count
 
 
+def test_warm_solve_checks_weight_symmetry_without_resorting(grid_graph, monkeypatch):
+    sess = APSPSession(grid_graph)
+    sess.solve()
+    weights = _new_weights(grid_graph)
+    sorts = []
+    real = Graph._mirror_slots
+
+    def spy(self, rows):
+        sorts.append(self.n)
+        return real(self, rows)
+
+    monkeypatch.setattr(Graph, "_mirror_slots", spy)
+    warm = sess.solve(weights)
+    assert sorts == []
+    assert sess.graph.indices is grid_graph.indices
+    np.testing.assert_allclose(warm.dist, scipy_apsp(grid_graph.with_weights(weights)))
+    asymmetric = weights.copy()
+    asymmetric[0] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        sess.solve(asymmetric)
+    assert sorts == []
+
+
 def test_session_negative_cycle_detection():
     dg = DiGraph.from_edges(
         3, [(0, 1, 1.0), (1, 2, -2.0), (2, 0, 0.5)]
