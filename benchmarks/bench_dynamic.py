@@ -13,6 +13,15 @@ Standalone script (not pytest-benchmark) emitting ``BENCH_dynamic.json``:
   a from-scratch SuperFW solve at that epoch's weights (weights are
   dyadic multiples of ``WEIGHT_QUANTUM``, so fold and re-solve agree to
   the last bit).
+* ``fold`` — update_mix-style ticks on a power grid with a
+  :class:`~repro.serve.server.DistanceServer` beside the session: each
+  window raises a set of edges (a warm re-solve) and lowers them back a
+  few at a time (rank-k folds), and every commit is followed by the
+  index refresh it triggers.  Commit and refresh milliseconds are timed
+  in turn, per decision, with the fold's ``rows`` and ``pairs`` (the
+  share of the ``n²`` entries it re-evaluated); every window ends at
+  the starting weights, where the epoch must equal the first one bit
+  for bit and the index must answer every pair from it.
 * ``router`` — decision sanity: a single-edge decrease folds, an
   every-edge batch re-solves.
 * ``chaos`` — a commit whose warm re-solve runs on the unsupervised
@@ -38,10 +47,11 @@ import warnings
 
 import numpy as np
 
-from repro.core.incremental import quantize_weights, reweight_stream
+from repro.core.incremental import WEIGHT_QUANTUM, quantize_weights, reweight_stream
 from repro.core.superfw import superfw
-from repro.graphs.generators import grid2d
+from repro.graphs.generators import grid2d, power_grid_like
 from repro.plan import APSPSession
+from repro.serve import DistanceServer
 from repro.resilience.errors import StaleEpochWarning
 from repro.resilience.faults import FaultSpec, inject_faults
 
@@ -163,6 +173,80 @@ def bench_exactness(n_side: int, ticks: int, per_tick: int) -> dict:
     return {"epochs_checked": checked, "mismatches": mismatches}
 
 
+def bench_fold(n: int, windows: int, ticks: int, per_tick: int) -> dict:
+    """Commit then index refresh, tick by tick, on a power grid.
+
+    A window raises ``ticks * per_tick`` edges in one commit (increases
+    re-solve), then lowers ``per_tick`` of them back per commit (the
+    router folds decreases), so each window ends at the start weights.
+    """
+    graph = quantize_weights(power_grid_like(n, seed=0))
+    session = APSPSession(graph, seed=0)
+    server = DistanceServer(session)
+    start = np.array(session.dist)
+    server.refresh()
+    edges = graph.edge_array()
+    rng = np.random.default_rng(3)
+    commit_ms: dict[str, list[float]] = {"fold": [], "resolve": []}
+    refresh_ms: dict[str, list[float]] = {"fold": [], "resolve": []}
+    rows, pairs = [], []
+    mismatches = 0
+    src, dst = np.divmod(np.arange(n * n), n)
+    for _ in range(windows):
+        picks = rng.choice(edges.shape[0], ticks * per_tick, replace=False)
+        old = [(int(edges[e, 0]), int(edges[e, 1]), float(edges[e, 2]))
+               for e in picks]
+        raised = [(u, v, w + int(rng.integers(1, 17)) * WEIGHT_QUANTUM * 64)
+                  for u, v, w in old]
+        window = [raised] + [
+            old[t * per_tick:(t + 1) * per_tick] for t in range(ticks)
+        ]
+        for updates in window:
+            session.apply_updates(updates)
+            t0 = time.perf_counter()
+            info = session.commit()
+            t1 = time.perf_counter()
+            server.refresh()
+            t2 = time.perf_counter()
+            commit_ms[info.decision].append((t1 - t0) * 1e3)
+            refresh_ms[info.decision].append((t2 - t1) * 1e3)
+            if info.decision == "fold":
+                rows.append(info.router.get("rows", 0))
+                pairs.append(info.router.get("pairs", 0))
+        mismatches += int(not np.array_equal(np.asarray(session.dist), start))
+        mismatches += int(not np.array_equal(
+            server.query_many(src, dst), start.ravel()
+        ))
+
+    def median(values):
+        return round(float(np.median(values)), 4) if values else None
+
+    row = {
+        "graph": f"power_grid_like({n})",
+        "n": n,
+        "windows": windows,
+        "decisions": {k: len(v) for k, v in commit_ms.items()},
+        "fold_commit_ms": median(commit_ms["fold"]),
+        "fold_refresh_ms": median(refresh_ms["fold"]),
+        "resolve_commit_ms": median(commit_ms["resolve"]),
+        "resolve_refresh_ms": median(refresh_ms["resolve"]),
+        "fold_rows_mean": round(float(np.mean(rows)), 1) if rows else None,
+        "fold_pairs_mean": round(float(np.mean(pairs)), 1) if pairs else None,
+        "fold_pairs_share": (
+            round(float(np.mean(pairs)) / (n * n), 4) if pairs else None
+        ),
+        "mismatches": mismatches,
+    }
+    print(
+        f"fold power_grid_like({n}): {len(commit_ms['fold'])} folds | commit "
+        f"{row['fold_commit_ms']} ms + refresh {row['fold_refresh_ms']} ms "
+        f"(median) | re-solve commit {row['resolve_commit_ms']} ms + refresh "
+        f"{row['resolve_refresh_ms']} ms | pairs {row['fold_pairs_share']} "
+        f"of n² | {mismatches} mismatches"
+    )
+    return row
+
+
 def bench_router(n_side: int) -> dict:
     """Decision sanity: tiny decrease batches fold, huge batches re-solve."""
     graph = quantize_weights(grid2d(n_side, n_side, seed=0))
@@ -278,24 +362,28 @@ def main(argv=None) -> int:
     if args.quick:
         side, ticks, per_tick = 16, 4, 40
         exact_side, exact_ticks, exact_per_tick = 12, 4, 10
+        fold_n, fold_windows = 256, 3
         router_side, chaos_side = 12, 10
     else:
         side, ticks, per_tick = 24, 6, 60
         exact_side, exact_ticks, exact_per_tick = 16, 6, 16
+        fold_n, fold_windows = 512, 12
         router_side, chaos_side = 16, 12
 
     throughput, _ = bench_throughput(side, ticks, per_tick)
     exactness = bench_exactness(exact_side, exact_ticks, exact_per_tick)
+    fold = bench_fold(fold_n, fold_windows, ticks=4, per_tick=2)
     router = bench_router(router_side)
     chaos = bench_chaos(chaos_side)
 
     payload = {
-        "version": "bench-dynamic/v1",
+        "version": "bench-dynamic/v2",
         "quick": bool(args.quick),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "throughput": throughput,
         "exactness": exactness,
+        "fold": fold,
         "router": router,
         "chaos": chaos,
         "check": {
@@ -303,6 +391,7 @@ def main(argv=None) -> int:
             "min_speedup": args.check_min_speedup,
             "final_identical": throughput["final_identical"],
             "mismatches": exactness["mismatches"],
+            "fold_mismatches": fold["mismatches"],
             "router_sane": router["sane"],
             "chaos_ok": chaos["ok"],
         },
@@ -327,6 +416,10 @@ def main(argv=None) -> int:
         if exactness["mismatches"]:
             failures.append(
                 f"{exactness['mismatches']} epochs diverged from scratch"
+            )
+        if fold["mismatches"]:
+            failures.append(
+                f"{fold['mismatches']} fold windows ended off the start epoch"
             )
         if not router["sane"]:
             failures.append(

@@ -67,30 +67,24 @@ def blocked_floyd_warshall_inplace(
         k0, k1 = bounds[k], bounds[k + 1]
         diag = dist[k0:k1, k0:k1]
         counter.add("diag", diag_update(diag, semiring))
-        # Panel updates on the pivot block row and column.
-        for j in range(nb):
-            if j == k:
-                continue
-            j0, j1 = bounds[j], bounds[j + 1]
+        # The pivot block row and column, as the slices left and right
+        # of (above and below) the pivot block.
+        beside = [(lo, hi) for lo, hi in ((0, k0), (k1, n)) if hi > lo]
+        for lo, hi in beside:
             counter.add(
-                "panel", panel_update_rows(dist[k0:k1, j0:j1], diag, semiring)
+                "panel", panel_update_rows(dist[k0:k1, lo:hi], diag, semiring)
             )
             counter.add(
-                "panel", panel_update_cols(dist[j0:j1, k0:k1], diag, semiring)
+                "panel", panel_update_cols(dist[lo:hi, k0:k1], diag, semiring)
             )
-        # Trailing outer-product updates, counted once per pivot block.
+        # The trailing update as its (up to) four quadrants, counted
+        # once per pivot block.
         outer = 0
-        for i in range(nb):
-            if i == k:
-                continue
-            i0, i1 = bounds[i], bounds[i + 1]
-            col_panel = dist[i0:i1, k0:k1]
-            for j in range(nb):
-                if j == k:
-                    continue
-                j0, j1 = bounds[j], bounds[j + 1]
+        for i0, i1 in beside:
+            for j0, j1 in beside:
                 outer += outer_update(
-                    dist[i0:i1, j0:j1], col_panel, dist[k0:k1, j0:j1], semiring
+                    dist[i0:i1, j0:j1], dist[i0:i1, k0:k1],
+                    dist[k0:k1, j0:j1], semiring,
                 )
         if outer:
             counter.add("outer", outer)

@@ -163,6 +163,9 @@ class Plan:
     format_version: int = PLAN_FORMAT_VERSION
     etree: np.ndarray | None = None
     col_counts: np.ndarray | None = None
+    # The hub-label structure of this plan (:mod:`repro.serve.hub_index`),
+    # a function of the plan alone, built by the first index.
+    _labels: Any = field(init=False, default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property

@@ -326,6 +326,16 @@ class APSPSession:
 
     def _commit_buffer(self, buf: UpdateBuffer | None, *, force=None,
                        overrides=None) -> CommitInfo:
+        with get_tracer().span("session-commit") as span:
+            info = self._commit_tick(buf, force, overrides)
+            span.set(decision=info.decision, k=info.k, **{
+                key: info.router[key] for key in ("terminals", "rows", "pairs")
+                if key in info.router
+            })
+        return info
+
+    def _commit_tick(self, buf: UpdateBuffer | None, force,
+                     overrides) -> CommitInfo:
         started = time.perf_counter()
         current_index = self._epoch.index if self._epoch is not None else -1
         if not buf:
@@ -415,15 +425,15 @@ class APSPSession:
         structural = bool(inserts)
         self.graph = new_graph
         if decision.action == "fold":
-            from repro.core.incremental import apply_batch_improvements
+            from repro.core.incremental import fold_batch
 
             if structural:
                 self._invalidate_plan()
-            base = self._epoch
-            new_dist = np.array(base.dist)  # writable copy-on-write
-            info.improved = apply_batch_improvements(
-                new_dist, effective, directed=self.directed
-            )
+            # The new epoch's matrix, the fold's one n × n allocation.
+            new_dist = np.array(self._epoch.dist)
+            fold = fold_batch(new_dist, effective, directed=self.directed)
+            info.improved = fold.improved
+            info.router.update(rows=fold.rows, pairs=fold.pairs)
             self.fast_updates += 1
             self._publish(
                 new_dist, weights_sha(self.graph.weights),

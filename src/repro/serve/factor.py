@@ -95,6 +95,26 @@ def factor_pass_ops(
     return sweep_ops(b, r), 4 * b * r * c + 2 * b * b * r
 
 
+def _arcs_mirrored(tail: np.ndarray, head: np.ndarray,
+                   weight: np.ndarray) -> bool:
+    """Whether every arc has a reverse arc of the same weight, bit for bit.
+
+    Then every front is symmetric bit for bit, as the sweep's start
+    matrix is (``_start_matrix`` in :mod:`repro.core.superfw`), and the
+    ascending pass computes each front's mirror halves once.  ``O(nnz
+    log nnz)``: the arcs sorted by ``(tail, head, bits)`` must equal the
+    reversed arcs sorted the same way.
+    """
+    bits = weight.view(f"u{weight.itemsize}")
+    fwd = np.lexsort((bits, head, tail))
+    rev = np.lexsort((bits, tail, head))
+    return bool(
+        np.array_equal(tail[fwd], head[rev])
+        and np.array_equal(head[fwd], tail[rev])
+        and np.array_equal(bits[fwd], bits[rev])
+    )
+
+
 def factor_chain_blocks(
     structure: SupernodalStructure,
     snode_rows: list[np.ndarray],
@@ -151,6 +171,7 @@ def factor_chain_blocks(
     weight = np.asarray(graph.weights, dtype=dtype)
     keep = tail != head
     tail, head, weight = tail[keep], head[keep], weight[keep]
+    mirror = _arcs_mirrored(tail, head, weight)
     owner = structure.snode_of[np.minimum(tail, head)]
     order = np.argsort(owner, kind="stable")
     owner, weight = owner[order], weight[order]
@@ -187,9 +208,18 @@ def factor_chain_blocks(
         col, row = front[b:, :b], front[:b, b:]
         if r:
             counter.add("panel", panel_update_cols(col, diag))
-            counter.add("panel", panel_update_rows(row, diag))
+            if mirror:
+                # A symmetric front stays symmetric bit for bit: the row
+                # panel is the column panel's transpose, and the law
+                # still charges both PanelUpdates.
+                row[...] = col.T
+                counter.add("panel", 2 * b * b * r)
+            else:
+                counter.add("panel", panel_update_rows(row, diag))
             update = front[b:, b:]
-            counter.add("outer", outer_update(update, col, row))
+            counter.add(
+                "outer", outer_update(update, col, row, symmetric=mirror)
+            )
             if parent[s] >= 0:
                 updates[s] = update
         factor[s] = (diag.copy(), row.copy(), col.copy())

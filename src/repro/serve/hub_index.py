@@ -76,7 +76,10 @@ reduced graph, and the trail is then unreduced in label space
 (:func:`_unreduce_labels`), with no solve and no ``n x n`` array.  Once
 the session has published an epoch, the labels are sliced from that
 epoch instead (solving first if a structural commit dropped the plan),
-in one flat ``O(total label entries)`` gather.  Both sources are exact;
+in two flat ``O(total label entries)`` gathers.  Everything but the
+label distances depends on the plan alone and is built once per plan
+(:func:`_label_structure`), so a new epoch's index costs the gathers.
+Both sources are exact;
 on dyadic weights (sums exact in float64) a factor-built index is
 bit-identical to the epoch-sliced one, and in general each label
 distance may differ from the epoch's entry by rounding.
@@ -326,6 +329,121 @@ def _unreduce_labels(trail, applied, hub_orig, ptr, hubs, dto, dfrom,
         dfrom[dest] = np.minimum.reduceat(bwd + w_in[p], starts)
 
 
+class _LabelStructure:
+    """Everything of an index that depends on the plan alone.
+
+    The label CSR (``ptr``/``hubs``, hub keys per original vertex), the
+    key-to-vertex map ``perm``, the extended etree's join tables and the
+    shard of every vertex: only ``dto``/``dfrom`` depend on the weights.
+    ``pos_count`` is each key's label length and ``ne`` the trail's
+    event count.  Built once per plan (:func:`_label_structure`), so a
+    new epoch's index costs the two gathers of :meth:`gather`.
+    """
+
+    __slots__ = ("n", "ne", "perm", "ptr", "hubs", "pos_count", "comp",
+                 "ncomp", "node", "parent", "depth", "pre", "span",
+                 "chain_len", "_flat")
+
+    def __init__(self, plan) -> None:
+        tracer = get_tracer()
+        trail = plan.trail
+        n = self.n = plan.n
+        ne = self.ne = trail.n_events if trail is not None else 0
+        perm = np.array(plan.ordering.perm, dtype=np.int64)
+        # Hub keys in the extended order: key r < ne names the vertex the
+        # trail's r-th event eliminated, key ne + p the reduced vertex at
+        # permuted position p.  ``hub_orig`` maps a key to its original
+        # vertex id.
+        hub_orig = perm if trail is None else np.concatenate(
+            [trail.verts, np.asarray(trail.kept, dtype=np.int64)[perm]]
+        )
+        key_of = np.empty(n, dtype=np.int64)
+        key_of[hub_orig] = np.arange(n, dtype=np.int64)
+
+        with tracer.span("hub-index-labels"):
+            node_ptr, parent = _extended_etree(
+                *_label_nodes(plan), trail, key_of
+            )
+            # Chain table: node x's chain is the key runs of x, parent(x),
+            # parent²(x), ... — its k-th node is x's k-th ancestor, read
+            # off the binary-lifting table bit by bit of k.
+            up, depth, root = _lifting(parent)
+            nodes = parent.shape[0]
+            widths = np.diff(node_ptr)
+            hops = depth + 1
+            anc = np.repeat(np.arange(nodes, dtype=np.int64), hops)
+            k = _ranges(np.zeros(nodes, dtype=np.int64), hops)
+            for j in range(up.shape[0]):
+                step = ((k >> j) & 1).astype(bool)
+                anc[step] = up[j, anc[step]]
+            chain_pos = _ranges(node_ptr[anc], widths[anc])
+            chain_len = np.add.reduceat(widths[anc], np.cumsum(hops) - hops)
+            chain_ptr = np.cumsum(chain_len) - chain_len
+            # Key h at offset t of node x labels with chain(x)[t:].
+            node_of_key = np.repeat(np.arange(nodes, dtype=np.int64), widths)
+            offset = np.arange(n, dtype=np.int64) - node_ptr[node_of_key]
+            pos_start = chain_ptr[node_of_key] + offset
+            pos_count = chain_len[node_of_key] - offset
+            counts = np.empty(n, dtype=np.int64)
+            counts[hub_orig] = pos_count
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=ptr[1:])
+            hubs = np.empty(int(ptr[-1]), dtype=np.int64)
+            hubs[_ranges(ptr[hub_orig], pos_count)] = (
+                chain_pos[_ranges(pos_start, pos_count)]
+            )
+
+        with tracer.span("hub-index-shards"):
+            # Each extended etree tree is one (weak) component of the
+            # graph — a supernode is a run of the column etree, and a
+            # trail vertex hangs below a neighbor in the symmetric
+            # pattern — so the shard is the vertex's tree root, numbered
+            # in order of each tree's smallest vertex.
+            node = np.empty(n, dtype=np.int64)
+            node[hub_orig] = node_of_key
+            _, first, inv = np.unique(
+                root[node], return_index=True, return_inverse=True
+            )
+            ncomp = first.shape[0]
+            rank = np.empty(ncomp, dtype=np.int64)
+            rank[np.argsort(first)] = np.arange(ncomp)
+            pre = _preorder(parent, anc, hops)
+            order = np.empty(nodes, dtype=np.int64)
+            order[pre] = np.arange(nodes, dtype=np.int64)
+            self.span = _span_table(order, depth)
+        self.perm, self.ptr, self.hubs = hub_orig, ptr, hubs
+        self.pos_count, self.chain_len = pos_count, chain_len
+        self.comp, self.ncomp = rank[inv.ravel()], ncomp
+        self.node, self.parent, self.depth, self.pre = node, parent, depth, pre
+        for arr in (hub_orig, ptr, hubs, pos_count, self.comp, node,
+                    parent, depth, pre, self.span, chain_len):
+            arr.setflags(write=False)
+        self._flat = None
+
+    def gather(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every label's ``(dto, dfrom)`` read off the ``n x n`` matrix.
+
+        Two flat gathers; their indices (``v·n + h`` and ``h·n + v`` per
+        entry of vertex ``v`` and hub vertex ``h``) are built on the
+        first call.
+        """
+        if self._flat is None:
+            n = self.n
+            owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.ptr))
+            hub_ids = self.perm[self.hubs]
+            self._flat = (owner * n + hub_ids, hub_ids * n + owner)
+        to_idx, from_idx = self._flat
+        return np.take(dist, to_idx), np.take(dist, from_idx)
+
+
+def _label_structure(plan) -> _LabelStructure:
+    """``plan``'s :class:`_LabelStructure`, built on first use and kept
+    on the plan."""
+    if plan._labels is None:
+        plan._labels = _LabelStructure(plan)
+    return plan._labels
+
+
 class HubLabelIndex:
     """Immutable 2-hop label set for one state of a session.
 
@@ -419,7 +537,11 @@ class HubLabelIndex:
         array is allocated.  Otherwise they are sliced from the
         published epoch, re-solving if a structural commit dropped the
         plan (plan and epoch must describe the *same* structure and
-        weights).  Reported under the ``hub-index-build`` span, whose
+        weights).  The label structure (CSR, join tables, shards) comes
+        from the plan's memo, built on the plan's first index, so only
+        ``dto``/``dfrom`` are computed per build; the arrays are shared,
+        read-only, by every index of the plan.  Reported under the
+        ``hub-index-build`` span, whose
         ``source`` is ``"factor"`` or ``"epoch"``, ``trail_events``
         counts the labelled eliminated vertices and ``ops`` the semiring
         ops the build ran, with per-phase children.  ``build_seconds``
@@ -461,57 +583,12 @@ class HubLabelIndex:
                         ops.merge(session.solve().ops)
                 epoch = session.epoch
                 graph, plan = session.graph, session.plan
-                st = plan.structure
                 dist = np.asarray(epoch.dist)
                 epoch_index = epoch.index
                 weights_digest = epoch.weights_digest
-            trail = plan.trail
-            n = plan.n
-            ne = trail.n_events if trail is not None else 0
-            perm = np.asarray(plan.ordering.perm, dtype=np.int64)
-            # Hub keys in the extended order: key r < ne names the vertex
-            # the trail's r-th event eliminated, key ne + p the reduced
-            # vertex at permuted position p.  ``hub_orig`` maps a key to
-            # its original vertex id.
-            hub_orig = perm if trail is None else np.concatenate(
-                [trail.verts, np.asarray(trail.kept, dtype=np.int64)[perm]]
-            )
-            key_of = np.empty(n, dtype=np.int64)
-            key_of[hub_orig] = np.arange(n, dtype=np.int64)
-
-            with tracer.span("hub-index-labels"):
-                node_ptr, parent = _extended_etree(
-                    *_label_nodes(plan), trail, key_of
-                )
-                # Chain table: node x's chain is the key runs of x,
-                # parent(x), parent²(x), ... — its k-th node is x's k-th
-                # ancestor, read off the binary-lifting table bit by bit
-                # of k.
-                up, depth, root = _lifting(parent)
-                nodes = parent.shape[0]
-                widths = np.diff(node_ptr)
-                hops = depth + 1
-                anc = np.repeat(np.arange(nodes, dtype=np.int64), hops)
-                k = _ranges(np.zeros(nodes, dtype=np.int64), hops)
-                for j in range(up.shape[0]):
-                    step = ((k >> j) & 1).astype(bool)
-                    anc[step] = up[j, anc[step]]
-                chain_pos = _ranges(node_ptr[anc], widths[anc])
-                chain_len = np.add.reduceat(widths[anc], np.cumsum(hops) - hops)
-                chain_ptr = np.cumsum(chain_len) - chain_len
-                # Key h at offset t of node x labels with chain(x)[t:].
-                node_of_key = np.repeat(np.arange(nodes, dtype=np.int64), widths)
-                offset = np.arange(n, dtype=np.int64) - node_ptr[node_of_key]
-                pos_start = chain_ptr[node_of_key] + offset
-                pos_count = chain_len[node_of_key] - offset
-                counts = np.empty(n, dtype=np.int64)
-                counts[hub_orig] = pos_count
-                ptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(counts, out=ptr[1:])
-                hubs = np.empty(int(ptr[-1]), dtype=np.int64)
-                hubs[_ranges(ptr[hub_orig], pos_count)] = (
-                    chain_pos[_ranges(pos_start, pos_count)]
-                )
+            labels = _label_structure(plan)
+            ptr, hubs, ne = labels.ptr, labels.hubs, labels.ne
+            with tracer.span("hub-index-values"):
                 if from_factor:
                     # Row t of block s's chain block starts at
                     # block_ptr[s] + t·|chain(s)|.  A hub h of block s'
@@ -519,8 +596,8 @@ class HubLabelIndex:
                     # suffix of chain(s)) sits at its column
                     # |chain(s)| − |chain(s')| + (h − lo(s')).
                     to_flat, from_flat, block_ptr = blocks
-                    count = pos_count[ne:]
-                    dest = _ranges(ptr[hub_orig[ne:]], count)
+                    count = labels.pos_count[ne:]
+                    dest = _ranges(ptr[labels.perm[ne:]], count)
                     clen = chain_lengths(st)
                     v = np.repeat(np.arange(st.n, dtype=np.int64), count)
                     h = hubs[dest] - ne
@@ -532,35 +609,11 @@ class HubLabelIndex:
                     dto[dest] = to_flat[at]
                     dfrom[dest] = from_flat[at]
                     if ne:
-                        _unreduce_labels(trail, applied, hub_orig, ptr, hubs,
-                                         dto, dfrom, depth[:ne])
+                        _unreduce_labels(plan.trail, applied, labels.perm,
+                                         ptr, hubs, dto, dfrom,
+                                         labels.depth[:ne])
                 else:
-                    # One flat gather of every label distance.
-                    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-                    hub_ids = hub_orig[hubs]
-                    dto = dist[owner, hub_ids]
-                    dfrom = dist[hub_ids, owner]
-
-            with tracer.span("hub-index-shards"):
-                # Each extended etree tree is one (weak) component of the
-                # graph — a supernode is a run of the column etree, and a
-                # trail vertex hangs below a neighbor in the symmetric
-                # pattern — so the shard is the vertex's
-                # tree root, numbered in order of each tree's smallest
-                # vertex.
-                node = np.empty(n, dtype=np.int64)
-                node[hub_orig] = node_of_key
-                _, first, inv = np.unique(
-                    root[node], return_index=True, return_inverse=True
-                )
-                ncomp = first.shape[0]
-                rank = np.empty(ncomp, dtype=np.int64)
-                rank[np.argsort(first)] = np.arange(ncomp)
-                comp = rank[inv.ravel()]
-                pre = _preorder(parent, anc, hops)
-                order = np.empty(nodes, dtype=np.int64)
-                order[pre] = np.arange(nodes, dtype=np.int64)
-                span = _span_table(order, depth)
+                    dto, dfrom = labels.gather(dist)
             build_span.set(ops=ops.total, trail_events=ne)
 
         if tracer.enabled:
@@ -568,10 +621,11 @@ class HubLabelIndex:
             tracer.metrics.observe("serve.index_build_s", timings["build"])
             tracer.metrics.observe("serve.label_entries", float(hubs.size))
         return cls(
-            n=n, directed=session.directed, ptr=ptr, hubs=hubs, dto=dto,
-            dfrom=dfrom, perm=hub_orig, comp=comp, ncomp=ncomp, node=node,
-            parent=parent, depth=depth, pre=pre, span=span,
-            chain_len=chain_len,
+            n=plan.n, directed=session.directed, ptr=ptr, hubs=hubs,
+            dto=dto, dfrom=dfrom, perm=labels.perm, comp=labels.comp,
+            ncomp=labels.ncomp, node=labels.node, parent=labels.parent,
+            depth=labels.depth, pre=labels.pre, span=labels.span,
+            chain_len=labels.chain_len,
             trail_events=ne, epoch_index=epoch_index,
             weights_digest=weights_digest, plan_id=plan.plan_id,
             source=source, build_seconds=timings["build"],
