@@ -19,7 +19,10 @@ update matrices (extend-add, ⊕ = min); then DiagUpdate closes the
 and ``cols × rows`` panels through it, and the OuterUpdate forms the
 ``rows × rows`` update matrix passed to the parent.  Afterwards
 ``F[c, y]`` (and ``F[y, c]``) is the shortest ``c → y`` distance over
-paths whose inner vertices all lie in the subtree of ``s``.
+paths whose inner vertices all lie in the subtree of ``s``.  When every
+arc has a reverse arc of the same bits, every front is symmetric bit for
+bit: the row panel is then the closed column panel's transpose and the
+OuterUpdate runs the engine's symmetric staircase.
 
 **Descending pass** — root to leaves.  A shortest path from ``v`` in
 ``cols(s)`` to an ancestor-chain vertex ``a`` first leaves the subtree
